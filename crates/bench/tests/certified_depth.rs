@@ -1,7 +1,8 @@
 //! CI `certify` lane: the budgeted majority-gate depth probe (paper
 //! Fig. 15) runs with `--certify` semantics — proof logging on, every
-//! UNSAT verdict checked by the in-tree forward DRAT checker before it
-//! is reported — inside the bench-smoke time budget.
+//! UNSAT verdict's refutation cone checked by the in-tree backward
+//! DRAT checker before it is reported — inside the bench-smoke time
+//! budget.
 
 use sat::Budget;
 use synth::optimize::find_min_depth;

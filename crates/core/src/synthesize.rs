@@ -56,8 +56,9 @@ pub struct SynthOptions {
     /// Overrides chronological backtracking the same way (`--chrono
     /// on|off`). `None` keeps each configuration's own choice.
     pub chrono: Option<bool>,
-    /// Emit a DRAT proof for every solve and run the in-tree forward
-    /// checker on each UNSAT verdict before reporting it (`--certify`).
+    /// Emit a DRAT proof for every solve and run the in-tree backward
+    /// DRAT checker on each UNSAT verdict before reporting it
+    /// (`--certify`); it verifies the lemmas the refutation depends on.
     /// CDCL backend only; an UNSAT whose proof fails to check is
     /// surfaced as [`SynthError::Certify`] instead of being trusted.
     pub certify: bool,

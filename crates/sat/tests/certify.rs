@@ -1,7 +1,9 @@
 //! End-to-end UNSAT certification: the solver's proof log for the
-//! pigeonhole family must pass the in-tree forward DRAT checker, the
-//! binary/text DRAT writers must round-trip through the parser against
-//! the original DIMACS inputs, and corrupted proofs must be rejected.
+//! pigeonhole family must pass the in-tree backward DRAT checker, both
+//! as `certify_unsat` (only the refutation's dependency cone) and as
+//! `proof::check` (every lemma); the binary/text DRAT writers must
+//! round-trip through the parser against the original DIMACS inputs,
+//! and corrupted proofs must be rejected.
 
 use sat::proof::{self, StepKind};
 use sat::{certify_unsat, Budget, CdclConfig, CdclSolver, Cnf, Lit, ProofLog, RestartPolicy};
@@ -152,4 +154,90 @@ fn proof_with_a_corrupted_input_literal_is_rejected() {
         certify_unsat(&mutated, &[]).is_err(),
         "checker accepted a proof whose input was tampered with"
     );
+}
+
+/// Pins the drat-trim semantics on php(3..6) under both
+/// configurations: `certify_unsat` and `proof::check` accept the same
+/// proofs, the cone is never larger than the whole lemma set (and
+/// strictly smaller somewhere), and a flipped literal in a cone lemma
+/// is rejected by both. A cone lemma with an unjustified flip is one
+/// whose flip certification rejects at that very lemma; php(3) has
+/// none, as its lone unit lemma `(¬x)` is RUP flipped to `(x)` too.
+#[test]
+fn certification_checks_the_refutation_cone() {
+    let mut strictly_smaller = false;
+    for n in 3..=6 {
+        for config in [CdclConfig::default(), aggressive()] {
+            let log = refute(&pigeonhole(n), config);
+            let cone = certify_unsat(&log, &[])
+                .unwrap_or_else(|e| panic!("php({n}) certification rejected: {e:?}"));
+            let all =
+                proof::check(&log).unwrap_or_else(|e| panic!("php({n}) check rejected: {e:?}"));
+            assert!(all.refuted());
+            assert!(
+                cone.derived_checked <= all.derived_checked,
+                "php({n}): cone {} > all {}",
+                cone.derived_checked,
+                all.derived_checked
+            );
+            strictly_smaller |= cone.derived_checked < all.derived_checked;
+
+            let flip = |target: usize| {
+                mutate(&log, |i, _, lits| {
+                    let mut lits = lits.to_vec();
+                    if i == target {
+                        lits[0] = !lits[0];
+                    }
+                    Some(lits)
+                })
+            };
+            // `steps` counts the steps the certifier replayed, up to
+            // its root-conflict target.
+            let hit = (0..cone.steps)
+                .filter(|&i| {
+                    let (kind, lits) = log.step(i);
+                    kind == StepKind::AddDerived && !lits.is_empty()
+                })
+                .find_map(|i| {
+                    let flipped = flip(i);
+                    let err = certify_unsat(&flipped, &[]).err()?;
+                    (err.step == Some(i)).then_some((i, flipped))
+                });
+            match hit {
+                Some((i, flipped)) => assert_eq!(
+                    proof::check(&flipped).err().and_then(|e| e.step),
+                    Some(i),
+                    "php({n}): check accepted a flipped cone lemma"
+                ),
+                None => assert_eq!(n, 3, "php({n}): no cone lemma rejects its flip"),
+            }
+        }
+    }
+    assert!(strictly_smaller, "the cone never excluded a lemma");
+}
+
+/// An unjustified lemma outside the cone: `(v ∨ w)` over two fresh
+/// variables, after an input `(¬v)`, is neither RUP nor RAT, but no
+/// step of the refutation can rest on it. `certify_unsat` accepts the
+/// proof (drat-trim semantics: only the cone is verified) and
+/// `proof::check` rejects it at that lemma.
+#[test]
+fn unjustified_lemma_outside_the_cone() {
+    let c = pigeonhole(5);
+    let log = refute(&c, aggressive());
+    let v = lit(c.num_vars() as i64 + 1);
+    let w = lit(c.num_vars() as i64 + 2);
+    let mut padded = ProofLog::new();
+    padded.add_input(&[!v]);
+    padded.add_derived(&[v, w]);
+    for (kind, lits) in log.iter() {
+        match kind {
+            StepKind::AddInput => padded.add_input(lits),
+            StepKind::AddDerived => padded.add_derived(lits),
+            StepKind::Delete => padded.delete(lits),
+        }
+    }
+    certify_unsat(&padded, &[]).expect("the refutation cone is intact");
+    let err = proof::check(&padded).expect_err("check verifies every lemma");
+    assert_eq!(err.step, Some(1));
 }

@@ -489,10 +489,16 @@ proptest! {
                         let recheck = CdclSolver::default()
                             .solve_with(&accumulated, &core, &Budget::default());
                         prop_assert!(recheck.is_unsat(), "assumption core fails to refute");
-                        let certified = sat::certify_unsat(
-                            session.proof().expect("proof logging enabled"),
-                            &core,
+                        let log = session.proof().expect("proof logging enabled");
+                        // Certification verifies only the refutation cone; the full
+                        // check still catches an invalid lemma outside it.
+                        let checked = sat::proof::check(log);
+                        prop_assert!(
+                            checked.is_ok(),
+                            "a session lemma is neither RUP nor RAT: {:?}",
+                            checked.err()
                         );
+                        let certified = sat::certify_unsat(log, &core);
                         prop_assert!(
                             certified.is_ok(),
                             "DRAT check rejects the session proof under viv={} sub={} \
@@ -614,10 +620,16 @@ proptest! {
                             let recheck = CdclSolver::default()
                                 .solve_with(&accumulated, &core, &Budget::default());
                             prop_assert!(recheck.is_unsat(), "assumption core fails to refute");
-                            let certified = sat::certify_unsat(
-                                session.proof().expect("proof logging enabled"),
-                                &core,
+                            let log = session.proof().expect("proof logging enabled");
+                            // Certification verifies only the refutation cone; the full
+                            // check still catches an invalid lemma outside it.
+                            let checked = sat::proof::check(log);
+                            prop_assert!(
+                                checked.is_ok(),
+                                "a session lemma is neither RUP nor RAT: {:?}",
+                                checked.err()
                             );
+                            let certified = sat::certify_unsat(log, &core);
                             prop_assert!(
                                 certified.is_ok(),
                                 "DRAT check rejects an import-fed proof (worker {}) under \
@@ -734,10 +746,16 @@ proptest! {
                         let recheck = CdclSolver::default()
                             .solve_with(&accumulated, &core, &Budget::default());
                         prop_assert!(recheck.is_unsat(), "assumption core fails to refute");
-                        let certified = sat::certify_unsat(
-                            session.proof().expect("proof logging enabled"),
-                            &core,
+                        let log = session.proof().expect("proof logging enabled");
+                        // Certification verifies only the refutation cone; the full
+                        // check still catches an invalid lemma outside it.
+                        let checked = sat::proof::check(log);
+                        prop_assert!(
+                            checked.is_ok(),
+                            "a session lemma is neither RUP nor RAT: {:?}",
+                            checked.err()
                         );
+                        let certified = sat::certify_unsat(log, &core);
                         prop_assert!(
                             certified.is_ok(),
                             "DRAT check rejects a post-cancellation proof: {:?}",

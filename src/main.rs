@@ -66,16 +66,19 @@
 //! `synth`/`depth` prints the same report before solving.
 //!
 //! `--certify` on `synth`/`depth` logs a DRAT proof in the solver and
-//! runs the in-tree forward checker on every UNSAT answer (each depth
-//! probe of a min-depth search) before it is reported; a verdict whose
-//! proof fails to check becomes an error, never a trusted answer.
+//! runs the in-tree backward DRAT checker on every UNSAT answer (each
+//! depth probe of a min-depth search) before it is reported: it
+//! verifies the lemmas the refutation depends on, drat-trim style. A
+//! verdict whose proof fails to check becomes an error, never a
+//! trusted answer.
 //! `--drat FILE` (single-solve `synth` only) also writes the proof out
 //! — text DRAT, or binary when FILE ends in `.bdrat` — for external
 //! `drat-trim` cross-checking against the `dimacs` output.
 //!
 //! `check-proof` replays a DRAT file (text or binary, auto-detected)
-//! against a DIMACS CNF with the in-tree forward RUP/RAT checker and
-//! exits 0 only if every step checks and the proof refutes the CNF.
+//! against a DIMACS CNF with the in-tree DRAT checker, verifying every
+//! lemma (not just the refutation's cone), and exits 0 only if every
+//! step checks and the proof refutes the CNF.
 
 #![forbid(unsafe_code)]
 
@@ -633,8 +636,9 @@ fn cmd_lint_cnf(args: &[String]) -> i32 {
     }
 }
 
-/// Replays a DRAT file against a DIMACS CNF with the in-tree forward
-/// RUP/RAT checker. Exit 0 only for a checked refutation.
+/// Replays a DRAT file against a DIMACS CNF with the in-tree DRAT
+/// checker, RUP/RAT-checking every lemma. Exit 0 only for a checked
+/// refutation.
 fn cmd_check_proof(args: &[String]) -> i32 {
     let (Some(cnf_path), Some(drat_path)) = (args.first(), args.get(1)) else {
         eprintln!("usage: lassynth check-proof <file.cnf> <file.drat>");

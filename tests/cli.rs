@@ -457,6 +457,31 @@ fn certify_and_check_proof_round_trip() {
         );
     }
 
+    // Text DRAT may carry comment lines; a commented text proof must
+    // not be mistaken for binary.
+    let tiny_cnf_path = dir.join("tiny.cnf");
+    std::fs::write(&tiny_cnf_path, "p cnf 1 2\n1 0\n-1 0\n").expect("write tiny cnf");
+    let text_proof = std::fs::read_to_string(dir.join("proof.drat")).expect("read text drat");
+    let commented_path = dir.join("commented.drat");
+    for (cnf, drat) in [
+        (&tiny_cnf_path, "c produced by hand\n0\n".to_string()),
+        (&cnf_path, format!("c written by lassynth\n{text_proof}")),
+    ] {
+        std::fs::write(&commented_path, &drat).expect("write commented drat");
+        let check = bin()
+            .arg("check-proof")
+            .arg(cnf)
+            .arg(&commented_path)
+            .output()
+            .expect("run lassynth check-proof on a commented proof");
+        assert!(
+            check.status.success() && String::from_utf8_lossy(&check.stdout).contains("PROOF OK"),
+            "commented text proof rejected: {}{}",
+            String::from_utf8_lossy(&check.stdout),
+            String::from_utf8_lossy(&check.stderr)
+        );
+    }
+
     // A deletion of a clause that was never added cannot check: the
     // checker's deletions are strict.
     let bad_path = dir.join("bad.drat");

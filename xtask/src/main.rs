@@ -16,9 +16,10 @@
 //!   are marked; an allocation there is a performance bug, not a style
 //!   choice.
 //! * `no-std-hashmap` — forbids `HashMap` in `crates/sat/src/solver*`
-//!   sources. std's SipHash default is measurably slow for the solver's
-//!   u32 keys; hot structures use indexed `Vec`s instead. Cold
-//!   diagnostic code opts out with `// lint:allow(no-std-hashmap)`.
+//!   sources and the proof checker `crates/sat/src/proof.rs`. std's
+//!   SipHash default is measurably slow for their u32 keys; hot
+//!   structures use indexed `Vec`s instead. Cold diagnostic code opts
+//!   out with `// lint:allow(no-std-hashmap)`.
 //!
 //! An escape comment suppresses a rule on its own line or, when the
 //! line is pure comment, on the next source line. Escapes name the rule
@@ -173,9 +174,9 @@ const ALLOC_TOKENS: [&str; 3] = ["Vec::new", "format!", ".clone()"];
 
 /// Scan one file. `label` is the path reported in findings; rule
 /// applicability keys off it (the `no-std-hashmap` rule only covers the
-/// solver sources).
+/// solver and proof-checker sources).
 fn lint_source(label: &str, source: &str) -> Vec<Finding> {
-    let solver_scope = label.contains("sat/src/solver");
+    let solver_scope = label.contains("sat/src/solver") || label.contains("sat/src/proof.rs");
     let mut findings = Vec::new();
     let mut strip = Stripper::default();
     // Depth of the brace-counted `#[cfg(test)]` region being skipped
@@ -440,18 +441,25 @@ mod tests {
     fn hashmap_rule_only_covers_solver_sources() {
         let src = "use std::collections::HashMap;\nfn f() -> HashMap<u32, u32> {\n    HashMap::default()\n}\n";
         assert_eq!(rules(src), vec![]);
-        let solver: Vec<_> = lint_source("crates/sat/src/solver/inprocess.rs", src)
-            .into_iter()
-            .map(|f| (f.rule, f.line))
-            .collect();
-        assert_eq!(
-            solver,
-            vec![
-                ("no-std-hashmap", 1),
-                ("no-std-hashmap", 2),
-                ("no-std-hashmap", 3)
-            ]
-        );
+        assert!(lint_source("crates/sat/src/cnf.rs", src).is_empty());
+        for label in [
+            "crates/sat/src/solver/inprocess.rs",
+            "crates/sat/src/proof.rs",
+        ] {
+            let found: Vec<_> = lint_source(label, src)
+                .into_iter()
+                .map(|f| (f.rule, f.line))
+                .collect();
+            assert_eq!(
+                found,
+                vec![
+                    ("no-std-hashmap", 1),
+                    ("no-std-hashmap", 2),
+                    ("no-std-hashmap", 3)
+                ],
+                "{label}"
+            );
+        }
     }
 
     #[test]
