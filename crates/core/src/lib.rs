@@ -11,8 +11,9 @@
 //! * [`decode`] — model → design + post-processing,
 //! * [`verify`] — pipe diagram → ZX diagram → stabilizer flows,
 //! * [`Synthesizer`] — one-shot synthesis with options,
-//! * [`optimize`] — the descending/ascending volume searches and the
-//!   parallel port-permutation exploration of paper Fig. 12b.
+//! * [`optimize`] — the descending/ascending depth searches of paper
+//!   Fig. 12b and the diversified seed portfolios, sequential or as one
+//!   deterministic lockstep fleet.
 //!
 //! # Examples
 //!
@@ -33,6 +34,7 @@
 pub mod decode;
 pub mod encode;
 pub mod optimize;
+mod session;
 mod synthesize;
 pub mod verify;
 

@@ -2,34 +2,21 @@
 //!
 //! The synthesizer answers one SAT/UNSAT question; optimization asks a
 //! sequence of them: shrink the allowed volume until UNSAT (descending),
-//! or grow it until SAT (ascending), and optionally explore port
-//! permutations in parallel with first-success cancellation.
+//! or grow it until SAT (ascending) — probe by probe, or with one
+//! lockstep worker per candidate depth — and race diversified seeds in
+//! a portfolio that takes the first definitive verdict.
 
 use crate::decode::{decode, decode_layered};
 use crate::encode::{encode, encode_layered};
+use crate::session::{panic_message, settle, Fleet, Session, WorkerState};
 use crate::synthesize::{BackendChoice, SynthError, SynthOptions, SynthResult, Synthesizer};
-use crate::verify::verify;
-use lasre::{LasDesign, LasSpec};
-use sat::{
-    Budget, CdclSolver, ClauseExchange, ExhaustionReason, ShareLimits, SolveOutcome, SolverStats,
-};
+use lasre::{LasDesign, LasSpec, SpecError};
+use sat::{CdclConfig, ClauseExchange, ExhaustionReason, SolverStats};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Renders a caught panic payload (the crash reports quarantined
-/// workers carry). `panic!` with a format string yields a `String`,
-/// with a literal a `&str`; anything else is opaque.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast_ref::<&str>() {
-        Some(s) => (*s).to_string(),
-        None => match payload.downcast_ref::<String>() {
-            Some(s) => s.clone(),
-            None => "worker panicked (non-string payload)".to_string(),
-        },
-    }
-}
 
 /// One probe of the depth search.
 #[derive(Debug)]
@@ -114,23 +101,16 @@ impl DepthSearch {
     }
 }
 
-/// What one probe of the depth search observed.
-struct ProbeOutcome {
-    sat: Option<bool>,
-    design: Option<LasDesign>,
-    time: Duration,
-    stats: Option<SolverStats>,
-    certified: bool,
-    exhaustion: Option<ExhaustionReason>,
-}
-
 /// The paper's probe order (start somewhere, descend while SAT, ascend
 /// while UNSAT), shared by the incremental and from-scratch modes.
+/// `probe` answers one depth with its result, solve time and solver
+/// statistics.
 fn drive_depth_search(
     lo: usize,
     hi: usize,
     start: usize,
-    mut probe: impl FnMut(usize) -> Result<ProbeOutcome, SynthError>,
+    certify: bool,
+    mut probe: impl FnMut(usize) -> Result<(SynthResult, Duration, Option<SolverStats>), SynthError>,
 ) -> Result<DepthSearch, SynthError> {
     assert!(lo <= start && start <= hi, "start depth outside [lo, hi]");
     let mut probes = Vec::new();
@@ -139,24 +119,37 @@ fn drive_depth_search(
                     probes: &mut Vec<DepthProbe>,
                     best: &mut Option<LasDesign>|
      -> Result<Option<bool>, SynthError> {
-        let outcome = probe(k)?;
-        if let Some(d) = outcome.design {
-            if best
-                .as_ref()
-                .is_none_or(|b| d.spec().max_k < b.spec().max_k)
-            {
-                *best = Some(d);
+        let (result, time, stats) = probe(k)?;
+        let sat = match result {
+            SynthResult::Sat(d) => {
+                if best
+                    .as_ref()
+                    .is_none_or(|b| d.spec().max_k < b.spec().max_k)
+                {
+                    *best = Some(*d);
+                }
+                Some(true)
             }
-        }
+            SynthResult::Unsat => Some(false),
+            SynthResult::Unknown => None,
+        };
         probes.push(DepthProbe {
             max_k: k,
-            sat: outcome.sat,
-            time: outcome.time,
-            stats: outcome.stats,
-            certified: outcome.certified,
-            exhaustion: outcome.exhaustion,
+            sat,
+            time,
+            stats,
+            // A certifying UNSAT whose proof failed to check has
+            // already errored.
+            certified: certify && sat == Some(false),
+            // The statistics are this probe's own, so they name the
+            // budget axis that expired (`None` under varisat, which
+            // reports none).
+            exhaustion: match sat {
+                None => stats.and_then(|s| s.exhaustion_reason()),
+                Some(_) => None,
+            },
         });
-        Ok(outcome.sat)
+        Ok(sat)
     };
     let mut k = start;
     match step(k, &mut probes, &mut best)? {
@@ -229,10 +222,9 @@ fn drive_depth_search(
 ///
 /// Propagates [`SynthError`] from any probe. All modes error on the
 /// probe that reaches a depth whose spec is malformed; depths the
-/// search never probes are never validated (incremental sessions are
-/// pre-shrunk to contiguous valid-depth sub-ranges, and the
-/// depth-parallel mode reproduces the sequential walk-off-the-edge
-/// errors explicitly).
+/// search never probes are never validated (layered encodings cover
+/// only [`valid_depth_window`]s, and the depth-parallel mode reproduces
+/// the sequential walk-off-the-edge errors explicitly).
 pub fn find_min_depth(
     spec: &LasSpec,
     lo: usize,
@@ -240,15 +232,11 @@ pub fn find_min_depth(
     start: usize,
     options: &SynthOptions,
 ) -> Result<DepthSearch, SynthError> {
-    if options.depth_parallel && lo >= 1 {
-        if let BackendChoice::Cdcl(config) = &options.backend {
-            let config = options.solver_config(config.clone());
+    if let BackendChoice::Cdcl(config) = &options.backend {
+        if options.depth_parallel && lo >= 1 {
             return find_min_depth_parallel(spec, lo, hi, start, options, config);
         }
-    }
-    if options.incremental && lo >= 1 {
-        if let BackendChoice::Cdcl(config) = &options.backend {
-            let config = options.solver_config(config.clone());
+        if options.incremental && lo >= 1 {
             return find_min_depth_incremental(spec, lo, hi, start, options, config);
         }
     }
@@ -263,93 +251,44 @@ fn find_min_depth_scratch(
     start: usize,
     options: &SynthOptions,
 ) -> Result<DepthSearch, SynthError> {
-    drive_depth_search(lo, hi, start, |k| {
-        let s = spec.with_depth(k);
-        let mut synth = Synthesizer::new(s)?.with_options(options.clone());
+    drive_depth_search(lo, hi, start, options.certify, |k| {
+        let mut synth = Synthesizer::new(spec.with_depth(k))?.with_options(options.clone());
         let result = synth.run()?;
-        let time = synth.last_solve_time().unwrap_or_default();
-        let stats = synth.last_solver_stats();
-        let (sat, design) = match result {
-            SynthResult::Sat(d) => (Some(true), Some(*d)),
-            SynthResult::Unsat => (Some(false), None),
-            SynthResult::Unknown => (None, None),
-        };
-        Ok(ProbeOutcome {
-            sat,
-            design,
-            time,
-            stats,
-            // `Synthesizer::run` has already checked the proof of a
-            // certifying UNSAT (it errors otherwise).
-            certified: options.certify && sat == Some(false),
-            // Each probe is a fresh solver, so the session counters
-            // are this probe's own (`None` under varisat, which
-            // reports no statistics).
-            exhaustion: match sat {
-                None => stats.and_then(|s| s.exhaustion_reason()),
-                Some(_) => None,
-            },
-        })
+        Ok((
+            result,
+            synth.last_solve_time().unwrap_or_default(),
+            synth.last_solver_stats(),
+        ))
     })
 }
 
-/// One retained solver over one depth-layered CNF.
-struct IncrementalSession {
-    layered: crate::encode::LayeredEncoding,
-    solver: CdclSolver,
-}
-
-impl IncrementalSession {
-    fn new(
-        spec: &LasSpec,
-        lo: usize,
-        hi: usize,
-        config: &sat::CdclConfig,
-        certify: bool,
-    ) -> Result<Self, SynthError> {
-        let layered = encode_layered(spec, lo, hi).map_err(SynthError::Spec)?;
-        let mut solver = CdclSolver::with_config(config.clone());
-        if certify {
-            // Proof logging must start before the first clause so the
-            // log is self-contained.
-            solver.enable_proof();
-        }
-        solver.add_cnf(&layered.encoding.cnf);
-        // Activation literals come back as assumptions on every probe,
-        // so bounded variable elimination must never resolve them away:
-        // declare them frozen for the lifetime of the session.
-        for &a in &layered.activation {
-            solver.freeze(a.var());
-        }
-        Ok(IncrementalSession { layered, solver })
+/// The contiguous window of depths around `start`, within `[lo, hi]`,
+/// whose specs all validate: the depths a layered encoding for a search
+/// starting at `start` covers. A layered CNF must be well-formed at
+/// every depth it covers, but a search must not fail on a depth it
+/// never probes (from-scratch mode only errors on the probe that
+/// reaches an invalid depth, and the modes must agree).
+///
+/// # Errors
+///
+/// The spec error at `start` itself, which every search probes first.
+pub fn valid_depth_window(
+    spec: &LasSpec,
+    lo: usize,
+    hi: usize,
+    start: usize,
+) -> Result<(usize, usize), SpecError> {
+    spec.with_depth(start).validate()?;
+    let valid = |k: usize| spec.with_depth(k).validate().is_ok();
+    let mut bottom = start;
+    while bottom > lo && valid(bottom - 1) {
+        bottom -= 1;
     }
-
-    fn covers(&self, k: usize) -> bool {
-        (self.layered.lo..=self.layered.hi).contains(&k)
+    let mut top = start;
+    while top < hi && valid(top + 1) {
+        top += 1;
     }
-}
-
-/// The largest sub-range of depths `lo..=from` (descending) ending at
-/// `from` whose specs all validate — a layered session may only cover
-/// depths the spec is well-formed at, but must not reject depths the
-/// search never reaches (from-scratch mode only errors on the probe
-/// that actually hits an invalid depth, and the two modes must agree).
-fn valid_depths_down(spec: &LasSpec, lo: usize, from: usize) -> usize {
-    let mut v = from;
-    while v > lo && spec.with_depth(v - 1).validate().is_ok() {
-        v -= 1;
-    }
-    v
-}
-
-/// Mirror of [`valid_depths_down`] for ascending searches: the largest
-/// sub-range `from..=hi` starting at `from` whose specs all validate.
-fn valid_depths_up(spec: &LasSpec, from: usize, hi: usize) -> usize {
-    let mut v = from;
-    while v < hi && spec.with_depth(v + 1).validate().is_ok() {
-        v += 1;
-    }
-    v
+    Ok((bottom, top))
 }
 
 /// Incremental mode: a depth-layered CNF and a retained solver session;
@@ -363,479 +302,173 @@ fn valid_depths_up(spec: &LasSpec, from: usize, hi: usize) -> usize {
 /// `[lo, start]`; only when the first probe is UNSAT does the search
 /// ascend, into a second session sized `[k, hi]` (one rebuild at most,
 /// and the sole probe whose learnt clauses are dropped is the UNSAT
-/// one that forced the turn). Both ranges are pre-shrunk to their
-/// contiguous valid-spec sub-range, so a depth that is invalid but
-/// never probed cannot fail the search; probing an invalid depth
-/// errors, exactly as from-scratch mode does.
+/// one that forced the turn). Both ranges are cut to their
+/// [`valid_depth_window`], so a depth that is invalid but never probed
+/// cannot fail the search; probing an invalid depth errors, exactly as
+/// from-scratch mode does.
 fn find_min_depth_incremental(
     spec: &LasSpec,
     lo: usize,
     hi: usize,
     start: usize,
     options: &SynthOptions,
-    config: sat::CdclConfig,
+    config: &CdclConfig,
 ) -> Result<DepthSearch, SynthError> {
-    let mut session = IncrementalSession::new(
-        spec,
-        valid_depths_down(spec, lo, start),
-        start,
-        &config,
-        options.certify,
-    )?;
-    drive_depth_search(lo, hi, start, |k| {
-        if !session.covers(k) {
-            // The search stepped past the session's valid range: extend
-            // it in the step's direction — unless the next depth itself
-            // is malformed, which errors on exactly the probe where
-            // from-scratch mode would have errored.
-            if let Err(e) = spec.with_depth(k).validate() {
-                return Err(SynthError::Spec(e));
-            }
-            if k > session.layered.hi {
-                session = IncrementalSession::new(
-                    spec,
-                    k,
-                    valid_depths_up(spec, k, hi),
-                    &config,
-                    options.certify,
-                )?;
-            } else {
-                session = IncrementalSession::new(
-                    spec,
-                    valid_depths_down(spec, lo, k),
-                    k,
-                    &config,
-                    options.certify,
-                )?;
-            }
+    let open = |lo: usize, hi: usize, start: usize| -> Result<_, SynthError> {
+        let (bottom, top) = valid_depth_window(spec, lo, hi, start)?;
+        let layered = encode_layered(spec, bottom, top)?;
+        let session = Session::open(
+            options,
+            config.clone(),
+            &layered.encoding.cnf,
+            &layered.activation,
+            None,
+        );
+        Ok((layered, session))
+    };
+    let (mut layered, mut session) = open(lo, start, start)?;
+    drive_depth_search(lo, hi, start, options.certify, |k| {
+        // The walk stepped past the session's range: reopen it in the
+        // step's direction.
+        if k > layered.hi {
+            (layered, session) = open(k, hi, k)?;
+        } else if k < layered.lo {
+            (layered, session) = open(lo, k, k)?;
         }
-        let assumptions = session.layered.assumptions_for(k);
-        let before = session.solver.session_stats();
+        let before = session.stats();
         let started = Instant::now();
-        let outcome = session.solver.solve_assuming(&assumptions, &options.budget);
+        let outcome = session.solve(&layered.assumptions_for(k), &options.budget);
         let time = started.elapsed();
-        let stats = Some(session.solver.session_stats().since(before));
-        match outcome {
-            SolveOutcome::Sat(model) => {
-                let mut design = decode_layered(&session.layered, spec, k, &model);
-                let violations = lasre::check_validity(&design);
-                if !violations.is_empty() {
-                    return Err(SynthError::InvalidDesign(violations));
-                }
-                if !options.skip_verify {
-                    verify(&design).map_err(SynthError::Verify)?;
-                    design.set_verified(true);
-                }
-                Ok(ProbeOutcome {
-                    sat: Some(true),
-                    design: Some(design),
-                    time,
-                    stats,
-                    certified: false,
-                    exhaustion: None,
-                })
-            }
-            SolveOutcome::Unsat => {
-                let mut certified = false;
-                if options.certify {
-                    // Proof-check this depth lower bound before
-                    // reporting it. The log covers the whole session so
-                    // far; the failing assumption set picks out this
-                    // probe's refutation.
-                    // Unreachable: the session enabled proof logging
-                    // before its first clause.
-                    // lint:allow(no-panic)
-                    let log = session.solver.proof().expect("proof logging enabled");
-                    sat::certify_unsat(log, session.solver.final_assumption_conflict())
-                        .map_err(|e| SynthError::Certify(e.to_string()))?;
-                    certified = true;
-                }
-                Ok(ProbeOutcome {
-                    sat: Some(false),
-                    design: None,
-                    time,
-                    stats,
-                    certified,
-                    exhaustion: None,
-                })
-            }
-            SolveOutcome::Unknown(reason) => Ok(ProbeOutcome {
-                sat: None,
-                design: None,
-                time,
-                stats,
-                certified: false,
-                exhaustion: Some(reason),
-            }),
-        }
+        let stats = session.stats().since(before);
+        session.certify(&outcome)?;
+        let result = settle(outcome, options.skip_verify, |model| {
+            decode_layered(&layered, spec, k, model)
+        })?;
+        Ok((result, time, Some(stats)))
     })
 }
 
 /// Capacity of each worker's inbox in a clause-sharing run. Clauses
 /// past a full inbox are dropped (deterministically — the lockstep
-/// drivers below are single-threaded), so this only trades sharing
-/// coverage against memory; it never blocks a worker.
+/// fleet is single-threaded), so this only trades sharing coverage
+/// against memory; it never blocks a worker.
 const EXCHANGE_CAPACITY: usize = 1024;
-
-/// How far one per-depth worker has got.
-enum DepthWorkerState {
-    /// Still inside the undecided window with budget left.
-    Running,
-    /// Spent its per-probe conflict budget without a verdict.
-    Exhausted,
-    /// Resolved its depth: `true` = SAT, `false` = UNSAT.
-    Verdict(bool),
-    /// Panicked mid-turn and was quarantined (the payload is the panic
-    /// message); the fleet continued on the survivors.
-    Crashed(String),
-}
-
-/// One per-depth worker of [`find_min_depth_parallel`].
-struct DepthWorker {
-    /// The `max_k` this worker owns.
-    k: usize,
-    solver: CdclSolver,
-    /// Conflicts this worker may still spend. Each depth is one probe,
-    /// so each worker gets the full per-probe budget
-    /// (`options.budget.max_conflicts`); `None` is unlimited.
-    remaining: Option<u64>,
-    /// Cumulative wall time of this worker's turns.
-    time: Duration,
-    /// Lockstep turns taken (workers with none are omitted from the
-    /// probe list — the search never touched their depth).
-    turns: u64,
-    state: DepthWorkerState,
-    /// Whether this worker's UNSAT verdict was proof-checked.
-    certified: bool,
-    /// Which budget axis ran this worker dry, when one did.
-    exhaustion: Option<ExhaustionReason>,
-}
 
 /// Depth-parallel mode: one lockstep worker per candidate depth.
 ///
 /// All workers share one depth-layered encoding ([`encode_layered`])
-/// over the contiguous valid-depth window around `start`; worker `i`
-/// owns depth `vlo + i` and probes it as `solve_assuming` under that
-/// depth's activation literals. A single-threaded round-robin driver
-/// (ascending depth order, `options.parallel_quantum` conflicts per
-/// turn — the target machines have one vCPU) runs every worker still
+/// over the [`valid_depth_window`] around `start`; the worker owning
+/// depth `k` probes it as `solve_assuming` under that depth's
+/// activation literals. The lockstep fleet runs every worker still
 /// inside the *undecided window*: SAT at depth `k` implies SAT at
 /// every deeper depth and UNSAT implies UNSAT at every shallower one,
-/// so each verdict shrinks the window `(highest UNSAT, lowest SAT)`
-/// and prunes the workers it dominates mid-flight. The search ends
-/// when the window is empty (minimum found or whole range refuted) or
-/// when every worker in it ran out of budget.
+/// so each verdict shrinks the window and prunes the workers it
+/// dominates mid-flight. The search ends when the window is empty
+/// (minimum found or whole range refuted) or when every worker in it
+/// ran out of budget; `options.budget.max_time` is one deadline for
+/// the whole search.
 ///
 /// With `options.share_clauses` the workers also exchange learnt
 /// clauses: clauses learnt under depth-`k` assumptions are
 /// consequences of the shared CNF alone (assumptions enter learnt
 /// clauses only negated), so cross-depth sharing is sound — and the
 /// importer RUP-checks every clause against its own database anyway.
-///
-/// Deterministic by construction: fixed worker order, fixed quanta, no
-/// threads — two runs produce identical verdicts, stats and import
-/// sequences (only the `time` fields vary).
 fn find_min_depth_parallel(
     spec: &LasSpec,
     lo: usize,
     hi: usize,
     start: usize,
     options: &SynthOptions,
-    config: sat::CdclConfig,
+    config: &CdclConfig,
 ) -> Result<DepthSearch, SynthError> {
     assert!(lo <= start && start <= hi, "start depth outside [lo, hi]");
-    // The sequential modes probe `start` first and error if its spec is
-    // malformed; fail identically before building anything.
-    spec.with_depth(start)
-        .validate()
-        .map_err(SynthError::Spec)?;
-    let vlo = valid_depths_down(spec, lo, start);
-    let vhi = valid_depths_up(spec, start, hi);
-    let layered = encode_layered(spec, vlo, vhi).map_err(SynthError::Spec)?;
-    let worker_count = vhi - vlo + 1;
+    let (bottom, top) = valid_depth_window(spec, lo, hi, start)?;
+    let layered = encode_layered(spec, bottom, top)?;
     let hub = options
         .share_clauses
-        .then(|| Arc::new(ClauseExchange::new(worker_count, EXCHANGE_CAPACITY)));
-    let mut workers: Vec<DepthWorker> = Vec::with_capacity(worker_count);
-    for index in 0..worker_count {
-        let mut solver = CdclSolver::with_config(config.clone());
-        if options.certify {
-            // Proof logging must open before the first clause so each
-            // worker's log is self-contained (imports are logged as
-            // derived RUP steps and stay checkable).
-            solver.enable_proof();
-        }
-        solver.add_cnf(&layered.encoding.cnf);
-        // Activation literals return as assumptions on every turn:
-        // variable elimination must never resolve them away.
-        for &a in &layered.activation {
-            solver.freeze(a.var());
-        }
-        if let Some(hub) = &hub {
-            solver.connect_exchange(Arc::clone(hub), index, ShareLimits::default());
-        }
-        workers.push(DepthWorker {
-            k: vlo + index,
-            solver,
-            remaining: options.budget.max_conflicts,
-            time: Duration::ZERO,
-            turns: 0,
-            state: DepthWorkerState::Running,
-            certified: false,
-            exhaustion: None,
-        });
-    }
-    let quantum = options.parallel_quantum.max(1);
-    let deadline = options.budget.max_time.map(|t| Instant::now() + t);
-    let mut lowest_sat: Option<usize> = None;
-    let mut highest_unsat: Option<usize> = None;
+        .then(|| Arc::new(ClauseExchange::new(top - bottom + 1, EXCHANGE_CAPACITY)));
+    let sessions = (bottom..=top).map(|k| {
+        let exchange = hub.as_ref().map(|hub| (hub, k - bottom));
+        let cnf = &layered.encoding.cnf;
+        let session = Session::open(options, config.clone(), cnf, &layered.activation, exchange);
+        (k, session)
+    });
+    let mut fleet = Fleet::new("depth", sessions, &options.budget);
+    // The undecided window, as an inclusive depth range.
+    let window = Cell::new((bottom, top));
     let mut best: Option<LasDesign> = None;
-    // Set when the *driver* (not an individual worker) gives up: the
-    // fleet deadline passed or the caller's stop flag was raised.
-    let mut driver_exhaustion: Option<ExhaustionReason> = None;
-    'driver: loop {
-        let mut progressed = false;
-        for worker in workers.iter_mut() {
-            // Recompute the undecided window every turn: a verdict
-            // earlier in this round may have closed it or pruned this
-            // worker (`vlo >= lo >= 1`, so `s - 1` cannot underflow).
-            let window_lo = highest_unsat.map_or(vlo, |u| u + 1);
-            let window_hi = lowest_sat.map_or(vhi, |s| s - 1);
-            if window_lo > window_hi {
-                break 'driver;
-            }
-            let k = worker.k;
-            if !matches!(worker.state, DepthWorkerState::Running) || k < window_lo || k > window_hi
-            {
-                continue;
-            }
-            if let Some(stop) = &options.budget.stop {
-                if stop.load(Ordering::Relaxed) {
-                    driver_exhaustion = Some(ExhaustionReason::Cancelled);
-                    break 'driver;
+    let exhaustion = fleet.run(
+        options,
+        |k| layered.assumptions_for(k),
+        |k| {
+            let (floor, ceiling) = window.get();
+            (floor..=ceiling).contains(&k)
+        },
+        |k, session, outcome| {
+            session.certify(&outcome)?;
+            let result = settle(outcome, options.skip_verify, |model| {
+                decode_layered(&layered, spec, k, model)
+            })?;
+            // Dominated workers stay idle, so every SAT here is a new
+            // minimum and every UNSAT raises the floor (`k >= 1`, so
+            // `k - 1` cannot underflow).
+            let (floor, ceiling) = window.get();
+            let (floor, ceiling) = match result {
+                SynthResult::Sat(design) => {
+                    best = Some(*design);
+                    (floor, k - 1)
                 }
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                driver_exhaustion = Some(ExhaustionReason::Deadline);
-                break 'driver;
-            }
-            let turn = worker.remaining.map_or(quantum, |r| quantum.min(r));
-            let mut turn_budget = Budget::conflict_limit(turn);
-            // The memory ceiling applies per worker, every turn; time
-            // and stop stay driver-level (checked between quanta).
-            turn_budget.max_memory_words = options.budget.max_memory_words;
-            let assumptions = layered.assumptions_for(k);
-            let before = worker.solver.session_stats().conflicts;
-            let started = Instant::now();
-            // The quantum is the crash-isolation boundary: a worker
-            // that panics (a solver bug, or an injected fault) is
-            // quarantined with its message and the fleet continues on
-            // the survivors.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                worker.solver.solve_assuming(&assumptions, &turn_budget)
-            }));
-            worker.time += started.elapsed();
-            worker.turns += 1;
-            let outcome = match outcome {
-                Ok(outcome) => outcome,
-                Err(payload) => {
-                    worker.state = DepthWorkerState::Crashed(panic_message(payload));
-                    progressed = true;
-                    continue;
-                }
+                _ => (k + 1, ceiling),
             };
-            let spent = worker.solver.session_stats().conflicts - before;
-            if let Some(r) = &mut worker.remaining {
-                *r = r.saturating_sub(spent);
-            }
-            progressed = true;
-            match outcome {
-                SolveOutcome::Sat(model) => {
-                    worker.state = DepthWorkerState::Verdict(true);
-                    // The window cap keeps dominated workers idle, so
-                    // every SAT processed here is a new minimum.
-                    lowest_sat = Some(k);
-                    let mut design = decode_layered(&layered, spec, k, &model);
-                    let violations = lasre::check_validity(&design);
-                    if !violations.is_empty() {
-                        return Err(SynthError::InvalidDesign(violations));
-                    }
-                    if !options.skip_verify {
-                        verify(&design).map_err(SynthError::Verify)?;
-                        design.set_verified(true);
-                    }
-                    best = Some(design);
-                }
-                SolveOutcome::Unsat => {
-                    worker.state = DepthWorkerState::Verdict(false);
-                    if options.certify {
-                        // Unreachable: the worker enabled proof logging
-                        // before its first clause.
-                        // lint:allow(no-panic)
-                        let log = worker.solver.proof().expect("proof logging enabled");
-                        sat::certify_unsat(log, worker.solver.final_assumption_conflict())
-                            .map_err(|e| SynthError::Certify(e.to_string()))?;
-                        worker.certified = true;
-                    }
-                    // The window floor keeps dominated workers idle, so
-                    // every UNSAT processed here raises the floor.
-                    highest_unsat = Some(k);
-                }
-                SolveOutcome::Unknown(reason) => {
-                    // The memory ceiling never recovers on its own:
-                    // retire the worker now. Otherwise the turn budget
-                    // is conflict-only, so Unknown means the quantum
-                    // ran dry; the worker retires once its per-probe
-                    // budget is spent (`spent == 0` is a defensive
-                    // no-progress guard).
-                    if reason == ExhaustionReason::Memory {
-                        worker.state = DepthWorkerState::Exhausted;
-                        worker.exhaustion = Some(ExhaustionReason::Memory);
-                    } else if worker.remaining == Some(0) || spent == 0 {
-                        worker.state = DepthWorkerState::Exhausted;
-                        worker.exhaustion = Some(ExhaustionReason::Conflicts);
-                    }
-                }
-            }
-        }
-        if !progressed {
-            break; // only exhausted or pruned workers left in the window
-        }
-    }
+            window.set((floor, ceiling));
+            Ok(floor > ceiling)
+        },
+    )?;
     // Sequential mode walks off the valid window's edges: descending
-    // from a SAT verdict at the window floor it probes `vlo - 1`, and
-    // ascending past an all-UNSAT window it probes `vhi + 1` — erring
-    // exactly when that depth's spec is malformed (which, when the
-    // window was shrunk, is by construction). Reproduce those errors.
-    if lowest_sat == Some(vlo) && vlo > lo {
-        if let Err(e) = spec.with_depth(vlo - 1).validate() {
-            return Err(SynthError::Spec(e));
-        }
+    // from a SAT verdict at the window floor it probes `bottom - 1`,
+    // and ascending past an all-UNSAT window it probes `top + 1` —
+    // erring exactly when that depth's spec is malformed (which, when
+    // the window was cut, is by construction). Reproduce those errors.
+    let best_depth = best.as_ref().map(|d| d.spec().max_k);
+    if best_depth == Some(bottom) && bottom > lo {
+        spec.with_depth(bottom - 1).validate()?;
     }
-    if lowest_sat.is_none() && highest_unsat == Some(vhi) && vhi < hi {
-        if let Err(e) = spec.with_depth(vhi + 1).validate() {
-            return Err(SynthError::Spec(e));
-        }
+    if best_depth.is_none() && window.get().0 == top + 1 && top < hi {
+        spec.with_depth(top + 1).validate()?;
     }
-    let quarantined: Vec<(usize, String)> = workers
+    let probes = fleet
+        .workers
         .iter()
-        .filter_map(|w| match &w.state {
-            DepthWorkerState::Crashed(msg) => Some((w.k, msg.clone())),
-            _ => None,
-        })
-        .collect();
-    // A fleet with no survivors has no anytime answer to stand on:
-    // propagate the first crash (lowest depth) as the search error.
-    if !quarantined.is_empty() && quarantined.len() == workers.len() {
-        let (k, msg) = &quarantined[0];
-        return Err(SynthError::WorkerPanic(format!("depth {k} worker: {msg}")));
-    }
-    let probes = workers
-        .iter()
+        // A worker with no turn never touched its depth.
         .filter(|w| w.turns > 0)
-        .map(|w| DepthProbe {
-            max_k: w.k,
-            sat: match w.state {
-                DepthWorkerState::Verdict(sat) => Some(sat),
-                // Pruned by a dominating verdict, out of budget, or
-                // crashed: this worker never resolved its depth.
+        .map(|w| {
+            // Pruned by a dominating verdict, out of budget, or crashed:
+            // anything but `Decided` leaves the depth unresolved.
+            let sat = match w.state {
+                WorkerState::Decided(sat) => Some(sat),
                 _ => None,
-            },
-            time: w.time,
-            stats: Some(w.solver.session_stats()),
-            certified: w.certified,
-            exhaustion: w.exhaustion,
+            };
+            DepthProbe {
+                max_k: w.id,
+                sat,
+                time: w.time,
+                stats: Some(w.session.stats()),
+                certified: options.certify && sat == Some(false),
+                exhaustion: match w.state {
+                    WorkerState::Retired(reason) => Some(reason),
+                    _ => None,
+                },
+            }
         })
         .collect();
-    // Anytime accounting: if the undecided window is still open, the
-    // search ran out of something — the driver's reason (deadline or
-    // cancellation) wins, else the first dried-up worker's.
-    let window_lo = highest_unsat.map_or(vlo, |u| u + 1);
-    let window_hi = lowest_sat.map_or(vhi, |s| s - 1);
-    let exhaustion = if window_lo <= window_hi {
-        driver_exhaustion.or_else(|| workers.iter().find_map(|w| w.exhaustion))
-    } else {
-        None
-    };
     Ok(DepthSearch {
         probes,
         best,
         lo,
         hi,
         exhaustion,
-        quarantined,
+        quarantined: fleet.quarantined(),
     })
-}
-
-/// Runs one synthesis per port permutation in parallel (one thread per
-/// permutation, as the paper runs "many LaSsynth jobs in parallel"),
-/// returning the first verified design. All other workers are cancelled
-/// through the solver's stop flag.
-///
-/// # Errors
-///
-/// Propagates the first [`SynthError`] if *all* workers error.
-pub fn explore_port_orders(
-    spec: &LasSpec,
-    perms: &[Vec<usize>],
-    options: &SynthOptions,
-) -> Result<Option<LasDesign>, SynthError> {
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut first_error = None;
-    let mut found: Option<LasDesign> = None;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = perms
-            .iter()
-            .map(|perm| {
-                let spec = spec.with_port_order(perm);
-                let mut options = options.clone();
-                options.budget.stop = Some(stop.clone());
-                let stop = stop.clone();
-                scope.spawn(move |_| {
-                    // Crash isolation: a panicking worker is this
-                    // worker's failure, not the whole exploration's —
-                    // without the catch the join below would re-raise
-                    // and poison every other permutation.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let mut synth = match Synthesizer::new(spec) {
-                            Ok(s) => s.with_options(options),
-                            Err(e) => return Err(e),
-                        };
-                        let result = synth.run()?;
-                        if let SynthResult::Sat(d) = result {
-                            stop.store(true, Ordering::Relaxed);
-                            return Ok(Some(*d));
-                        }
-                        Ok(None)
-                    }))
-                    .unwrap_or_else(|payload| Err(SynthError::WorkerPanic(panic_message(payload))))
-                })
-            })
-            .collect();
-        for h in handles {
-            // Unreachable: every worker closure catches its own panics.
-            // lint:allow(no-panic)
-            match h.join().expect("worker panicked") {
-                Ok(Some(d)) => {
-                    if found.is_none() {
-                        found = Some(d);
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-    })
-    .expect("scope"); // lint:allow(no-panic)
-    match (found, first_error) {
-        (Some(d), _) => Ok(Some(d)),
-        (None, Some(e)) => Err(e),
-        (None, None) => Ok(None),
-    }
 }
 
 /// Outcome of [`solve_portfolio_detailed`]: the verdict plus which
@@ -846,23 +479,42 @@ pub struct PortfolioOutcome {
     pub result: SynthResult,
     /// Seed of the worker that produced the verdict.
     pub winner_seed: Option<u64>,
-    /// Solver statistics of the winning worker, when its backend
-    /// reports them.
-    pub stats: Option<sat::SolverStats>,
     /// Every worker's `(seed, stats)` in the caller's seed order,
     /// losers included — the cost the portfolio actually paid, not
-    /// just the winner's share (losing workers' stats used to be
-    /// dropped on the floor).
+    /// just the winner's share.
     pub worker_stats: Vec<(u64, Option<SolverStats>)>,
-    /// Element-wise sum of every reporting worker's statistics
-    /// ([`SolverStats::merged`]): what `--stats` prints as the
-    /// `portfolio total` line. `None` only when no worker reported
-    /// stats at all.
-    pub total: Option<SolverStats>,
     /// Workers that crashed (panicked) mid-solve, as `(seed, panic
     /// message)` in seed order. The fleet continued on the survivors;
     /// only when *every* worker fails does the run error out instead.
     pub quarantined: Vec<(u64, String)>,
+    /// Why the portfolio stopped without a verdict: the lockstep
+    /// driver's reason (deadline or cancellation), else the reason the
+    /// first worker in seed order gave up. `None` when a worker reached
+    /// a verdict, or when nothing but crashes ended the run.
+    pub exhaustion: Option<ExhaustionReason>,
+}
+
+impl PortfolioOutcome {
+    /// Solver statistics of the winning worker (the first with the
+    /// winning seed), when its backend reports them.
+    pub fn stats(&self) -> Option<SolverStats> {
+        let winner = self.winner_seed?;
+        self.worker_stats
+            .iter()
+            .find(|&&(seed, _)| seed == winner)
+            .and_then(|&(_, stats)| stats)
+    }
+
+    /// Element-wise sum of every reporting worker's statistics
+    /// ([`SolverStats::merged`]): what `--stats` prints as the
+    /// `portfolio total` line. `None` only when no worker reported
+    /// stats at all.
+    pub fn total(&self) -> Option<SolverStats> {
+        self.worker_stats
+            .iter()
+            .filter_map(|&(_, stats)| stats)
+            .reduce(SolverStats::merged)
+    }
 }
 
 /// Runs one synthesis per seed in parallel and returns the first
@@ -870,10 +522,11 @@ pub struct PortfolioOutcome {
 /// portfolio the paper suggests after observing up to 26× seed
 /// variance (Sec. V-E, "Random seed: more is different").
 ///
-/// Workers are *diversified*: each seed also selects a restart/decay/
-/// polarity ablation through [`sat::CdclConfig::diversified`], so the
-/// portfolio explores genuinely different trajectories rather than
-/// different tie-breaking only.
+/// Workers are always the in-tree CDCL solver with
+/// [`sat::CdclConfig::diversified`]`(seed)`, whatever
+/// `options.backend` says: each seed also selects a restart/decay/
+/// polarity ablation, so the portfolio explores genuinely different
+/// trajectories rather than different tie-breaking only.
 ///
 /// # Errors
 ///
@@ -888,18 +541,17 @@ pub fn solve_portfolio(
 
 /// [`solve_portfolio`] with the winning seed and the whole fleet's
 /// solver statistics (what `lassynth synth --seeds … --stats` prints).
+/// Workers are always [`sat::CdclConfig::diversified`]`(seed)`.
 ///
 /// With `options.share_clauses` the free-running threads are replaced
-/// by [`solve_portfolio_shared`]: the same diversified fleet run by a
-/// deterministic single-threaded lockstep driver that exchanges
+/// by the lockstep fleet of [`solve_portfolio_shared`], which exchanges
 /// low-LBD learnt clauses between the workers.
 ///
 /// # Errors
 ///
 /// Propagates a [`SynthError`] only if every worker errors — the error
 /// of the *first* failing worker in the caller's seed order (receive
-/// order is a thread race; an earlier version kept whichever error
-/// arrived last).
+/// order is a thread race).
 pub fn solve_portfolio_detailed(
     spec: &LasSpec,
     seeds: &[u64],
@@ -909,11 +561,7 @@ pub fn solve_portfolio_detailed(
         return solve_portfolio_shared(spec, seeds, options);
     }
     use std::sync::mpsc;
-    type WorkerReport = (
-        usize,
-        Option<sat::SolverStats>,
-        Result<SynthResult, SynthError>,
-    );
+    type WorkerReport = (usize, Option<SolverStats>, Result<SynthResult, SynthError>);
     let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::channel::<WorkerReport>();
     crossbeam::thread::scope(|scope| {
@@ -949,7 +597,7 @@ pub fn solve_portfolio_detailed(
         // to arrive still wins, but the losers' stats are part of the
         // portfolio's cost, and they observe the stop flag and report
         // promptly once a winner raises it.
-        let mut winner: Option<(usize, Option<SolverStats>, SynthResult)> = None;
+        let mut winner: Option<(usize, SynthResult)> = None;
         let mut reports: Vec<(usize, Option<SolverStats>)> = Vec::with_capacity(seeds.len());
         let mut errors: Vec<(usize, SynthError)> = Vec::new();
         let mut crashed: Vec<(usize, String)> = Vec::new();
@@ -958,7 +606,7 @@ pub fn solve_portfolio_detailed(
             match result {
                 Ok(r @ (SynthResult::Sat(_) | SynthResult::Unsat)) => {
                     if winner.is_none() {
-                        winner = Some((index, stats, r));
+                        winner = Some((index, r));
                     }
                 }
                 Ok(SynthResult::Unknown) => {}
@@ -970,65 +618,46 @@ pub fn solve_portfolio_detailed(
                 }
             }
         }
+        if winner.is_none() && !errors.is_empty() && errors.len() == seeds.len() {
+            // Every worker failed: keep the error of the first worker
+            // in seed order, deterministically.
+            errors.sort_by_key(|&(index, _)| index);
+            return Err(errors.swap_remove(0).1);
+        }
         crashed.sort_by_key(|&(index, _)| index);
-        let quarantined: Vec<(u64, String)> = crashed
-            .into_iter()
-            .map(|(index, msg)| (seeds[index], msg))
-            .collect();
         reports.sort_by_key(|&(index, _)| index);
-        let total = reports
-            .iter()
-            .filter_map(|&(_, stats)| stats)
-            .reduce(SolverStats::merged);
         let worker_stats: Vec<(u64, Option<SolverStats>)> = reports
             .into_iter()
             .map(|(index, stats)| (seeds[index], stats))
             .collect();
-        match winner {
-            Some((index, stats, result)) => Ok(PortfolioOutcome {
-                result,
-                winner_seed: Some(seeds[index]),
-                stats,
-                worker_stats,
-                total,
-                quarantined,
-            }),
-            None if errors.len() == seeds.len() => {
-                // Every worker failed: keep the error of the first
-                // worker in seed order, deterministically.
-                errors.sort_by_key(|&(index, _)| index);
-                match errors.into_iter().next() {
-                    Some((_, e)) => Err(e),
-                    // Unreachable: `seeds` is non-empty whenever
-                    // `errors` is.
-                    None => Ok(PortfolioOutcome {
-                        result: SynthResult::Unknown,
-                        winner_seed: None,
-                        stats: None,
-                        worker_stats,
-                        total,
-                        quarantined,
-                    }),
-                }
-            }
-            None => Ok(PortfolioOutcome {
-                result: SynthResult::Unknown,
-                winner_seed: None,
-                stats: None,
-                worker_stats,
-                total,
-                quarantined,
-            }),
-        }
+        let (result, winner_seed) = match winner {
+            Some((index, result)) => (result, Some(seeds[index])),
+            None => (SynthResult::Unknown, None),
+        };
+        let exhaustion = match winner_seed {
+            Some(_) => None,
+            None => worker_stats
+                .iter()
+                .find_map(|&(_, stats)| stats.and_then(|s| s.exhaustion_reason())),
+        };
+        Ok(PortfolioOutcome {
+            result,
+            winner_seed,
+            worker_stats,
+            quarantined: crashed
+                .into_iter()
+                .map(|(index, msg)| (seeds[index], msg))
+                .collect(),
+            exhaustion,
+        })
     })
     .expect("portfolio scope") // lint:allow(no-panic)
 }
 
 /// Deterministic clause-sharing portfolio: the same diversified seed
-/// fleet as the threaded path, run by a single-threaded round-robin
-/// driver that hands each worker `options.parallel_quantum` conflicts
-/// per turn and fans each worker's low-LBD learnt clauses out to the
-/// others through a bounded [`ClauseExchange`].
+/// fleet as the threaded path, run as a lockstep [`Fleet`] whose
+/// workers fan their low-LBD learnt clauses out to each other through
+/// a bounded [`ClauseExchange`]; the first verdict stops the fleet.
 ///
 /// Single-threaded by design: the evaluation machines have one vCPU,
 /// so a free-threaded sharing portfolio would measure scheduler noise.
@@ -1045,193 +674,50 @@ fn solve_portfolio_shared(
     seeds: &[u64],
     options: &SynthOptions,
 ) -> Result<PortfolioOutcome, SynthError> {
-    let encoding = encode(spec).map_err(SynthError::Spec)?;
+    let encoding = encode(spec)?;
     let hub = Arc::new(ClauseExchange::new(seeds.len().max(1), EXCHANGE_CAPACITY));
-    let mut workers: Vec<CdclSolver> = Vec::with_capacity(seeds.len());
-    for (index, &seed) in seeds.iter().enumerate() {
-        let config = options.solver_config(sat::CdclConfig::diversified(seed));
-        let mut solver = CdclSolver::with_config(config);
-        if options.certify {
-            // Proof logging must open before the first clause so the
-            // log is self-contained.
-            solver.enable_proof();
-        }
-        solver.add_cnf(&encoding.cnf);
-        solver.connect_exchange(Arc::clone(&hub), index, ShareLimits::default());
-        workers.push(solver);
-    }
-    let quantum = options.parallel_quantum.max(1);
-    let deadline = options.budget.max_time.map(|t| Instant::now() + t);
-    let mut remaining: Vec<Option<u64>> = vec![options.budget.max_conflicts; seeds.len()];
-    let mut exhausted = vec![false; seeds.len()];
-    let mut quarantined: Vec<(u64, String)> = Vec::new();
-    let mut winner: Option<(usize, SolveOutcome)> = None;
-    'driver: while exhausted.iter().any(|done| !done) {
-        for index in 0..workers.len() {
-            if exhausted[index] {
-                continue;
-            }
-            if let Some(stop) = &options.budget.stop {
-                if stop.load(Ordering::Relaxed) {
-                    break 'driver;
-                }
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                break 'driver;
-            }
-            let turn = remaining[index].map_or(quantum, |r| quantum.min(r));
-            let mut turn_budget = Budget::conflict_limit(turn);
-            // The memory ceiling applies per worker, every turn; time
-            // and stop stay driver-level (checked between quanta).
-            turn_budget.max_memory_words = options.budget.max_memory_words;
-            let before = workers[index].session_stats().conflicts;
-            // The quantum is the crash-isolation boundary: a worker
-            // that panics mid-turn (a solver bug, or an injected
-            // fault) is quarantined and the fleet continues on the
-            // survivors.
-            let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                workers[index].solve_assuming(&[], &turn_budget)
-            })) {
-                Ok(outcome) => outcome,
-                Err(payload) => {
-                    exhausted[index] = true;
-                    quarantined.push((seeds[index], panic_message(payload)));
-                    continue;
-                }
-            };
-            let spent = workers[index].session_stats().conflicts - before;
-            if let Some(r) = &mut remaining[index] {
-                *r = r.saturating_sub(spent);
-            }
-            match outcome {
-                SolveOutcome::Unknown(reason) => {
-                    // A memory ceiling never recovers on its own:
-                    // retire the worker now. Otherwise the turn budget
-                    // is conflict-only, so Unknown means the quantum
-                    // ran dry; the worker retires once its per-worker
-                    // budget is spent (`spent == 0` is a defensive
-                    // no-progress guard).
-                    if reason == ExhaustionReason::Memory
-                        || remaining[index] == Some(0)
-                        || spent == 0
-                    {
-                        exhausted[index] = true;
-                    }
-                }
-                verdict => {
-                    winner = Some((index, verdict));
-                    break 'driver;
-                }
-            }
-        }
-    }
-    // A fleet with no survivors has nothing to report: propagate the
-    // first crash in seed order instead (the vector is already in
-    // driver = seed order).
-    if !quarantined.is_empty() && quarantined.len() == seeds.len() {
-        let (seed, msg) = &quarantined[0];
-        return Err(SynthError::WorkerPanic(format!(
-            "seed {seed} worker: {msg}"
-        )));
-    }
-    let worker_stats: Vec<(u64, Option<SolverStats>)> = seeds
-        .iter()
-        .zip(&workers)
-        .map(|(&seed, worker)| (seed, Some(worker.session_stats())))
-        .collect();
-    let total = worker_stats
-        .iter()
-        .filter_map(|&(_, stats)| stats)
-        .reduce(SolverStats::merged);
-    let (result, winner_seed, stats) = match winner {
-        Some((index, SolveOutcome::Sat(model))) => {
-            let mut design = decode(spec, &encoding, &model);
-            let violations = lasre::check_validity(&design);
-            if !violations.is_empty() {
-                return Err(SynthError::InvalidDesign(violations));
-            }
-            if !options.skip_verify {
-                verify(&design).map_err(SynthError::Verify)?;
-                design.set_verified(true);
-            }
-            (
-                SynthResult::Sat(Box::new(design)),
-                Some(seeds[index]),
-                Some(workers[index].session_stats()),
-            )
-        }
-        Some((index, SolveOutcome::Unsat)) => {
-            if options.certify {
-                // Unreachable: the worker enabled proof logging before
-                // its first clause.
-                // lint:allow(no-panic)
-                let log = workers[index].proof().expect("proof logging enabled");
-                sat::certify_unsat(log, workers[index].final_assumption_conflict())
-                    .map_err(|e| SynthError::Certify(e.to_string()))?;
-            }
-            (
-                SynthResult::Unsat,
-                Some(seeds[index]),
-                Some(workers[index].session_stats()),
-            )
-        }
-        Some((_, SolveOutcome::Unknown(_))) | None => (SynthResult::Unknown, None, None),
+    let sessions = seeds.iter().enumerate().map(|(index, &seed)| {
+        let config = CdclConfig::diversified(seed);
+        let session = Session::open(options, config, &encoding.cnf, &[], Some((&hub, index)));
+        (seed, session)
+    });
+    let mut fleet = Fleet::new("seed", sessions, &options.budget);
+    let mut winner: Option<(u64, SynthResult)> = None;
+    let exhaustion = fleet.run(
+        options,
+        |_| Vec::new(),
+        |_| true,
+        |seed, session, outcome| {
+            session.certify(&outcome)?;
+            let result = settle(outcome, options.skip_verify, |model| {
+                decode(spec, &encoding, model)
+            })?;
+            winner = Some((seed, result));
+            Ok(true)
+        },
+    )?;
+    let (result, winner_seed) = match winner {
+        Some((seed, result)) => (result, Some(seed)),
+        None => (SynthResult::Unknown, None),
     };
     Ok(PortfolioOutcome {
         result,
         winner_seed,
-        stats,
-        worker_stats,
-        total,
-        quarantined,
+        worker_stats: fleet
+            .workers
+            .iter()
+            .map(|w| (w.id, Some(w.session.stats())))
+            .collect(),
+        quarantined: fleet.quarantined(),
+        exhaustion,
     })
-}
-
-/// All permutations of `0..n` (for small `n`), a convenience for
-/// exhaustive port-order exploration.
-///
-/// # Panics
-///
-/// Panics if `n > 8` (40320 permutations is the sensible ceiling).
-pub fn all_permutations(n: usize) -> Vec<Vec<usize>> {
-    assert!(n <= 8, "too many permutations");
-    let mut out = Vec::new();
-    let mut current: Vec<usize> = (0..n).collect();
-    heap_permute(&mut current, n, &mut out);
-    out
-}
-
-fn heap_permute(arr: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
-    if k <= 1 {
-        out.push(arr.clone());
-        return;
-    }
-    for i in 0..k {
-        heap_permute(arr, k - 1, out);
-        if k.is_multiple_of(2) {
-            arr.swap(i, k - 1);
-        } else {
-            arr.swap(0, k - 1);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lasre::fixtures::cnot_spec;
-
-    #[test]
-    fn permutation_count() {
-        assert_eq!(all_permutations(1).len(), 1);
-        assert_eq!(all_permutations(3).len(), 6);
-        assert_eq!(all_permutations(4).len(), 24);
-        // All distinct.
-        let mut p4 = all_permutations(4);
-        p4.sort();
-        p4.dedup();
-        assert_eq!(p4.len(), 24);
-    }
+    use sat::Budget;
 
     #[test]
     fn depth_search_descends_to_minimum() {
@@ -1387,7 +873,7 @@ mod tests {
         let o = solve_portfolio_detailed(&spec, &[0, 1, 2], &SynthOptions::default()).unwrap();
         assert!(o.result.is_sat());
         assert!(o.winner_seed.is_some(), "winning seed recorded");
-        let stats = o.stats.expect("CDCL workers report stats");
+        let stats = o.stats().expect("CDCL workers report stats");
         assert!(stats.propagations > 0);
     }
 
@@ -1411,8 +897,8 @@ mod tests {
         assert_eq!(o.worker_stats.len(), 3, "losers report too");
         let winner = o.winner_seed.unwrap();
         assert!(o.worker_stats.iter().any(|&(seed, _)| seed == winner));
-        let total = o.total.expect("CDCL workers report stats");
-        let winner_stats = o.stats.unwrap();
+        let total = o.total().expect("CDCL workers report stats");
+        let winner_stats = o.stats().unwrap();
         assert!(total.propagations >= winner_stats.propagations);
     }
 
@@ -1447,7 +933,12 @@ mod tests {
         assert!(o.result.is_sat());
         assert!(o.winner_seed.is_some());
         assert_eq!(o.worker_stats.len(), 3);
-        assert!(o.total.expect("lockstep workers report stats").propagations > 0);
+        assert!(
+            o.total()
+                .expect("lockstep workers report stats")
+                .propagations
+                > 0
+        );
         if let SynthResult::Sat(d) = &o.result {
             assert!(d.verified());
         }
@@ -1578,6 +1069,55 @@ mod tests {
         assert!(p2.certified, "UNSAT depth 2 carries a checked proof");
     }
 
+    /// Options whose driver gives up before the first turn: a raised
+    /// stop flag (`Cancelled`) or an already-passed deadline
+    /// (`Deadline`).
+    fn stopped_up_front(base: SynthOptions) -> [(SynthOptions, ExhaustionReason); 2] {
+        let mut cancelled = base.clone();
+        cancelled.budget.stop = Some(Arc::new(AtomicBool::new(true)));
+        let mut late = base;
+        late.budget.max_time = Some(Duration::ZERO);
+        [
+            (cancelled, ExhaustionReason::Cancelled),
+            (late, ExhaustionReason::Deadline),
+        ]
+    }
+
+    /// A depth-parallel driver checks the stop flag and the deadline
+    /// before every turn, so a fleet stopped up front takes no turn,
+    /// reports no probe, and names the driver's reason.
+    #[test]
+    fn depth_parallel_driver_reports_why_it_stopped() {
+        for share in [false, true] {
+            for (options, reason) in stopped_up_front(depth_parallel_options(share)) {
+                let search = find_min_depth(&cnot_spec(), 2, 5, 4, &options).unwrap();
+                assert!(search.probes.is_empty(), "share={share} {reason}");
+                assert_eq!(search.window(), (2, None), "share={share} {reason}");
+                assert_eq!(search.exhaustion, Some(reason), "share={share}");
+            }
+        }
+    }
+
+    /// The shared portfolio runs the same driver: stopped up front it
+    /// spends no conflict and reports the driver's reason.
+    #[test]
+    fn shared_portfolio_reports_why_it_stopped() {
+        for (options, reason) in stopped_up_front(shared_options()) {
+            let o = solve_portfolio_detailed(&cnot_spec(), &[0, 1], &options).unwrap();
+            assert!(matches!(o.result, SynthResult::Unknown), "{reason}");
+            assert_eq!(o.winner_seed, None);
+            assert_eq!(
+                o.total().expect("lockstep workers report stats").conflicts,
+                0
+            );
+            assert_eq!(o.exhaustion, Some(reason));
+        }
+        // A verdict leaves nothing to explain.
+        let o = solve_portfolio_detailed(&cnot_spec(), &[0, 1], &shared_options()).unwrap();
+        assert!(o.result.is_sat());
+        assert_eq!(o.exhaustion, None);
+    }
+
     /// Depth-parallel reproduces the sequential edge semantics:
     /// starting at the CNOT's invalid depth 1 errors up front, while a
     /// range whose invalid depths are never needed succeeds.
@@ -1587,16 +1127,6 @@ mod tests {
         assert!(matches!(r, Err(SynthError::Spec(_))));
         let s = find_min_depth(&cnot_spec(), 1, 5, 4, &depth_parallel_options(false)).unwrap();
         assert_eq!(s.best_depth(), Some(3));
-    }
-
-    #[test]
-    fn port_order_exploration_finds_a_design() {
-        let spec = cnot_spec();
-        // Identity and the control/target swap are both realizable.
-        let perms = vec![vec![0, 1, 2, 3], vec![1, 0, 3, 2]];
-        let d = explore_port_orders(&spec, &perms, &SynthOptions::default()).unwrap();
-        assert!(d.is_some());
-        assert!(d.unwrap().verified());
     }
 
     fn panic_fault(at: u64, only_seed: Option<u64>) -> Option<sat::FaultPlan> {
@@ -1701,7 +1231,7 @@ mod tests {
         assert!(o.quarantined[0].1.contains("injected fault"));
         // Survivors (and the casualty's partial work) still report
         // stats into the portfolio total.
-        assert!(o.total.expect("stats").propagations > 0);
+        assert!(o.total().expect("stats").propagations > 0);
     }
 
     /// The depth-parallel fleet keeps the verdicts it already has when
@@ -1739,23 +1269,5 @@ mod tests {
             }
             other => panic!("expected WorkerPanic, got {other:?}"),
         }
-    }
-
-    /// A crashed port-order worker is that permutation's failure, not
-    /// the exploration's: the surviving permutation still answers.
-    #[test]
-    fn port_order_exploration_survives_a_crashed_worker() {
-        let spec = cnot_spec();
-        let perms = vec![vec![0, 1, 2, 3], vec![1, 0, 3, 2]];
-        // The fault fires in every worker; with a high trigger only
-        // whoever works longest hits it — and with trigger 0, all do.
-        let options = SynthOptions {
-            fault_plan: panic_fault(0, None),
-            ..SynthOptions::default()
-        };
-        let r = explore_port_orders(&spec, &perms, &options);
-        // All workers crash: the first error surfaces as WorkerPanic
-        // (not a caller panic, which the old join would have raised).
-        assert!(matches!(r, Err(SynthError::WorkerPanic(_))));
     }
 }

@@ -2,11 +2,12 @@
 
 use crate::decode::decode;
 use crate::encode::{encode, EncodeStats, Encoding};
-use crate::verify::{verify, VerifyError};
+use crate::session::{settle, Session};
+use crate::verify::VerifyError;
 use lasre::{LasDesign, LasSpec, SpecError};
 #[cfg(feature = "varisat")]
-use sat::VarisatBackend;
-use sat::{Backend, Budget, CdclConfig, CdclSolver, SolveOutcome, SolverStats};
+use sat::{Backend, VarisatBackend};
+use sat::{Budget, CdclConfig, SolverStats};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -62,30 +63,31 @@ pub struct SynthOptions {
     /// CDCL backend only; an UNSAT whose proof fails to check is
     /// surfaced as [`SynthError::Certify`] instead of being trusted.
     pub certify: bool,
-    /// Exchange low-LBD learnt clauses between the workers of
-    /// [`crate::optimize::solve_portfolio_detailed`] (and, with
-    /// [`SynthOptions::depth_parallel`], between the per-depth workers
-    /// of a depth-parallel search). Sharing switches the portfolio
-    /// from free-running threads to a deterministic single-threaded
-    /// lockstep driver — the target machines have one vCPU, so the
-    /// win sought is *fewer total conflicts to a verdict*, and the
-    /// run (winner, stats, import sequence) is bit-reproducible.
+    /// Run [`crate::optimize::solve_portfolio_detailed`] on the
+    /// lockstep fleet — one single-threaded driver handing every worker
+    /// [`SynthOptions::parallel_quantum`] conflicts per turn — instead
+    /// of free-running threads, and exchange low-LBD learnt clauses
+    /// between its workers (also between the per-depth workers under
+    /// [`SynthOptions::depth_parallel`]). The target machines have one
+    /// vCPU, so the win sought is *fewer total conflicts to a verdict*,
+    /// and the run (winner, stats, import sequence) is bit-reproducible.
     /// CDCL backend only. The CLI's `--share-clauses` flag lands here.
     pub share_clauses: bool,
-    /// Run [`crate::optimize::find_min_depth`] with one lockstep
-    /// worker per candidate depth (each owning one `max_k` of a
-    /// shared depth-layered encoding) instead of the sequential
+    /// Run [`crate::optimize::find_min_depth`] on the lockstep fleet,
+    /// one worker per candidate depth (each owning one `max_k` of a
+    /// shared depth-layered encoding), instead of the sequential
     /// descend/ascend probe walk; the first definitive verdict prunes
     /// every depth it dominates through the SAT-monotonicity of the
     /// depth axis. CDCL backend only; composes with
     /// [`SynthOptions::share_clauses`]. The CLI's `--depth-parallel`
     /// flag lands here.
     pub depth_parallel: bool,
-    /// Conflicts each lockstep worker runs per turn under
-    /// [`SynthOptions::share_clauses`] / [`SynthOptions::depth_parallel`].
-    /// Smaller quanta exchange clauses more often (and fan work out
-    /// more fairly) at the cost of more restart overhead; the value
-    /// only shifts *which* deterministic trajectory a run takes.
+    /// Conflicts each worker of the lockstep fleet
+    /// ([`SynthOptions::share_clauses`], [`SynthOptions::depth_parallel`])
+    /// runs per turn. Smaller quanta exchange clauses more often (and
+    /// fan work out more fairly) at the cost of more restart overhead;
+    /// the value only shifts *which* deterministic trajectory a run
+    /// takes.
     pub parallel_quantum: u64,
     /// Arms a deterministic injected fault ([`sat::FaultPlan`]) on
     /// every CDCL solver this run constructs — including diversified
@@ -386,85 +388,48 @@ impl Synthesizer {
     ///
     /// # Errors
     ///
-    /// Returns [`SynthError`] for spec problems or (would-be encoder
-    /// bugs) invalid/unverifiable designs.
+    /// Returns [`SynthError`] for spec problems, (would-be encoder
+    /// bugs) invalid/unverifiable designs, and UNSAT proofs that fail
+    /// to check under [`SynthOptions::certify`].
     pub fn run(&mut self) -> Result<SynthResult, SynthError> {
-        #[cfg(not(feature = "varisat"))]
-        if matches!(self.options.backend, BackendChoice::Varisat) {
-            return Err(SynthError::BackendUnavailable("varisat"));
-        }
-        if self.options.certify && matches!(self.options.backend, BackendChoice::Varisat) {
-            return Err(SynthError::Certify(
-                "the varisat backend cannot emit DRAT proofs; use the CDCL backend".into(),
-            ));
-        }
-        let outcome = self.solve_raw()?;
-        match outcome {
-            SolveOutcome::Sat(model) => {
-                let mut design = decode(&self.spec, &self.encoding, &model);
-                let violations = lasre::check_validity(&design);
-                if !violations.is_empty() {
-                    return Err(SynthError::InvalidDesign(violations));
-                }
-                if !self.options.skip_verify {
-                    verify(&design).map_err(SynthError::Verify)?;
-                    design.set_verified(true);
-                }
-                Ok(SynthResult::Sat(Box::new(design)))
-            }
-            SolveOutcome::Unsat => Ok(SynthResult::Unsat),
-            SolveOutcome::Unknown(_) => Ok(SynthResult::Unknown),
-        }
-    }
-
-    fn solve_raw(&mut self) -> Result<SolveOutcome, SynthError> {
         let start = Instant::now();
         self.last_proof = None;
-        let out = match &self.options.backend {
-            BackendChoice::Cdcl(config) if self.options.certify => {
-                // Certifying path: an incremental session with proof
-                // logging on, so an UNSAT answer carries a DRAT log the
-                // in-tree checker validates before we report it.
-                let mut solver =
-                    CdclSolver::with_config(self.options.solver_config(config.clone()));
-                solver.enable_proof();
-                solver.add_cnf(&self.encoding.cnf);
-                let out = solver.solve_assuming(&self.assumptions, &self.options.budget);
-                self.last_solver_stats = Some(solver.session_stats());
-                if matches!(out, SolveOutcome::Unsat) {
-                    // Unreachable: `enable_proof` ran before `add_cnf`.
-                    // lint:allow(no-panic)
-                    let log = solver.proof().expect("proof logging enabled");
-                    sat::certify_unsat(log, solver.final_assumption_conflict())
-                        .map_err(|e| SynthError::Certify(e.to_string()))?;
-                }
-                self.last_proof = solver.proof().cloned();
-                out
-            }
+        let outcome = match &self.options.backend {
             BackendChoice::Cdcl(config) => {
-                let mut solver =
-                    CdclSolver::with_config(self.options.solver_config(config.clone()));
-                let out =
-                    solver.solve_with(&self.encoding.cnf, &self.assumptions, &self.options.budget);
-                self.last_solver_stats = Some(solver.stats);
-                out
+                // The session is dropped at the end of this arm, so the
+                // solver's memory is released before decode and verify.
+                let mut session =
+                    Session::open(&self.options, config.clone(), &self.encoding.cnf, &[], None);
+                let outcome = session.solve(&self.assumptions, &self.options.budget);
+                self.last_solver_stats = Some(session.stats());
+                session.certify(&outcome)?;
+                self.last_proof = session.proof().cloned();
+                outcome
             }
             BackendChoice::Varisat => {
-                self.last_solver_stats = None; // varisat reports none
+                #[cfg(not(feature = "varisat"))]
+                return Err(SynthError::BackendUnavailable("varisat"));
                 #[cfg(feature = "varisat")]
                 {
+                    if self.options.certify {
+                        return Err(SynthError::Certify(
+                            "the varisat backend cannot emit DRAT proofs; use the CDCL backend"
+                                .into(),
+                        ));
+                    }
+                    self.last_solver_stats = None; // varisat reports none
                     VarisatBackend.solve_with(
                         &self.encoding.cnf,
                         &self.assumptions,
                         &self.options.budget,
                     )
                 }
-                #[cfg(not(feature = "varisat"))]
-                unreachable!("run() rejects the varisat backend when the feature is off")
             }
         };
         self.last_solve_time = Some(start.elapsed());
-        Ok(out)
+        settle(outcome, self.options.skip_verify, |model| {
+            decode(&self.spec, &self.encoding, model)
+        })
     }
 }
 

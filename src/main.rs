@@ -19,9 +19,11 @@
 //!
 //! `synth` writes `<name>.lasre` and `<name>.gltf` into `--out`
 //! (default `.`); with `--seeds N` it runs a parallel portfolio of N
-//! diversified workers, and `--seeds auto` picks the portfolio
-//! automatically when the encoding is large. `--stats` prints the
-//! winning solver's search counters after the verdict.
+//! diversified CDCL workers (so not with `--varisat`), and `--seeds
+//! auto` picks the portfolio automatically when the encoding is large.
+//! `--stats` prints the winning solver's search counters after the
+//! verdict; a portfolio without a verdict adds a `gave up on: <reason>`
+//! line (the deadline, a cancellation, or its first worker's budget).
 //!
 //! `depth` runs the min-depth search as one incremental solver session
 //! by default (learnt clauses shared across probes);
@@ -33,12 +35,13 @@
 //! low-LBD learnt clauses; `--depth-parallel` on `depth` gives every
 //! candidate depth its own lockstep worker over one shared layered
 //! encoding, monotone pruning cancelling dominated depths (the two
-//! compose: sharing then runs between the depth workers). `--quantum N`
-//! sets the per-turn conflict quantum of either lockstep driver. Both
-//! modes are deterministic — same spec, seeds and quantum reproduce the
-//! same verdicts, stats and import sequences — and `--stats` reports
-//! the exchange counters (exported/imported/kept) plus a `portfolio
-//! total` line covering every worker, losers included.
+//! compose: sharing then runs between the depth workers). Both modes
+//! run on one lockstep fleet driver, whose per-turn conflict quantum
+//! `--quantum N` sets, and are deterministic — same spec, seeds and
+//! quantum reproduce the same verdicts, stats and import sequences —
+//! and `--stats` reports the exchange counters (exported/imported/kept)
+//! plus a `portfolio total` line covering every worker, losers
+//! included.
 //!
 //! `--restart-policy luby|ema` and `--chrono on|off` override the CDCL
 //! restart schedule and chronological backtracking for every solver of
@@ -333,14 +336,14 @@ fn run_synth(
             eprintln!("warning: worker seed {seed} crashed and was quarantined: {msg}");
         }
         if want_stats {
-            match outcome.stats {
+            match outcome.stats() {
                 Some(stats) => print_stats(stats, outcome.winner_seed),
                 None => println!("solver stats: no worker reported statistics"),
             }
             // The whole fleet's bill, losers included — the winner's
             // share above is what the verdict cost, this is what the
             // machine paid.
-            match outcome.total {
+            match outcome.total() {
                 Some(t) => {
                     println!(
                         "portfolio total ({} workers): conflicts={} propagations={} \
@@ -367,6 +370,9 @@ fn run_synth(
                     );
                 }
                 None => println!("portfolio total: no worker reported statistics"),
+            }
+            if let Some(reason) = outcome.exhaustion {
+                println!("gave up on: {reason}");
             }
         }
         Ok(outcome.result)
@@ -438,6 +444,11 @@ fn cmd_synth(args: &[String]) -> i32 {
             return 2;
         }
     };
+    if matches!(options.backend, BackendChoice::Varisat) && !matches!(mode, SeedsMode::Single) {
+        // Portfolio workers are always diversified CDCL configurations.
+        eprintln!("--seeds needs the CDCL backend (drop --varisat)");
+        return 2;
+    }
     if options.share_clauses && matches!(mode, SeedsMode::Single) {
         eprintln!("--share-clauses needs a portfolio (add --seeds N or --seeds auto)");
         return 2;
@@ -759,8 +770,11 @@ fn cmd_depth(args: &[String]) -> i32 {
     }
     let want_stats = args.iter().any(|a| a == "--stats");
     if args.iter().any(|a| a == "--audit-cnf") {
-        // Lint the layered CNF the incremental search will solve.
-        match lassynth::synth::encode::encode_layered(&spec, lo, hi) {
+        // Lint the layered CNF over the depths the search can reach:
+        // the valid-depth window around `start`.
+        let report = optimize::valid_depth_window(&spec, lo, hi, start)
+            .and_then(|(bottom, top)| lassynth::synth::encode::encode_layered(&spec, bottom, top));
+        match report {
             Ok(layered) => println!("{}", layered.lint()),
             Err(e) => {
                 eprintln!("invalid spec: {e}");

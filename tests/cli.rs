@@ -351,25 +351,31 @@ fn lint_cnf_reports_and_exit_codes() {
 
 /// `--audit-cnf` prints the encoder-lint report before solving and does
 /// not change the verdict.
+/// `depth --audit-cnf` lints the depths the search can reach, so a
+/// range whose floor is invalid but never probed (the CNOT at the
+/// default `--lo 1`) still audits and solves.
 #[test]
 fn audit_cnf_flag_reports_before_solving() {
-    let out = bin()
-        .arg("depth")
-        .arg(cnot_spec_path())
-        .args(["--lo", "2", "--hi", "4", "--start", "3", "--audit-cnf"])
-        .output()
-        .expect("run lassynth depth --audit-cnf");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(text.starts_with("cnf: "), "lint report leads: {text}");
-    assert!(
-        text.contains("optimal depth: 3"),
-        "verdict unchanged: {text}"
-    );
+    for range in [&["--lo", "2", "--hi", "4", "--start", "3"][..], &[]] {
+        let out = bin()
+            .arg("depth")
+            .arg(cnot_spec_path())
+            .args(range)
+            .arg("--audit-cnf")
+            .output()
+            .expect("run lassynth depth --audit-cnf");
+        assert!(
+            out.status.success(),
+            "{range:?} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout).to_string();
+        assert!(text.starts_with("cnf: "), "lint report leads: {text}");
+        assert!(
+            text.contains("optimal depth: 3"),
+            "verdict unchanged: {text}"
+        );
+    }
 }
 
 /// The certification surface end to end: `depth --certify` marks its
@@ -630,6 +636,26 @@ fn depth_reports_anytime_window_when_exhausted() {
         text.contains("anytime window: certified lower bound 2"),
         "the anytime window is reported: {text}"
     );
+}
+
+/// Portfolio workers are always diversified CDCL solvers, so a
+/// portfolio under `--varisat` is a usage error rather than a silent
+/// switch of backend; sharing clauses needs a portfolio.
+#[test]
+fn portfolio_flag_conflicts_are_usage_errors() {
+    for conflicting in [
+        &["--varisat", "--seeds", "2"][..],
+        &["--varisat", "--seeds", "auto"],
+        &["--share-clauses"],
+    ] {
+        let out = bin()
+            .arg("synth")
+            .arg(cnot_spec_path())
+            .args(conflicting)
+            .output()
+            .expect("run lassynth synth with conflicting portfolio flags");
+        assert_eq!(out.status.code(), Some(2), "{conflicting:?} must exit 2");
+    }
 }
 
 #[test]

@@ -54,11 +54,46 @@ fn depth_search_and_port_orders_compose() {
     let spec = lasre::fixtures::cnot_spec();
     let search = optimize::find_min_depth(&spec, 2, 4, 3, &SynthOptions::default()).unwrap();
     assert_eq!(search.best_depth(), Some(3));
-    // Swapping control and target still synthesizes (CNOT reversed is
-    // still a valid Clifford with the permuted flows).
-    let perms = vec![vec![0, 1, 2, 3], vec![1, 0, 3, 2]];
-    let found = optimize::explore_port_orders(&spec, &perms, &SynthOptions::default()).unwrap();
-    assert!(found.is_some());
+    // Swapping control and target still synthesizes at the same depth
+    // (CNOT reversed is still a valid Clifford with the permuted flows).
+    let swapped = spec.with_port_order(&[1, 0, 3, 2]);
+    let search = optimize::find_min_depth(&swapped, 2, 4, 3, &SynthOptions::default()).unwrap();
+    assert_eq!(search.best_depth(), Some(3));
+    assert!(search.best.unwrap().verified());
+}
+
+/// `Synthesizer::run` solves on a fresh incremental session (load the
+/// CNF, then `solve_assuming`), certifying or not; its counters must
+/// match a one-shot `solve_with` of the same CNF.
+#[test]
+fn one_shot_run_matches_solve_with() {
+    use sat::Backend;
+    for spec in [
+        lassynth::workloads::specs::majority_gate_spec(3),
+        lasre::fixtures::cnot_spec(),
+    ] {
+        let cnf = Synthesizer::new(spec.clone()).unwrap().cnf().clone();
+        let mut reference = sat::CdclSolver::with_config(sat::CdclConfig::default());
+        assert!(reference
+            .solve_with(&cnf, &[], &sat::Budget::default())
+            .is_sat());
+        for certify in [false, true] {
+            let options = SynthOptions {
+                certify,
+                ..SynthOptions::default()
+            };
+            let mut synth = Synthesizer::new(spec.clone())
+                .unwrap()
+                .with_options(options);
+            assert!(synth.run().unwrap().is_sat());
+            assert_eq!(
+                synth.last_solver_stats(),
+                Some(reference.stats),
+                "{} (certify={certify})",
+                spec.name
+            );
+        }
+    }
 }
 
 #[test]
