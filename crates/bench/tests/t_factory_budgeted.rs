@@ -77,18 +77,16 @@ fn t_factory_budgeted_probe() {
         stats.conflicts as f64 / secs
     );
     println!(
-        "inprocessing: vivified_lits={} subsumed_clauses={} strengthened_clauses={} \
-         chrono_backtracks={} gc_passes={}",
-        stats.vivified_lits,
+        "inprocessing: subsumed_clauses={} strengthened_clauses={} chrono_backtracks={} \
+         gc_passes={}",
         stats.subsumed_clauses,
         stats.strengthened_clauses,
         stats.chrono_backtracks,
         stats.gc_passes
     );
     println!(
-        "simplification: eliminated_vars={} elim_resolvents={} probed_literals={} \
-         failed_literals={}",
-        stats.eliminated_vars, stats.elim_resolvents, stats.probed_literals, stats.failed_literals
+        "simplification: eliminated_vars={} elim_resolvents={}",
+        stats.eliminated_vars, stats.elim_resolvents
     );
     println!(
         "search: decisions={} restarts={} restarts_blocked={} rephases={} oob_enqueues={} \

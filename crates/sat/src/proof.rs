@@ -7,17 +7,16 @@
 //!   (`add_clause`/`load_cnf`). Inputs are axioms: the checker admits
 //!   them without justification.
 //! * [`StepKind::AddDerived`] — a clause the solver claims follows
-//!   from the clauses currently live: 1UIP learnts, root units from
-//!   failed-literal probing, strengthened/vivified replacements, BVE
-//!   resolvents, eliminated-clause restorations, and the terminal
-//!   empty clause (root UNSAT) or negated-assumption core
+//!   from the clauses currently live: 1UIP learnts, strengthened
+//!   replacements, BVE resolvents, eliminated-clause restorations, and
+//!   the terminal empty clause (root UNSAT) or negated-assumption core
 //!   (UNSAT under assumptions). The checker verifies one by RUP —
 //!   assume the negation, unit-propagate, demand a conflict — falling
 //!   back to RAT on the first literal (the `drat-trim` convention),
 //!   which is what justifies re-adding clauses whose pivot variable
 //!   was eliminated by BVE.
 //! * [`StepKind::Delete`] — a clause removed from the live set
-//!   (`reduce_db`, subsumption, strengthening/vivification originals,
+//!   (`reduce_db`, subsumption, strengthened originals,
 //!   BVE occurrence deletion). Deletions matter for soundness of the
 //!   RAT checks, so the in-tree checker applies them strictly: a
 //!   deletion that names a clause not currently live is rejected.

@@ -218,8 +218,6 @@ pub struct CdclConfig {
     pub seed: u64,
     /// Multiplicative VSIDS decay applied after each conflict.
     pub var_decay: f64,
-    /// Learnt-clause activity decay.
-    pub clause_decay: f64,
     /// Luby restart unit, in conflicts.
     pub restart_base: u64,
     /// Enable restarts.
@@ -238,12 +236,6 @@ pub struct CdclConfig {
     /// Minimum conflicts between EMA-triggered restarts (and the
     /// postponement applied when a restart is blocked).
     pub ema_min_interval: u64,
-    /// EMA restart trigger: restart when the fast LBD average exceeds
-    /// this multiple of the slow one.
-    pub ema_restart_margin: f64,
-    /// EMA restart blocking: postpone when the trail at the latest
-    /// conflict exceeds this multiple of the trail average.
-    pub ema_block_margin: f64,
     /// Enable target-phase rephasing at restart boundaries.
     pub use_rephasing: bool,
     /// Conflicts between rephase passes (stretched geometrically per
@@ -255,38 +247,20 @@ pub struct CdclConfig {
     pub use_clause_deletion: bool,
     /// Enable learnt-clause minimization.
     pub use_minimization: bool,
-    /// Probability of choosing a random decision variable. Defaults to
-    /// 0: seeded jitter in the initial activities already diversifies
-    /// runs, and portfolio members that want a true random walk opt in
-    /// via [`CdclConfig::diversified`]. (Non-zero rates are now honest:
-    /// `decide` retries assigned picks instead of silently falling
-    /// through to VSIDS, which used to erode the effective rate as the
-    /// trail filled.)
-    pub random_var_freq: f64,
     /// Probability of flipping the saved polarity on a decision.
     pub random_polarity_freq: f64,
     /// Lower bound on the learnt-clause budget before the first DB
     /// reduction. The budget starts at `max(num_clauses / 3, floor)`;
     /// tests lower the floor to force frequent GC passes.
     pub max_learnts_floor: f64,
-    /// Enable clause vivification (distillation) during inprocessing
-    /// passes: candidate clauses are re-derived literal by literal under
-    /// unit propagation and shortened when a prefix already implies
-    /// them. See [`solver::inprocess`](self).
-    pub use_vivification: bool,
     /// Enable subsumption and self-subsuming resolution during
     /// inprocessing passes.
     pub use_subsumption: bool,
     /// Restrict backward subsumption to clauses touched (learnt,
-    /// strengthened, vivified, added) since the previous pass instead
-    /// of sweeping the whole database; every
-    /// [`CdclConfig::subsumption_full_sweep_interval`]-th pass still
-    /// sweeps everything as a fallback.
+    /// strengthened, added) since the previous pass instead of
+    /// sweeping the whole database; every fifth pass still sweeps
+    /// everything as a fallback.
     pub subsumption_touched_only: bool,
-    /// With [`CdclConfig::subsumption_touched_only`]: every n-th
-    /// subsumption pass processes the full clause database (`0` never
-    /// does).
-    pub subsumption_full_sweep_interval: u64,
     /// Enable chronological backtracking (Nadel–Ryvchin C-bt): when a
     /// conflict's backjump would discard more than
     /// [`CdclConfig::chrono_threshold`] levels, back up a single level
@@ -308,26 +282,13 @@ pub struct CdclConfig {
     /// conflict count gives big instances the win without perturbing
     /// small ones. `0` activates immediately.
     pub chrono_activation_conflicts: u64,
-    /// Conflicts between inprocessing passes (vivification +
-    /// subsumption run at the first restart boundary past the
+    /// Conflicts between inprocessing passes (subsumption and variable
+    /// elimination run at the first restart boundary past the
     /// threshold). The interval stretches geometrically with each pass
     /// so inprocessing cost stays a bounded fraction of the search.
     pub inprocess_interval: u64,
-    /// Unit-propagation budget of one vivification pass.
-    pub vivify_propagation_budget: u64,
     /// Literal-comparison budget of one subsumption pass.
     pub subsumption_check_budget: u64,
-    /// Minimum conflicts between two subsumption runs. Inprocessing
-    /// passes arriving earlier skip the subsumption stage (but still
-    /// run the cheaper dirty-tracked stages), so an eager
-    /// [`CdclConfig::inprocess_interval`] tuned for variable
-    /// elimination does not multiply the cost of the full-database
-    /// sweeps. `0` runs subsumption on every pass.
-    pub subsume_conflict_gap: u64,
-    /// Minimum conflicts between two vivification runs, like
-    /// [`CdclConfig::subsume_conflict_gap`]. `0` vivifies on every
-    /// pass.
-    pub vivify_conflict_gap: u64,
     /// Enable the three-tier learnt-clause database (core / tier2 /
     /// local) past [`CdclConfig::simplify_activation_conflicts`]. See
     /// the [module docs](self).
@@ -335,38 +296,15 @@ pub struct CdclConfig {
     /// Enable inprocessing-time bounded variable elimination (the
     /// resolution half of SatELite; see [`elim`]).
     pub use_elim: bool,
-    /// Enable level-0 failed-literal probing on the roots of the
-    /// binary implication graph during inprocessing (see [`elim`]).
-    pub use_probing: bool,
-    /// Session conflicts before the tier database, variable
-    /// elimination and failed-literal probing activate. Like
+    /// Session conflicts before the tier database and variable
+    /// elimination activate. Like
     /// [`CdclConfig::chrono_activation_conflicts`], these are long-run
     /// optimizations: gating them keeps small lucky-trajectory
     /// instances on their exact legacy trajectories. `0` activates
     /// immediately.
     pub simplify_activation_conflicts: u64,
-    /// Variable elimination only considers variables with at most this
-    /// many positive and this many negative occurrences.
-    pub elim_occurrence_cap: usize,
-    /// Variable elimination skips variables occurring in any clause
-    /// longer than this (long resolvents are rarely worth the growth).
-    pub elim_clause_size_cap: usize,
     /// Literal-comparison budget of one variable-elimination pass.
     pub elim_check_budget: u64,
-    /// Allowed clause-count growth per eliminated variable: a
-    /// variable is eliminated when its non-tautological resolvents
-    /// number at most the clauses they replace *plus this margin*
-    /// (`0` is the classic never-grow rule).
-    pub elim_grow: usize,
-    /// Elimination rounds per inprocessing pass: each round's
-    /// resolvents can turn their variables into fresh candidates, so
-    /// extra rounds reach variables the occurrence index marked stale
-    /// mid-round. The dirty-set makes repeat rounds cheap (they only
-    /// index candidate variables); each round gets its own
-    /// [`CdclConfig::elim_check_budget`].
-    pub elim_rounds: usize,
-    /// Unit-propagation budget of one failed-literal probing pass.
-    pub probe_propagation_budget: u64,
     /// Enable the deep solver-state auditor (see [`solver::audit`](self)):
     /// after propagation, conflict analysis, backtracking, garbage
     /// collection and every inprocessing pass the full state is checked
@@ -396,52 +334,34 @@ impl Default for CdclConfig {
         CdclConfig {
             seed: 0,
             var_decay: 0.95,
-            clause_decay: 0.999,
             restart_base: 100,
             use_restarts: true,
             restart_policy: RestartPolicy::Ema,
             restart_activation_conflicts: 2000,
             ema_min_interval: 50,
-            ema_restart_margin: 1.25,
-            ema_block_margin: 1.4,
             use_rephasing: true,
             rephase_interval: 10_000,
             use_phase_saving: true,
             use_clause_deletion: true,
             use_minimization: true,
-            random_var_freq: 0.0,
             random_polarity_freq: 0.0,
             max_learnts_floor: 1000.0,
             // The reference inprocessing mix is A/B-tuned on the
             // budgeted Fig. 17 probe: eager, wide-margin variable
             // elimination under the tier database wins ~1.4x in
-            // propagations per conflict, subsumption on every pass
-            // protects that trajectory, while vivification and
-            // probing (kept for the portfolio and the torture matrix)
-            // cost more than they return there and sit off in the
-            // reference configuration.
-            use_vivification: false,
+            // propagations per conflict, and subsumption on every pass
+            // protects that trajectory.
             use_subsumption: true,
             subsumption_touched_only: true,
-            subsumption_full_sweep_interval: 5,
             use_chrono: true,
             chrono_threshold: 0,
             chrono_activation_conflicts: 2000,
             inprocess_interval: 3_000,
-            vivify_propagation_budget: 100_000,
             subsumption_check_budget: 500_000,
-            subsume_conflict_gap: 0,
-            vivify_conflict_gap: 0,
             use_tiers: true,
             use_elim: true,
-            use_probing: false,
             simplify_activation_conflicts: 2000,
-            elim_occurrence_cap: 30,
-            elim_clause_size_cap: 24,
             elim_check_budget: 16_000_000,
-            elim_grow: 12,
-            elim_rounds: 1,
-            probe_propagation_budget: 100_000,
             audit: false,
             audit_interval: 1,
             fault_plan: None,
@@ -459,9 +379,9 @@ impl CdclConfig {
     /// A diversified portfolio member: besides the activity seed, the
     /// restart cadence *and policy*, VSIDS decay, polarity
     /// randomization, rephasing and the inprocessing switches
-    /// (vivification, subsumption, chronological backtracking) vary per
-    /// seed, so portfolio workers explore genuinely different search
-    /// trajectories (not just different tie-breaking).
+    /// (subsumption, variable elimination, chronological backtracking)
+    /// vary per seed, so portfolio workers explore genuinely different
+    /// search trajectories (not just different tie-breaking).
     pub fn diversified(seed: u64) -> Self {
         let mut config = CdclConfig::default().with_seed(seed);
         match seed % 4 {
@@ -484,29 +404,20 @@ impl CdclConfig {
                 config.restart_base = 400;
                 config.restart_policy = RestartPolicy::Luby;
                 config.random_polarity_freq = 0.02;
-                config.use_vivification = false;
                 config.use_subsumption = false;
                 config.use_chrono = false;
                 config.use_rephasing = false;
                 config.use_tiers = false;
                 config.use_elim = false;
-                config.use_probing = false;
             }
             _ => {
-                // Slow decay with a strong random-walk component, eager
-                // rephasing and eager, bigger-budget full-database
-                // inprocessing with every pass enabled (vivification
-                // and probing are off in the reference configuration;
-                // this arm keeps them in the portfolio).
+                // Slow decay, eager rephasing and eager, bigger-budget
+                // full-database subsumption and elimination from the
+                // first conflict, without chronological backtracking.
                 config.var_decay = 0.99;
-                config.random_var_freq = 0.1;
                 config.inprocess_interval = 500;
-                config.use_vivification = true;
-                config.use_probing = true;
-                config.vivify_propagation_budget = 400_000;
                 config.subsumption_check_budget = 4_000_000;
                 config.elim_check_budget = 4_000_000;
-                config.probe_propagation_budget = 400_000;
                 config.simplify_activation_conflicts = 0;
                 config.subsumption_touched_only = false;
                 config.use_chrono = false;
@@ -538,8 +449,6 @@ pub struct SolverStats {
     pub gc_passes: u64,
     /// Arena words reclaimed by garbage collection.
     pub gc_reclaimed_words: u64,
-    /// Literals removed from clauses by vivification.
-    pub vivified_lits: u64,
     /// Clauses deleted because another clause subsumes them.
     pub subsumed_clauses: u64,
     /// Clauses shortened by self-subsuming resolution.
@@ -568,11 +477,6 @@ pub struct SolverStats {
     pub eliminated_vars: u64,
     /// Resolvent clauses added by variable elimination.
     pub elim_resolvents: u64,
-    /// Literals probed by failed-literal probing.
-    pub probed_literals: u64,
-    /// Probed literals whose propagation conflicted — each one learns
-    /// a root-level unit (the literal's negation).
-    pub failed_literals: u64,
     /// Learnt clauses exported to the clause exchange (counted once
     /// per clause, not per receiving worker).
     pub exported_clauses: u64,
@@ -613,7 +517,6 @@ impl SolverStats {
             gc_reclaimed_words: self
                 .gc_reclaimed_words
                 .saturating_sub(earlier.gc_reclaimed_words),
-            vivified_lits: self.vivified_lits.saturating_sub(earlier.vivified_lits),
             subsumed_clauses: self
                 .subsumed_clauses
                 .saturating_sub(earlier.subsumed_clauses),
@@ -633,8 +536,6 @@ impl SolverStats {
             rephases: self.rephases.saturating_sub(earlier.rephases),
             eliminated_vars: self.eliminated_vars.saturating_sub(earlier.eliminated_vars),
             elim_resolvents: self.elim_resolvents.saturating_sub(earlier.elim_resolvents),
-            probed_literals: self.probed_literals.saturating_sub(earlier.probed_literals),
-            failed_literals: self.failed_literals.saturating_sub(earlier.failed_literals),
             exported_clauses: self
                 .exported_clauses
                 .saturating_sub(earlier.exported_clauses),
@@ -673,7 +574,6 @@ impl SolverStats {
             minimized_lits: self.minimized_lits + other.minimized_lits,
             gc_passes: self.gc_passes + other.gc_passes,
             gc_reclaimed_words: self.gc_reclaimed_words + other.gc_reclaimed_words,
-            vivified_lits: self.vivified_lits + other.vivified_lits,
             subsumed_clauses: self.subsumed_clauses + other.subsumed_clauses,
             strengthened_clauses: self.strengthened_clauses + other.strengthened_clauses,
             chrono_backtracks: self.chrono_backtracks + other.chrono_backtracks,
@@ -683,8 +583,6 @@ impl SolverStats {
             rephases: self.rephases + other.rephases,
             eliminated_vars: self.eliminated_vars + other.eliminated_vars,
             elim_resolvents: self.elim_resolvents + other.elim_resolvents,
-            probed_literals: self.probed_literals + other.probed_literals,
-            failed_literals: self.failed_literals + other.failed_literals,
             exported_clauses: self.exported_clauses + other.exported_clauses,
             imported_clauses: self.imported_clauses + other.imported_clauses,
             imported_kept: self.imported_kept + other.imported_kept,
@@ -1229,8 +1127,8 @@ fn stop_requested(stop: Option<&AtomicBool>) -> bool {
 }
 
 /// The governor's pass-boundary halt test: the stop flag or the wall
-/// deadline, whichever trips first. Used between inprocessing passes,
-/// elimination rounds and probing batches, so a solve that has run out
+/// deadline, whichever trips first. Used between inprocessing passes
+/// and every 1024 elimination candidates, so a solve that has run out
 /// of time stops starting new simplification work. With neither limit
 /// set this is two `Option` tests — zero-cost off.
 fn governor_halt(stop: Option<&AtomicBool>, deadline: Option<Instant>) -> bool {
@@ -1315,33 +1213,23 @@ struct State {
     next_inprocess: u64,
     /// Inprocessing passes run so far — stretches the interval.
     inprocess_passes: u64,
-    /// Conflict count that re-arms the subsumption stage
-    /// ([`CdclConfig::subsume_conflict_gap`]).
-    next_subsume: u64,
-    /// Conflict count that re-arms the vivification stage
-    /// ([`CdclConfig::vivify_conflict_gap`]).
-    next_vivify: u64,
     /// Conflict count that triggers the next tier maintenance +
     /// local-tier halving while the tier database is active (0 until
     /// the first post-activation check seeds it).
     next_reduce: u64,
     /// Tiered `reduce_db` sweeps run so far — stretches the interval.
     reductions: u64,
-    /// Rotation cursor into the vivification candidate order, persisted
-    /// across passes so budget-limited passes cover the whole database
-    /// over time instead of re-probing the same head clauses.
-    vivify_cursor: usize,
     /// Clauses attached since the last subsumption pass (learnt,
-    /// strengthened, vivified, user-added) — the work list of
+    /// strengthened, user-added) — the work list of
     /// touched-only subsumption. Rewritten through forwarding
     /// addresses by GC like every other ref list.
     touched: Vec<ClauseRef>,
     /// Subsumption passes run so far — schedules the periodic full
     /// sweep under `subsumption_touched_only`.
     subsumption_passes: u64,
-    /// True while vivification probes decisions it will immediately
-    /// undo; suppresses phase saving so probing cannot pollute the
-    /// search's saved polarities.
+    /// True while the import RUP check probes decisions it will
+    /// immediately undo; suppresses phase saving so probing cannot
+    /// pollute the search's saved polarities.
     phase_probing: bool,
     root_unsat: bool,
     /// Per-variable freeze marks ([`CdclSolver::freeze`]): frozen
@@ -1373,9 +1261,6 @@ struct State {
     /// skip the (vast) quiesced majority instead of re-running the
     /// quadratic resolve-and-check on every variable.
     elim_dirty: Vec<bool>,
-    /// Rotation cursor into the probe candidate order, persisted across
-    /// passes like `vivify_cursor`.
-    probe_cursor: usize,
     /// Clauses added so far (before root simplification) — sizes the
     /// learnt-clause budget at each solve.
     num_added_clauses: usize,
@@ -1453,11 +1338,8 @@ impl State {
             gc_buf: Vec::new(),
             next_inprocess,
             inprocess_passes: 0,
-            next_subsume: 0,
-            next_vivify: 0,
             next_reduce: 0,
             reductions: 0,
-            vivify_cursor: 0,
             touched: Vec::new(),
             subsumption_passes: 0,
             phase_probing: false,
@@ -1468,7 +1350,6 @@ impl State {
             last_assumed: Vec::new(),
             elim_stack: Vec::new(),
             elim_dirty: Vec::new(),
-            probe_cursor: 0,
             num_added_clauses: 0,
             assumption_conflict: Vec::new(),
             proof: None,
@@ -1715,18 +1596,17 @@ impl State {
         } else {
             self.clauses.push(cref);
         }
-        // Every freshly attached clause (learnt, strengthened, vivified
-        // or user-added) is new subsumption evidence: queue it for the
+        // Every freshly attached clause (learnt, strengthened or
+        // user-added) is new subsumption evidence: queue it for the
         // next touched-only pass.
         self.touched.push(cref);
         cref
     }
 
     /// Removes the two watchers of an attached clause. Inprocessing
-    /// detaches a clause before probing it (vivification must not let a
-    /// clause propagate on itself) and immediately when marking one
-    /// deleted, so `propagate` never visits a tombstone between a
-    /// deletion and the GC pass that reclaims it.
+    /// detaches a clause immediately when marking it deleted, so
+    /// `propagate` never visits a tombstone between a deletion and the
+    /// GC pass that reclaims it.
     fn detach_clause(&mut self, cref: ClauseRef) {
         for k in 0..2 {
             let l = self.arena.lit(cref, k);
@@ -2234,23 +2114,6 @@ impl State {
     }
 
     fn decide(&mut self) -> Option<Lit> {
-        // Occasional random decisions diversify seeds. Retry a bounded
-        // number of times over assigned picks so the effective random
-        // rate stays near `random_var_freq` even on a deep trail
-        // (a single sample would silently fall through to VSIDS). The
-        // `num_vars > 0` guard keeps the empty sample range of a
-        // variable-free formula away from the rng.
-        if self.num_vars > 0
-            && self.config.random_var_freq > 0.0
-            && self.rng.random_bool(self.config.random_var_freq)
-        {
-            for _ in 0..8 {
-                let v = self.rng.random_range(0..self.num_vars);
-                if self.is_unassigned(v) && !self.eliminated[v] {
-                    return Some(self.choose_polarity(v));
-                }
-            }
-        }
         while let Some(v) = self.order.pop_max() {
             if self.is_unassigned(v as usize) && !self.eliminated[v as usize] {
                 return Some(self.choose_polarity(v as usize));
@@ -2678,8 +2541,7 @@ impl State {
             // search refute locally.
             return false;
         }
-        // RUP re-check at a pseudo-level — the vivification probe
-        // pattern: assume the negation of every literal; the clause
+        // RUP re-check at a pseudo-level: assume the negation of every literal; the clause
         // is RUP iff a literal turns true (enqueueing its negation
         // would conflict) or propagation conflicts. Phase saving is
         // suspended so probing cannot pollute the search's saved
@@ -2995,7 +2857,9 @@ impl State {
                 self.learnt_buf = learnt; // hand the scratch back
                 self.audit_checkpoint(AuditPoint::Backtrack);
                 self.var_inc /= self.config.var_decay;
-                self.cla_inc /= self.config.clause_decay;
+                /// Learnt-clause activity decay.
+                const CLAUSE_DECAY: f64 = 0.999;
+                self.cla_inc /= CLAUSE_DECAY;
                 if let Some(reason) =
                     self.budget_exhausted(budget, &start, conflicts_at_start, propagations_at_start)
                 {
@@ -3340,8 +3204,7 @@ mod tests {
     fn empty_formula_is_sat() {
         assert!(solve(&Cnf::new(0)).is_sat());
         assert!(solve(&Cnf::new(5)).is_sat());
-        // Also with a random-walk config: the zero-variable formula
-        // must not feed an empty range to the rng (regression).
+        // Also under every diversified portfolio arm.
         for seed in 0..4 {
             let mut s = CdclSolver::with_config(CdclConfig::diversified(seed));
             assert!(s.solve_with(&Cnf::new(0), &[], &Budget::default()).is_sat());
@@ -3498,6 +3361,17 @@ mod tests {
             .iter()
             .any(|c| c.restart_base != configs[0].restart_base));
         assert!(configs.iter().any(|c| c.var_decay != configs[0].var_decay));
+        // Every arm is its own configuration, seed aside: none
+        // collapses into another.
+        let rendered: Vec<String> = configs
+            .iter()
+            .map(|c| format!("{:?}", c.clone().with_seed(0)))
+            .collect();
+        for (i, a) in rendered.iter().enumerate() {
+            for b in &rendered[i + 1..] {
+                assert_ne!(a, b, "two diversified arms coincide");
+            }
+        }
         let unsat = pigeonhole(4);
         let sat = cnf(&[&[1, 2], &[-1, 2], &[1, -2]]);
         for config in configs {
@@ -3528,10 +3402,6 @@ mod tests {
             },
             CdclConfig {
                 use_minimization: false,
-                ..CdclConfig::default()
-            },
-            CdclConfig {
-                random_var_freq: 0.0,
                 ..CdclConfig::default()
             },
         ];
@@ -3942,8 +3812,8 @@ mod tests {
 
     /// A configuration that inprocesses at every restart boundary and
     /// restarts every other conflict — tiny instances still exercise
-    /// vivification, subsumption and (with `chrono_threshold` 0)
-    /// chronological backtracking.
+    /// subsumption and (with `chrono_threshold` 0) chronological
+    /// backtracking.
     fn aggressive_inprocessing() -> CdclConfig {
         CdclConfig {
             inprocess_interval: 0,
@@ -3951,10 +3821,6 @@ mod tests {
             chrono_threshold: 0,
             chrono_activation_conflicts: 0,
             max_learnts_floor: 8.0,
-            // Every pass on, including the two the reference
-            // configuration leaves off.
-            use_vivification: true,
-            use_probing: true,
             ..CdclConfig::default()
         }
     }
@@ -3968,7 +3834,6 @@ mod tests {
         c.add_clause([lit(21), lit(22), lit(23)]);
         c.add_clause([lit(21), lit(22), lit(24)]);
         let config = CdclConfig {
-            use_vivification: false,
             use_chrono: false,
             ..aggressive_inprocessing()
         };
@@ -3990,7 +3855,6 @@ mod tests {
         c.add_clause([lit(21), lit(22)]);
         c.add_clause([lit(-22), lit(23)]);
         let config = CdclConfig {
-            use_vivification: false,
             use_chrono: false,
             ..aggressive_inprocessing()
         };
@@ -3999,28 +3863,6 @@ mod tests {
         assert!(
             st.stats.strengthened_clauses >= 1,
             "self-subsuming resolution should fire: {:?}",
-            st.stats
-        );
-        st.check_watcher_integrity();
-    }
-
-    #[test]
-    fn vivification_shortens_implied_clauses() {
-        // (21 22) makes the tail of (21 22 23 24) unreachable: probing
-        // ¬21, ¬22 conflicts, so vivification truncates the long clause.
-        let mut c = pigeonhole(5);
-        c.add_clause([lit(21), lit(22)]);
-        c.add_clause([lit(21), lit(22), lit(23), lit(24)]);
-        let config = CdclConfig {
-            use_subsumption: false,
-            use_chrono: false,
-            ..aggressive_inprocessing()
-        };
-        let mut st = State::new(&c, config);
-        assert!(st.solve(&[], &Budget::default()).is_unsat());
-        assert!(
-            st.stats.vivified_lits >= 2,
-            "vivification should strip the implied tail: {:?}",
             st.stats
         );
         st.check_watcher_integrity();
@@ -4200,7 +4042,7 @@ mod tests {
             st.check_watcher_integrity();
         }
         assert!(
-            st.stats.subsumed_clauses + st.stats.strengthened_clauses + st.stats.vivified_lits > 0,
+            st.stats.subsumed_clauses + st.stats.strengthened_clauses > 0,
             "inprocessing should have fired: {:?}",
             st.stats
         );

@@ -70,9 +70,8 @@ pub(super) enum AuditPoint {
     Backtrack,
     /// A compacting GC pass rewrote every clause reference.
     Gc,
-    /// An inprocessing pass (subsumption, variable elimination,
-    /// vivification or probing) finished, *before* the closing GC
-    /// reclaims its tombstones.
+    /// An inprocessing pass (subsumption or variable elimination)
+    /// finished, *before* the closing GC reclaims its tombstones.
     Inprocess,
     /// The solver is about to answer SAT.
     Sat,

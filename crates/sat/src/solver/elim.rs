@@ -1,55 +1,54 @@
-//! Bounded variable elimination and failed-literal probing.
+//! Bounded variable elimination.
 //!
 //! The second half of the SatELite preprocessing pair (subsumption and
 //! self-subsuming resolution landed with `inprocess.rs`), run as
 //! *inprocessing*: at restart boundaries, on the live clause database,
 //! interleaved with search.
 //!
-//! * **Bounded variable elimination** ([`State::eliminate_vars`]):
-//!   a variable `v` is eliminated by replacing every original clause
-//!   containing `v` with the non-tautological resolvents of the
-//!   positive × negative occurrence pairs (distribution). The pass is
-//!   *bounded*: a variable is only eliminated when the resolvent count
-//!   does not exceed the clause count it replaces (never-grow rule),
-//!   both occurrence sides are small, and every participating clause
-//!   is short. Learnt clauses containing `v` are consequences of the
-//!   originals and are simply deleted. Pure literals fall out as the
-//!   zero-resolvent special case.
+//! A variable `v` is eliminated ([`State::eliminate_vars`]) by
+//! replacing every original clause containing `v` with the
+//! non-tautological resolvents of the positive × negative occurrence
+//! pairs (distribution). The pass is *bounded*: a variable is only
+//! eliminated when the resolvent count exceeds the clause count it
+//! replaces by at most [`ELIM_GROW`], both occurrence sides are small,
+//! and every participating clause is short. Learnt clauses containing
+//! `v` are consequences of the originals and are simply deleted. Pure
+//! literals fall out as the zero-resolvent special case.
 //!
-//!   Eliminating a variable changes the *model*, not just the search:
-//!   the deleted original clauses are pushed onto an **elimination
-//!   stack** ([`ElimFrame`]) and a SAT answer walks the stack backwards
-//!   to extend the assignment over the eliminated variables
-//!   ([`State::reconstruct_model`]). The incremental API restores
-//!   eliminated variables on demand ([`State::restore_var`]): a new
-//!   clause or assumption mentioning one pops stack frames LIFO —
-//!   popping in reverse elimination order guarantees a popped frame's
-//!   clauses never mention a variable that is still eliminated — and
-//!   re-adds the stored clauses. Frozen variables
-//!   ([`CdclSolver::freeze`]) are never eliminated in the first place;
-//!   the synthesis layers freeze their activation literals and
-//!   assumption variables up front.
+//! Eliminating a variable changes the *model*, not just the search: the
+//! deleted original clauses are pushed onto an **elimination stack**
+//! ([`ElimFrame`]) and a SAT answer walks the stack backwards to extend
+//! the assignment over the eliminated variables
+//! ([`State::reconstruct_model`]). The incremental API restores
+//! eliminated variables on demand ([`State::restore_var`]): a new
+//! clause or assumption mentioning one pops stack frames LIFO — popping
+//! in reverse elimination order guarantees a popped frame's clauses
+//! never mention a variable that is still eliminated — and re-adds the
+//! stored clauses. Frozen variables ([`CdclSolver::freeze`]) are never
+//! eliminated in the first place; the synthesis layers freeze their
+//! activation literals and assumption variables up front.
 //!
-//! * **Failed-literal probing** ([`State::probe_failed_literals`]):
-//!   at level 0, assume a literal `l` at a pseudo-decision level and
-//!   propagate; if propagation conflicts, `¬l` is a root-level
-//!   consequence and is asserted as a unit. Candidates are restricted
-//!   to *binary-implication roots* — literals whose assignment drives
-//!   at least one binary watcher but which no binary clause implies —
-//!   so one probe covers its whole binary implication subtree.
-//!   Budgeted by propagation count; a rotating cursor resumes where
-//!   the previous pass stopped. Phase saving is suspended during
-//!   probes, so probing is invisible to the search heuristics.
-//!
-//! Both passes run only at decision level 0 with no assumptions
-//! applied, so everything they derive is a consequence of the added
-//! clauses alone. Both are scheduled by `maybe_inprocess` and gated on
-//! [`CdclConfig::simplify_activation_conflicts`], mirroring
+//! The pass runs only at decision level 0 with no assumptions applied,
+//! so everything it derives is a consequence of the added clauses
+//! alone. `maybe_inprocess` schedules it right after subsumption and
+//! gates it on [`CdclConfig::simplify_activation_conflicts`], mirroring
 //! `chrono_activation_conflicts`: below the gate the clause database
 //! evolves exactly as it did before this module existed, keeping the
 //! small benchmark records conflict-identical.
 
 use super::*;
+
+/// Variable elimination only considers variables with at most this
+/// many positive and this many negative occurrences.
+const ELIM_OCCURRENCE_CAP: usize = 30;
+/// Variable elimination skips variables occurring in any clause
+/// longer than this (long resolvents are rarely worth the growth).
+const ELIM_CLAUSE_SIZE_CAP: usize = 24;
+/// Allowed clause-count growth per eliminated variable: a variable is
+/// eliminated when its non-tautological resolvents number at most the
+/// clauses they replace *plus this margin* (`0` is the classic
+/// never-grow rule).
+const ELIM_GROW: usize = 12;
 
 /// One eliminated variable: the original clauses that mentioned it,
 /// recorded in elimination order. [`State::reconstruct_model`] walks
@@ -231,8 +230,8 @@ impl State {
                     if self.arena.is_deleted(c) || self.arena.is_learnt(c) {
                         continue;
                     }
-                    if self.arena.len(c) > self.config.elim_clause_size_cap
-                        || sides[side].len() >= self.config.elim_occurrence_cap
+                    if self.arena.len(c) > ELIM_CLAUSE_SIZE_CAP
+                        || sides[side].len() >= ELIM_OCCURRENCE_CAP
                     {
                         capped = true;
                         break;
@@ -254,7 +253,7 @@ impl State {
             // Never-grow rule: count the non-tautological resolvents
             // and give up on this variable as soon as they exceed the
             // clauses they would replace.
-            let limit = pos.len() + neg.len() + self.config.elim_grow;
+            let limit = pos.len() + neg.len() + ELIM_GROW;
             let mut count = 0usize;
             let mut grew = false;
             // lint:hot-path — the resolve-and-check loop is quadratic
@@ -400,66 +399,6 @@ impl State {
             }
         }
         changed
-    }
-
-    /// One failed-literal probing pass over the binary-implication
-    /// roots, bounded by [`CdclConfig::probe_propagation_budget`]
-    /// propagations (and, amortized every 512 probes, the governor's
-    /// wall `deadline`). Each failed probe asserts a root-level unit.
-    pub(super) fn probe_failed_literals(&mut self, deadline: Option<Instant>) {
-        debug_assert_eq!(self.decision_level(), 0);
-        let n = 2 * self.num_vars;
-        if n == 0 || self.root_unsat {
-            return;
-        }
-        let props_start = self.stats.propagations;
-        let budget = self.config.probe_propagation_budget;
-        let start = self.probe_cursor % n;
-        let mut processed = 0;
-        self.phase_probing = true;
-        // lint:hot-path — candidate filtering and the probe itself
-        // (enqueue/propagate/backtrack) allocate nothing.
-        while processed < n {
-            if self.root_unsat || self.stats.propagations - props_start >= budget {
-                break;
-            }
-            if processed.is_multiple_of(512) && governor_halt(None, deadline) {
-                break;
-            }
-            let l = Lit::from_code((start + processed) % n);
-            processed += 1;
-            let v = l.var().index();
-            if !self.is_unassigned(v) || self.eliminated[v] {
-                continue;
-            }
-            // A binary-implication root: assigning `l` drives at least
-            // one binary watcher (so the probe is not a no-op), but no
-            // binary clause implies `l` (so probing the subtree leaves
-            // would be redundant).
-            let drives_binary = self.watches[(!l).code()].iter().any(|w| w.is_binary());
-            let implied_by_binary = self.watches[l.code()].iter().any(|w| w.is_binary());
-            if !drives_binary || implied_by_binary {
-                continue;
-            }
-            self.stats.probed_literals += 1;
-            self.trail_lim.push(self.trail.len());
-            self.enqueue(l, ClauseRef::NONE);
-            let failed = self.propagate().is_some();
-            self.cancel_until(0);
-            if failed {
-                self.stats.failed_literals += 1;
-                // The failed probe's conflict is reproducible by the
-                // checker's (complete) unit propagation, so `¬l` is RUP.
-                self.proof_add_derived(&[!l]);
-                if !self.assert_root_unit(!l) {
-                    break;
-                }
-            }
-        }
-        // lint:hot-path-end
-        self.probe_cursor = (start + processed) % n;
-        self.phase_probing = false;
-        debug_assert_eq!(self.decision_level(), 0);
     }
 
     /// Completes a model over the eliminated variables, newest frame
@@ -623,40 +562,6 @@ mod tests {
         st.reconstruct_model(&mut values);
         assert!(!values[0], "clause (-1 3) with 3 false forces 1 false");
         st.audit_reconstruction(&values);
-    }
-
-    #[test]
-    fn seeded_failed_literal_is_learned_at_the_root() {
-        // Probing variable 1 positively propagates both polarities of
-        // variable 2 through the binaries: the probe fails and ¬1 is
-        // asserted at the root. Variable 3 keeps the formula SAT.
-        let mut st = state(
-            &[&[-1, 2], &[-1, -2], &[3, 1, 2]],
-            CdclConfig {
-                probe_propagation_budget: 1000,
-                ..CdclConfig::default()
-            },
-        );
-        st.probe_failed_literals(None);
-        assert_eq!(st.stats.failed_literals, 1);
-        assert!(st.stats.probed_literals >= 1);
-        assert_eq!(st.value(lit(-1)), 1, "failed probe asserts the negation");
-        assert_eq!(st.decision_level(), 0);
-        assert!(!st.root_unsat);
-    }
-
-    #[test]
-    fn probing_respects_its_propagation_budget() {
-        let mut st = state(
-            &[&[-1, 2], &[-1, -2], &[3, 1, 2]],
-            CdclConfig {
-                probe_propagation_budget: 0,
-                ..CdclConfig::default()
-            },
-        );
-        st.probe_failed_literals(None);
-        assert_eq!(st.stats.probed_literals, 0);
-        assert_eq!(st.stats.failed_literals, 0);
     }
 
     /// Satisfiable pigeonhole (`n` into `n`): enough conflicts under

@@ -3,9 +3,8 @@
 //! Industrial CDCL solvers interleave search with *inprocessing* —
 //! cheap, budgeted simplification of the clause database that pays for
 //! itself through faster propagation and shorter learnt clauses. This
-//! module schedules the four passes the ROADMAP names as the
-//! remaining single-solve throughput levers, plus the machinery they
-//! share:
+//! module schedules the two passes, subsume → eliminate, plus the
+//! machinery they share:
 //!
 //! * **Subsumption and self-subsuming resolution** ([`State::subsume`]):
 //!   a SatELite-style backward pass over an occurrence index. Every
@@ -17,21 +16,10 @@
 //!   resolves to `D \ {¬l}`). Strengthened clauses re-enter the queue —
 //!   they are stronger subsumers than their originals.
 //!
-//! * **Vivification** ([`State::vivify`]): each candidate clause is
-//!   detached and re-derived literal by literal — assume the negation
-//!   of a prefix, propagate, and stop early when the prefix already
-//!   implies the clause (a literal turns true or propagation
-//!   conflicts) or a literal is implied false (it drops out). Runs
-//!   under a propagation budget; phase saving is suspended while
-//!   probing so vivification cannot pollute the search's saved
-//!   polarities.
-//!
-//! * **Bounded variable elimination** and **failed-literal probing**
-//!   live in the sibling `elim` module ([`State::eliminate_vars`],
-//!   [`State::probe_failed_literals`]) and run on the same schedule,
+//! * **Bounded variable elimination** lives in the sibling `elim`
+//!   module ([`State::eliminate_vars`]) and runs on the same schedule,
 //!   gated additionally on
-//!   [`CdclConfig::simplify_activation_conflicts`]. The pass order is
-//!   subsume → eliminate → vivify → probe.
+//!   [`CdclConfig::simplify_activation_conflicts`].
 //!
 //! Both passes run at restart boundaries (decision level 0, no
 //! assumptions applied), so every derived fact and rewritten clause is
@@ -59,90 +47,52 @@ enum SubMatch {
     Strengthens(Lit),
 }
 
+/// With [`CdclConfig::subsumption_touched_only`]: every n-th
+/// subsumption pass processes the full clause database.
+const SUBSUMPTION_FULL_SWEEP_INTERVAL: u64 = 5;
+
 impl State {
     /// Runs one inprocessing pass (subsumption, then bounded variable
-    /// elimination, then vivification, then failed-literal probing,
-    /// then a compacting GC) if the conflict count has crossed the
-    /// schedule. Called at restart boundaries only — the solver must
-    /// sit at decision level 0. With restarts disabled inprocessing
-    /// never triggers.
+    /// elimination, then a compacting GC) if the conflict count has
+    /// crossed the schedule. Called at restart boundaries only — the
+    /// solver must sit at decision level 0. With restarts disabled
+    /// inprocessing never triggers.
     ///
     /// `stop` is the cooperative cancellation flag of the caller's
     /// [`Budget`] and `deadline` its wall-clock cutoff: both are
-    /// re-checked at every pass boundary (and between elimination
-    /// rounds), so a cancelled or out-of-time worker abandons the
-    /// remaining passes instead of burning a full
-    /// subsume/eliminate/vivify/probe cycle after its result stopped
+    /// re-checked at every pass boundary, so a cancelled or
+    /// out-of-time worker abandons the remaining passes instead of
+    /// burning a full subsume/eliminate cycle after its result stopped
     /// mattering. Search-level determinism is unaffected — the checks
     /// only ever *skip* work on the way out of a run whose result is
     /// already discarded (no governor set, no behavior change).
     pub(super) fn maybe_inprocess(&mut self, stop: Option<&AtomicBool>, deadline: Option<Instant>) {
-        if !self.config.use_vivification
-            && !self.config.use_subsumption
-            && !self.config.use_elim
-            && !self.config.use_probing
-        {
+        if !self.config.use_subsumption && !self.config.use_elim {
             return;
         }
         if self.stats.conflicts < self.next_inprocess {
             return;
         }
         debug_assert_eq!(self.decision_level(), 0);
-        // Variable elimination and probing share the tier database's
-        // activation gate: below it the clause database (and hence any
-        // conflict-identical record) stays untouched by the new passes.
-        let simplify_on = self.stats.conflicts >= self.config.simplify_activation_conflicts;
         let mut changed = false;
-        if self.config.use_subsumption
-            && !self.root_unsat
-            && !governor_halt(stop, deadline)
-            && self.stats.conflicts >= self.next_subsume
-        {
+        if self.config.use_subsumption && !self.root_unsat && !governor_halt(stop, deadline) {
             changed |= self.subsume();
-            self.next_subsume = self.stats.conflicts + self.config.subsume_conflict_gap;
             // Tombstones are legal here (the closing GC reclaims them);
             // the checkpoint still rejects them in watches and reasons.
             if !self.root_unsat {
                 self.audit_checkpoint(AuditPoint::Inprocess);
             }
         }
-        // Elimination runs right after subsumption (on the freshly
-        // shrunk database) and before vivification, so vivification
-        // never wastes budget distilling clauses elimination is about
-        // to resolve away.
-        if self.config.use_elim && simplify_on && !self.root_unsat && !governor_halt(stop, deadline)
-        {
-            for _ in 0..self.config.elim_rounds.max(1) {
-                // Record the round's work *before* deciding whether to
-                // continue: a stop raised mid-pass must not skip the
-                // closing GC for deletions already marked.
-                let round_changed = self.eliminate_vars(deadline);
-                changed |= round_changed;
-                if !round_changed || self.root_unsat || governor_halt(stop, deadline) {
-                    break;
-                }
-            }
-            if !self.root_unsat {
-                self.audit_checkpoint(AuditPoint::Inprocess);
-            }
-        }
-        if self.config.use_vivification
-            && !self.root_unsat
-            && !governor_halt(stop, deadline)
-            && self.stats.conflicts >= self.next_vivify
-        {
-            changed |= self.vivify();
-            self.next_vivify = self.stats.conflicts + self.config.vivify_conflict_gap;
-            if !self.root_unsat {
-                self.audit_checkpoint(AuditPoint::Inprocess);
-            }
-        }
-        if self.config.use_probing
-            && simplify_on
+        // Elimination runs right after subsumption, on the freshly
+        // shrunk database. It shares the tier database's activation
+        // gate: below it the clause database (and hence any
+        // conflict-identical record) stays untouched by elimination.
+        if self.config.use_elim
+            && self.stats.conflicts >= self.config.simplify_activation_conflicts
             && !self.root_unsat
             && !governor_halt(stop, deadline)
         {
-            self.probe_failed_literals(deadline);
+            changed |= self.eliminate_vars(deadline);
             if !self.root_unsat {
                 self.audit_checkpoint(AuditPoint::Inprocess);
             }
@@ -171,22 +121,20 @@ impl State {
     ///
     /// With [`CdclConfig::subsumption_touched_only`] the *subsumer
     /// queue* is restricted to clauses touched since the previous pass
-    /// (learnt, strengthened, vivified, user-added) — steady-state
+    /// (learnt, strengthened, user-added) — steady-state
     /// passes stop re-matching the same quiesced database against
     /// itself, which was the dominant inprocessing overhead on the
     /// T-factory instances. The occurrence index still spans every
     /// live clause (anything may be subsumed *by* a touched clause),
-    /// and every [`CdclConfig::subsumption_full_sweep_interval`]-th
-    /// pass (including the first) sweeps the full database to pick up
+    /// and every [`SUBSUMPTION_FULL_SWEEP_INTERVAL`]-th pass (including the first) sweeps the full database to pick up
     /// the old-subsumes-new direction touched-only passes cannot see.
     fn subsume(&mut self) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
         let mut changed = false;
         let full_sweep = !self.config.subsumption_touched_only
-            || (self.config.subsumption_full_sweep_interval > 0
-                && self
-                    .subsumption_passes
-                    .is_multiple_of(self.config.subsumption_full_sweep_interval));
+            || self
+                .subsumption_passes
+                .is_multiple_of(SUBSUMPTION_FULL_SWEEP_INTERVAL);
         self.subsumption_passes += 1;
         // The touched list is consumed either way: a full sweep
         // supersedes it. Replacements attached mid-pass re-enter the
@@ -445,148 +393,5 @@ impl State {
                 }
             }
         }
-    }
-
-    /// Vivifies (distills) candidate clauses under the pass's
-    /// propagation budget: learnt clauses first (they are also the
-    /// `reduce_db` deletion candidates, so shortening them has double
-    /// payoff), then long original clauses. Returns whether any clause
-    /// was deleted or rewritten.
-    ///
-    /// Successive passes resume where the previous one ran out of
-    /// budget (`vivify_cursor` rotates through the candidate order):
-    /// without the cursor every pass would re-probe the same
-    /// already-minimal clauses at the head of the lists and the tail
-    /// would never be distilled.
-    fn vivify(&mut self) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        let props_start = self.stats.propagations;
-        let budget = self.config.vivify_propagation_budget;
-        let cands: Vec<ClauseRef> = self
-            .learnts
-            .iter()
-            .flatten()
-            .chain(self.clauses.iter())
-            .copied()
-            .filter(|&c| !self.arena.is_deleted(c) && self.arena.len(c) >= 3)
-            .collect();
-        if cands.is_empty() {
-            return false;
-        }
-        let start = self.vivify_cursor % cands.len();
-        let mut processed = 0;
-        let mut changed = false;
-        self.phase_probing = true;
-        while processed < cands.len() {
-            if self.root_unsat || self.stats.propagations - props_start >= budget {
-                break;
-            }
-            let c = cands[(start + processed) % cands.len()];
-            processed += 1;
-            // Deletion and root propagation during this pass can
-            // invalidate earlier snapshots; re-check.
-            if self.arena.is_deleted(c) || self.is_locked(c) {
-                continue;
-            }
-            changed |= self.vivify_clause(c);
-        }
-        self.vivify_cursor = (start + processed) % cands.len();
-        self.phase_probing = false;
-        debug_assert_eq!(self.decision_level(), 0);
-        changed
-    }
-
-    /// Re-derives one clause literal by literal. The clause is detached
-    /// first so it cannot propagate on itself; each kept literal `l` is
-    /// probed by assuming `¬l` at a fresh pseudo-level. Three outcomes
-    /// shorten it: a literal already false drops out, a literal turning
-    /// true truncates the clause after it, and a propagation conflict
-    /// truncates it after the current literal. Every replacement clause
-    /// is entailed by the *rest* of the formula and at least as strong
-    /// as the original, so swapping it in preserves equivalence.
-    /// Returns whether the clause was deleted or rewritten.
-    fn vivify_clause(&mut self, cref: ClauseRef) -> bool {
-        let len = self.arena.len(cref);
-        let lits: Vec<Lit> = (0..len).map(|i| self.arena.lit(cref, i)).collect();
-        self.detach_clause(cref);
-        let mut kept: Vec<Lit> = Vec::with_capacity(len);
-        let mut satisfied_at_root = false;
-        for (i, &l) in lits.iter().enumerate() {
-            match self.value(l) {
-                1 => {
-                    if self.decision_level() == 0 {
-                        satisfied_at_root = true;
-                    } else {
-                        // ¬kept ⊨ l: the clause shrinks to kept ∪ {l}.
-                        kept.push(l);
-                    }
-                    break;
-                }
-                -1 => {
-                    // ¬kept ⊨ ¬l: the literal contributes nothing.
-                }
-                _ => {
-                    kept.push(l);
-                    if i + 1 == lits.len() {
-                        // Probing the final literal cannot shorten the
-                        // clause any further; skip the propagation.
-                        break;
-                    }
-                    self.trail_lim.push(self.trail.len());
-                    self.enqueue(!l, ClauseRef::NONE);
-                    if self.propagate().is_some() {
-                        // ¬kept is contradictory: kept is itself implied.
-                        break;
-                    }
-                }
-            }
-        }
-        self.cancel_until(0);
-        if satisfied_at_root {
-            // True at the root: drop the clause entirely (not counted
-            // as vivified literals — nothing was distilled).
-            if !self.arena.is_learnt(cref) {
-                self.elim_touch_clause(cref);
-            }
-            self.proof_delete_cref(cref);
-            self.arena.mark_deleted(cref);
-            return true;
-        }
-        if kept.len() == lits.len() {
-            // Nothing learned; reattach the original watchers.
-            let binary = lits.len() == 2;
-            self.watches[lits[0].code()].push(Watcher::new(cref, lits[1], binary));
-            self.watches[lits[1].code()].push(Watcher::new(cref, lits[0], binary));
-            return false;
-        }
-        self.stats.vivified_lits += (lits.len() - kept.len()) as u64;
-        if !self.arena.is_learnt(cref) {
-            self.elim_touch_clause(cref);
-        }
-        // The truncated clause is RUP (the checker's complete root
-        // propagation reproduces every probe outcome), so it must enter
-        // the proof before the original it replaces is deleted.
-        if kept.is_empty() {
-            self.proof_add_empty();
-        } else {
-            self.proof_add_derived(&kept);
-        }
-        self.proof_delete_cref(cref);
-        self.arena.mark_deleted(cref);
-        match kept.len() {
-            0 => {
-                // Every literal is false at the root: empty clause.
-                self.root_unsat = true;
-            }
-            1 => {
-                self.assert_root_unit(kept[0]);
-            }
-            _ => {
-                let learnt = self.arena.is_learnt(cref);
-                let lbd = self.arena.lbd(cref).min(kept.len() as u32);
-                self.attach_clause_quiet(&kept, learnt, lbd);
-            }
-        }
-        true
     }
 }

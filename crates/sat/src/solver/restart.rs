@@ -11,12 +11,12 @@
 //!   exponential moving averages of learnt-clause LBD are maintained:
 //!   a *fast* one (α = 1/32, tracking the last few dozen conflicts)
 //!   and a *slow* one (α = 1/4096, the long-run baseline). When the
-//!   fast average exceeds `ema_restart_margin ×` the slow one, recent
+//!   fast average exceeds [`EMA_RESTART_MARGIN`] × the slow one, recent
 //!   conflicts are producing worse (higher-LBD) clauses than the run's
 //!   norm — the trajectory has gone stale and a restart is triggered.
 //!   Restarts are *blocked* (postponed by [`RestartSched::on_block`])
 //!   when the assignment trail at the latest conflict is
-//!   `ema_block_margin ×` longer than its own moving average: an
+//!   [`EMA_BLOCK_MARGIN`] × longer than its own moving average: an
 //!   unusually deep trail suggests the search is closing in on a model
 //!   that a restart would throw away (Glucose's trail-blocking rule).
 //!
@@ -27,8 +27,8 @@
 //! steering mechanism — small lucky-trajectory instances (the majority
 //! gate solves in ~164 conflicts) finish before activation and keep
 //! their exact pre-EMA trajectories. The simplification machinery
-//! (learnt-clause tiering, bounded variable elimination, failed-literal
-//! probing) follows the same pattern behind its own
+//! (learnt-clause tiering, bounded variable elimination) follows the
+//! same pattern behind its own
 //! [`CdclConfig::simplify_activation_conflicts`] gate, so the short
 //! runs also keep their exact pre-simplification trajectories.
 //!
@@ -81,6 +81,12 @@ pub(super) const EMA_FAST_ALPHA: f64 = 1.0 / 32.0;
 /// Smoothing factor of the slow (long-run baseline) LBD and trail
 /// averages.
 pub(super) const EMA_SLOW_ALPHA: f64 = 1.0 / 4096.0;
+/// EMA restart trigger: restart when the fast LBD average exceeds
+/// this multiple of the slow one.
+const EMA_RESTART_MARGIN: f64 = 1.25;
+/// EMA restart blocking: postpone when the trail at the latest
+/// conflict exceeds this multiple of the trail average.
+const EMA_BLOCK_MARGIN: f64 = 1.4;
 
 /// An exponential moving average primed by its first sample (so the
 /// early average is not dragged toward an arbitrary zero init).
@@ -181,10 +187,10 @@ impl RestartSched {
         if self.conflicts_since < config.ema_min_interval {
             return RestartDecision::Continue;
         }
-        if self.fast_lbd.get() <= config.ema_restart_margin * self.slow_lbd.get() {
+        if self.fast_lbd.get() <= EMA_RESTART_MARGIN * self.slow_lbd.get() {
             return RestartDecision::Continue;
         }
-        if (self.last_trail as f64) > config.ema_block_margin * self.trail_avg.get() {
+        if (self.last_trail as f64) > EMA_BLOCK_MARGIN * self.trail_avg.get() {
             return RestartDecision::Block;
         }
         RestartDecision::Restart
@@ -306,8 +312,6 @@ mod tests {
             restart_policy: RestartPolicy::Ema,
             restart_activation_conflicts: 0,
             ema_min_interval: 4,
-            ema_restart_margin: 1.25,
-            ema_block_margin: 1.4,
             ..CdclConfig::default()
         }
     }

@@ -31,8 +31,8 @@ fn pigeonhole(pigeons: i64) -> Cnf {
 }
 
 /// Every inprocessing pass on from the first conflict, so the proof
-/// exercises subsumption, vivification, BVE, probing, tier demotion
-/// and GC deletions — not just 1UIP learnts.
+/// exercises subsumption, BVE, tier demotion and GC deletions — not
+/// just 1UIP learnts.
 fn aggressive() -> CdclConfig {
     CdclConfig {
         inprocess_interval: 0,
@@ -44,8 +44,6 @@ fn aggressive() -> CdclConfig {
         restart_policy: RestartPolicy::Ema,
         restart_activation_conflicts: 0,
         ema_min_interval: 2,
-        use_vivification: true,
-        use_probing: true,
         ..CdclConfig::default()
     }
 }

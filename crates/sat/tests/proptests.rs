@@ -11,8 +11,8 @@ use sat::{Backend, Budget, CdclConfig, CdclSolver, Cnf, CnfBuilder, Lit, Restart
 /// inprocessing configuration — restart every other conflict, an
 /// inprocessing pass at every restart boundary, fully chronological
 /// (out-of-order) backtracking, adaptive EMA restarts, eager
-/// rephasing, and the tier database / variable elimination /
-/// failed-literal probing active from the first conflict — so every
+/// rephasing, and the tier database and variable elimination active
+/// from the first conflict — so every
 /// differential property in this file also tortures the new code
 /// paths.
 fn base_config() -> CdclConfig {
@@ -32,69 +32,62 @@ fn base_config() -> CdclConfig {
     config
 }
 
-/// The full search/inprocessing matrix: 16 sessions of vivification ×
-/// subsumption × out-of-order chronological backtracking × restart
-/// policy (Luby / adaptive EMA), each on/off, under schedules
-/// aggressive enough that the tiny torture instances actually reach
-/// the code (inprocess at every restart, restart every other conflict,
-/// chrono on every eligible conflict, EMA restarts and rephasing
-/// active from the first conflict, GC-heavy learnt budget), plus 8
-/// sessions of tier database × bounded variable elimination ×
-/// failed-literal probing, each on/off with the simplify activation
-/// gate dropped to zero so the new passes fire from the first
-/// conflict. (In the first 16 sessions those features sit behind the
-/// default 2000-conflict gate, which the tiny instances never reach —
-/// they double as the legacy-behaviour control.)
+/// The full search/inprocessing matrix: 8 sessions of subsumption ×
+/// out-of-order chronological backtracking × restart policy (Luby /
+/// adaptive EMA), each on/off, under schedules aggressive enough that
+/// the tiny torture instances actually reach the code (inprocess at
+/// every restart, restart every other conflict, chrono on every
+/// eligible conflict, EMA restarts and rephasing active from the first
+/// conflict, GC-heavy learnt budget), plus 4 sessions of tier database
+/// × bounded variable elimination, each on/off with the simplify
+/// activation gate dropped to zero so those passes fire from the
+/// first conflict. (In the first 8 sessions those features sit behind
+/// the default 2000-conflict gate, which the tiny instances never
+/// reach — they double as the legacy-behaviour control.)
 fn inprocessing_matrix() -> Vec<CdclConfig> {
-    let mut configs = Vec::with_capacity(24);
-    for viv in [false, true] {
-        for sub in [false, true] {
-            for chrono in [false, true] {
-                for ema in [false, true] {
-                    configs.push(CdclConfig {
-                        use_vivification: viv,
-                        use_subsumption: sub,
-                        use_chrono: chrono,
-                        chrono_threshold: 0,
-                        chrono_activation_conflicts: 0,
-                        inprocess_interval: 0,
-                        restart_base: 1,
-                        max_learnts_floor: 8.0,
-                        restart_policy: if ema {
-                            RestartPolicy::Ema
-                        } else {
-                            RestartPolicy::Luby
-                        },
-                        restart_activation_conflicts: 0,
-                        ema_min_interval: 2,
-                        rephase_interval: if ema { 8 } else { 10_000 },
-                        ..CdclConfig::default()
-                    });
-                }
-            }
-        }
-    }
-    for tiers in [false, true] {
-        for elim in [false, true] {
-            for probing in [false, true] {
+    let mut configs = Vec::with_capacity(12);
+    for sub in [false, true] {
+        for chrono in [false, true] {
+            for ema in [false, true] {
                 configs.push(CdclConfig {
-                    use_tiers: tiers,
-                    use_elim: elim,
-                    use_probing: probing,
-                    simplify_activation_conflicts: 0,
-                    use_chrono: true,
+                    use_subsumption: sub,
+                    use_chrono: chrono,
                     chrono_threshold: 0,
                     chrono_activation_conflicts: 0,
                     inprocess_interval: 0,
                     restart_base: 1,
                     max_learnts_floor: 8.0,
-                    restart_policy: RestartPolicy::Ema,
+                    restart_policy: if ema {
+                        RestartPolicy::Ema
+                    } else {
+                        RestartPolicy::Luby
+                    },
                     restart_activation_conflicts: 0,
                     ema_min_interval: 2,
-                    rephase_interval: 8,
+                    rephase_interval: if ema { 8 } else { 10_000 },
                     ..CdclConfig::default()
                 });
             }
+        }
+    }
+    for tiers in [false, true] {
+        for elim in [false, true] {
+            configs.push(CdclConfig {
+                use_tiers: tiers,
+                use_elim: elim,
+                simplify_activation_conflicts: 0,
+                use_chrono: true,
+                chrono_threshold: 0,
+                chrono_activation_conflicts: 0,
+                inprocess_interval: 0,
+                restart_base: 1,
+                max_learnts_floor: 8.0,
+                restart_policy: RestartPolicy::Ema,
+                restart_activation_conflicts: 0,
+                ema_min_interval: 2,
+                rephase_interval: 8,
+                ..CdclConfig::default()
+            });
         }
     }
     configs
@@ -208,8 +201,7 @@ proptest! {
             1 => CdclConfig { use_phase_saving: false, ..CdclConfig::default() },
             2 => CdclConfig { use_clause_deletion: false, ..CdclConfig::default() },
             3 => CdclConfig { use_minimization: false, ..CdclConfig::default() },
-            _ => CdclConfig { random_var_freq: 0.3, random_polarity_freq: 0.3,
-                              ..CdclConfig::default() },
+            _ => CdclConfig { random_polarity_freq: 0.3, ..CdclConfig::default() },
         };
         let got = CdclSolver::with_config(config).solve(&cnf).is_sat();
         prop_assert_eq!(got, brute_force_sat(&cnf));
@@ -407,11 +399,10 @@ proptest! {
     /// Config-matrix torture harness for the *incremental* API: a
     /// random interleaving of clause additions and assumption solves is
     /// executed by one retained incremental session per search/
-    /// inprocessing combination (vivification × subsumption ×
-    /// out-of-order chronological backtracking × Luby/EMA restarts,
-    /// plus tier database × variable elimination × failed-literal
-    /// probing, each on/off, under schedules that fire on tiny
-    /// instances), and
+    /// inprocessing combination (subsumption × out-of-order
+    /// chronological backtracking × Luby/EMA restarts, plus tier
+    /// database × variable elimination, each on/off, under schedules
+    /// that fire on tiny instances), and
     /// every solve is compared against a fresh `CdclSolver` on the
     /// accumulated formula and the vendored varisat shim. SAT models are checked against the formula and the
     /// assumptions; on UNSAT every session's failing-assumption subset
@@ -469,8 +460,7 @@ proptest! {
                 prop_assert_eq!(
                     ours.is_sat(),
                     fresh.is_sat(),
-                    "incremental vs fresh diverge under viv={} sub={} chrono={}",
-                    config.use_vivification,
+                    "incremental vs fresh diverge under sub={} chrono={}",
                     config.use_subsumption,
                     config.use_chrono
                 );
@@ -501,14 +491,12 @@ proptest! {
                         let certified = sat::certify_unsat(log, &core);
                         prop_assert!(
                             certified.is_ok(),
-                            "DRAT check rejects the session proof under viv={} sub={} \
-                             chrono={} tiers={} elim={} probing={}: {:?}",
-                            config.use_vivification,
+                            "DRAT check rejects the session proof under sub={} \
+                             chrono={} tiers={} elim={}: {:?}",
                             config.use_subsumption,
                             config.use_chrono,
                             config.use_tiers,
                             config.use_elim,
-                            config.use_probing,
                             certified.err()
                         );
                     }
@@ -595,15 +583,13 @@ proptest! {
                     prop_assert_eq!(
                         ours.is_sat(),
                         fresh.is_sat(),
-                        "import-fed worker {} diverges from fresh under viv={} sub={} \
-                         chrono={} tiers={} elim={} probing={}",
+                        "import-fed worker {} diverges from fresh under sub={} \
+                         chrono={} tiers={} elim={}",
                         w,
-                        config.use_vivification,
                         config.use_subsumption,
                         config.use_chrono,
                         config.use_tiers,
-                        config.use_elim,
-                        config.use_probing
+                        config.use_elim
                     );
                     match ours {
                         sat::SolveOutcome::Sat(model) => {
@@ -633,14 +619,12 @@ proptest! {
                             prop_assert!(
                                 certified.is_ok(),
                                 "DRAT check rejects an import-fed proof (worker {}) under \
-                                 viv={} sub={} chrono={} tiers={} elim={} probing={}: {:?}",
+                                 sub={} chrono={} tiers={} elim={}: {:?}",
                                 w,
-                                config.use_vivification,
                                 config.use_subsumption,
                                 config.use_chrono,
                                 config.use_tiers,
                                 config.use_elim,
-                                config.use_probing,
                                 certified.err()
                             );
                         }
@@ -722,14 +706,12 @@ proptest! {
                 prop_assert_eq!(
                     ours.is_sat(),
                     fresh.is_sat(),
-                    "re-solve after cancellation diverges from fresh under viv={} sub={} \
-                     chrono={} tiers={} elim={} probing={}",
-                    config.use_vivification,
+                    "re-solve after cancellation diverges from fresh under sub={} \
+                     chrono={} tiers={} elim={}",
                     config.use_subsumption,
                     config.use_chrono,
                     config.use_tiers,
-                    config.use_elim,
-                    config.use_probing
+                    config.use_elim
                 );
                 match ours {
                     sat::SolveOutcome::Sat(model) => {

@@ -111,10 +111,27 @@ fn main() {
     std::process::exit(code);
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value after flag `name`: `None` when the flag is absent, a
+/// usage error when it is the last argument.
+fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
+    match args.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(value) => Ok(Some(value.clone())),
+            None => Err(format!("{name} expects a value")),
+        },
+    }
+}
+
+/// A numeric flag value: `None` when the flag is absent, a usage error
+/// naming the flag when its value is missing or not a number.
+fn flag_number<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    flag_value(args, name)?
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{name} expects a number, got {v:?}"))
+        })
+        .transpose()
 }
 
 fn load_spec(path: &str) -> Result<lasre::LasSpec, String> {
@@ -127,14 +144,14 @@ fn load_spec(path: &str) -> Result<lasre::LasSpec, String> {
 
 fn options_from(args: &[String]) -> Result<SynthOptions, String> {
     let mut options = SynthOptions::default();
-    if let Some(t) = flag_value(args, "--timeout") {
+    if let Some(t) = flag_value(args, "--timeout")? {
         let secs =
             t.parse::<u64>().ok().filter(|&s| s > 0).ok_or_else(|| {
                 format!("--timeout expects a positive number of seconds, got {t:?}")
             })?;
         options.budget.max_time = Some(Duration::from_secs(secs));
     }
-    if let Some(m) = flag_value(args, "--max-memory") {
+    if let Some(m) = flag_value(args, "--max-memory")? {
         let mb = m
             .parse::<u64>()
             .ok()
@@ -143,7 +160,7 @@ fn options_from(args: &[String]) -> Result<SynthOptions, String> {
         // The governor accounts arena memory in 4-byte words.
         options.budget.max_memory_words = Some(mb * (1 << 20) / 4);
     }
-    if let Some(policy) = flag_value(args, "--restart-policy") {
+    if let Some(policy) = flag_value(args, "--restart-policy")? {
         options.restart_policy = Some(match policy.as_str() {
             "luby" => sat::RestartPolicy::Luby,
             "ema" => sat::RestartPolicy::Ema,
@@ -154,7 +171,7 @@ fn options_from(args: &[String]) -> Result<SynthOptions, String> {
             }
         });
     }
-    if let Some(chrono) = flag_value(args, "--chrono") {
+    if let Some(chrono) = flag_value(args, "--chrono")? {
         options.chrono = Some(match chrono.as_str() {
             "on" => true,
             "off" => false,
@@ -170,7 +187,7 @@ fn options_from(args: &[String]) -> Result<SynthOptions, String> {
     if args.iter().any(|a| a == "--depth-parallel") {
         options.depth_parallel = true;
     }
-    if let Some(q) = flag_value(args, "--quantum") {
+    if let Some(q) = flag_value(args, "--quantum")? {
         options.parallel_quantum = q
             .parse::<u64>()
             .ok()
@@ -241,19 +258,16 @@ fn print_stats(stats: sat::SolverStats, seed: Option<u64>) {
         stats.gc_reclaimed_words
     );
     println!(
-        "  vivified_lits={} subsumed_clauses={} strengthened_clauses={} chrono_backtracks={}",
-        stats.vivified_lits,
-        stats.subsumed_clauses,
-        stats.strengthened_clauses,
-        stats.chrono_backtracks
+        "  subsumed_clauses={} strengthened_clauses={} chrono_backtracks={}",
+        stats.subsumed_clauses, stats.strengthened_clauses, stats.chrono_backtracks
     );
     println!(
         "  oob_enqueues={} restarts_blocked={} rephases={}",
         stats.oob_enqueues, stats.restarts_blocked, stats.rephases
     );
     println!(
-        "  eliminated_vars={} elim_resolvents={} probed_literals={} failed_literals={}",
-        stats.eliminated_vars, stats.elim_resolvents, stats.probed_literals, stats.failed_literals
+        "  eliminated_vars={} elim_resolvents={}",
+        stats.eliminated_vars, stats.elim_resolvents
     );
     println!(
         "  exported_clauses={} imported_clauses={} imported_kept={}",
@@ -418,9 +432,16 @@ fn cmd_synth(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let out_dir = flag_value(args, "--out").unwrap_or_else(|| ".".into());
-    let options = match options_from(args) {
-        Ok(o) => o,
+    let flags = flag_value(args, "--out").and_then(|out| {
+        Ok((
+            out.unwrap_or_else(|| ".".into()),
+            options_from(args)?,
+            parse_seeds_flag(flag_value(args, "--seeds")?.as_deref())?,
+            flag_value(args, "--drat")?,
+        ))
+    });
+    let (out_dir, options, mode, drat_out) = match flags {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{e}");
             return 2;
@@ -437,13 +458,6 @@ fn cmd_synth(args: &[String]) -> i32 {
             }
         }
     }
-    let mode = match parse_seeds_flag(flag_value(args, "--seeds").as_deref()) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
     if matches!(options.backend, BackendChoice::Varisat) && !matches!(mode, SeedsMode::Single) {
         // Portfolio workers are always diversified CDCL configurations.
         eprintln!("--seeds needs the CDCL backend (drop --varisat)");
@@ -453,7 +467,6 @@ fn cmd_synth(args: &[String]) -> i32 {
         eprintln!("--share-clauses needs a portfolio (add --seeds N or --seeds auto)");
         return 2;
     }
-    let drat_out = flag_value(args, "--drat");
     if drat_out.is_some() && !matches!(mode, SeedsMode::Single) {
         // The proof lives in the winning worker's solver; only the
         // single-solve path can hand it back.
@@ -614,8 +627,14 @@ fn cmd_lint_cnf(args: &[String]) -> i32 {
                 return 1;
             }
         };
-        let lo = flag_value(args, "--lo").and_then(|s| s.parse().ok());
-        let hi = flag_value(args, "--hi").and_then(|s| s.parse().ok());
+        let flags = flag_number(args, "--lo").and_then(|lo| Ok((lo, flag_number(args, "--hi")?)));
+        let (lo, hi) = match flags {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                eprintln!("{e}");
+                return 2;
+            }
+        };
         let layered = lo.is_some() || hi.is_some();
         let report = if layered {
             // Same defaults as `depth`, so the linted CNF is the one a
@@ -721,20 +740,29 @@ fn cmd_depth(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let lo = flag_value(args, "--lo")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    let hi = flag_value(args, "--hi")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(spec.max_k + 2);
+    let flags = flag_number(args, "--lo").and_then(|lo| {
+        Ok((
+            lo,
+            flag_number(args, "--hi")?,
+            flag_number(args, "--start")?,
+            flag_value(args, "--deadline")?,
+        ))
+    });
+    let (lo, hi, requested, deadline) = match flags {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
+    let lo = lo.unwrap_or(1).max(1);
+    let hi = hi.unwrap_or(spec.max_k + 2);
     if lo > hi {
         eprintln!("--lo {lo} must not exceed --hi {hi}");
         return 2;
     }
     // Default to the spec's depth; out-of-range starts are clamped
     // into the probed range (with a notice when explicitly given).
-    let requested = flag_value(args, "--start").and_then(|s| s.parse().ok());
     let start = requested.unwrap_or(spec.max_k).clamp(lo, hi);
     if let Some(r) = requested {
         if r != start {
@@ -751,7 +779,7 @@ fn cmd_depth(args: &[String]) -> i32 {
     // `--deadline` is the depth-search spelling of `--timeout`: the
     // wall clock the resource governor enforces (per probe in the
     // sequential walk, whole-search in the depth-parallel fleet).
-    if let Some(d) = flag_value(args, "--deadline") {
+    if let Some(d) = deadline {
         if args.iter().any(|a| a == "--varisat") {
             eprintln!("--deadline needs the CDCL backend's resource governor (drop --varisat)");
             return 2;
@@ -799,35 +827,7 @@ fn cmd_depth(args: &[String]) -> i32 {
                 );
                 if want_stats {
                     match p.stats {
-                        Some(s) => println!(
-                            "    conflicts={} analyzed_conflicts={} \
-                             repaired_missed_implications={} propagations={} decisions={} \
-                             restarts={} learned={} vivified_lits={} subsumed_clauses={} \
-                             strengthened_clauses={} chrono_backtracks={} restarts_blocked={} \
-                             rephases={} eliminated_vars={} elim_resolvents={} \
-                             probed_literals={} failed_literals={} exported_clauses={} \
-                             imported_clauses={} imported_kept={}",
-                            s.conflicts,
-                            s.conflicts.saturating_sub(s.missed_implications),
-                            s.missed_implications,
-                            s.propagations,
-                            s.decisions,
-                            s.restarts,
-                            s.learned,
-                            s.vivified_lits,
-                            s.subsumed_clauses,
-                            s.strengthened_clauses,
-                            s.chrono_backtracks,
-                            s.restarts_blocked,
-                            s.rephases,
-                            s.eliminated_vars,
-                            s.elim_resolvents,
-                            s.probed_literals,
-                            s.failed_literals,
-                            s.exported_clauses,
-                            s.imported_clauses,
-                            s.imported_kept
-                        ),
+                        Some(s) => print_stats(s, None),
                         None => println!("    (no solver stats for this backend)"),
                     }
                 }

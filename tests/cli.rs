@@ -191,10 +191,17 @@ fn depth_search_incremental_and_scratch_agree() {
     );
     let inc_out = String::from_utf8_lossy(&inc.stdout).to_string();
     assert!(inc_out.contains("optimal depth: 3"), "{inc_out}");
-    assert!(
-        inc_out.contains("conflicts=") && inc_out.contains("propagations="),
-        "--stats prints per-probe counters: {inc_out}"
-    );
+    for counter in [
+        "conflicts=",
+        "propagations=",
+        "gc_passes=",
+        "exhausted_conflicts=",
+    ] {
+        assert!(
+            inc_out.contains(counter),
+            "--stats prints per-probe {counter}: {inc_out}"
+        );
+    }
 
     // The escape hatch probes the same depths with the same verdicts.
     let scratch = bin()
@@ -674,4 +681,31 @@ fn usage_errors_exit_nonzero() {
         .output()
         .expect("run lassynth synth");
     assert_eq!(out.status.code(), Some(1), "unreadable spec exits 1");
+    // A value flag without its value, or with one that does not parse,
+    // is a usage error naming the flag — never silently ignored.
+    for (args, flag) in [
+        (&["synth", "--timeout"][..], "--timeout"),
+        (&["synth", "--quantum"], "--quantum"),
+        (&["synth", "--seeds"], "--seeds"),
+        (
+            &["depth", "--lo", "two", "--hi", "5", "--start", "x"],
+            "--lo",
+        ),
+        (
+            &["depth", "--lo", "2", "--hi", "5", "--start", "x"],
+            "--start",
+        ),
+        (&["depth", "--lo", "2", "--hi"], "--hi"),
+        (&["lint-cnf", "--lo", "2", "--hi", "q"], "--hi"),
+    ] {
+        let out = bin()
+            .arg(args[0])
+            .arg(cnot_spec_path())
+            .args(&args[1..])
+            .output()
+            .expect("run lassynth");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} exits 2: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} names {flag}: {stderr}");
+    }
 }
