@@ -14,7 +14,7 @@ use workloads::specs::{majority_gate_spec, t_factory_nodelay_spec, t_factory_spe
 fn instances() -> Vec<(&'static str, LasSpec)> {
     // The "121-factory" row is the paper's Fig. 18a design on Litinski's
     // floorplan; we model it as the wide-footprint factory at depth 10
-    // (same volume class). See DESIGN.md §2.
+    // (same volume class), since the floorplan is not given as a spec.
     let mut spec121 = t_factory_spec(10);
     spec121.name = "t-factory-121-flavor".into();
     vec![

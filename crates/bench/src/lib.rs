@@ -1,7 +1,7 @@
 //! Shared support for the experiment harness binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the index). This library holds the
+//! paper, named after it (`fig13_*`, `table1_*`, …). This library holds the
 //! common pieces: CLI parsing, wall-clock timing, and aligned table
 //! printing so the binaries emit the same rows/series the paper reports.
 

@@ -328,7 +328,8 @@ impl<'s> Encoder<'s> {
                 .collect();
 
             // Time-like Y cubes (Fig. 9c): no horizontal pipes, and no
-            // K-passthrough (terminal only; see DESIGN.md §3).
+            // K-passthrough: a Y cube ends its pipe, so it has at most
+            // one.
             if self.spec.allow_y_cubes {
                 for &(a, _, e) in &slots {
                     if a != Axis::K {

@@ -354,6 +354,10 @@ fn find_min_depth_incremental(
 /// against memory; it never blocks a worker.
 const EXCHANGE_CAPACITY: usize = 1024;
 
+/// How often the threaded portfolio looks at the caller's stop flag
+/// while it waits for its workers.
+const STOP_POLL: Duration = Duration::from_millis(10);
+
 /// Depth-parallel mode: one lockstep worker per candidate depth.
 ///
 /// All workers share one depth-layered encoding ([`encode_layered`])
@@ -562,6 +566,21 @@ pub fn solve_portfolio_detailed(
     }
     use std::sync::mpsc;
     type WorkerReport = (usize, Option<SolverStats>, Result<SynthResult, SynthError>);
+    // The workers share their own flag, raised by the first verdict;
+    // the caller's flag is passed on to it, never written to.
+    let cancelled = || {
+        let flag = options.budget.stop.as_ref();
+        flag.is_some_and(|flag| flag.load(Ordering::Relaxed))
+    };
+    if cancelled() {
+        return Ok(PortfolioOutcome {
+            result: SynthResult::Unknown,
+            winner_seed: None,
+            worker_stats: Vec::new(),
+            quarantined: Vec::new(),
+            exhaustion: Some(ExhaustionReason::Cancelled),
+        });
+    }
     let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::channel::<WorkerReport>();
     crossbeam::thread::scope(|scope| {
@@ -596,12 +615,22 @@ pub fn solve_portfolio_detailed(
         // Drain *every* worker's report: the first definitive verdict
         // to arrive still wins, but the losers' stats are part of the
         // portfolio's cost, and they observe the stop flag and report
-        // promptly once a winner raises it.
+        // promptly once a winner (or the caller) raises it.
         let mut winner: Option<(usize, SynthResult)> = None;
         let mut reports: Vec<(usize, Option<SolverStats>)> = Vec::with_capacity(seeds.len());
         let mut errors: Vec<(usize, SynthError)> = Vec::new();
         let mut crashed: Vec<(usize, String)> = Vec::new();
-        for (index, stats, result) in rx {
+        loop {
+            let (index, stats, result) = match rx.recv_timeout(STOP_POLL) {
+                Ok(report) => report,
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    if cancelled() {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                    continue;
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            };
             reports.push((index, stats));
             match result {
                 Ok(r @ (SynthResult::Sat(_) | SynthResult::Unsat)) => {
@@ -659,16 +688,16 @@ pub fn solve_portfolio_detailed(
 /// workers fan their low-LBD learnt clauses out to each other through
 /// a bounded [`ClauseExchange`]; the first verdict stops the fleet.
 ///
-/// Single-threaded by design: the evaluation machines have one vCPU,
-/// so a free-threaded sharing portfolio would measure scheduler noise.
-/// What sharing buys is *fewer total conflicts to a verdict* than the
-/// same fleet running isolated; the lockstep schedule makes every run
-/// bit-reproducible — same spec, seeds and quantum give the same
-/// winner, the same stats and the same import sequence. Workers import
-/// only at their own restart boundaries (and solve-entry), and every
-/// import is RUP-checked and proof-logged, so `options.certify`
-/// composes: an UNSAT verdict from an import-fed worker still carries
-/// a checkable DRAT log.
+/// Single-threaded by design, for bit-reproducibility: a free-threaded
+/// sharing portfolio imports whatever the scheduler happens to deliver,
+/// so no two runs would match. The lockstep schedule makes every run
+/// replayable — same spec, seeds and quantum give the same winner, the
+/// same stats and the same import sequence — and what sharing buys is
+/// measured as *fewer total conflicts to a verdict* than the same fleet
+/// running isolated. Workers import only at their own restart
+/// boundaries (and solve-entry), and every import is RUP-checked and
+/// proof-logged, so `options.certify` composes: an UNSAT verdict from
+/// an import-fed worker still carries a checkable DRAT log.
 fn solve_portfolio_shared(
     spec: &LasSpec,
     seeds: &[u64],
@@ -1116,6 +1145,23 @@ mod tests {
         let o = solve_portfolio_detailed(&cnot_spec(), &[0, 1], &shared_options()).unwrap();
         assert!(o.result.is_sat());
         assert_eq!(o.exhaustion, None);
+    }
+
+    /// The threaded portfolio honours the caller's stop flag too: raised
+    /// before the call, no worker starts and the outcome says why.
+    #[test]
+    fn threaded_portfolio_honours_a_raised_stop_flag() {
+        let [(options, reason), _] = stopped_up_front(SynthOptions::default());
+        let o = solve_portfolio_detailed(&cnot_spec(), &[0, 1], &options).unwrap();
+        assert!(matches!(o.result, SynthResult::Unknown));
+        assert_eq!(o.winner_seed, None);
+        assert!(o.worker_stats.is_empty(), "no worker ran");
+        assert_eq!(o.exhaustion, Some(reason));
+        // A flag that stays down lets the portfolio answer.
+        let mut options = options;
+        options.budget.stop = Some(Arc::new(AtomicBool::new(false)));
+        let o = solve_portfolio_detailed(&cnot_spec(), &[0, 1], &options).unwrap();
+        assert!(o.result.is_sat());
     }
 
     /// Depth-parallel reproduces the sequential edge semantics:

@@ -46,7 +46,9 @@ pub struct SynthOptions {
     /// retained learnt clauses) across the probes of
     /// [`crate::optimize::find_min_depth`]. On by default; ignored by
     /// single-shot synthesis and by the varisat backend, which lacks an
-    /// incremental API.
+    /// incremental API. Off — every probe re-encoded and solved from
+    /// scratch — it is the differential tests' oracle and the bench's
+    /// scratch record; the CLI always searches incrementally.
     pub incremental: bool,
     /// Overrides the CDCL restart policy (Luby vs adaptive LBD-EMA)
     /// for every solver this run constructs — including diversified
@@ -68,9 +70,9 @@ pub struct SynthOptions {
     /// [`SynthOptions::parallel_quantum`] conflicts per turn — instead
     /// of free-running threads, and exchange low-LBD learnt clauses
     /// between its workers (also between the per-depth workers under
-    /// [`SynthOptions::depth_parallel`]). The target machines have one
-    /// vCPU, so the win sought is *fewer total conflicts to a verdict*,
-    /// and the run (winner, stats, import sequence) is bit-reproducible.
+    /// [`SynthOptions::depth_parallel`]). The run (winner, stats,
+    /// import sequence) is bit-reproducible, and the win sought is
+    /// *fewer total conflicts to a verdict*.
     /// CDCL backend only. The CLI's `--share-clauses` flag lands here.
     pub share_clauses: bool,
     /// Run [`crate::optimize::find_min_depth`] on the lockstep fleet,

@@ -333,7 +333,8 @@ impl Bounds {
 /// The axis whose faces are red (X-type) for a pipe along `pipe_axis`
 /// with color orientation `orientation`.
 ///
-/// This is the crate's fixed color convention (see DESIGN.md §3):
+/// This is the fixed color convention the encoder and the validity
+/// check share:
 ///
 /// | pipe axis | orientation = false | orientation = true |
 /// |-----------|---------------------|--------------------|

@@ -26,7 +26,8 @@ pub enum ValidityError {
     UnexpectedPort(Coord, Axis),
     /// A Y cube has a horizontal pipe (Fig. 9c).
     YWithHorizontalPipe(Coord),
-    /// A Y cube is a vertical passthrough (see DESIGN.md §3).
+    /// A Y cube has a pipe both below and above it: a Y cube
+    /// initializes or measures in the Y basis, so it ends its pipe.
     YPassthrough(Coord),
     /// A cube has pipes along all three axes (Fig. 9d).
     ThreeDCorner(Coord),

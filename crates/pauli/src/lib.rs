@@ -133,7 +133,8 @@ impl fmt::Display for Pauli {
 ///
 /// For a valid LaS specification this must hold: a flow `P → Q` written
 /// flat as `P ⊗ Q` commutes with `P' ⊗ Q'` exactly when the commutation
-/// structure is preserved by the subroutine (see DESIGN.md §3).
+/// structure is preserved by the subroutine: `Q` and `Q'` commute
+/// exactly when `P` and `P'` do.
 ///
 /// ```
 /// use pauli::{all_commute, PauliString};

@@ -7,9 +7,9 @@
 //! bounded inboxes and imports whatever arrived, so one worker's
 //! refutation work prunes everyone else's search.
 //!
-//! Determinism is the design constraint (the target box has a single
-//! vCPU, so parallelism buys nothing by itself — reproducibility
-//! does). Three properties make a sharing run replayable:
+//! Determinism is the design constraint: a sharing run must be
+//! bit-reproducible, so that its counters can be recorded and gated
+//! like a single solver's. Three properties make it replayable:
 //!
 //! * **seed-ordered fan-out** — [`ClauseExchange::publish`] writes to
 //!   the per-worker inboxes in ascending worker index, and a full inbox

@@ -428,172 +428,131 @@ impl CdclConfig {
     }
 }
 
-/// Counters reported after each solve.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SolverStats {
+/// Declares [`SolverStats`] from one list of counters: the struct
+/// itself plus everything that walks every counter — the element-wise
+/// [`SolverStats::since`] and [`SolverStats::merged`], and the
+/// name/value list [`SolverStats::counters`] that printers and
+/// reports read. A new counter is one more line in the list.
+macro_rules! solver_stats {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Counters reported after each solve.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct SolverStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl SolverStats {
+            /// The counters accumulated since an earlier snapshot — the
+            /// per-call view of an incremental session, whose `stats`
+            /// field otherwise grows monotonically across
+            /// `solve_assuming` calls.
+            pub fn since(self, earlier: SolverStats) -> SolverStats {
+                SolverStats {
+                    $($name: self.$name.saturating_sub(earlier.$name),)*
+                }
+            }
+
+            /// Element-wise sum of two snapshots — the portfolio's "total
+            /// work" aggregate across workers.
+            pub fn merged(self, other: SolverStats) -> SolverStats {
+                SolverStats {
+                    $($name: self.$name + other.$name,)*
+                }
+            }
+
+            /// Every counter as `(field name, value)`, in declaration
+            /// order.
+            pub fn counters(self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($name), self.$name),)*].into_iter()
+            }
+
+            /// A snapshot whose counters are 1, 2, 3, … in declaration
+            /// order, so no two are equal.
+            #[cfg(test)]
+            fn numbered() -> SolverStats {
+                let mut n = 0;
+                SolverStats {
+                    $($name: {
+                        n += 1;
+                        n
+                    },)*
+                }
+            }
+        }
+    };
+}
+
+solver_stats! {
     /// Number of decisions made.
-    pub decisions: u64,
+    decisions,
     /// Number of conflicts analyzed.
-    pub conflicts: u64,
+    conflicts,
     /// Number of literal propagations.
-    pub propagations: u64,
+    propagations,
     /// Number of restarts performed.
-    pub restarts: u64,
+    restarts,
     /// Number of clauses learnt.
-    pub learned: u64,
+    learned,
     /// Number of learnt clauses deleted by DB reduction.
-    pub deleted: u64,
+    deleted,
     /// Literals removed by learnt-clause minimization.
-    pub minimized_lits: u64,
+    minimized_lits,
     /// Number of clause-database garbage-collection passes.
-    pub gc_passes: u64,
+    gc_passes,
     /// Arena words reclaimed by garbage collection.
-    pub gc_reclaimed_words: u64,
+    gc_reclaimed_words,
     /// Clauses deleted because another clause subsumes them.
-    pub subsumed_clauses: u64,
+    subsumed_clauses,
     /// Clauses shortened by self-subsuming resolution.
-    pub strengthened_clauses: u64,
+    strengthened_clauses,
     /// Conflicts resolved by a chronological (one-level) backtrack
     /// instead of the full backjump.
-    pub chrono_backtracks: u64,
+    chrono_backtracks,
     /// Literals enqueued *below* the current decision level (the
     /// out-of-order assignments chronological backtracking introduces:
     /// asserting literals at their true assertion level, units whose
     /// reasons live entirely at lower levels).
-    pub oob_enqueues: u64,
+    oob_enqueues,
     /// Conflicts that were really missed lower-level implications: the
     /// falsified clause had a single literal at its conflict level, so
     /// the solver undid that literal and propagated it at the level the
     /// clause implied it all along, instead of analyzing.
-    pub missed_implications: u64,
+    missed_implications,
     /// EMA-triggered restarts postponed because the trail was unusually
     /// deep (Glucose-style restart blocking).
-    pub restarts_blocked: u64,
+    restarts_blocked,
     /// Rephase passes applied (saved phases reset to the best-trail
     /// snapshot / inverted / random).
-    pub rephases: u64,
+    rephases,
     /// Variables removed by bounded variable elimination (net of
     /// reintroductions forced by later clauses or assumptions).
-    pub eliminated_vars: u64,
+    eliminated_vars,
     /// Resolvent clauses added by variable elimination.
-    pub elim_resolvents: u64,
+    elim_resolvents,
     /// Learnt clauses exported to the clause exchange (counted once
     /// per clause, not per receiving worker).
-    pub exported_clauses: u64,
+    exported_clauses,
     /// Clauses received from the clause exchange (before the import
     /// filter).
-    pub imported_clauses: u64,
+    imported_clauses,
     /// Received clauses that passed the importer's RUP re-check and
     /// were attached (or asserted, for units).
-    pub imported_kept: u64,
+    imported_kept,
     /// Solves that gave up because the conflict budget expired.
-    pub exhausted_conflicts: u64,
+    exhausted_conflicts,
     /// Solves that gave up because the propagation budget expired.
-    pub exhausted_propagations: u64,
+    exhausted_propagations,
     /// Solves that gave up because the wall-clock deadline passed.
-    pub exhausted_deadline: u64,
+    exhausted_deadline,
     /// Solves that gave up at the memory ceiling (or on a simulated
     /// arena-growth failure).
-    pub exhausted_memory: u64,
+    exhausted_memory,
     /// Solves that gave up because the cooperative stop flag was
     /// raised.
-    pub exhausted_cancelled: u64,
+    exhausted_cancelled,
 }
 
 impl SolverStats {
-    /// The counters accumulated since an earlier snapshot — the
-    /// per-call view of an incremental session, whose `stats` field
-    /// otherwise grows monotonically across `solve_assuming` calls.
-    pub fn since(self, earlier: SolverStats) -> SolverStats {
-        SolverStats {
-            decisions: self.decisions.saturating_sub(earlier.decisions),
-            conflicts: self.conflicts.saturating_sub(earlier.conflicts),
-            propagations: self.propagations.saturating_sub(earlier.propagations),
-            restarts: self.restarts.saturating_sub(earlier.restarts),
-            learned: self.learned.saturating_sub(earlier.learned),
-            deleted: self.deleted.saturating_sub(earlier.deleted),
-            minimized_lits: self.minimized_lits.saturating_sub(earlier.minimized_lits),
-            gc_passes: self.gc_passes.saturating_sub(earlier.gc_passes),
-            gc_reclaimed_words: self
-                .gc_reclaimed_words
-                .saturating_sub(earlier.gc_reclaimed_words),
-            subsumed_clauses: self
-                .subsumed_clauses
-                .saturating_sub(earlier.subsumed_clauses),
-            strengthened_clauses: self
-                .strengthened_clauses
-                .saturating_sub(earlier.strengthened_clauses),
-            chrono_backtracks: self
-                .chrono_backtracks
-                .saturating_sub(earlier.chrono_backtracks),
-            oob_enqueues: self.oob_enqueues.saturating_sub(earlier.oob_enqueues),
-            missed_implications: self
-                .missed_implications
-                .saturating_sub(earlier.missed_implications),
-            restarts_blocked: self
-                .restarts_blocked
-                .saturating_sub(earlier.restarts_blocked),
-            rephases: self.rephases.saturating_sub(earlier.rephases),
-            eliminated_vars: self.eliminated_vars.saturating_sub(earlier.eliminated_vars),
-            elim_resolvents: self.elim_resolvents.saturating_sub(earlier.elim_resolvents),
-            exported_clauses: self
-                .exported_clauses
-                .saturating_sub(earlier.exported_clauses),
-            imported_clauses: self
-                .imported_clauses
-                .saturating_sub(earlier.imported_clauses),
-            imported_kept: self.imported_kept.saturating_sub(earlier.imported_kept),
-            exhausted_conflicts: self
-                .exhausted_conflicts
-                .saturating_sub(earlier.exhausted_conflicts),
-            exhausted_propagations: self
-                .exhausted_propagations
-                .saturating_sub(earlier.exhausted_propagations),
-            exhausted_deadline: self
-                .exhausted_deadline
-                .saturating_sub(earlier.exhausted_deadline),
-            exhausted_memory: self
-                .exhausted_memory
-                .saturating_sub(earlier.exhausted_memory),
-            exhausted_cancelled: self
-                .exhausted_cancelled
-                .saturating_sub(earlier.exhausted_cancelled),
-        }
-    }
-
-    /// Element-wise sum of two snapshots — the portfolio's "total work"
-    /// aggregate across workers.
-    pub fn merged(self, other: SolverStats) -> SolverStats {
-        SolverStats {
-            decisions: self.decisions + other.decisions,
-            conflicts: self.conflicts + other.conflicts,
-            propagations: self.propagations + other.propagations,
-            restarts: self.restarts + other.restarts,
-            learned: self.learned + other.learned,
-            deleted: self.deleted + other.deleted,
-            minimized_lits: self.minimized_lits + other.minimized_lits,
-            gc_passes: self.gc_passes + other.gc_passes,
-            gc_reclaimed_words: self.gc_reclaimed_words + other.gc_reclaimed_words,
-            subsumed_clauses: self.subsumed_clauses + other.subsumed_clauses,
-            strengthened_clauses: self.strengthened_clauses + other.strengthened_clauses,
-            chrono_backtracks: self.chrono_backtracks + other.chrono_backtracks,
-            oob_enqueues: self.oob_enqueues + other.oob_enqueues,
-            missed_implications: self.missed_implications + other.missed_implications,
-            restarts_blocked: self.restarts_blocked + other.restarts_blocked,
-            rephases: self.rephases + other.rephases,
-            eliminated_vars: self.eliminated_vars + other.eliminated_vars,
-            elim_resolvents: self.elim_resolvents + other.elim_resolvents,
-            exported_clauses: self.exported_clauses + other.exported_clauses,
-            imported_clauses: self.imported_clauses + other.imported_clauses,
-            imported_kept: self.imported_kept + other.imported_kept,
-            exhausted_conflicts: self.exhausted_conflicts + other.exhausted_conflicts,
-            exhausted_propagations: self.exhausted_propagations + other.exhausted_propagations,
-            exhausted_deadline: self.exhausted_deadline + other.exhausted_deadline,
-            exhausted_memory: self.exhausted_memory + other.exhausted_memory,
-            exhausted_cancelled: self.exhausted_cancelled + other.exhausted_cancelled,
-        }
-    }
-
     /// The exhaustion reason of the most recent give-up recorded in
     /// this snapshot view, preferring the per-call [`SolverStats::since`]
     /// delta: with at most one give-up per solve call, exactly one
@@ -3272,6 +3231,24 @@ mod tests {
         let c = pigeonhole(6);
         let out = CdclSolver::default().solve_with(&c, &[], &Budget::conflict_limit(10));
         assert!(matches!(out, SolveOutcome::Unknown(_)));
+    }
+
+    /// `since`, `merged` and `counters` walk every field of the one
+    /// counter list: with all counters distinct, a field one of them
+    /// skipped or crossed with another would break the round trip.
+    #[test]
+    fn stats_arithmetic_covers_every_counter() {
+        let s = SolverStats::numbered();
+        assert_eq!(s.merged(s).since(s), s);
+        assert_eq!(s.since(s), SolverStats::default());
+        let values: Vec<u64> = s.counters().map(|(_, v)| v).collect();
+        assert_eq!(values, (1..=values.len() as u64).collect::<Vec<_>>());
+        // The names are the field names, in field order.
+        let fields: Vec<String> = s.counters().map(|(n, v)| format!("{n}: {v}")).collect();
+        assert_eq!(
+            format!("{s:?}"),
+            format!("SolverStats {{ {} }}", fields.join(", "))
+        );
     }
 
     /// Every governor axis names itself in the verdict and in the

@@ -1,13 +1,12 @@
 //! 3D visualization of lattice-surgery subroutines (paper contribution 5).
 //!
-//! Translates a solved [`lasre::LasDesign`] into 3D modeling formats so
+//! Translates a solved [`lasre::LasDesign`] into a 3D model so
 //! designs can be inspected in standard viewers instead of hand-drawn
 //! time slices:
 //!
 //! * [`gltf`] — a minimal but valid glTF 2.0 writer (JSON with an
 //!   embedded base64 buffer, per-vertex colors), matching the paper's
 //!   choice of output format,
-//! * [`obj`] — Wavefront OBJ for quick inspection/diffing in tests,
 //! * [`scene`] — turns cubes/pipes/Y-cubes/domain walls into colored
 //!   boxes, optionally overlaying one stabilizer's correlation surface
 //!   (paper Fig. 10).
@@ -15,7 +14,6 @@
 #![forbid(unsafe_code)]
 
 pub mod gltf;
-pub mod obj;
 pub mod scene;
 
 pub use scene::{Scene, SceneOptions};

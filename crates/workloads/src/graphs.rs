@@ -6,7 +6,8 @@
 //! connected 8-vertex graphs from a published database; offline, we
 //! substitute a deterministic, diverse benchmark set of the same size
 //! (structured families plus seeded random connected graphs,
-//! de-duplicated by graph invariants) — see DESIGN.md §2.
+//! de-duplicated by graph invariants), because the database is not
+//! available offline.
 
 use gf2::BitVec;
 use pauli::{Pauli, PauliString};

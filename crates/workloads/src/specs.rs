@@ -10,9 +10,9 @@
 //!   from Fig. 16c,
 //! * plus re-exports of the CNOT fixture.
 //!
-//! Port geometries follow the paper's stated constraints (see DESIGN.md
-//! §2 for the interpretation where the figures are not recoverable from
-//! text).
+//! Port geometries follow the paper's stated constraints; where a
+//! figure's geometry cannot be recovered from the text, each spec's
+//! doc says which interpretation it takes.
 
 pub use lasre::fixtures::{cnot_design, cnot_spec};
 

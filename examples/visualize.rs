@@ -1,5 +1,5 @@
 //! Visualization tour (paper contribution 5): synthesize a CNOT, then
-//! export glTF and OBJ models, including a correlation-surface overlay
+//! export glTF models, including a correlation-surface overlay
 //! like paper Fig. 10.
 //!
 //! Run with: `cargo run --release --example visualize`
@@ -15,7 +15,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Plain structure.
     let scene = viz::Scene::from_design(&design, viz::SceneOptions::default());
     std::fs::write("target/experiments/cnot.gltf", viz::gltf::to_gltf(&scene))?;
-    std::fs::write("target/experiments/cnot.obj", viz::obj::to_obj(&scene))?;
 
     // With the correlation surface of stabilizer 1 (IZ→ZZ) overlaid,
     // the view of paper Fig. 10.
@@ -35,7 +34,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "wrote target/experiments/cnot.gltf ({} boxes)",
         scene.boxes().len()
     );
-    println!("wrote target/experiments/cnot.obj");
     println!(
         "wrote target/experiments/cnot_surface.gltf ({} boxes incl. surface pieces)",
         overlay.boxes().len()

@@ -9,26 +9,32 @@
 //! lassynth verify <design.lasre>
 //! lassynth render <design.lasre>
 //! lassynth dimacs <spec.json>
-//! lassynth depth  <spec.json> --lo L --hi H [--start S] [--timeout SECS] [--deadline SECS]
-//!                              [--max-memory MB] [--no-incremental] [--stats]
-//!                              [--restart-policy luby|ema] [--chrono on|off] [--audit-cnf]
-//!                              [--certify] [--depth-parallel] [--share-clauses] [--quantum N]
-//! lassynth lint-cnf <spec.json|file.cnf> [--lo L --hi H]
+//! lassynth depth  <spec.json>  [--lo L] [--hi H] [--start S] [--timeout SECS] [--max-memory MB]
+//!                              [--stats] [--varisat] [--restart-policy luby|ema] [--chrono on|off]
+//!                              [--audit-cnf] [--certify] [--depth-parallel] [--share-clauses]
+//!                              [--quantum N]
+//! lassynth lint-cnf <spec.json|file.cnf> [--lo L] [--hi H]
 //! lassynth check-proof <file.cnf> <file.drat>
 //! ```
 //!
+//! Each subcommand reads its arguments against one flag table
+//! (`COMMANDS`), which also prints its usage line. An argument not in
+//! the table — a misspelt flag, another subcommand's flag, a flag given
+//! twice, a stray operand — is a usage error (exit 2) naming it, so no
+//! flag is ever silently ignored.
+//!
 //! `synth` writes `<name>.lasre` and `<name>.gltf` into `--out`
 //! (default `.`); with `--seeds N` it runs a parallel portfolio of N
-//! diversified CDCL workers (so not with `--varisat`), and `--seeds
-//! auto` picks the portfolio automatically when the encoding is large.
+//! diversified CDCL workers, and `--seeds auto` picks the portfolio
+//! automatically when the encoding is large.
 //! `--stats` prints the winning solver's search counters after the
 //! verdict; a portfolio without a verdict adds a `gave up on: <reason>`
 //! line (the deadline, a cancellation, or its first worker's budget).
 //!
 //! `depth` runs the min-depth search as one incremental solver session
-//! by default (learnt clauses shared across probes);
-//! `--no-incremental` re-encodes and re-solves every probe from
-//! scratch, and `--stats` prints each probe's search counters.
+//! (learnt clauses shared across probes), and `--stats` prints each
+//! probe's search counters. `--lo` defaults to 1 and `--hi` to the
+//! spec's depth plus two.
 //!
 //! `--share-clauses` (with `--seeds`) switches the portfolio to a
 //! deterministic single-threaded lockstep fleet whose workers exchange
@@ -40,7 +46,7 @@
 //! `--quantum N` sets, and are deterministic — same spec, seeds and
 //! quantum reproduce the same verdicts, stats and import sequences —
 //! and `--stats` reports the exchange counters (exported/imported/kept)
-//! plus a `portfolio total` line covering every worker, losers
+//! plus a `portfolio total` block covering every worker, losers
 //! included.
 //!
 //! `--restart-policy luby|ema` and `--chrono on|off` override the CDCL
@@ -50,17 +56,20 @@
 //!
 //! `--timeout SECS` and `--max-memory MB` arm the resource governor: a
 //! wall-clock budget and an arena memory ceiling every solver of the
-//! run honours cooperatively (both require the in-tree CDCL backend —
-//! they conflict with `--varisat`, whose shim cannot be interrupted).
-//! `depth --deadline SECS` is the depth-search spelling of the same
-//! wall clock (the sequential walk budgets each probe; the lockstep
-//! `--depth-parallel` fleet treats it as one whole-search deadline).
-//! An expired governor does not discard work: `depth` reports the
-//! anytime window — the certified lower bound (one past the largest
-//! refuted depth) and the best SAT depth found so far — instead of
-//! erroring, and `--stats` shows which budget axis expired. Workers
+//! run honours cooperatively (the sequential depth walk budgets each
+//! probe; the lockstep fleets treat the wall clock as one whole-run
+//! deadline). An expired governor does not discard work: `depth`
+//! reports the anytime window — the certified lower bound (one past the
+//! largest refuted depth) and the best SAT depth found so far — instead
+//! of erroring, and `--stats` shows which budget axis expired. Workers
 //! that crash mid-run are quarantined and reported on stderr while the
 //! survivors finish the job.
+//!
+//! `--varisat` switches to the second backend, a shim with no
+//! cooperative interrupt, no proof log and no configuration; every flag
+//! that needs the in-tree CDCL solver (the governor, the portfolio and
+//! fleet flags, the solver overrides, `--certify` and `--drat`) is a
+//! usage error next to it.
 //!
 //! `lint-cnf` runs the CNF structural analyzer (`sat::analyze`) over a
 //! spec's encoding — layered when `--lo`/`--hi` are given — or over a
@@ -89,133 +98,324 @@ use lassynth::synth::{optimize, BackendChoice, SynthOptions, SynthResult, Synthe
 use lassynth::{lasre, sat, viz};
 use std::time::Duration;
 
+/// One command-line flag.
+#[derive(Clone, Copy, PartialEq)]
+struct Flag {
+    /// The spelling, e.g. `--timeout`.
+    name: &'static str,
+    /// The value's placeholder in usage lines; `None` for a switch.
+    value: Option<&'static str>,
+    /// Whether the flag needs the in-tree CDCL backend (and so
+    /// conflicts with `--varisat`).
+    cdcl: bool,
+}
+
+impl Flag {
+    const fn switch(name: &'static str) -> Flag {
+        Flag {
+            name,
+            value: None,
+            cdcl: false,
+        }
+    }
+
+    const fn value(name: &'static str, placeholder: &'static str) -> Flag {
+        Flag {
+            value: Some(placeholder),
+            ..Flag::switch(name)
+        }
+    }
+
+    const fn cdcl(self) -> Flag {
+        Flag { cdcl: true, ..self }
+    }
+}
+
+const OUT: Flag = Flag::value("--out", "DIR");
+const TIMEOUT: Flag = Flag::value("--timeout", "SECS").cdcl();
+const MAX_MEMORY: Flag = Flag::value("--max-memory", "MB").cdcl();
+const SEEDS: Flag = Flag::value("--seeds", "N|auto").cdcl();
+const STATS: Flag = Flag::switch("--stats");
+const VARISAT: Flag = Flag::switch("--varisat");
+const RESTART_POLICY: Flag = Flag::value("--restart-policy", "luby|ema").cdcl();
+const CHRONO: Flag = Flag::value("--chrono", "on|off").cdcl();
+const AUDIT_CNF: Flag = Flag::switch("--audit-cnf");
+const CERTIFY: Flag = Flag::switch("--certify").cdcl();
+const DRAT: Flag = Flag::value("--drat", "FILE").cdcl();
+const SHARE_CLAUSES: Flag = Flag::switch("--share-clauses").cdcl();
+const DEPTH_PARALLEL: Flag = Flag::switch("--depth-parallel").cdcl();
+const QUANTUM: Flag = Flag::value("--quantum", "N").cdcl();
+const LO: Flag = Flag::value("--lo", "L");
+const HI: Flag = Flag::value("--hi", "H");
+const START: Flag = Flag::value("--start", "S");
+
+/// A subcommand: its operands, the only flags it accepts, and what it
+/// runs once its arguments check out.
+struct Command {
+    name: &'static str,
+    operands: &'static [&'static str],
+    flags: &'static [Flag],
+    run: fn(&Args) -> Result<i32, Failure>,
+}
+
+/// Every subcommand's flag table.
+const COMMANDS: [Command; 7] = [
+    Command {
+        name: "synth",
+        operands: &["<spec.json>"],
+        flags: &[
+            OUT,
+            TIMEOUT,
+            MAX_MEMORY,
+            SEEDS,
+            STATS,
+            VARISAT,
+            RESTART_POLICY,
+            CHRONO,
+            AUDIT_CNF,
+            CERTIFY,
+            DRAT,
+            SHARE_CLAUSES,
+            QUANTUM,
+        ],
+        run: cmd_synth,
+    },
+    Command {
+        name: "verify",
+        operands: &["<design.lasre>"],
+        flags: &[],
+        run: cmd_verify,
+    },
+    Command {
+        name: "render",
+        operands: &["<design.lasre>"],
+        flags: &[],
+        run: cmd_render,
+    },
+    Command {
+        name: "dimacs",
+        operands: &["<spec.json>"],
+        flags: &[],
+        run: cmd_dimacs,
+    },
+    Command {
+        name: "depth",
+        operands: &["<spec.json>"],
+        flags: &[
+            LO,
+            HI,
+            START,
+            TIMEOUT,
+            MAX_MEMORY,
+            STATS,
+            VARISAT,
+            RESTART_POLICY,
+            CHRONO,
+            AUDIT_CNF,
+            CERTIFY,
+            DEPTH_PARALLEL,
+            SHARE_CLAUSES,
+            QUANTUM,
+        ],
+        run: cmd_depth,
+    },
+    Command {
+        name: "lint-cnf",
+        operands: &["<spec.json|file.cnf>"],
+        flags: &[LO, HI],
+        run: cmd_lint_cnf,
+    },
+    Command {
+        name: "check-proof",
+        operands: &["<file.cnf>", "<file.drat>"],
+        flags: &[],
+        run: cmd_check_proof,
+    },
+];
+
+impl Command {
+    fn usage(&self) -> String {
+        let flags: String = self
+            .flags
+            .iter()
+            .map(|f| match f.value {
+                Some(value) => format!(" [{} {value}]", f.name),
+                None => format!(" [{}]", f.name),
+            })
+            .collect();
+        format!("lassynth {} {}{flags}", self.name, self.operands.join(" "))
+    }
+}
+
+/// Why a subcommand stopped without an answer: its exit code (2 for a
+/// usage error, 1 otherwise) and the message for stderr.
+struct Failure(i32, String);
+
+fn usage_error(message: impl Into<String>) -> Failure {
+    Failure(2, message.into())
+}
+
+fn failure(message: impl Into<String>) -> Failure {
+    Failure(1, message.into())
+}
+
+/// A subcommand's arguments, checked against its flag table.
+struct Args<'a> {
+    operands: Vec<&'a str>,
+    flags: Vec<(Flag, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// Splits `args` into operands and flags, rejecting anything the
+    /// table does not list, a repeated flag, a value flag without its
+    /// value, a missing or extra operand, and a CDCL-only flag next to
+    /// `--varisat`.
+    fn parse(command: &Command, args: &'a [String]) -> Result<Args<'a>, String> {
+        let mut parsed = Args {
+            operands: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(&flag) = command.flags.iter().find(|f| f.name == arg) else {
+                if arg.starts_with("--") || parsed.operands.len() == command.operands.len() {
+                    return Err(format!(
+                        "lassynth {}: unexpected argument {arg}",
+                        command.name
+                    ));
+                }
+                parsed.operands.push(arg);
+                continue;
+            };
+            if parsed.has(flag) {
+                return Err(format!("{arg} given twice"));
+            }
+            let value = flag
+                .value
+                .map(|_| args.next().ok_or_else(|| format!("{arg} expects a value")))
+                .transpose()?;
+            parsed.flags.push((flag, value.map(String::as_str)));
+        }
+        if let Some(missing) = command.operands.get(parsed.operands.len()) {
+            return Err(format!("lassynth {}: missing {missing}", command.name));
+        }
+        if parsed.has(VARISAT) {
+            if !cfg!(feature = "varisat") {
+                return Err(
+                    "--varisat requested, but this binary was built without the \
+                            `varisat` feature (on by default); rebuild with it enabled"
+                        .into(),
+                );
+            }
+            if let Some((flag, _)) = parsed.flags.iter().find(|(f, _)| f.cdcl) {
+                return Err(format!(
+                    "{} needs the in-tree CDCL backend (drop --varisat)",
+                    flag.name
+                ));
+            }
+        }
+        Ok(parsed)
+    }
+
+    fn has(&self, flag: Flag) -> bool {
+        self.flags.iter().any(|&(f, _)| f == flag)
+    }
+
+    fn value(&self, flag: Flag) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .find(|&&(f, _)| f == flag)
+            .and_then(|&(_, v)| v)
+    }
+
+    /// `flag`'s value through `parse`: `None` when the flag is absent, a
+    /// usage error saying what was `expected` when `parse` rejects it.
+    fn get<T>(
+        &self,
+        flag: Flag,
+        expected: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, Failure> {
+        self.value(flag)
+            .map(|v| {
+                parse(v).ok_or_else(|| {
+                    usage_error(format!("{} expects {expected}, got {v:?}", flag.name))
+                })
+            })
+            .transpose()
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("synth") => cmd_synth(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("render") => cmd_render(&args[1..]),
-        Some("dimacs") => cmd_dimacs(&args[1..]),
-        Some("depth") => cmd_depth(&args[1..]),
-        Some("lint-cnf") => cmd_lint_cnf(&args[1..]),
-        Some("check-proof") => cmd_check_proof(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: lassynth <synth|verify|render|dimacs|depth|lint-cnf|check-proof> \
-                 <file> [flags]"
-            );
-            eprintln!("       see `src/main.rs` docs or README.md");
+    let command = args
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name == name));
+    let code = match command {
+        None => {
+            for (i, c) in COMMANDS.iter().enumerate() {
+                let lead = if i == 0 { "usage:" } else { "      " };
+                eprintln!("{lead} {}", c.usage());
+            }
             2
         }
+        Some(command) => match Args::parse(command, &args[1..]) {
+            Err(e) => {
+                eprintln!("{e}");
+                eprintln!("usage: {}", command.usage());
+                2
+            }
+            Ok(parsed) => (command.run)(&parsed).unwrap_or_else(|Failure(code, message)| {
+                eprintln!("{message}");
+                code
+            }),
+        },
     };
     std::process::exit(code);
 }
 
-/// The value after flag `name`: `None` when the flag is absent, a
-/// usage error when it is the last argument.
-fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(value) => Ok(Some(value.clone())),
-            None => Err(format!("{name} expects a value")),
-        },
-    }
+fn positive(v: &str) -> Option<u64> {
+    v.parse().ok().filter(|&n| n > 0)
 }
 
-/// A numeric flag value: `None` when the flag is absent, a usage error
-/// naming the flag when its value is missing or not a number.
-fn flag_number<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    flag_value(args, name)?
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("{name} expects a number, got {v:?}"))
-        })
-        .transpose()
+fn read_text(path: &str) -> Result<String, Failure> {
+    std::fs::read_to_string(path).map_err(|e| failure(format!("reading {path}: {e}")))
 }
 
-fn load_spec(path: &str) -> Result<lasre::LasSpec, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let spec: lasre::LasSpec =
-        serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    spec.validate().map_err(|e| format!("invalid spec: {e}"))?;
+fn load_spec(path: &str) -> Result<lasre::LasSpec, Failure> {
+    let spec: lasre::LasSpec = serde_json::from_str(&read_text(path)?)
+        .map_err(|e| failure(format!("parsing {path}: {e}")))?;
+    spec.validate()
+        .map_err(|e| failure(format!("invalid spec: {e}")))?;
     Ok(spec)
 }
 
-fn options_from(args: &[String]) -> Result<SynthOptions, String> {
+fn options_from(args: &Args) -> Result<SynthOptions, Failure> {
     let mut options = SynthOptions::default();
-    if let Some(t) = flag_value(args, "--timeout")? {
-        let secs =
-            t.parse::<u64>().ok().filter(|&s| s > 0).ok_or_else(|| {
-                format!("--timeout expects a positive number of seconds, got {t:?}")
-            })?;
-        options.budget.max_time = Some(Duration::from_secs(secs));
+    options.budget.max_time = args.get(TIMEOUT, "a positive number of seconds", |v| {
+        positive(v).map(Duration::from_secs)
+    })?;
+    // The governor accounts arena memory in 4-byte words: 2^18 per MiB.
+    options.budget.max_memory_words = args.get(MAX_MEMORY, "a positive size in MiB", |v| {
+        positive(v)?.checked_mul(1 << 18)
+    })?;
+    options.restart_policy = args.get(RESTART_POLICY, "\"luby\" or \"ema\"", |v| match v {
+        "luby" => Some(sat::RestartPolicy::Luby),
+        "ema" => Some(sat::RestartPolicy::Ema),
+        _ => None,
+    })?;
+    options.chrono = args.get(CHRONO, "\"on\" or \"off\"", |v| match v {
+        "on" => Some(true),
+        "off" => Some(false),
+        _ => None,
+    })?;
+    if let Some(q) = args.get(QUANTUM, "a positive conflict count", positive)? {
+        options.parallel_quantum = q;
     }
-    if let Some(m) = flag_value(args, "--max-memory")? {
-        let mb = m
-            .parse::<u64>()
-            .ok()
-            .filter(|&m| m > 0)
-            .ok_or_else(|| format!("--max-memory expects a positive size in MiB, got {m:?}"))?;
-        // The governor accounts arena memory in 4-byte words.
-        options.budget.max_memory_words = Some(mb * (1 << 20) / 4);
-    }
-    if let Some(policy) = flag_value(args, "--restart-policy")? {
-        options.restart_policy = Some(match policy.as_str() {
-            "luby" => sat::RestartPolicy::Luby,
-            "ema" => sat::RestartPolicy::Ema,
-            other => {
-                return Err(format!(
-                    "--restart-policy expects \"luby\" or \"ema\", got {other:?}"
-                ))
-            }
-        });
-    }
-    if let Some(chrono) = flag_value(args, "--chrono")? {
-        options.chrono = Some(match chrono.as_str() {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("--chrono expects \"on\" or \"off\", got {other:?}")),
-        });
-    }
-    if args.iter().any(|a| a == "--certify") {
-        options.certify = true;
-    }
-    if args.iter().any(|a| a == "--share-clauses") {
-        options.share_clauses = true;
-    }
-    if args.iter().any(|a| a == "--depth-parallel") {
-        options.depth_parallel = true;
-    }
-    if let Some(q) = flag_value(args, "--quantum")? {
-        options.parallel_quantum = q
-            .parse::<u64>()
-            .ok()
-            .filter(|&q| q > 0)
-            .ok_or_else(|| format!("--quantum expects a positive conflict count, got {q:?}"))?;
-    }
-    if args.iter().any(|a| a == "--varisat") {
-        if !cfg!(feature = "varisat") {
-            return Err(
-                "--varisat requested, but this binary was built without the \
-                        `varisat` feature (on by default); rebuild with it enabled"
-                    .into(),
-            );
-        }
-        if options.share_clauses || options.depth_parallel {
-            return Err(
-                "--share-clauses/--depth-parallel need the CDCL backend (drop --varisat)".into(),
-            );
-        }
-        if options.budget.max_time.is_some() || options.budget.max_memory_words.is_some() {
-            // The varisat shim has no cooperative interrupt: a governor
-            // it would silently ignore is a usage error, not a no-op.
-            return Err(
-                "--timeout/--max-memory need the CDCL backend's cooperative resource \
-                 governor (drop --varisat)"
-                    .into(),
-            );
-        }
+    options.certify = args.has(CERTIFY);
+    options.share_clauses = args.has(SHARE_CLAUSES);
+    options.depth_parallel = args.has(DEPTH_PARALLEL);
+    if args.has(VARISAT) {
         options.backend = BackendChoice::Varisat;
     }
     Ok(options)
@@ -229,11 +429,21 @@ const AUTO_PORTFOLIO_VARS: usize = 20_000;
 /// Portfolio width used by `--seeds auto`.
 const AUTO_PORTFOLIO_SEEDS: u64 = 4;
 
+/// Prints `name=value` pairs, five to an indented line.
+fn print_counters<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) {
+    let tokens: Vec<String> = counters
+        .into_iter()
+        .map(|(name, value)| format!("{name}={value}"))
+        .collect();
+    for line in tokens.chunks(5) {
+        println!("  {}", line.join(" "));
+    }
+}
+
 fn print_stats(stats: sat::SolverStats, seed: Option<u64>) {
-    if let Some(seed) = seed {
-        println!("solver stats (winning seed {seed}):");
-    } else {
-        println!("solver stats:");
+    match seed {
+        Some(seed) => println!("solver stats (winning seed {seed}):"),
+        None => println!("solver stats:"),
     }
     // `conflicts` counts every falsified clause the search hit, but
     // some of those were really missed lower-level implications that
@@ -241,47 +451,10 @@ fn print_stats(stats: sat::SolverStats, seed: Option<u64>) {
     // report the analyzed (clause-learning) count separately so the
     // two are not conflated.
     let analyzed = stats.conflicts.saturating_sub(stats.missed_implications);
-    println!(
-        "  decisions={} conflicts={} analyzed_conflicts={} repaired_missed_implications={}",
-        stats.decisions, stats.conflicts, analyzed, stats.missed_implications
-    );
-    println!(
-        "  propagations={} restarts={}",
-        stats.propagations, stats.restarts
-    );
-    println!(
-        "  learned={} deleted={} minimized_lits={} gc_passes={} gc_reclaimed_words={}",
-        stats.learned,
-        stats.deleted,
-        stats.minimized_lits,
-        stats.gc_passes,
-        stats.gc_reclaimed_words
-    );
-    println!(
-        "  subsumed_clauses={} strengthened_clauses={} chrono_backtracks={}",
-        stats.subsumed_clauses, stats.strengthened_clauses, stats.chrono_backtracks
-    );
-    println!(
-        "  oob_enqueues={} restarts_blocked={} rephases={}",
-        stats.oob_enqueues, stats.restarts_blocked, stats.rephases
-    );
-    println!(
-        "  eliminated_vars={} elim_resolvents={}",
-        stats.eliminated_vars, stats.elim_resolvents
-    );
-    println!(
-        "  exported_clauses={} imported_clauses={} imported_kept={}",
-        stats.exported_clauses, stats.imported_clauses, stats.imported_kept
-    );
-    println!(
-        "  exhausted_conflicts={} exhausted_propagations={} exhausted_deadline={} \
-         exhausted_memory={} exhausted_cancelled={}",
-        stats.exhausted_conflicts,
-        stats.exhausted_propagations,
-        stats.exhausted_deadline,
-        stats.exhausted_memory,
-        stats.exhausted_cancelled
-    );
+    print_counters(stats.counters().chain([
+        ("analyzed_conflicts", analyzed),
+        ("repaired_missed_implications", stats.missed_implications),
+    ]));
     if let Some(reason) = stats.exhaustion_reason() {
         println!("  gave up on: {reason}");
     }
@@ -293,18 +466,6 @@ enum SeedsMode {
     Single,
     Portfolio(u64),
     Auto,
-}
-
-fn parse_seeds_flag(flag: Option<&str>) -> Result<SeedsMode, String> {
-    match flag {
-        None => Ok(SeedsMode::Single),
-        Some("auto") => Ok(SeedsMode::Auto),
-        Some(s) => match s.parse::<u64>() {
-            Ok(0) | Ok(1) => Ok(SeedsMode::Single),
-            Ok(n) => Ok(SeedsMode::Portfolio(n)),
-            Err(_) => Err(format!("--seeds expects a number or \"auto\", got {s:?}")),
-        },
-    }
 }
 
 /// Dispatches a synth run: single solve, explicit portfolio
@@ -359,28 +520,17 @@ fn run_synth(
             // machine paid.
             match outcome.total() {
                 Some(t) => {
-                    println!(
-                        "portfolio total ({} workers): conflicts={} propagations={} \
-                         decisions={} restarts={} exported_clauses={} imported_clauses={} \
-                         imported_kept={}",
-                        outcome.worker_stats.len(),
-                        t.conflicts,
-                        t.propagations,
-                        t.decisions,
-                        t.restarts,
-                        t.exported_clauses,
-                        t.imported_clauses,
-                        t.imported_kept
+                    println!("portfolio total ({} workers):", outcome.worker_stats.len());
+                    print_counters(
+                        t.counters()
+                            .filter(|(name, _)| !name.starts_with("exhausted_")),
                     );
-                    println!(
-                        "portfolio exhaustion: conflicts={} propagations={} deadline={} \
-                         memory={} cancelled={} quarantined_workers={}",
-                        t.exhausted_conflicts,
-                        t.exhausted_propagations,
-                        t.exhausted_deadline,
-                        t.exhausted_memory,
-                        t.exhausted_cancelled,
-                        outcome.quarantined.len()
+                    println!("portfolio exhaustion:");
+                    let quarantined = outcome.quarantined.len() as u64;
+                    print_counters(
+                        t.counters()
+                            .filter_map(|(name, n)| Some((name.strip_prefix("exhausted_")?, n)))
+                            .chain([("quarantined_workers", quarantined)]),
                     );
                 }
                 None => println!("portfolio total: no worker reported statistics"),
@@ -416,132 +566,91 @@ fn run_synth(
     }
 }
 
-fn cmd_synth(args: &[String]) -> i32 {
-    let Some(path) = args.first() else {
-        eprintln!(
-            "usage: lassynth synth <spec.json> [--out DIR] [--timeout SECS] [--max-memory MB] \
-             [--seeds N|auto] [--stats] [--restart-policy luby|ema] [--chrono on|off] \
-             [--audit-cnf] [--certify] [--drat FILE] [--share-clauses] [--quantum N]"
-        );
-        return 2;
-    };
-    let spec = match load_spec(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
-    };
-    let flags = flag_value(args, "--out").and_then(|out| {
-        Ok((
-            out.unwrap_or_else(|| ".".into()),
-            options_from(args)?,
-            parse_seeds_flag(flag_value(args, "--seeds")?.as_deref())?,
-            flag_value(args, "--drat")?,
-        ))
-    });
-    let (out_dir, options, mode, drat_out) = match flags {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let name = spec.name.clone();
-    let want_stats = args.iter().any(|a| a == "--stats");
-    if args.iter().any(|a| a == "--audit-cnf") {
-        match lassynth::synth::encode::encode(&spec) {
-            Ok(enc) => println!("{}", enc.lint()),
-            Err(e) => {
-                eprintln!("invalid spec: {e}");
-                return 1;
-            }
-        }
+fn cmd_synth(args: &Args) -> Result<i32, Failure> {
+    let options = options_from(args)?;
+    let mode = args
+        .get(SEEDS, "a number or \"auto\"", |v| match v {
+            "auto" => Some(SeedsMode::Auto),
+            n => match n.parse::<u64>().ok()? {
+                0 | 1 => Some(SeedsMode::Single),
+                n => Some(SeedsMode::Portfolio(n)),
+            },
+        })?
+        .unwrap_or(SeedsMode::Single);
+    let single = matches!(mode, SeedsMode::Single);
+    let drat_out = args.value(DRAT);
+    if options.share_clauses && single {
+        return Err(usage_error(
+            "--share-clauses needs a portfolio (add --seeds N or --seeds auto)",
+        ));
     }
-    if matches!(options.backend, BackendChoice::Varisat) && !matches!(mode, SeedsMode::Single) {
-        // Portfolio workers are always diversified CDCL configurations.
-        eprintln!("--seeds needs the CDCL backend (drop --varisat)");
-        return 2;
-    }
-    if options.share_clauses && matches!(mode, SeedsMode::Single) {
-        eprintln!("--share-clauses needs a portfolio (add --seeds N or --seeds auto)");
-        return 2;
-    }
-    if drat_out.is_some() && !matches!(mode, SeedsMode::Single) {
+    if drat_out.is_some() && !single {
         // The proof lives in the winning worker's solver; only the
         // single-solve path can hand it back.
-        eprintln!("--drat requires a single solve (drop --seeds)");
-        return 2;
+        return Err(usage_error("--drat requires a single solve (drop --seeds)"));
     }
     if drat_out.is_some() && !options.certify {
-        eprintln!("--drat requires --certify (no proof is logged otherwise)");
-        return 2;
+        return Err(usage_error(
+            "--drat requires --certify (no proof is logged otherwise)",
+        ));
+    }
+    let spec = load_spec(args.operands[0])?;
+    let out_dir = args.value(OUT).unwrap_or(".");
+    let name = spec.name.clone();
+    if args.has(AUDIT_CNF) {
+        let enc = lassynth::synth::encode::encode(&spec)
+            .map_err(|e| failure(format!("invalid spec: {e}")))?;
+        println!("{}", enc.lint());
     }
     let certify = options.certify;
     let start = std::time::Instant::now();
-    let result = run_synth(spec, options, mode, want_stats, drat_out.as_deref());
+    let result = run_synth(spec, options, mode, args.has(STATS), drat_out)
+        .map_err(|e| failure(format!("error: {e}")))?;
     match result {
-        Ok(SynthResult::Sat(design)) => {
+        SynthResult::Sat(design) => {
             println!(
                 "SAT in {:.2?} (verified: {})",
                 start.elapsed(),
                 design.verified()
             );
             println!("{}", lasre::slices::render(&design));
-            std::fs::create_dir_all(&out_dir).ok();
+            std::fs::create_dir_all(out_dir).ok();
             let lasre_path = format!("{out_dir}/{name}.lasre");
             std::fs::write(&lasre_path, lasre::to_lasre(&design)).expect("write lasre");
             let scene = viz::Scene::from_design(&design, viz::SceneOptions::default());
             let gltf_path = format!("{out_dir}/{name}.gltf");
             std::fs::write(&gltf_path, viz::gltf::to_gltf(&scene)).expect("write gltf");
             println!("wrote {lasre_path} and {gltf_path}");
-            0
+            Ok(0)
         }
-        Ok(SynthResult::Unsat) => {
+        SynthResult::Unsat => {
             println!(
                 "UNSAT{} in {:.2?} — no design fits this volume",
                 if certify { " (DRAT proof checked)" } else { "" },
                 start.elapsed()
             );
-            1
+            Ok(1)
         }
-        Ok(SynthResult::Unknown) => {
+        SynthResult::Unknown => {
             println!("UNKNOWN — budget expired after {:.2?}", start.elapsed());
-            1
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
+            Ok(1)
         }
     }
 }
 
-fn cmd_verify(args: &[String]) -> i32 {
-    let Some(path) = args.first() else {
-        eprintln!("usage: lassynth verify <design.lasre>");
-        return 2;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reading {path}: {e}");
-            return 1;
-        }
-    };
-    let design = match lasre::from_lasre(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
-    };
+fn read_design(path: &str) -> Result<lasre::LasDesign, Failure> {
+    lasre::from_lasre(&read_text(path)?).map_err(|e| failure(e.to_string()))
+}
+
+fn cmd_verify(args: &Args) -> Result<i32, Failure> {
+    let design = read_design(args.operands[0])?;
     let violations = lasre::check_validity(&design);
     if !violations.is_empty() {
         println!("INVALID: {} constraint violations", violations.len());
         for v in violations.iter().take(10) {
             println!("  {v}");
         }
-        return 1;
+        return Ok(1);
     }
     match lassynth::synth::verify::verify(&design) {
         Ok(flows) => {
@@ -550,163 +659,107 @@ fn cmd_verify(args: &[String]) -> i32 {
                 design.spec().nstab(),
                 flows.rank()
             );
-            0
+            Ok(0)
         }
         Err(e) => {
             println!("VERIFICATION FAILED: {e}");
-            1
+            Ok(1)
         }
     }
 }
 
-fn cmd_render(args: &[String]) -> i32 {
-    let Some(path) = args.first() else {
-        eprintln!("usage: lassynth render <design.lasre>");
-        return 2;
-    };
-    match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|t| lasre::from_lasre(&t).map_err(|e| e.to_string()))
-    {
-        Ok(design) => {
-            println!("{}", lasre::slices::render(&design));
-            0
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            1
-        }
+fn cmd_render(args: &Args) -> Result<i32, Failure> {
+    let design = read_design(args.operands[0])?;
+    println!("{}", lasre::slices::render(&design));
+    Ok(0)
+}
+
+fn cmd_dimacs(args: &Args) -> Result<i32, Failure> {
+    let synth =
+        Synthesizer::new(load_spec(args.operands[0])?).map_err(|e| failure(e.to_string()))?;
+    print!("{}", sat::dimacs::to_string(synth.cnf()));
+    Ok(0)
+}
+
+fn read_cnf(path: &str) -> Result<sat::Cnf, Failure> {
+    sat::dimacs::parse_str(&read_text(path)?).map_err(|e| failure(format!("parsing {path}: {e}")))
+}
+
+/// `--lo`/`--hi` as given, usage errors for values that are not numbers.
+fn depth_range(args: &Args) -> Result<(Option<usize>, Option<usize>), Failure> {
+    let number = |v: &str| v.parse().ok();
+    Ok((
+        args.get(LO, "a number", number)?,
+        args.get(HI, "a number", number)?,
+    ))
+}
+
+/// The depth range `[lo, hi]` a layered encoding spans: `--lo` defaults
+/// to 1 and `--hi` to two past the spec's depth.
+fn resolve_range(
+    spec: &lasre::LasSpec,
+    (lo, hi): (Option<usize>, Option<usize>),
+) -> Result<(usize, usize), Failure> {
+    let lo = lo.unwrap_or(1).max(1);
+    let hi = hi.unwrap_or(spec.max_k + 2);
+    if lo > hi {
+        return Err(usage_error(format!("--lo {lo} must not exceed --hi {hi}")));
     }
+    Ok((lo, hi))
 }
 
-fn cmd_dimacs(args: &[String]) -> i32 {
-    let Some(path) = args.first() else {
-        eprintln!("usage: lassynth dimacs <spec.json>");
-        return 2;
-    };
-    match load_spec(path).and_then(|spec| Synthesizer::new(spec).map_err(|e| e.to_string())) {
-        Ok(synth) => {
-            print!("{}", sat::dimacs::to_string(synth.cnf()));
-            0
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            1
-        }
-    }
-}
-
-/// Whether a lint report contains findings that make the instance
-/// unsolvable (everything else is informational).
-fn lint_is_fatal(report: &sat::CnfReport) -> bool {
-    report.count(sat::analyze::LINT_CONTRADICTORY_UNITS) > 0
-        || report.count(sat::analyze::LINT_EMPTY_CLAUSE) > 0
-}
-
-fn cmd_lint_cnf(args: &[String]) -> i32 {
-    let Some(path) = args.first() else {
-        eprintln!("usage: lassynth lint-cnf <spec.json|file.cnf> [--lo L --hi H]");
-        return 2;
-    };
+fn cmd_lint_cnf(args: &Args) -> Result<i32, Failure> {
+    let path = args.operands[0];
+    let range = depth_range(args)?;
     let report = if path.ends_with(".cnf") || path.ends_with(".dimacs") {
-        match std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {path}: {e}"))
-            .and_then(|t| sat::dimacs::parse_str(&t).map_err(|e| format!("parsing {path}: {e}")))
-        {
-            Ok(cnf) => sat::analyze::analyze(&cnf),
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
+        if range != (None, None) {
+            return Err(usage_error(format!(
+                "--lo/--hi layer a spec's encoding; {path} is a CNF file"
+            )));
         }
+        sat::analyze::analyze(&read_cnf(path)?)
     } else {
-        let spec = match load_spec(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
-        };
-        let flags = flag_number(args, "--lo").and_then(|lo| Ok((lo, flag_number(args, "--hi")?)));
-        let (lo, hi) = match flags {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        };
-        let layered = lo.is_some() || hi.is_some();
-        let report = if layered {
+        let spec = load_spec(path)?;
+        let report = if range == (None, None) {
+            lassynth::synth::encode::encode(&spec).map(|e| e.lint())
+        } else {
             // Same defaults as `depth`, so the linted CNF is the one a
             // depth search would solve.
-            let lo = lo.unwrap_or(1).max(1);
-            let hi = hi.unwrap_or(spec.max_k + 2);
-            if lo > hi {
-                eprintln!("--lo {lo} must not exceed --hi {hi}");
-                return 2;
-            }
+            let (lo, hi) = resolve_range(&spec, range)?;
             lassynth::synth::encode::encode_layered(&spec, lo, hi).map(|l| l.lint())
-        } else {
-            lassynth::synth::encode::encode(&spec).map(|e| e.lint())
         };
-        match report {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("invalid spec: {e}");
-                return 1;
-            }
-        }
+        report.map_err(|e| failure(format!("invalid spec: {e}")))?
     };
     println!("{report}");
-    if lint_is_fatal(&report) {
-        eprintln!("fatal encoder lints fired");
-        1
-    } else {
-        0
+    // Contradictory root units and empty clauses make the instance
+    // unsolvable; every other finding is informational.
+    if report.count(sat::analyze::LINT_CONTRADICTORY_UNITS) > 0
+        || report.count(sat::analyze::LINT_EMPTY_CLAUSE) > 0
+    {
+        return Err(failure("fatal encoder lints fired"));
     }
+    Ok(0)
 }
 
 /// Replays a DRAT file against a DIMACS CNF with the in-tree DRAT
 /// checker, RUP/RAT-checking every lemma. Exit 0 only for a checked
 /// refutation.
-fn cmd_check_proof(args: &[String]) -> i32 {
-    let (Some(cnf_path), Some(drat_path)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: lassynth check-proof <file.cnf> <file.drat>");
-        return 2;
-    };
-    let cnf = match std::fs::read_to_string(cnf_path)
-        .map_err(|e| format!("reading {cnf_path}: {e}"))
-        .and_then(|t| sat::dimacs::parse_str(&t).map_err(|e| format!("parsing {cnf_path}: {e}")))
-    {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
-    };
+fn cmd_check_proof(args: &Args) -> Result<i32, Failure> {
+    let cnf = read_cnf(args.operands[0])?;
+    let drat_path = args.operands[1];
     // Binary DRAT is not UTF-8: read raw bytes and let the parser
     // auto-detect the format.
-    let drat = match std::fs::read(drat_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("reading {drat_path}: {e}");
-            return 1;
-        }
-    };
-    let log = match sat::ProofLog::from_cnf_and_drat(&cnf, &drat) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("parsing {drat_path}: {e}");
-            return 1;
-        }
-    };
+    let drat =
+        std::fs::read(drat_path).map_err(|e| failure(format!("reading {drat_path}: {e}")))?;
+    let log = sat::ProofLog::from_cnf_and_drat(&cnf, &drat)
+        .map_err(|e| failure(format!("parsing {drat_path}: {e}")))?;
     match sat::proof::check(&log) {
         Ok(report) if report.refuted() => {
             println!(
                 "PROOF OK: {} steps, {} derivations checked, formula refuted",
                 report.steps, report.derived_checked
             );
-            0
+            Ok(0)
         }
         Ok(report) => {
             println!(
@@ -714,53 +767,21 @@ fn cmd_check_proof(args: &[String]) -> i32 {
                  (the empty clause is never derived)",
                 report.steps
             );
-            1
+            Ok(1)
         }
         Err(e) => {
             println!("PROOF REJECTED: {e}");
-            1
+            Ok(1)
         }
     }
 }
 
-fn cmd_depth(args: &[String]) -> i32 {
-    let Some(path) = args.first() else {
-        eprintln!(
-            "usage: lassynth depth <spec.json> --lo L --hi H [--start S] [--timeout SECS] \
-             [--deadline SECS] [--max-memory MB] [--no-incremental] [--stats] \
-             [--restart-policy luby|ema] [--chrono on|off] [--audit-cnf] [--certify] \
-             [--depth-parallel] [--share-clauses] [--quantum N]"
-        );
-        return 2;
-    };
-    let spec = match load_spec(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
-    };
-    let flags = flag_number(args, "--lo").and_then(|lo| {
-        Ok((
-            lo,
-            flag_number(args, "--hi")?,
-            flag_number(args, "--start")?,
-            flag_value(args, "--deadline")?,
-        ))
-    });
-    let (lo, hi, requested, deadline) = match flags {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let lo = lo.unwrap_or(1).max(1);
-    let hi = hi.unwrap_or(spec.max_k + 2);
-    if lo > hi {
-        eprintln!("--lo {lo} must not exceed --hi {hi}");
-        return 2;
-    }
+fn cmd_depth(args: &Args) -> Result<i32, Failure> {
+    let range = depth_range(args)?;
+    let requested = args.get(START, "a number", |v| v.parse::<usize>().ok())?;
+    let options = options_from(args)?;
+    let spec = load_spec(args.operands[0])?;
+    let (lo, hi) = resolve_range(&spec, range)?;
     // Default to the spec's depth; out-of-range starts are clamped
     // into the probed range (with a notice when explicitly given).
     let start = requested.unwrap_or(spec.max_k).clamp(lo, hi);
@@ -769,110 +790,66 @@ fn cmd_depth(args: &[String]) -> i32 {
             eprintln!("note: --start {r} is outside [{lo}, {hi}]; starting at {start}");
         }
     }
-    let mut options = match options_from(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    // `--deadline` is the depth-search spelling of `--timeout`: the
-    // wall clock the resource governor enforces (per probe in the
-    // sequential walk, whole-search in the depth-parallel fleet).
-    if let Some(d) = deadline {
-        if args.iter().any(|a| a == "--varisat") {
-            eprintln!("--deadline needs the CDCL backend's resource governor (drop --varisat)");
-            return 2;
-        }
-        let Some(secs) = d.parse::<u64>().ok().filter(|&s| s > 0) else {
-            eprintln!("--deadline expects a positive number of seconds, got {d:?}");
-            return 2;
-        };
-        options.budget.max_time = Some(Duration::from_secs(secs));
-    }
-    // Incremental probing is the default; `--no-incremental` restores
-    // the from-scratch probe sequence (and `--incremental` is accepted
-    // for symmetry).
-    if args.iter().any(|a| a == "--no-incremental") {
-        options.incremental = false;
-    }
-    let want_stats = args.iter().any(|a| a == "--stats");
-    if args.iter().any(|a| a == "--audit-cnf") {
+    if args.has(AUDIT_CNF) {
         // Lint the layered CNF over the depths the search can reach:
         // the valid-depth window around `start`.
-        let report = optimize::valid_depth_window(&spec, lo, hi, start)
-            .and_then(|(bottom, top)| lassynth::synth::encode::encode_layered(&spec, bottom, top));
-        match report {
-            Ok(layered) => println!("{}", layered.lint()),
-            Err(e) => {
-                eprintln!("invalid spec: {e}");
-                return 1;
+        let layered = optimize::valid_depth_window(&spec, lo, hi, start)
+            .and_then(|(bottom, top)| lassynth::synth::encode::encode_layered(&spec, bottom, top))
+            .map_err(|e| failure(format!("invalid spec: {e}")))?;
+        println!("{}", layered.lint());
+    }
+    let search = optimize::find_min_depth(&spec, lo, hi, start, &options)
+        .map_err(|e| failure(format!("error: {e}")))?;
+    for p in &search.probes {
+        println!(
+            "max_k {}: {}{} ({:.2?})",
+            p.max_k,
+            match (p.sat, p.exhaustion) {
+                (Some(true), _) => "SAT".to_string(),
+                (Some(false), _) => "UNSAT".to_string(),
+                (None, Some(reason)) => format!("UNKNOWN [{reason}]"),
+                (None, None) => "UNKNOWN".to_string(),
+            },
+            if p.certified { " [proof checked]" } else { "" },
+            p.time
+        );
+        if args.has(STATS) {
+            match p.stats {
+                Some(s) => print_stats(s, None),
+                None => println!("    (no solver stats for this backend)"),
             }
         }
     }
-    match optimize::find_min_depth(&spec, lo, hi, start, &options) {
-        Ok(search) => {
-            for p in &search.probes {
-                println!(
-                    "max_k {}: {}{} ({:.2?})",
-                    p.max_k,
-                    match (p.sat, p.exhaustion) {
-                        (Some(true), _) => "SAT".to_string(),
-                        (Some(false), _) => "UNSAT".to_string(),
-                        (None, Some(reason)) => format!("UNKNOWN [{reason}]"),
-                        (None, None) => "UNKNOWN".to_string(),
-                    },
-                    if p.certified { " [proof checked]" } else { "" },
-                    p.time
-                );
-                if want_stats {
-                    match p.stats {
-                        Some(s) => print_stats(s, None),
-                        None => println!("    (no solver stats for this backend)"),
-                    }
-                }
-            }
-            for (k, msg) in &search.quarantined {
-                eprintln!("warning: depth-{k} worker crashed and was quarantined: {msg}");
-            }
-            let (bound, best) = search.window();
-            if best == Some(bound) {
-                // Certified minimum: every shallower depth in range is
-                // refuted (or `bound` is the range floor), so budget
-                // expiries or crashes elsewhere change nothing.
-                println!("optimal depth: {bound}");
-                0
-            } else if search.exhaustion.is_none() && search.quarantined.is_empty() {
-                println!("no satisfiable depth in [{lo}, {hi}]");
-                1
-            } else {
-                // The governor (or a crash) stopped the search with the
-                // window still open: report the anytime answer instead
-                // of pretending nothing was learnt.
-                match search.exhaustion {
-                    Some(reason) => println!("search stopped early ({reason})"),
-                    None => println!("search stopped early (undecided workers crashed)"),
-                }
-                match best {
-                    Some(d) => {
-                        println!(
-                            "anytime window: certified lower bound {bound}, best SAT depth {d}"
-                        );
-                        0
-                    }
-                    None => {
-                        println!(
-                            "anytime window: certified lower bound {bound}, \
-                             no SAT depth found yet"
-                        );
-                        1
-                    }
-                }
-            }
+    for (k, msg) in &search.quarantined {
+        eprintln!("warning: depth-{k} worker crashed and was quarantined: {msg}");
+    }
+    let (bound, best) = search.window();
+    if best == Some(bound) {
+        // Certified minimum: every shallower depth in range is refuted
+        // (or `bound` is the range floor), so budget expiries or
+        // crashes elsewhere change nothing.
+        println!("optimal depth: {bound}");
+        return Ok(0);
+    }
+    if search.exhaustion.is_none() && search.quarantined.is_empty() {
+        println!("no satisfiable depth in [{lo}, {hi}]");
+        return Ok(1);
+    }
+    // The governor (or a crash) stopped the search with the window still
+    // open: report the anytime answer instead of pretending nothing was
+    // learnt.
+    match search.exhaustion {
+        Some(reason) => println!("search stopped early ({reason})"),
+        None => println!("search stopped early (undecided workers crashed)"),
+    }
+    match best {
+        Some(d) => {
+            println!("anytime window: certified lower bound {bound}, best SAT depth {d}");
+            Ok(0)
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
+        None => {
+            println!("anytime window: certified lower bound {bound}, no SAT depth found yet");
+            Ok(1)
         }
     }
 }

@@ -175,55 +175,91 @@ fn synth_seeds_auto_solves_small_specs_directly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `depth --stats` prints every probe's counters through the same block
+/// as `synth --stats`.
 #[test]
-fn depth_search_incremental_and_scratch_agree() {
-    // Default (incremental) run, with per-probe stats.
-    let inc = bin()
+fn depth_stats_prints_each_probes_counters() {
+    let out = bin()
         .arg("depth")
         .arg(cnot_spec_path())
         .args(["--lo", "2", "--hi", "4", "--start", "3", "--stats"])
         .output()
         .expect("run lassynth depth");
     assert!(
-        inc.status.success(),
+        out.status.success(),
         "stderr: {}",
-        String::from_utf8_lossy(&inc.stderr)
+        String::from_utf8_lossy(&out.stderr)
     );
-    let inc_out = String::from_utf8_lossy(&inc.stdout).to_string();
-    assert!(inc_out.contains("optimal depth: 3"), "{inc_out}");
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(text.contains("optimal depth: 3"), "{text}");
+    assert_eq!(
+        text.matches("solver stats:").count(),
+        text.lines().filter(|l| l.starts_with("max_k")).count(),
+        "one stats block per probe: {text}"
+    );
     for counter in [
         "conflicts=",
         "propagations=",
         "gc_passes=",
         "exhausted_conflicts=",
+        "analyzed_conflicts=",
+        "repaired_missed_implications=",
     ] {
         assert!(
-            inc_out.contains(counter),
-            "--stats prints per-probe {counter}: {inc_out}"
+            text.contains(counter),
+            "--stats prints per-probe {counter}: {text}"
         );
     }
+}
 
-    // The escape hatch probes the same depths with the same verdicts.
-    let scratch = bin()
-        .arg("depth")
+/// A portfolio's `--stats` adds the whole fleet's bill: every counter
+/// but the exhaustion ones under `portfolio total`, those (prefix
+/// dropped) and the quarantine count under `portfolio exhaustion`.
+#[test]
+fn portfolio_stats_print_the_fleet_total() {
+    let dir = std::env::temp_dir().join(format!("lassynth-cli-fleet-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = bin()
+        .arg("synth")
         .arg(cnot_spec_path())
-        .args(["--lo", "2", "--hi", "4", "--start", "3", "--no-incremental"])
+        .arg("--out")
+        .arg(&dir)
+        .args(["--seeds", "2", "--share-clauses", "--stats"])
         .output()
-        .expect("run lassynth depth --no-incremental");
-    assert!(scratch.status.success());
-    let scratch_out = String::from_utf8_lossy(&scratch.stdout);
-    assert!(scratch_out.contains("optimal depth: 3"), "{scratch_out}");
-    let verdicts = |text: &str| -> Vec<String> {
-        text.lines()
-            .filter(|l| l.starts_with("max_k"))
-            .map(|l| l.split(" (").next().unwrap_or(l).to_string())
-            .collect()
-    };
-    assert_eq!(
-        verdicts(&inc_out),
-        verdicts(&scratch_out),
-        "probe sequences must agree across modes"
+        .expect("run lassynth synth --seeds 2 --stats");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    let (_, fleet) = text
+        .split_once("portfolio total (2 workers):")
+        .unwrap_or_else(|| panic!("portfolio total block: {text}"));
+    let (total, exhaustion) = fleet
+        .split_once("portfolio exhaustion:")
+        .unwrap_or_else(|| panic!("portfolio exhaustion block: {text}"));
+    for counter in [
+        " conflicts=",
+        "propagations=",
+        "exported_clauses=",
+        "imported_kept=",
+    ] {
+        assert!(total.contains(counter), "{counter} in the total: {text}");
+    }
+    assert!(!total.contains("exhausted_"), "{text}");
+    for counter in [
+        " conflicts=0",
+        " deadline=0",
+        " cancelled=0",
+        "quarantined_workers=0",
+    ] {
+        assert!(
+            exhaustion.contains(counter),
+            "{counter} in the exhaustion: {text}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--restart-policy` and `--chrono` override the solver configuration
@@ -555,13 +591,13 @@ fn governor_flags_validate_and_report() {
             assert_eq!(out.status.code(), Some(2), "{cmd} {bad:?} must exit 2");
         }
     }
-    for bad in [["--deadline", "0"], ["--deadline", "never"]] {
+    for bad in [["--timeout", "0"], ["--timeout", "never"]] {
         let out = bin()
             .arg("depth")
             .arg(cnot_spec_path())
             .args(bad)
             .output()
-            .expect("run lassynth depth with a bad deadline");
+            .expect("run lassynth depth with a bad timeout");
         assert_eq!(out.status.code(), Some(2), "depth {bad:?} must exit 2");
     }
 
@@ -571,7 +607,7 @@ fn governor_flags_validate_and_report() {
     for conflicting in [
         vec!["synth", "--timeout", "5", "--varisat"],
         vec!["synth", "--max-memory", "64", "--varisat"],
-        vec!["depth", "--deadline", "5", "--varisat"],
+        vec!["depth", "--timeout", "5", "--varisat"],
     ] {
         let out = bin()
             .arg(conflicting[0])
@@ -708,4 +744,49 @@ fn usage_errors_exit_nonzero() {
         assert_eq!(out.status.code(), Some(2), "{args:?} exits 2: {stderr}");
         assert!(stderr.contains(flag), "{args:?} names {flag}: {stderr}");
     }
+}
+
+/// Every subcommand accepts only the arguments in its flag table: a
+/// misspelt flag, another subcommand's flag, a repeated flag, a removed
+/// spelling or a stray operand is a usage error naming it, never
+/// silently ignored.
+#[test]
+fn arguments_outside_the_flag_table_are_usage_errors() {
+    let spec = cnot_spec_path();
+    let spec = spec.to_str().expect("utf-8 path");
+    // A design `verify` accepts on its own, so only the stray second
+    // operand can fail the run.
+    let dir = std::env::temp_dir().join(format!("lassynth-cli-strict-{}", std::process::id()));
+    let synth = bin()
+        .args(["synth", spec, "--out"])
+        .arg(&dir)
+        .output()
+        .expect("run lassynth synth");
+    assert!(synth.status.success());
+    let design = dir.join("cnot.lasre");
+    let design = design.to_str().expect("utf-8 path");
+    for (args, offender) in [
+        (&["synth", spec, "--certfy"][..], "--certfy"),
+        (&["synth", spec, "--depth-parallel"], "--depth-parallel"),
+        (&["depth", spec, "--seeds", "2"], "--seeds"),
+        (&["lint-cnf", spec, "--certify"], "--certify"),
+        (
+            &["synth", spec, "--timeout", "5", "--timeout", "6"],
+            "--timeout",
+        ),
+        (&["depth", spec, "--deadline", "5"], "--deadline"),
+        (&["depth", spec, "--no-incremental"], "--no-incremental"),
+        (&["verify", design, "b.lasre"], "b.lasre"),
+        // `--lo`/`--hi` layer a spec's encoding; a DIMACS file has none.
+        (&["lint-cnf", "clean.cnf", "--lo", "2"], "--lo"),
+    ] {
+        let out = bin().args(args).output().expect("run lassynth");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} exits 2: {stderr}");
+        assert!(
+            stderr.contains(offender),
+            "{args:?} names {offender}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

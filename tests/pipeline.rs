@@ -106,3 +106,28 @@ fn unknown_surfaced_not_panicked() {
         SynthResult::Unsat => panic!("zero budget must not prove unsat"),
     }
 }
+
+/// A stop the caller raises while the threaded portfolio runs reaches
+/// every worker: the Fig. 15 width-5 majority gate takes seconds on any
+/// seed, so the flag raised 100 ms in wins the race, and each worker
+/// gives up with a cancellation instead of running to its verdict.
+#[test]
+fn threaded_portfolio_passes_a_mid_run_stop_on() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut options = SynthOptions::default();
+    options.budget.stop = Some(stop.clone());
+    let raiser = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        stop.store(true, Ordering::Relaxed);
+    });
+    let spec = lassynth::workloads::specs::majority_gate_spec(5);
+    let o = optimize::solve_portfolio_detailed(&spec, &[0, 1], &options).unwrap();
+    raiser.join().unwrap();
+    assert!(matches!(o.result, SynthResult::Unknown));
+    assert_eq!(o.exhaustion, Some(sat::ExhaustionReason::Cancelled));
+    for (seed, stats) in &o.worker_stats {
+        assert_eq!(stats.unwrap().exhausted_cancelled, 1, "seed {seed}");
+    }
+}
