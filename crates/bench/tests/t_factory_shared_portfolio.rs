@@ -1,14 +1,15 @@
 //! Shared-clause lockstep portfolio on the budgeted Fig. 17 instance.
 //!
 //! Companion to `t_factory_budgeted`: the same 9x4 depth-4 T-factory
-//! encoding, solved by a 4-seed diversified fleet under the
-//! deterministic single-threaded lockstep driver, once with clause
-//! sharing off (every worker isolated) and once with sharing on
-//! (low-LBD learnt clauses fanned out through the bounded exchange and
-//! RUP-filtered on import). The tracked comparison is *total fleet
-//! conflicts until the driver stops* — a verdict from any worker, or
-//! every per-worker budget exhausted. Conflicts are deterministic for
-//! a given code + seeds + quantum (the driver is single-threaded, the
+//! encoding, solved by `solve_portfolio_detailed` as a 4-seed
+//! diversified lockstep fleet, once with clause sharing off (every
+//! worker isolated, each round's turns on scoped threads) and once with
+//! sharing on (low-LBD learnt clauses fanned out through the bounded
+//! exchange and RUP-filtered on import, one turn at a time). The
+//! tracked comparison is *total fleet conflicts until the driver stops*
+//! — a verdict from any worker, or every per-worker budget exhausted.
+//! Conflicts are deterministic for a given code + seeds + quantum (turns
+//! are fixed quanta, verdicts are settled in seed order, and the
 //! exchange order is seed-stable), so the gates below are
 //! machine-independent; wall time is printed for the trail only.
 //!
@@ -31,9 +32,9 @@
 //! runs it with `--ignored`.
 
 use bench_support::report::BenchRecord;
-use sat::{Budget, CdclConfig, CdclSolver, ClauseExchange, ShareLimits, SolveOutcome, SolverStats};
-use std::sync::Arc;
-use synth::Synthesizer;
+use sat::{Budget, SolverStats};
+use synth::optimize::solve_portfolio_detailed;
+use synth::{SynthOptions, SynthResult};
 use workloads::specs::t_factory_spec;
 
 /// The diversified fleet (seed 0 is the reference configuration the
@@ -50,84 +51,55 @@ const QUANTUM: u64 = 2_000;
 const MAX_PROPAGATIONS_PER_CONFLICT: u64 = 2000;
 
 struct FleetOutcome {
-    /// `Some((worker, is_sat))` when a worker reached a verdict.
-    verdict: Option<(usize, bool)>,
+    /// `Some((seed, is_sat))` when a worker reached a verdict.
+    verdict: Option<(u64, bool)>,
+    /// Every worker's stats, in seed order.
     per_worker: Vec<SolverStats>,
+    total: SolverStats,
+    wall_s: f64,
 }
 
-impl FleetOutcome {
-    fn total(&self) -> SolverStats {
-        self.per_worker
-            .iter()
-            .copied()
-            .fold(SolverStats::default(), SolverStats::merged)
-    }
-}
-
-/// One deterministic lockstep run: round-robin turns of `QUANTUM`
-/// conflicts over the seed fleet until a verdict or exhaustion.
-fn run_fleet(cnf: &sat::Cnf, share: bool) -> FleetOutcome {
-    let hub = share.then(|| Arc::new(ClauseExchange::new(SEEDS.len(), 1024)));
-    let mut workers: Vec<CdclSolver> = SEEDS
-        .iter()
-        .enumerate()
-        .map(|(index, &seed)| {
-            let mut solver = CdclSolver::with_config(CdclConfig::diversified(seed));
-            solver.add_cnf(cnf);
-            if let Some(hub) = &hub {
-                solver.connect_exchange(Arc::clone(hub), index, ShareLimits::default());
-            }
-            solver
-        })
-        .collect();
-    let mut remaining = vec![PER_WORKER_CONFLICTS; workers.len()];
-    let mut verdict = None;
-    'driver: loop {
-        let mut progressed = false;
-        for index in 0..workers.len() {
-            if remaining[index] == 0 {
-                continue;
-            }
-            let turn = QUANTUM.min(remaining[index]);
-            let before = workers[index].session_stats().conflicts;
-            let outcome = workers[index].solve_assuming(&[], &Budget::conflict_limit(turn));
-            let spent = workers[index].session_stats().conflicts - before;
-            remaining[index] = remaining[index].saturating_sub(spent.max(1));
-            progressed = true;
-            match outcome {
-                SolveOutcome::Sat(model) => {
-                    assert!(cnf.eval(&model), "worker {index} returned a bogus model");
-                    verdict = Some((index, true));
-                    break 'driver;
-                }
-                SolveOutcome::Unsat => {
-                    verdict = Some((index, false));
-                    break 'driver;
-                }
-                SolveOutcome::Unknown(_) => {}
-            }
-        }
-        if !progressed {
-            break;
-        }
+/// One lockstep run of the seed fleet until a verdict or exhaustion.
+fn run_fleet(share: bool) -> FleetOutcome {
+    let options = SynthOptions {
+        budget: Budget::conflict_limit(PER_WORKER_CONFLICTS),
+        share_clauses: share,
+        parallel_quantum: QUANTUM,
+        ..SynthOptions::default()
+    };
+    let start = std::time::Instant::now();
+    let outcome = solve_portfolio_detailed(&t_factory_spec(4), &SEEDS, &options)
+        .expect("the T-factory fleet runs");
+    let wall_s = start.elapsed().as_secs_f64();
+    if let SynthResult::Sat(design) = &outcome.result {
+        assert!(design.verified(), "the fleet returned an unverified design");
     }
     FleetOutcome {
-        verdict,
-        per_worker: workers.iter().map(CdclSolver::session_stats).collect(),
+        verdict: outcome
+            .winner_seed
+            .map(|seed| (seed, outcome.result.is_sat())),
+        per_worker: outcome
+            .worker_stats
+            .iter()
+            .map(|&(_, stats)| stats.expect("CDCL workers report stats"))
+            .collect(),
+        total: outcome.total().expect("CDCL workers report stats"),
+        wall_s,
     }
 }
 
-fn describe(label: &str, fleet: &FleetOutcome, wall_s: f64) {
-    let total = fleet.total();
+fn describe(label: &str, fleet: &FleetOutcome) {
+    let total = &fleet.total;
     println!(
         "{label}: verdict={:?} total conflicts={} propagations={} \
-         exported={} imported={} kept={} in {wall_s:.2} s",
+         exported={} imported={} kept={} in {:.2} s",
         fleet.verdict,
         total.conflicts,
         total.propagations,
         total.exported_clauses,
         total.imported_clauses,
-        total.imported_kept
+        total.imported_kept,
+        fleet.wall_s
     );
     for (seed, stats) in SEEDS.iter().zip(&fleet.per_worker) {
         println!(
@@ -144,23 +116,14 @@ fn describe(label: &str, fleet: &FleetOutcome, wall_s: f64) {
 #[test]
 #[ignore = "budgeted T-factory portfolio probe (seconds): run by the CI bench-smoke job"]
 fn t_factory_shared_portfolio_probe() {
-    let spec = t_factory_spec(4);
-    let synth = Synthesizer::new(spec).expect("valid T-factory spec");
-    let cnf = synth.cnf();
-
-    let start = std::time::Instant::now();
-    let isolated = run_fleet(cnf, false);
-    let isolated_wall = start.elapsed().as_secs_f64();
-    describe("isolated fleet", &isolated, isolated_wall);
-
-    let start = std::time::Instant::now();
-    let shared = run_fleet(cnf, true);
-    let shared_wall = start.elapsed().as_secs_f64();
-    describe("shared fleet", &shared, shared_wall);
+    let isolated = run_fleet(false);
+    describe("isolated fleet", &isolated);
+    let shared = run_fleet(true);
+    describe("shared fleet", &shared);
 
     // Determinism gate: an identical second sharing run must reproduce
     // the verdict and every per-worker counter bit for bit.
-    let rerun = run_fleet(cnf, true);
+    let rerun = run_fleet(true);
     assert_eq!(
         shared.verdict, rerun.verdict,
         "sharing fleet verdict is not reproducible"
@@ -179,8 +142,7 @@ fn t_factory_shared_portfolio_probe() {
     }
 
     // Sharing must actually be live (and quiet when off).
-    let shared_total = shared.total();
-    let isolated_total = isolated.total();
+    let (shared_total, isolated_total) = (shared.total, isolated.total);
     assert_eq!(isolated_total.imported_clauses, 0);
     assert!(
         shared_total.imported_kept > 0,
@@ -217,11 +179,11 @@ fn t_factory_shared_portfolio_probe() {
     }
 
     for (name, total, wall_s) in [
-        ("t_factory_shared_portfolio", &shared_total, shared_wall),
+        ("t_factory_shared_portfolio", &shared_total, shared.wall_s),
         (
             "t_factory_isolated_portfolio",
             &isolated_total,
-            isolated_wall,
+            isolated.wall_s,
         ),
     ] {
         let record = BenchRecord {

@@ -12,8 +12,8 @@
 //! * [`verify`] — pipe diagram → ZX diagram → stabilizer flows,
 //! * [`Synthesizer`] — one-shot synthesis with options,
 //! * [`optimize`] — the descending/ascending depth searches of paper
-//!   Fig. 12b and the diversified seed portfolios, sequential or as one
-//!   deterministic lockstep fleet.
+//!   Fig. 12b, probe by probe or as a deterministic lockstep fleet, and
+//!   the diversified seed portfolio, always such a fleet.
 //!
 //! # Examples
 //!

@@ -3,11 +3,12 @@
 //! [`Session`] opens a CDCL solver on one CNF and turns what it answers
 //! into a trusted verdict: a SAT model becomes a decoded,
 //! validity-checked and ZX-verified design, and an UNSAT is proof-checked
-//! when certifying. [`Fleet`] runs several sessions round-robin in fixed
-//! conflict quanta on one thread (deterministic lockstep search:
-//! Hamadi, Jabbour, Piette & Sais, JSAT 2011), with the stop flag and
-//! deadline checked between quanta and each quantum a crash-isolation
-//! boundary.
+//! when certifying. [`Fleet`] runs several sessions in rounds of fixed
+//! conflict quanta (deterministic lockstep search: Hamadi, Jabbour,
+//! Piette & Sais, JSAT 2011). Isolated workers take a round's turns on
+//! scoped threads; clause-sharing workers take them one at a time. The
+//! deadline is checked between turns, the stop flag also inside them,
+//! and each quantum is a crash-isolation boundary.
 
 use crate::synthesize::{SynthError, SynthOptions, SynthResult};
 use crate::verify::verify;
@@ -17,7 +18,7 @@ use sat::{
     SolveOutcome, SolverStats,
 };
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,6 +28,8 @@ use std::time::{Duration, Instant};
 pub(crate) struct Session {
     solver: CdclSolver,
     certify: bool,
+    /// Connected to a clause-sharing hub.
+    shares: bool,
 }
 
 impl Session {
@@ -52,12 +55,13 @@ impl Session {
         for &lit in frozen {
             solver.freeze(lit.var());
         }
-        if let Some((hub, worker)) = exchange {
-            solver.connect_exchange(Arc::clone(hub), worker, ShareLimits::default());
+        if let Some((hub, worker)) = &exchange {
+            solver.connect_exchange(Arc::clone(hub), *worker, ShareLimits::default());
         }
         Session {
             solver,
             certify: options.certify,
+            shares: exchange.is_some(),
         }
     }
 
@@ -124,7 +128,7 @@ pub(crate) fn settle(
 /// Renders a caught panic payload (the crash reports quarantined
 /// workers carry). `panic!` with a format string yields a `String`,
 /// with a literal a `&str`; anything else is opaque.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast_ref::<&str>() {
         Some(s) => (*s).to_string(),
         None => match payload.downcast_ref::<String>() {
@@ -163,17 +167,77 @@ pub(crate) struct Worker<W> {
     pub(crate) state: WorkerState,
 }
 
-/// Sessions run round-robin on one thread, in worker order, at most
-/// `options.parallel_quantum` conflicts per turn. Fixed order, fixed
-/// quanta and no threads make two runs take the same turns and reach
-/// the same counters (only the `time` fields vary).
+impl<W> Worker<W> {
+    /// Takes one turn of at most `quantum` conflicts under `limits`'
+    /// memory ceiling and stop flag, and books it: the time, the
+    /// conflicts spent, and a crash or retirement as the new state.
+    /// Returns the outcome when it is a verdict.
+    fn take_turn(
+        &mut self,
+        assumptions: &[Lit],
+        quantum: u64,
+        limits: &Budget,
+    ) -> Option<SolveOutcome> {
+        let turn = Budget {
+            max_conflicts: Some(self.remaining.map_or(quantum, |r| r.min(quantum))),
+            max_memory_words: limits.max_memory_words,
+            stop: limits.stop.clone(),
+            ..Budget::default()
+        };
+        let before = self.session.stats().conflicts;
+        let started = Instant::now();
+        // The quantum is the crash-isolation boundary: a worker that
+        // panics (a solver bug, or an injected fault) is quarantined and
+        // the fleet continues on the survivors.
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.session.solve(assumptions, &turn)));
+        self.time += started.elapsed();
+        self.turns += 1;
+        let outcome = match outcome {
+            Ok(outcome) => outcome,
+            Err(payload) => {
+                self.state = WorkerState::Crashed(panic_message(payload));
+                return None;
+            }
+        };
+        let spent = self.session.stats().conflicts - before;
+        if let Some(r) = &mut self.remaining {
+            *r = r.saturating_sub(spent);
+        }
+        match outcome {
+            // A memory ceiling never recovers on its own.
+            SolveOutcome::Unknown(ExhaustionReason::Memory) => {
+                self.state = WorkerState::Retired(ExhaustionReason::Memory);
+            }
+            // The driver sees the raised flag before the next turn.
+            SolveOutcome::Unknown(ExhaustionReason::Cancelled) => {}
+            // Otherwise the quantum ran dry; retire once the worker's own
+            // budget is spent (`spent == 0` guards against a worker that
+            // makes no progress).
+            SolveOutcome::Unknown(_) => {
+                if self.remaining == Some(0) || spent == 0 {
+                    self.state = WorkerState::Retired(ExhaustionReason::Conflicts);
+                }
+            }
+            verdict => return Some(verdict),
+        }
+        None
+    }
+}
+
+/// Sessions run in rounds, in worker order, at most
+/// `options.parallel_quantum` conflicts per turn. A round is taken in
+/// batches: one worker when any session shares clauses, since its
+/// imports depend on every earlier turn, else the whole round at once.
+/// Fixed order, fixed quanta and verdicts settled in worker order make
+/// two runs take the same turns and reach the same counters (only the
+/// `time` fields vary).
 pub(crate) struct Fleet<W> {
     /// Names a worker's `id` in crash reports ("seed", "depth").
     kind: &'static str,
     pub(crate) workers: Vec<Worker<W>>,
 }
 
-impl<W: Copy + fmt::Display> Fleet<W> {
+impl<W: Copy + Send + fmt::Display> Fleet<W> {
     pub(crate) fn new(
         kind: &'static str,
         sessions: impl IntoIterator<Item = (W, Session)>,
@@ -196,7 +260,9 @@ impl<W: Copy + fmt::Display> Fleet<W> {
     /// Runs rounds until `verdict` asks the fleet to stop, no running
     /// worker is `eligible`, or the driver gives up. Each turn solves
     /// under `assumptions(id)`; a SAT or UNSAT outcome marks the worker
-    /// decided and goes to `verdict`, which returns whether to stop.
+    /// decided and goes to `verdict`, which returns whether to stop. A
+    /// verdict whose worker an earlier verdict of the same batch made
+    /// ineligible is dropped unchecked, and the worker stays undecided.
     ///
     /// Returns why the fleet stopped without being told to: the driver's
     /// reason (the caller's stop flag, or `options.budget.max_time` as
@@ -215,73 +281,52 @@ impl<W: Copy + fmt::Display> Fleet<W> {
         mut verdict: impl FnMut(W, &Session, SolveOutcome) -> Result<bool, SynthError>,
     ) -> Result<Option<ExhaustionReason>, SynthError> {
         let quantum = options.parallel_quantum.max(1);
-        let deadline = options.budget.max_time.map(|t| Instant::now() + t);
+        let limits = &options.budget;
+        let deadline = limits.max_time.map(|t| Instant::now() + t);
+        let batch_len = if self.workers.iter().any(|w| w.session.shares) {
+            1
+        } else {
+            self.workers.len().max(1)
+        };
+        let runs = |w: &Worker<W>| matches!(w.state, WorkerState::Running) && eligible(w.id);
         loop {
-            let mut progressed = false;
-            for worker in &mut self.workers {
-                if !matches!(worker.state, WorkerState::Running) || !eligible(worker.id) {
+            let round: Vec<usize> = (0..self.workers.len())
+                .filter(|&index| runs(&self.workers[index]))
+                .collect();
+            if round.is_empty() {
+                break;
+            }
+            for batch in round.chunks(batch_len) {
+                // Checked again per batch, so a one-worker batch sees the
+                // verdicts of the turns before it.
+                let members: Vec<usize> = batch
+                    .iter()
+                    .copied()
+                    .filter(|&index| runs(&self.workers[index]))
+                    .collect();
+                if members.is_empty() {
                     continue;
                 }
-                if let Some(stop) = &options.budget.stop {
-                    if stop.load(Ordering::Relaxed) {
-                        return Ok(Some(ExhaustionReason::Cancelled));
-                    }
+                if limits
+                    .stop
+                    .as_ref()
+                    .is_some_and(|s| s.load(Ordering::Relaxed))
+                {
+                    return Ok(Some(ExhaustionReason::Cancelled));
                 }
                 if deadline.is_some_and(|d| Instant::now() >= d) {
                     return Ok(Some(ExhaustionReason::Deadline));
                 }
-                // The memory ceiling applies per worker, every turn; time
-                // and stop stay with the driver, between quanta.
-                let mut turn =
-                    Budget::conflict_limit(worker.remaining.map_or(quantum, |r| r.min(quantum)));
-                turn.max_memory_words = options.budget.max_memory_words;
-                let assumptions = assumptions(worker.id);
-                let before = worker.session.stats().conflicts;
-                let started = Instant::now();
-                // The quantum is the crash-isolation boundary: a worker
-                // that panics (a solver bug, or an injected fault) is
-                // quarantined and the fleet continues on the survivors.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    worker.session.solve(&assumptions, &turn)
-                }));
-                worker.time += started.elapsed();
-                worker.turns += 1;
-                progressed = true;
-                let outcome = match outcome {
-                    Ok(outcome) => outcome,
-                    Err(payload) => {
-                        worker.state = WorkerState::Crashed(panic_message(payload));
+                for (index, outcome) in self.take_turns(&members, &assumptions, quantum, limits) {
+                    let worker = &mut self.workers[index];
+                    if !eligible(worker.id) {
                         continue;
                     }
-                };
-                let spent = worker.session.stats().conflicts - before;
-                if let Some(r) = &mut worker.remaining {
-                    *r = r.saturating_sub(spent);
-                }
-                match outcome {
-                    // A memory ceiling never recovers on its own.
-                    SolveOutcome::Unknown(ExhaustionReason::Memory) => {
-                        worker.state = WorkerState::Retired(ExhaustionReason::Memory);
-                    }
-                    // The turn budget is conflict-only, so the quantum ran
-                    // dry; retire once the worker's own budget is spent
-                    // (`spent == 0` guards against a worker that makes no
-                    // progress).
-                    SolveOutcome::Unknown(_) => {
-                        if worker.remaining == Some(0) || spent == 0 {
-                            worker.state = WorkerState::Retired(ExhaustionReason::Conflicts);
-                        }
-                    }
-                    outcome => {
-                        worker.state = WorkerState::Decided(outcome.is_sat());
-                        if verdict(worker.id, &worker.session, outcome)? {
-                            return Ok(None);
-                        }
+                    worker.state = WorkerState::Decided(outcome.is_sat());
+                    if verdict(worker.id, &worker.session, outcome)? {
+                        return Ok(None);
                     }
                 }
-            }
-            if !progressed {
-                break;
             }
         }
         // A fleet with no survivors has no answer to stand on: the first
@@ -298,6 +343,51 @@ impl<W: Copy + fmt::Display> Fleet<W> {
             WorkerState::Retired(reason) => Some(reason),
             _ => None,
         }))
+    }
+
+    /// Takes one turn for each of `members` (worker indices, ascending):
+    /// every turn but the last on its own scoped thread, the last on
+    /// this one, so a batch of one spawns nothing. Returns the verdicts
+    /// in worker order.
+    fn take_turns(
+        &mut self,
+        members: &[usize],
+        assumptions: &impl Fn(W) -> Vec<Lit>,
+        quantum: u64,
+        limits: &Budget,
+    ) -> Vec<(usize, SolveOutcome)> {
+        let mut turns: Vec<_> = self
+            .workers
+            .iter_mut()
+            .enumerate()
+            .filter(|(index, _)| members.contains(index))
+            .map(|(index, worker)| (index, assumptions(worker.id), worker))
+            .collect();
+        let last = turns.pop();
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> = turns
+                .into_iter()
+                .map(|(index, lits, worker)| {
+                    (
+                        index,
+                        scope.spawn(move || worker.take_turn(&lits, quantum, limits)),
+                    )
+                })
+                .collect();
+            let last = last.and_then(|(index, lits, worker)| {
+                Some((index, worker.take_turn(&lits, quantum, limits)?))
+            });
+            // A turn catches its own panics, so a failed join is a bug in
+            // the bookkeeping around the solve: pass it on.
+            spawned
+                .into_iter()
+                .filter_map(|(index, turn)| {
+                    let outcome = turn.join().unwrap_or_else(|e| resume_unwind(e))?;
+                    Some((index, outcome))
+                })
+                .chain(last)
+                .collect()
+        })
     }
 
     /// Workers that crashed, as `(id, panic message)` in worker order.

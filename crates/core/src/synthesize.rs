@@ -65,15 +65,14 @@ pub struct SynthOptions {
     /// CDCL backend only; an UNSAT whose proof fails to check is
     /// surfaced as [`SynthError::Certify`] instead of being trusted.
     pub certify: bool,
-    /// Run [`crate::optimize::solve_portfolio_detailed`] on the
-    /// lockstep fleet — one single-threaded driver handing every worker
-    /// [`SynthOptions::parallel_quantum`] conflicts per turn — instead
-    /// of free-running threads, and exchange low-LBD learnt clauses
-    /// between its workers (also between the per-depth workers under
-    /// [`SynthOptions::depth_parallel`]). The run (winner, stats,
-    /// import sequence) is bit-reproducible, and the win sought is
-    /// *fewer total conflicts to a verdict*.
-    /// CDCL backend only. The CLI's `--share-clauses` flag lands here.
+    /// Exchange low-LBD learnt clauses between the workers of a
+    /// lockstep fleet: the seeds of
+    /// [`crate::optimize::solve_portfolio_detailed`], or the per-depth
+    /// workers under [`SynthOptions::depth_parallel`]. A sharing fleet
+    /// takes its turns one at a time, so the import sequence is
+    /// reproducible too; the win sought is *fewer total conflicts to a
+    /// verdict*. CDCL backend only. The CLI's `--share-clauses` flag
+    /// lands here.
     pub share_clauses: bool,
     /// Run [`crate::optimize::find_min_depth`] on the lockstep fleet,
     /// one worker per candidate depth (each owning one `max_k` of a
@@ -84,12 +83,13 @@ pub struct SynthOptions {
     /// [`SynthOptions::share_clauses`]. The CLI's `--depth-parallel`
     /// flag lands here.
     pub depth_parallel: bool,
-    /// Conflicts each worker of the lockstep fleet
-    /// ([`SynthOptions::share_clauses`], [`SynthOptions::depth_parallel`])
-    /// runs per turn. Smaller quanta exchange clauses more often (and
-    /// fan work out more fairly) at the cost of more restart overhead;
-    /// the value only shifts *which* deterministic trajectory a run
-    /// takes.
+    /// Conflicts each worker of a lockstep fleet (every seed portfolio,
+    /// and [`SynthOptions::depth_parallel`]) runs per turn. Smaller
+    /// quanta exchange clauses more often (and fan work out more
+    /// fairly) at the cost of more restart overhead; the value only
+    /// shifts *which* deterministic trajectory a run takes, and a
+    /// portfolio's verdict goes to the worker needing the fewest
+    /// conflicts rounded up to it.
     pub parallel_quantum: u64,
     /// Arms a deterministic injected fault ([`sat::FaultPlan`]) on
     /// every CDCL solver this run constructs — including diversified
@@ -129,14 +129,6 @@ impl SynthOptions {
     /// Uses the CDCL backend with the given seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.backend = BackendChoice::Cdcl(CdclConfig::default().with_seed(seed));
-        self
-    }
-
-    /// Uses the CDCL backend with a seed-diversified configuration
-    /// (varying restarts/decay/polarity, see [`CdclConfig::diversified`])
-    /// — the portfolio default.
-    pub fn with_diversified_seed(mut self, seed: u64) -> Self {
-        self.backend = BackendChoice::Cdcl(CdclConfig::diversified(seed));
         self
     }
 

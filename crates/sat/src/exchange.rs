@@ -18,10 +18,10 @@
 //! * **deterministic import points** — the solver drains its inbox only
 //!   at restart boundaries and at `solve_assuming` entry, never
 //!   mid-search (see `import_shared_clauses` in the solver);
-//! * **lockstep scheduling** — the portfolio driver in
-//!   `synth::optimize` runs the workers round-robin under fixed
-//!   conflict quanta on one thread, so inbox contents at every drain
-//!   are a pure function of the seeds.
+//! * **lockstep scheduling** — the fleet driver behind
+//!   `synth::optimize` runs sharing workers round-robin under fixed
+//!   conflict quanta, one turn at a time, so inbox contents at every
+//!   drain are a pure function of the seeds.
 //!
 //! Every imported clause is re-verified by the importer with a
 //! reverse-unit-propagation (RUP) test before it is attached, and

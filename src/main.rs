@@ -24,8 +24,8 @@
 //! flag is ever silently ignored.
 //!
 //! `synth` writes `<name>.lasre` and `<name>.gltf` into `--out`
-//! (default `.`); with `--seeds N` it runs a parallel portfolio of N
-//! diversified CDCL workers, and `--seeds auto` picks the portfolio
+//! (default `.`); with `--seeds N` it runs a portfolio of N diversified
+//! CDCL workers on one encoding, and `--seeds auto` picks the portfolio
 //! automatically when the encoding is large.
 //! `--stats` prints the winning solver's search counters after the
 //! verdict; a portfolio without a verdict adds a `gave up on: <reason>`
@@ -36,16 +36,19 @@
 //! probe's search counters. `--lo` defaults to 1 and `--hi` to the
 //! spec's depth plus two.
 //!
-//! `--share-clauses` (with `--seeds`) switches the portfolio to a
-//! deterministic single-threaded lockstep fleet whose workers exchange
-//! low-LBD learnt clauses; `--depth-parallel` on `depth` gives every
-//! candidate depth its own lockstep worker over one shared layered
-//! encoding, monotone pruning cancelling dominated depths (the two
-//! compose: sharing then runs between the depth workers). Both modes
-//! run on one lockstep fleet driver, whose per-turn conflict quantum
-//! `--quantum N` sets, and are deterministic — same spec, seeds and
-//! quantum reproduce the same verdicts, stats and import sequences —
-//! and `--stats` reports the exchange counters (exported/imported/kept)
+//! Every portfolio runs on one lockstep fleet driver: rounds of
+//! `--quantum N` conflicts per worker, an isolated round's turns in
+//! parallel on threads, verdicts settled in seed order, so the earliest
+//! verdict in seed order wins and runs are reproducible.
+//! `--share-clauses` makes the workers exchange low-LBD learnt clauses
+//! and take their turns one at a time; `--depth-parallel` on `depth`
+//! gives every candidate depth its own fleet worker over one shared
+//! layered encoding, monotone pruning cancelling dominated depths (the
+//! two compose: sharing then runs between the depth workers).
+//! `--quantum` and `--share-clauses` need a fleet (`--seeds` on
+//! `synth`, `--depth-parallel` on `depth`). Same spec, seeds and
+//! quantum reproduce the same verdicts, stats and import sequences, and
+//! `--stats` reports the exchange counters (exported/imported/kept)
 //! plus a `portfolio total` block covering every worker, losers
 //! included.
 //!
@@ -421,6 +424,15 @@ fn options_from(args: &Args) -> Result<SynthOptions, Failure> {
     Ok(options)
 }
 
+/// `--share-clauses` and `--quantum` only act on a lockstep fleet: a
+/// usage error naming the first one given when `fleet` is false.
+fn fleet_flags_need(args: &Args, fleet: bool, needed: &str) -> Result<(), Failure> {
+    match [SHARE_CLAUSES, QUANTUM].into_iter().find(|&f| args.has(f)) {
+        Some(flag) if !fleet => Err(usage_error(format!("{} needs {needed}", flag.name))),
+        _ => Ok(()),
+    }
+}
+
 /// Above this many CNF variables, `--seeds auto` switches from a single
 /// solve to a diversified seed portfolio: big encodings show the
 /// paper's multi-× seed variance, so hedging across configurations
@@ -546,11 +558,11 @@ fn run_synth(
         SeedsMode::Portfolio(n) => portfolio(spec, options, n),
         SeedsMode::Auto => {
             // Encode once to size the instance exactly. On the
-            // portfolio path this sizing encode is thrown away (each
-            // worker re-encodes in its own thread), but it costs
-            // milliseconds against the minutes-scale solves that
-            // trigger the portfolio; small instances solve directly on
-            // the already-built encoding.
+            // portfolio path this sizing encode is thrown away (the
+            // portfolio encodes the spec again, once for all its
+            // workers), but it costs milliseconds against the
+            // minutes-scale solves that trigger the portfolio; small
+            // instances solve directly on the already-built encoding.
             let synth = Synthesizer::new(spec.clone())?;
             let vars = synth.cnf().num_vars();
             if vars > AUTO_PORTFOLIO_VARS {
@@ -579,11 +591,7 @@ fn cmd_synth(args: &Args) -> Result<i32, Failure> {
         .unwrap_or(SeedsMode::Single);
     let single = matches!(mode, SeedsMode::Single);
     let drat_out = args.value(DRAT);
-    if options.share_clauses && single {
-        return Err(usage_error(
-            "--share-clauses needs a portfolio (add --seeds N or --seeds auto)",
-        ));
-    }
+    fleet_flags_need(args, !single, "a portfolio (add --seeds N or --seeds auto)")?;
     if drat_out.is_some() && !single {
         // The proof lives in the winning worker's solver; only the
         // single-solve path can hand it back.
@@ -780,6 +788,7 @@ fn cmd_depth(args: &Args) -> Result<i32, Failure> {
     let range = depth_range(args)?;
     let requested = args.get(START, "a number", |v| v.parse::<usize>().ok())?;
     let options = options_from(args)?;
+    fleet_flags_need(args, options.depth_parallel, "--depth-parallel")?;
     let spec = load_spec(args.operands[0])?;
     let (lo, hi) = resolve_range(&spec, range)?;
     // Default to the spec's depth; out-of-range starts are clamped

@@ -733,6 +733,10 @@ fn usage_errors_exit_nonzero() {
         ),
         (&["depth", "--lo", "2", "--hi"], "--hi"),
         (&["lint-cnf", "--lo", "2", "--hi", "q"], "--hi"),
+        // Fleet flags without a fleet to act on.
+        (&["synth", "--quantum", "5"], "--quantum"),
+        (&["depth", "--quantum", "5"], "--quantum"),
+        (&["depth", "--share-clauses"], "--share-clauses"),
     ] {
         let out = bin()
             .arg(args[0])

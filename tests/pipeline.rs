@@ -107,19 +107,24 @@ fn unknown_surfaced_not_panicked() {
     }
 }
 
-/// A stop the caller raises while the threaded portfolio runs reaches
-/// every worker: the Fig. 15 width-5 majority gate takes seconds on any
-/// seed, so the flag raised 100 ms in wins the race, and each worker
-/// gives up with a cancellation instead of running to its verdict.
+/// A stop the caller raises while the portfolio runs reaches every
+/// worker inside its turn: with an unbounded quantum each worker's
+/// first turn would run to its verdict. The flag goes up 1 s in, after
+/// the spec is encoded and the sessions are open, but long before the
+/// Fig. 15 width-5 majority gate solves on either seed, so each worker
+/// gives up with a cancellation.
 #[test]
-fn threaded_portfolio_passes_a_mid_run_stop_on() {
+fn portfolio_passes_a_mid_run_stop_on() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     let stop = Arc::new(AtomicBool::new(false));
-    let mut options = SynthOptions::default();
+    let mut options = SynthOptions {
+        parallel_quantum: u64::MAX,
+        ..SynthOptions::default()
+    };
     options.budget.stop = Some(stop.clone());
     let raiser = std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        std::thread::sleep(std::time::Duration::from_secs(1));
         stop.store(true, Ordering::Relaxed);
     });
     let spec = lassynth::workloads::specs::majority_gate_spec(5);
@@ -130,4 +135,19 @@ fn threaded_portfolio_passes_a_mid_run_stop_on() {
     for (seed, stats) in &o.worker_stats {
         assert_eq!(stats.unwrap().exhausted_cancelled, 1, "seed {seed}");
     }
+}
+
+/// A seed portfolio without sharing is reproducible: its rounds run
+/// on threads, but the verdicts are settled in seed order, so two runs
+/// name the same winner and every worker spends the same conflicts.
+#[test]
+fn isolated_portfolio_runs_are_deterministic() {
+    let spec = lassynth::workloads::specs::majority_gate_spec(4);
+    let run = || {
+        let o = optimize::solve_portfolio_detailed(&spec, &[0, 1, 2, 3], &SynthOptions::default())
+            .unwrap();
+        assert!(o.result.is_sat());
+        (o.winner_seed, o.worker_stats)
+    };
+    assert_eq!(run(), run());
 }
