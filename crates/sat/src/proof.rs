@@ -76,11 +76,11 @@ impl ProofLog {
         ProofLog::default()
     }
 
-    fn push(&mut self, kind: StepKind, lits: &[Lit]) {
+    fn push(&mut self, kind: StepKind, lits: impl IntoIterator<Item = Lit>) {
         if self.frozen {
             return;
         }
-        self.lits.extend_from_slice(lits);
+        self.lits.extend(lits);
         self.ends.push(self.lits.len() as u32);
         self.kinds.push(kind);
     }
@@ -98,16 +98,22 @@ impl ProofLog {
 
     /// Records a caller-asserted clause.
     pub fn add_input(&mut self, lits: &[Lit]) {
-        self.push(StepKind::AddInput, lits);
+        self.push(StepKind::AddInput, lits.iter().copied());
     }
 
     /// Records a solver-derived clause (RUP/RAT obligation).
     pub fn add_derived(&mut self, lits: &[Lit]) {
-        self.push(StepKind::AddDerived, lits);
+        self.push(StepKind::AddDerived, lits.iter().copied());
     }
 
     /// Records the removal of a live clause.
     pub fn delete(&mut self, lits: &[Lit]) {
+        self.push(StepKind::Delete, lits.iter().copied());
+    }
+
+    /// [`ProofLog::delete`] straight from an iterator, so the solver
+    /// can log a clause from its arena words without collecting it.
+    pub(crate) fn delete_iter(&mut self, lits: impl IntoIterator<Item = Lit>) {
         self.push(StepKind::Delete, lits);
     }
 

@@ -85,15 +85,20 @@
 //! (high LBD, low activity, not locked as a reason) by setting the
 //! `deleted` header bit, then immediately runs a compacting GC:
 //!
-//! 1. every live clause is copied front-to-back into a spare buffer and
-//!    its old header is overwritten with a forwarding address
-//!    (`RELOCATED` sentinel in word 0, new offset in word 1);
+//! 1. every live clause is copied front-to-back into a fresh buffer
+//!    (reserved at the old arena's length, so the arena regrows into
+//!    it without reallocating) and its old header is overwritten with a
+//!    forwarding address (`RELOCATED` sentinel in word 0, new offset in
+//!    word 1);
 //! 2. the `clauses` ref list, the three learnt tier lists, every
 //!    watcher list, and every trail `reason` are rewritten through the
 //!    forwarding addresses — watchers of collected clauses are dropped
-//!    here, so tombstones never survive into `propagate`;
-//! 3. the buffers are swapped (the old arena becomes the next GC's
-//!    spare buffer, so steady-state GC allocates nothing).
+//!    here, so tombstones never survive into `propagate`, and a watch
+//!    list left with more than twice its length in capacity releases
+//!    the excess;
+//! 3. the fresh buffer becomes the arena and the old one is freed. No
+//!    spare buffer is kept between passes: it would hold a full arena's
+//!    worth of resident memory for the whole solve.
 //!
 //! After GC the arena length equals the sum of live clause sizes —
 //! deleted clauses' memory is actually reclaimed, not tombstoned.
@@ -122,8 +127,8 @@
 //! and the `seen`/`to_clear` marks are reused across conflicts, and the
 //! LBD of a learnt clause is computed with a generation-stamped level
 //! array instead of sort+dedup. Allocations happen only when a buffer's
-//! high-water mark grows (new deepest clause, widest watch list) and in
-//! the rare `reduce_db` pass.
+//! high-water mark grows (new deepest clause, a watch list outgrowing
+//! the capacity the last GC left it) and in the rare `reduce_db` pass.
 //!
 //! # Incremental solving
 //!
@@ -181,32 +186,6 @@ mod restart;
 use audit::AuditPoint;
 use elim::ElimFrame;
 pub use fault::{FaultKind, FaultPlan};
-
-/// Multiply-shift hasher for clause-keyed side tables: the keys are
-/// arena offsets (already well spread), and SipHash is a measurable
-/// slice of every inprocessing index build at eager pass cadence.
-#[derive(Default)]
-pub(crate) struct OffsetHash(u64);
-
-impl std::hash::Hasher for OffsetHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.0 = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 29;
-    }
-}
-
-/// Clause signature map (arena offset → 64-bit variable signature),
-/// rebuilt by each subsumption pass.
-pub(crate) type SigMap =
-    std::collections::HashMap<u32, u64, std::hash::BuildHasherDefault<OffsetHash>>; // lint:allow(no-std-hashmap): cold, one transient map per inprocessing pass
 
 pub use restart::RestartPolicy;
 use restart::{RephaseKind, RephaseSched, RestartDecision, RestartSched};
@@ -924,6 +903,14 @@ impl ClauseArena {
         Lit::from_code(self.data[c.0 as usize + HEADER_WORDS + i] as usize)
     }
 
+    /// The literals of `c`, read straight from its arena words.
+    fn lits(&self, c: ClauseRef) -> impl Iterator<Item = Lit> + Clone + '_ {
+        let base = c.0 as usize + HEADER_WORDS;
+        self.data[base..base + self.len(c)]
+            .iter()
+            .map(|&w| Lit::from_code(w as usize))
+    }
+
     #[inline]
     fn swap_lits(&mut self, c: ClauseRef, i: usize, j: usize) {
         let base = c.0 as usize + HEADER_WORDS;
@@ -1165,8 +1152,6 @@ struct State {
     /// Per-level generation stamps for LBD computation.
     lbd_stamp: Vec<u32>,
     lbd_gen: u32,
-    /// Spare arena buffer swapped in by each GC pass.
-    gc_buf: Vec<u32>,
     /// Conflict count that triggers the next inprocessing pass (checked
     /// at restart boundaries, where the solver sits at level 0).
     next_inprocess: u64,
@@ -1294,7 +1279,6 @@ impl State {
             rephase,
             lbd_stamp: vec![0],
             lbd_gen: 0,
-            gc_buf: Vec::new(),
             next_inprocess,
             inprocess_passes: 0,
             next_reduce: 0,
@@ -1450,13 +1434,8 @@ impl State {
     /// literals. Valid until the next GC pass compacts the arena, so
     /// every `mark_deleted` site calls this alongside the mark.
     fn proof_delete_cref(&mut self, cref: ClauseRef) {
-        if self.proof.is_some() {
-            let lits: Vec<Lit> = (0..self.arena.len(cref))
-                .map(|k| self.arena.lit(cref, k))
-                .collect();
-            if let Some(p) = &mut self.proof {
-                p.delete(&lits);
-            }
+        if let Some(p) = &mut self.proof {
+            p.delete_iter(self.arena.lits(cref));
         }
     }
 
@@ -2275,9 +2254,9 @@ impl State {
     /// forwarding addresses. See the GC protocol in the module docs.
     fn collect_garbage(&mut self) {
         let old_words = self.arena.data.len();
-        let mut dst = std::mem::take(&mut self.gc_buf);
-        dst.clear();
-        dst.reserve(old_words);
+        // Capacity the arena may regrow into costs address space, not
+        // resident memory: only the live prefix is ever written.
+        let mut dst = Vec::with_capacity(old_words);
         // 1. Copy live clauses, leaving forwarding addresses behind.
         //    Originals are never marked, but the check keeps the pass
         //    uniform (future preprocessing may delete originals too).
@@ -2315,7 +2294,9 @@ impl State {
             None => false,
         });
         self.touched = touched;
-        // 2a. Rewrite watchers; watchers of collected clauses drop here.
+        // 2a. Rewrite watchers; watchers of collected clauses drop here,
+        //     and a list left holding more than twice its length in
+        //     capacity gives the excess back.
         for list in &mut self.watches {
             list.retain_mut(|w| match self.arena.forwarded(w.cref()) {
                 Some(nc) => {
@@ -2324,6 +2305,9 @@ impl State {
                 }
                 None => false,
             });
+            if list.capacity() > 2 * list.len() {
+                list.shrink_to(2 * list.len());
+            }
         }
         // 2b. Rewrite trail reasons (always locked, hence always live).
         for &l in &self.trail {
@@ -2335,8 +2319,8 @@ impl State {
                     .expect("reason clause collected by GC"); // lint:allow(no-panic)
             }
         }
-        // 3. Swap buffers; the old arena becomes the next spare.
-        self.gc_buf = std::mem::replace(&mut self.arena.data, dst);
+        // 3. Install the compacted arena and free the old one.
+        self.arena.data = dst;
         self.stats.gc_passes += 1;
         self.stats.gc_reclaimed_words += (old_words - self.arena.data.len()) as u64;
         self.audit_checkpoint(AuditPoint::Gc);
@@ -4399,5 +4383,73 @@ mod tests {
             "stop was only honored by the amortized poll, got {} conflicts",
             solver.session_stats().conflicts
         );
+    }
+
+    /// Golden trajectory: one fixed random 3-SAT instance solved with
+    /// every inprocessing pass forced on from the first conflict
+    /// (subsumption with periodic full sweeps, bounded variable
+    /// elimination, the tier database, and the compacting GC after
+    /// each). The expected counters pin the search exactly: a change
+    /// to the solver's memory layout (occurrence index, elimination
+    /// stack, arena or watch-list storage) must leave every one of
+    /// them unchanged.
+    #[test]
+    fn golden_trajectory_with_forced_inprocessing() {
+        // splitmix64: a self-contained stream, independent of `rand`.
+        let mut state = 0x005E_ED0F_1A55_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let n = 250u64;
+        let mut c = Cnf::new(n as usize);
+        for _ in 0..1_050 {
+            let cl: Vec<Lit> = (0..3)
+                .map(|_| {
+                    let r = next();
+                    Lit::new(Var((r % n) as u32), (r >> 32) & 1 == 1)
+                })
+                .collect();
+            c.add_clause(cl);
+        }
+        let config = CdclConfig {
+            restart_policy: RestartPolicy::Luby,
+            restart_base: 20,
+            restart_activation_conflicts: 0,
+            chrono_activation_conflicts: 0,
+            simplify_activation_conflicts: 0,
+            inprocess_interval: 100,
+            max_learnts_floor: 300.0,
+            ..CdclConfig::default()
+        };
+        let mut s = CdclSolver::with_config(config);
+        let out = s.solve_with(&c, &[], &Budget::conflict_limit(6_000));
+        assert!(matches!(
+            out,
+            SolveOutcome::Unknown(ExhaustionReason::Conflicts)
+        ));
+        let expected = SolverStats {
+            decisions: 7218,
+            conflicts: 6000,
+            propagations: 202_116,
+            restarts: 103,
+            learned: 5834,
+            deleted: 1291,
+            minimized_lits: 16_006,
+            gc_passes: 11,
+            gc_reclaimed_words: 55_332,
+            subsumed_clauses: 1070,
+            strengthened_clauses: 704,
+            chrono_backtracks: 821,
+            missed_implications: 166,
+            eliminated_vars: 45,
+            elim_resolvents: 677,
+            exhausted_conflicts: 1,
+            ..SolverStats::default()
+        };
+        assert_eq!(s.stats, expected);
     }
 }

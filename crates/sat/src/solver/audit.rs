@@ -50,12 +50,13 @@
 //! detached) before the closing GC reclaims them, so the `Inprocess`
 //! checkpoint tolerates tombstones in the ref lists — but still rejects
 //! them in watch lists and trail reasons, where a tombstone would be a
-//! live bug. The occurrence-index/signature agreement check is called
-//! from `subsume` itself, right after the index is built.
+//! live bug. The occurrence-index check (id ↔ clause mapping,
+//! signatures, CSR rows and the tail of mid-pass replacements) is
+//! called from `subsume` itself, right after the index is built and
+//! again when the pass ends.
 
+use super::inprocess::{signature, OccIndex};
 use super::*;
-// Audited, not hot: the occurrence-index check mirrors `subsume`'s own
-// map type. lint:allow(no-std-hashmap)
 
 /// Which search event triggered a checkpoint. Controls throttling and
 /// the tombstone tolerance of the `Inprocess` point.
@@ -558,6 +559,20 @@ impl State {
                 "audit({point:?}): frozen {} was eliminated",
                 frame.var
             );
+            assert!(
+                frame.ends.windows(2).all(|w| w[0] < w[1])
+                    && frame.ends.first().is_none_or(|&e| e > 0)
+                    && frame.ends.last().map_or(0, |&e| e as usize) == frame.lits.len(),
+                "audit({point:?}): elimination stack frame for {} does not tile its literals",
+                frame.var
+            );
+            for lits in frame.clauses() {
+                assert!(
+                    lits.iter().any(|l| l.var() == frame.var),
+                    "audit({point:?}): elimination stack frame for {} stores {lits:?} without it",
+                    frame.var
+                );
+            }
         }
         for &c in self.clauses.iter().chain(self.learnts.iter().flatten()) {
             if self.arena.is_deleted(c) {
@@ -602,54 +617,131 @@ impl State {
         }
     }
 
-    /// Occurrence-index/signature agreement, called from `subsume`
-    /// right after the index is built: the index covers exactly the
-    /// live clauses, each entry under the literals it contains, with
-    /// matching signatures.
-    // lint:allow(no-std-hashmap)
-    pub(super) fn audit_occ_index(&self, occs: &[Vec<ClauseRef>], sigs: &SigMap) {
+    /// Occurrence-index agreement, called from `subsume` right after
+    /// the index is built (`fresh`) and again when the pass ends:
+    ///
+    /// * id ↔ clause: the ids name distinct clauses, every live clause
+    ///   of the database has one, and there is one signature per id;
+    /// * CSR: the row starts are monotone and tile the flat array, CSR
+    ///   rows hold ascending ids below `csr_ids` and tail lists hold
+    ///   ascending ids from it on (the mid-pass replacements);
+    /// * every entry's clause contains the literal it is filed under,
+    ///   and every live indexed clause is filed under each of its
+    ///   literals, with its current signature.
+    ///
+    /// A fresh index holds neither tombstones nor tail entries; by the
+    /// end of the pass both are legal.
+    pub(super) fn audit_occ_index(&self, idx: &OccIndex, fresh: bool) {
+        let n_ids = idx.refs.len();
+        assert_eq!(
+            idx.sigs.len(),
+            n_ids,
+            "audit(occ-index): {n_ids} ids but {} signatures",
+            idx.sigs.len()
+        );
+        let mut by_ref: Vec<(u32, usize)> = idx.refs.iter().map(|c| c.0).zip(0..).collect();
+        by_ref.sort_unstable();
+        for w in by_ref.windows(2) {
+            assert_ne!(
+                w[0].0, w[1].0,
+                "audit(occ-index): ids {} and {} name the same clause {}",
+                w[0].1, w[1].1, w[0].0
+            );
+        }
         let mut live = 0usize;
         for &c in self.clauses.iter().chain(self.learnts.iter().flatten()) {
             if self.arena.is_deleted(c) {
                 continue;
             }
             live += 1;
-            let mut sig = 0u64;
-            for k in 0..self.arena.len(c) {
-                let l = self.arena.lit(c, k);
-                sig |= 1u64 << (l.var().0 & 63);
-                assert!(
-                    occs[l.code()].contains(&c),
-                    "audit(occ-index): live clause {} missing from the occurrence list of {l}",
-                    c.0
-                );
-            }
-            assert_eq!(
-                sigs.get(&c.0),
-                Some(&sig),
-                "audit(occ-index): stale signature for clause {}",
+            assert!(
+                by_ref.binary_search_by_key(&c.0, |&(r, _)| r).is_ok(),
+                "audit(occ-index): live clause {} has no id",
                 c.0
             );
         }
+        if fresh {
+            assert_eq!(
+                (idx.csr_ids, n_ids),
+                (live, live),
+                "audit(occ-index): fresh index covers a different clause set"
+            );
+        }
+        let n_lits = 2 * self.num_vars;
+        let (starts, flat) = (&idx.csr.starts, &idx.csr.flat);
+        assert_eq!(starts.len(), n_lits + 1, "audit(occ-index): CSR row count");
         assert_eq!(
-            sigs.len(),
-            live,
-            "audit(occ-index): signature table covers a different clause set"
+            starts[0], 0,
+            "audit(occ-index): CSR starts at {}",
+            starts[0]
         );
-        for (code, list) in occs.iter().enumerate() {
+        assert_eq!(
+            starts[n_lits] as usize,
+            flat.len(),
+            "audit(occ-index): CSR rows do not tile the flat array"
+        );
+        let mut hits = vec![0usize; n_ids];
+        for code in 0..n_lits {
             let lit = Lit::from_code(code);
-            for &c in list {
-                assert!(
-                    !self.arena.is_deleted(c),
-                    "audit(occ-index): tombstone {} indexed under {lit}",
-                    c.0
-                );
-                assert!(
-                    (0..self.arena.len(c)).any(|k| self.arena.lit(c, k) == lit),
-                    "audit(occ-index): clause {} indexed under {lit} it does not contain",
-                    c.0
-                );
+            let (lo, hi) = (starts[code], starts[code + 1]);
+            assert!(
+                lo <= hi,
+                "audit(occ-index): CSR row of {lit} runs backwards"
+            );
+            let row = &flat[lo as usize..hi as usize];
+            let tail = &idx.tail[code];
+            assert!(
+                !fresh || tail.is_empty(),
+                "audit(occ-index): fresh index has tail entries under {lit}"
+            );
+            for (in_csr, ids) in [(true, row), (false, tail.as_slice())] {
+                let list = if in_csr { "CSR row" } else { "tail" };
+                for w in ids.windows(2) {
+                    assert!(
+                        w[0] < w[1],
+                        "audit(occ-index): {list} of {lit} not strictly ascending"
+                    );
+                }
+                for &id in ids {
+                    let id = id as usize;
+                    assert!(
+                        id < n_ids && (id < idx.csr_ids) == in_csr,
+                        "audit(occ-index): id {id} misfiled in the {list} of {lit}"
+                    );
+                    let c = idx.refs[id];
+                    if self.arena.is_deleted(c) {
+                        assert!(
+                            !fresh,
+                            "audit(occ-index): tombstone {} indexed under {lit}",
+                            c.0
+                        );
+                        continue;
+                    }
+                    assert!(
+                        (0..self.arena.len(c)).any(|k| self.arena.lit(c, k) == lit),
+                        "audit(occ-index): clause {} indexed under {lit} it does not contain",
+                        c.0
+                    );
+                    hits[id] += 1;
+                }
             }
+        }
+        for (id, &c) in idx.refs.iter().enumerate() {
+            if self.arena.is_deleted(c) {
+                continue;
+            }
+            assert_eq!(
+                idx.sigs[id],
+                signature(self.arena.lits(c)),
+                "audit(occ-index): stale signature for clause {}",
+                c.0
+            );
+            assert_eq!(
+                hits[id],
+                self.arena.len(c),
+                "audit(occ-index): live clause {} missing from an occurrence list",
+                c.0
+            );
         }
     }
 }
@@ -759,13 +851,59 @@ mod tests {
         let mut values = vec![false, true, false];
         st.reconstruct_model(&mut values);
         st.audit_reconstruction(&values);
-        // Corrupt the frame so no single polarity of variable 1 can
-        // satisfy all stored clauses; the reconstruction audit must
-        // name the elimination stack.
-        st.elim_stack[0].clauses = vec![vec![lit(1)], vec![lit(-1)]];
+        // Corrupt the flat frame so no single polarity of variable 1
+        // can satisfy all stored clauses; the reconstruction audit
+        // must name the elimination stack.
+        st.elim_stack[0].lits = vec![lit(1), lit(-1)];
+        st.elim_stack[0].ends = vec![1, 2];
         let mut values = vec![false, true, false];
         st.reconstruct_model(&mut values);
         st.audit_reconstruction(&values);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not tile its literals")]
+    fn corrupted_elimination_frame_offsets_are_caught() {
+        let mut c = Cnf::new(0);
+        c.add_clause([lit(1), lit(2)]);
+        c.add_clause([lit(-1), lit(3)]);
+        let config = CdclConfig {
+            audit: true,
+            ..CdclConfig::default()
+        };
+        let mut st = State::new(&c, config);
+        assert!(st.eliminate_vars(None));
+        st.collect_garbage();
+        st.audit_now(AuditPoint::Gc); // control
+                                      // An end offset past the literal buffer: the frame's clauses
+                                      // no longer tile it.
+        st.elim_stack[0].ends[1] += 1;
+        st.audit_now(AuditPoint::Gc);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale signature")]
+    fn corrupted_occ_index_signature_is_caught() {
+        let st = audited_state();
+        let mut idx = OccIndex::build(&st);
+        st.audit_occ_index(&idx, true); // control
+        idx.sigs[2] ^= 1 << 40;
+        st.audit_occ_index(&idx, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not contain")]
+    fn corrupted_occ_index_row_is_caught() {
+        let st = audited_state();
+        let mut idx = OccIndex::build(&st);
+        st.audit_occ_index(&idx, true); // control
+                                        // The row of literal 5 holds only {¬4, 5, 6}; file {¬1, 2}
+                                        // there instead.
+        let code = lit(5).code();
+        assert_eq!(idx.occ_len(code), 1);
+        let slot = idx.csr.starts[code] as usize;
+        idx.csr.flat[slot] = 0;
+        st.audit_occ_index(&idx, true);
     }
 
     #[test]

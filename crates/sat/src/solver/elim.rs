@@ -36,6 +36,7 @@
 //! evolves exactly as it did before this module existed, keeping the
 //! small benchmark records conflict-identical.
 
+use super::inprocess::Csr;
 use super::*;
 
 /// Variable elimination only considers variables with at most this
@@ -55,13 +56,34 @@ const ELIM_GROW: usize = 12;
 /// frames newest-first to complete a model; [`State::restore_var`]
 /// pops them (strictly LIFO) to reintroduce a variable the incremental
 /// API needs back.
+///
+/// The clauses are stored flat — one literal buffer plus end offsets,
+/// the layout of [`crate::proof::ProofLog`] — rather than one `Vec`
+/// per clause, whose header and heap block would outweigh the few
+/// literals of a typical stored clause.
 #[derive(Clone, Debug)]
 pub(super) struct ElimFrame {
     /// The eliminated variable.
     pub(super) var: Var,
-    /// Literal vectors of every original clause that contained
-    /// [`ElimFrame::var`] when it was eliminated (both polarities).
-    pub(super) clauses: Vec<Vec<Lit>>,
+    /// The literals of every original clause that contained
+    /// [`ElimFrame::var`] when it was eliminated (both polarities),
+    /// back to back.
+    pub(super) lits: Vec<Lit>,
+    /// `ends[i]` is one past the last literal of stored clause `i` in
+    /// [`ElimFrame::lits`].
+    pub(super) ends: Vec<u32>,
+}
+
+impl ElimFrame {
+    /// The stored clauses, in elimination order.
+    pub(super) fn clauses(&self) -> impl Iterator<Item = &[Lit]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let clause = &self.lits[start..end as usize];
+            start = end as usize;
+            clause
+        })
+    }
 }
 
 impl State {
@@ -117,7 +139,7 @@ impl State {
         // with the number of variables the search actually skips.
         self.stats.eliminated_vars = self.stats.eliminated_vars.saturating_sub(1);
         self.order.insert(v as u32);
-        for lits in &frame.clauses {
+        for lits in frame.clauses() {
             // A restored clause is not a consequence of the current
             // formula (BVE only preserves satisfiability), but it *is*
             // RAT on its literal over the frame variable: the frame's
@@ -127,7 +149,7 @@ impl State {
             // resolvents. DRAT pivots are positional — rotate the frame
             // literal to the front for the proof step only.
             if self.proof.is_some() {
-                let mut rat = lits.clone();
+                let mut rat = lits.to_vec();
                 if let Some(i) = rat.iter().position(|l| l.var() == frame.var) {
                     rat.swap(0, i);
                 }
@@ -179,18 +201,22 @@ impl State {
         if !any {
             return false;
         }
-        let mut occs: Vec<Vec<ClauseRef>> = vec![Vec::new(); 2 * self.num_vars];
-        for &c in self.clauses.iter().chain(self.learnts.iter().flatten()) {
-            if self.arena.is_deleted(c) {
-                continue;
-            }
-            for i in 0..self.arena.len(c) {
-                let l = self.arena.lit(c, i);
-                if candidate[l.var().index()] {
-                    occs[l.code()].push(c);
-                }
-            }
-        }
+        // The occurrence lists of the candidates' literals, row `code`
+        // holding the clauses containing literal `code` in database
+        // order.
+        let occs = Csr::build(
+            2 * self.num_vars,
+            self.clauses
+                .iter()
+                .chain(self.learnts.iter().flatten())
+                .filter(|&&c| !self.arena.is_deleted(c))
+                .flat_map(|&c| {
+                    self.arena
+                        .lits(c)
+                        .filter(|l| candidate[l.var().index()])
+                        .map(move |l| (l.code(), c.0))
+                }),
+        );
         // Within-pass staleness: committing an elimination adds
         // resolvents the occurrence index does not know about, so every
         // variable of a resolvent is skipped for the remainder of the
@@ -225,7 +251,8 @@ impl State {
             let mut sides: [Vec<ClauseRef>; 2] = [Vec::new(), Vec::new()];
             let mut capped = false;
             for (side, lit) in [pos_lit, neg_lit].into_iter().enumerate() {
-                for &c in &occs[lit.code()] {
+                for &c in occs.row(lit.code()) {
+                    let c = ClauseRef(c);
                     budget -= 1;
                     if self.arena.is_deleted(c) || self.arena.is_learnt(c) {
                         continue;
@@ -301,10 +328,6 @@ impl State {
             // clause containing `v` — originals and learnts alike — and
             // only then add the resolvents, so no propagation can ever
             // assign the variable being eliminated.
-            let mut frame = ElimFrame {
-                var: Var(v as u32),
-                clauses: Vec::with_capacity(limit),
-            };
             let mut resolvents: Vec<Vec<Lit>> = Vec::with_capacity(count);
             for &p in &pos {
                 stamp += 1;
@@ -351,20 +374,19 @@ impl State {
                     self.proof_add_derived(r);
                 }
             }
-            for side in [&pos, &neg] {
-                for &c in side {
-                    frame.clauses.push(
-                        (0..self.arena.len(c))
-                            .map(|i| self.arena.lit(c, i))
-                            .collect(),
-                    );
-                }
+            let stored = pos.iter().chain(&neg);
+            let mut frame = ElimFrame {
+                var: Var(v as u32),
+                lits: Vec::with_capacity(stored.clone().map(|&c| self.arena.len(c)).sum()),
+                ends: Vec::with_capacity(pos.len() + neg.len()),
+            };
+            for &c in stored {
+                frame.lits.extend(self.arena.lits(c));
+                frame.ends.push(frame.lits.len() as u32);
             }
             for lit in [pos_lit, neg_lit] {
-                // `v` is done after this loop, so its occurrence lists
-                // can be consumed (no later candidate reads them).
-                let side = std::mem::take(&mut occs[lit.code()]);
-                for &c in &side {
+                for &c in occs.row(lit.code()) {
+                    let c = ClauseRef(c);
                     if self.arena.is_deleted(c) {
                         continue;
                     }
@@ -413,7 +435,7 @@ impl State {
     pub(super) fn reconstruct_model(&self, values: &mut [bool]) {
         for frame in self.elim_stack.iter().rev() {
             let v = frame.var.index();
-            for lits in &frame.clauses {
+            for lits in frame.clauses() {
                 let satisfied_without_v = lits
                     .iter()
                     .any(|&l| l.var().index() != v && (values[l.var().index()] ^ l.is_neg()));
@@ -436,7 +458,7 @@ impl State {
     /// see.
     pub(super) fn audit_reconstruction(&self, values: &[bool]) {
         for (fi, frame) in self.elim_stack.iter().enumerate() {
-            for lits in &frame.clauses {
+            for lits in frame.clauses() {
                 assert!(
                     lits.iter().any(|&l| values[l.var().index()] ^ l.is_neg()),
                     "audit: elimination stack frame {fi} (var {}) holds a clause the \
@@ -476,7 +498,7 @@ mod tests {
         assert_eq!(st.stats.elim_resolvents, 1);
         assert_eq!(st.elim_stack.len(), 1);
         assert_eq!(st.elim_stack[0].var, Var(0));
-        assert_eq!(st.elim_stack[0].clauses.len(), 2);
+        assert_eq!(st.elim_stack[0].clauses().count(), 2);
         let live: Vec<Vec<Lit>> = st
             .clauses
             .iter()

@@ -7,14 +7,17 @@
 //! machinery they share:
 //!
 //! * **Subsumption and self-subsuming resolution** ([`State::subsume`]):
-//!   a SatELite-style backward pass over an occurrence index. Every
-//!   live clause carries a 64-bit *signature* (a Bloom filter of its
-//!   variables); a clause `C` can only subsume `D` when
-//!   `sig(C) & !sig(D) == 0`, which rejects almost all candidate pairs
-//!   without touching their literals. A full check then either deletes
-//!   `D` (`C ⊆ D`) or strengthens it (`C \ {l} ⊆ D` with `¬l ∈ D`
-//!   resolves to `D \ {¬l}`). Strengthened clauses re-enter the queue —
-//!   they are stronger subsumers than their originals.
+//!   a SatELite-style backward pass over an occurrence index
+//!   ([`OccIndex`]). Each pass gives every live clause a dense id and
+//!   a 64-bit *signature* (a Bloom filter of its variables, bit
+//!   `var % 64`), kept in a plain `Vec<u64>` indexed by id; the
+//!   occurrence lists are one CSR of ids. A clause `C` can only
+//!   subsume `D` when `sig(C) & !sig(D) == 0`, which rejects almost all
+//!   candidate pairs without touching their literals. A full check
+//!   then either deletes `D` (`C ⊆ D`) or strengthens it (`C \ {l} ⊆ D`
+//!   with `¬l ∈ D` resolves to `D \ {¬l}`). Strengthened clauses get
+//!   the next ids, append to the index's tail lists and re-enter the
+//!   queue — they are stronger subsumers than their originals.
 //!
 //! * **Bounded variable elimination** lives in the sibling `elim`
 //!   module ([`State::eliminate_vars`]) and runs on the same schedule,
@@ -50,6 +53,140 @@ enum SubMatch {
 /// With [`CdclConfig::subsumption_touched_only`]: every n-th
 /// subsumption pass processes the full clause database.
 const SUBSUMPTION_FULL_SWEEP_INTERVAL: u64 = 5;
+
+/// Per-literal lists packed into one array (compressed sparse rows):
+/// row `r` is `flat[starts[r]..starts[r + 1]]`. Both inprocessing
+/// passes index their occurrence lists this way — one allocation
+/// instead of one `Vec` per literal, and at eager pass cadence a
+/// vec-of-vecs build was the dominant inprocessing wall cost.
+pub(super) struct Csr {
+    pub(super) starts: Vec<u32>,
+    pub(super) flat: Vec<u32>,
+}
+
+impl Csr {
+    /// Packs `(row, value)` entries, each row keeping iteration order:
+    /// a counting pass, a prefix sum and a filling pass over `entries`.
+    pub(super) fn build(rows: usize, entries: impl Iterator<Item = (usize, u32)> + Clone) -> Csr {
+        let mut starts = vec![0u32; rows + 1];
+        for (row, _) in entries.clone() {
+            starts[row + 1] += 1;
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut flat = vec![0u32; starts[rows] as usize];
+        let mut cursor: Vec<u32> = starts[..rows].to_vec();
+        for (row, value) in entries {
+            flat[cursor[row] as usize] = value;
+            cursor[row] += 1;
+        }
+        Csr { starts, flat }
+    }
+
+    pub(super) fn row(&self, row: usize) -> &[u32] {
+        &self.flat[self.starts[row] as usize..self.starts[row + 1] as usize]
+    }
+}
+
+/// The subsumption pass's occurrence index, in the dense layout of
+/// SatELite: every live clause gets a dense id (database order:
+/// originals, then the learnt tiers), signatures live in a `Vec<u64>`
+/// by id, and the per-literal occurrence lists are a [`Csr`] of ids.
+/// Clauses attached mid-pass (strengthened replacements) get the next
+/// ids and append to per-literal *tail* lists instead of the frozen
+/// CSR. Entries are never removed: deleted clauses stay as tombstones
+/// and are filtered on use.
+pub(super) struct OccIndex {
+    /// Id → clause.
+    pub(super) refs: Vec<ClauseRef>,
+    /// Id → 64-bit variable signature (bit `var % 64` per literal).
+    pub(super) sigs: Vec<u64>,
+    /// Row `code`: the ids of the clauses built into the index that
+    /// contain literal `code`, ascending.
+    pub(super) csr: Csr,
+    /// Number of clauses built into the CSR: ids below it are CSR
+    /// entries, ids from it on are tail entries.
+    pub(super) csr_ids: usize,
+    /// Per literal code, the ids of mid-pass replacements containing it.
+    pub(super) tail: Vec<Vec<u32>>,
+}
+
+impl OccIndex {
+    /// Indexes every live clause.
+    pub(super) fn build(st: &State) -> OccIndex {
+        let n_lits = 2 * st.num_vars;
+        let refs: Vec<ClauseRef> = st
+            .clauses
+            .iter()
+            .chain(st.learnts.iter().flatten())
+            .copied()
+            .filter(|&c| !st.arena.is_deleted(c))
+            .collect();
+        let sigs = refs.iter().map(|&c| signature(st.arena.lits(c))).collect();
+        let csr = Csr::build(
+            n_lits,
+            refs.iter()
+                .zip(0..)
+                .flat_map(|(&c, id)| st.arena.lits(c).map(move |l| (l.code(), id))),
+        );
+        OccIndex {
+            csr_ids: refs.len(),
+            refs,
+            sigs,
+            csr,
+            tail: vec![Vec::new(); n_lits],
+        }
+    }
+
+    /// The ids of `crefs` (live indexed clauses), in the given order:
+    /// one sort of the (short) list, then one scan of the ids.
+    fn ids_of(&self, crefs: &[ClauseRef]) -> Vec<u32> {
+        let mut pending: Vec<(u32, usize)> = crefs.iter().map(|c| c.0).zip(0..).collect();
+        pending.sort_unstable();
+        let mut ids = vec![u32::MAX; crefs.len()];
+        for (id, r) in self.refs.iter().map(|c| c.0).enumerate() {
+            let lo = pending.partition_point(|&(c, _)| c < r);
+            for &(_, pos) in pending[lo..].iter().take_while(|&&(c, _)| c == r) {
+                ids[pos] = id as u32;
+            }
+        }
+        debug_assert!(ids.iter().all(|&id| id != u32::MAX));
+        ids
+    }
+
+    /// Number of index entries (CSR row plus tail) under a literal.
+    pub(super) fn occ_len(&self, code: usize) -> usize {
+        self.csr.row(code).len() + self.tail[code].len()
+    }
+
+    /// The `k`-th entry under a literal: the CSR row first, then the
+    /// tail in insertion order.
+    fn occ(&self, code: usize, k: usize) -> u32 {
+        let row = self.csr.row(code);
+        match row.get(k) {
+            Some(&id) => id,
+            None => self.tail[code][k - row.len()],
+        }
+    }
+
+    /// Indexes a clause attached mid-pass, returning its id.
+    fn push_tail(&mut self, c: ClauseRef, lits: &[Lit]) -> u32 {
+        let id = self.refs.len() as u32;
+        for &l in lits {
+            self.tail[l.code()].push(id);
+        }
+        self.refs.push(c);
+        self.sigs.push(signature(lits.iter().copied()));
+        id
+    }
+}
+
+/// A clause's 64-bit variable signature: bit `var % 64` per literal.
+pub(super) fn signature(lits: impl IntoIterator<Item = Lit>) -> u64 {
+    lits.into_iter()
+        .fold(0, |sig, l| sig | 1u64 << (l.var().0 & 63))
+}
 
 impl State {
     /// Runs one inprocessing pass (subsumption, then bounded variable
@@ -142,106 +279,57 @@ impl State {
         // before the O(database) occurrence index is built (the pass
         // still counted toward the full-sweep cadence).
         let touched = std::mem::take(&mut self.touched);
-        let mut queue: Vec<ClauseRef> = if full_sweep {
-            self.clauses
-                .iter()
-                .chain(self.learnts.iter().flatten())
-                .copied()
-                .filter(|&c| !self.arena.is_deleted(c))
-                .collect()
+        let touched = if full_sweep {
+            None
         } else {
-            touched
+            let live: Vec<ClauseRef> = touched
                 .into_iter()
                 .filter(|&c| !self.arena.is_deleted(c))
-                .collect()
+                .collect();
+            if live.is_empty() {
+                return false;
+            }
+            Some(live)
         };
-        if queue.is_empty() {
-            return false;
-        }
-        // Short clauses are the strongest subsumers; try them first.
-        queue.sort_by_key(|&c| self.arena.len(c));
-        // The occurrence index and signatures span every live clause —
-        // anything may be subsumed *by* a queued clause. The index is
-        // a flat CSR (counting scan, prefix sum, filling scan): at
-        // eager pass cadence a vec-of-vecs build was the dominant
-        // inprocessing wall cost. Clauses attached mid-pass
-        // (strengthened replacements) append to the sparse `over`
-        // side-lists instead; both halves are tombstone-filtered on
-        // use like before.
-        let n_lits = 2 * self.num_vars;
-        let mut starts = vec![0u32; n_lits + 1];
-        for &c in self.clauses.iter().chain(self.learnts.iter().flatten()) {
-            if self.arena.is_deleted(c) {
-                continue;
-            }
-            for i in 0..self.arena.len(c) {
-                starts[self.arena.lit(c, i).code() + 1] += 1;
-            }
-        }
-        for i in 1..starts.len() {
-            starts[i] += starts[i - 1];
-        }
-        let mut flat = vec![ClauseRef::NONE; starts[n_lits] as usize];
-        let mut cursor: Vec<u32> = starts[..n_lits].to_vec();
-        let mut sigs = SigMap::with_capacity_and_hasher(
-            2 * (self.clauses.len() + self.num_learnts()),
-            Default::default(),
-        );
-        for &c in self.clauses.iter().chain(self.learnts.iter().flatten()) {
-            if self.arena.is_deleted(c) {
-                continue;
-            }
-            let mut sig = 0u64;
-            for i in 0..self.arena.len(c) {
-                let l = self.arena.lit(c, i);
-                flat[cursor[l.code()] as usize] = c;
-                cursor[l.code()] += 1;
-                sig |= 1u64 << (l.var().0 & 63);
-            }
-            sigs.insert(c.0, sig);
-        }
-        let mut over: Vec<Vec<ClauseRef>> = vec![Vec::new(); n_lits];
-        let occ_len = |starts: &[u32], over: &[Vec<ClauseRef>], code: usize| {
-            (starts[code + 1] - starts[code]) as usize + over[code].len()
+        // The occurrence index spans every live clause — anything may
+        // be subsumed *by* a queued clause.
+        let mut idx = OccIndex::build(self);
+        let mut queue: Vec<u32> = match touched {
+            None => (0..idx.refs.len() as u32).collect(),
+            Some(touched) => idx.ids_of(&touched),
         };
         if self.audit_on {
-            let mut occs_audit: Vec<Vec<ClauseRef>> = vec![Vec::new(); n_lits];
-            for (code, list) in occs_audit.iter_mut().enumerate() {
-                list.extend_from_slice(&flat[starts[code] as usize..starts[code + 1] as usize]);
-            }
-            self.audit_occ_index(&occs_audit, &sigs);
+            self.audit_occ_index(&idx, true);
         }
+        // Short clauses are the strongest subsumers; try them first.
+        queue.sort_by_key(|&c| self.arena.len(idx.refs[c as usize]));
         let mut budget = self.config.subsumption_check_budget as i64;
         let mut qi = 0;
         while qi < queue.len() && budget > 0 {
-            let c = queue[qi];
+            let ci = queue[qi];
+            let c = idx.refs[ci as usize];
             qi += 1;
             if self.arena.is_deleted(c) {
                 continue;
             }
             let c_len = self.arena.len(c);
-            let c_sig = sigs[&c.0];
+            let c_sig = idx.sigs[ci as usize];
             let min_lit = (0..c_len)
                 .map(|i| self.arena.lit(c, i))
-                .min_by_key(|l| occ_len(&starts, &over, l.code()))
+                .min_by_key(|l| idx.occ_len(l.code()))
                 .expect("clauses have at least two literals"); // lint:allow(no-panic)
                                                                // Clauses containing `min_lit` are subsumption (and
                                                                // strengthening-elsewhere) candidates; clauses containing
                                                                // `¬min_lit` can only be strengthened *at* `min_lit`.
             for probe in [min_lit, !min_lit] {
                 // Snapshot the length: strengthened replacements append
-                // to the overflow lists mid-loop and get their own
-                // queue turn.
-                let csr_lo = starts[probe.code()] as usize;
-                let csr_n = starts[probe.code() + 1] as usize - csr_lo;
-                let n = csr_n + over[probe.code()].len();
+                // to the tail lists mid-loop and get their own queue
+                // turn.
+                let n = idx.occ_len(probe.code());
                 for k in 0..n {
-                    let d = if k < csr_n {
-                        flat[csr_lo + k]
-                    } else {
-                        over[probe.code()][k - csr_n]
-                    };
-                    if d == c || self.arena.is_deleted(d) || self.arena.is_deleted(c) {
+                    let di = idx.occ(probe.code(), k);
+                    let d = idx.refs[di as usize];
+                    if di == ci || self.arena.is_deleted(d) || self.arena.is_deleted(c) {
                         continue;
                     }
                     let d_len = self.arena.len(d);
@@ -249,7 +337,7 @@ impl State {
                         continue;
                     }
                     budget -= 1;
-                    if c_sig & !sigs[&d.0] != 0 {
+                    if c_sig & !idx.sigs[di as usize] != 0 {
                         continue;
                     }
                     budget -= (c_len + d_len) as i64;
@@ -299,13 +387,7 @@ impl State {
                                 }
                             } else {
                                 let nd = self.attach_clause_quiet(&new_lits, learnt, lbd);
-                                let mut sig = 0u64;
-                                for &l in &new_lits {
-                                    over[l.code()].push(nd);
-                                    sig |= 1u64 << (l.var().0 & 63);
-                                }
-                                sigs.insert(nd.0, sig);
-                                queue.push(nd);
+                                queue.push(idx.push_tail(nd, &new_lits));
                             }
                         }
                     }
@@ -317,6 +399,9 @@ impl State {
                     break;
                 }
             }
+        }
+        if self.audit_on {
+            self.audit_occ_index(&idx, false);
         }
         changed
     }

@@ -247,9 +247,15 @@ pub struct Budget {
     /// Give up after this much wall-clock time.
     pub max_time: Option<Duration>,
     /// Give up when the clause arena (original + learnt clauses,
-    /// header words included) reaches this many `u32` words. This is
-    /// the solver's dominant allocation, so the ceiling is an
-    /// effective memory governor without global allocator hooks.
+    /// header words included) reaches this many `u32` words. Only the
+    /// arena is metered — it is the one solver allocation that grows
+    /// with the search, so the check needs no allocator hooks — but it
+    /// is not most of the process: watch lists, inprocessing indexes,
+    /// the elimination stack and the encoding sit outside the ceiling.
+    /// On the 30k-conflict Fig. 17/18 T-factory solves the arena peaks
+    /// at 8.0 MB, 15% of the 54.5 MB peak resident set (10% of 77.8 MB
+    /// before the dense subsumption index, flat elimination frames and
+    /// spare-free GC).
     pub max_memory_words: Option<u64>,
     /// Cooperative cancellation flag, checked periodically.
     pub stop: Option<Arc<AtomicBool>>,
