@@ -150,7 +150,10 @@ mod tests {
         let text = "c hello\np cnf 3 2\n1 -3\n0\n-2 0\n";
         let cnf = parse_str(text).unwrap();
         assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(cnf.clauses()[0], vec![Lit::pos(Var(0)), Lit::neg(Var(2))]);
+        assert_eq!(
+            cnf.iter().next(),
+            Some(&[Lit::pos(Var(0)), Lit::neg(Var(2))][..])
+        );
     }
 
     #[test]

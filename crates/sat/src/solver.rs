@@ -83,25 +83,30 @@
 //!
 //! `reduce_db` first *marks* the doomed half of the learnt clauses
 //! (high LBD, low activity, not locked as a reason) by setting the
-//! `deleted` header bit, then immediately runs a compacting GC:
+//! `deleted` header bit, then immediately runs a GC that compacts the
+//! arena in place:
 //!
-//! 1. every live clause is copied front-to-back into a fresh buffer
-//!    (reserved at the old arena's length, so the arena regrows into
-//!    it without reallocating) and its old header is overwritten with a
-//!    forwarding address (`RELOCATED` sentinel in word 0, new offset in
-//!    word 1);
-//! 2. the `clauses` ref list, the three learnt tier lists, every
-//!    watcher list, and every trail `reason` are rewritten through the
-//!    forwarding addresses — watchers of collected clauses are dropped
-//!    here, so tombstones never survive into `propagate`, and a watch
-//!    list left with more than twice its length in capacity releases
-//!    the excess;
-//! 3. the fresh buffer becomes the arena and the old one is freed. No
-//!    spare buffer is kept between passes: it would hold a full arena's
-//!    worth of resident memory for the whole solve.
+//! 1. one walk over the arena, front to back, gives every live clause
+//!    the offset it will have once the deleted clauses are squeezed
+//!    out. The clause's LBD word moves to one reused side buffer and
+//!    the new offset takes its place;
+//! 2. the `clauses` ref list, the three learnt tier lists, the touched
+//!    work list, every watcher list, and every trail `reason` are
+//!    rewritten to those offsets. References to deleted clauses drop
+//!    out here, so tombstones never survive into `propagate`, and a
+//!    watch list left with more than twice its length in capacity
+//!    releases the excess;
+//! 3. a second walk slides each live clause down to its offset, puts
+//!    its LBD word back, and the arena is truncated to the live prefix.
 //!
-//! After GC the arena length equals the sum of live clause sizes —
-//! deleted clauses' memory is actually reclaimed, not tombstoned.
+//! There is no second arena: the pass reuses the buffer it compacts,
+//! whose capacity never grows. Live clauses keep their relative order,
+//! and no search decision reads the order of offsets anyway. Because
+//! step 1 walks the arena rather than the ref lists, the pass relies
+//! on one invariant: every live arena clause sits in exactly one ref
+//! list (the auditor checks it). After GC the arena length equals the
+//! sum of live clause sizes — deleted clauses' memory is actually
+//! reclaimed, not tombstoned.
 //!
 //! # Watcher invariants
 //!
@@ -802,16 +807,14 @@ const TIER_LOCAL: usize = 2;
 const TIER_REDUCE_BASE: u64 = 2000;
 /// Per-sweep stretch of the tiered reduce interval.
 const TIER_REDUCE_STEP: u64 = 300;
-/// Written into header word 0 during GC once a clause has been copied
-/// out; word 1 then holds the new offset. Unreachable as a real header
-/// (`alloc` caps clause length below the 26-bit field, so a real
-/// header never has all length bits set).
-const RELOCATED: u32 = u32::MAX;
-
 /// The flat clause store. See the [module docs](self) for the layout.
 #[derive(Clone, Debug, Default)]
 struct ClauseArena {
     data: Vec<u32>,
+    /// The LBD word of every live clause, in arena order, while a GC
+    /// pass borrows that word for the clause's new offset (see
+    /// [`ClauseArena::assign_offsets`]). Reused across passes.
+    lbd_stash: Vec<u32>,
 }
 
 impl ClauseArena {
@@ -823,10 +826,9 @@ impl ClauseArena {
             off + HEADER_WORDS + lits.len() < (1usize << 31),
             "clause arena exceeds 31-bit addressing"
         );
-        // The length field is 26 bits wide; keeping the all-ones value
-        // unreachable is what makes RELOCATED unambiguous.
+        // The length field is 26 bits wide.
         assert!(
-            lits.len() < (1 << 26) - 1,
+            lits.len() < (1 << 26),
             "clause exceeds the header length field"
         );
         let header = ((lits.len() as u32) << LEN_SHIFT) | (learnt as u32 * LEARNT_BIT);
@@ -917,28 +919,60 @@ impl ClauseArena {
         self.data.swap(base + i, base + j);
     }
 
-    /// Copies a live clause into `dst` and leaves a forwarding address
-    /// in the old slot. Part of the GC protocol (see module docs).
-    fn relocate(&mut self, c: ClauseRef, dst: &mut Vec<u32>) -> ClauseRef {
-        debug_assert!(!self.is_deleted(c));
-        debug_assert_ne!(self.data[c.0 as usize], RELOCATED);
-        let new_off = dst.len() as u32;
-        let start = c.0 as usize;
-        let words = HEADER_WORDS + self.len(c);
-        dst.extend_from_slice(&self.data[start..start + words]);
-        self.data[start] = RELOCATED;
-        self.data[start + 1] = new_off;
-        ClauseRef(new_off)
+    /// The number of words `c` occupies, header included.
+    #[inline]
+    fn words(&self, c: ClauseRef) -> usize {
+        HEADER_WORDS + self.len(c)
     }
 
-    /// The forwarding address of `c` after relocation, or `None` if the
-    /// clause was collected.
-    fn forwarded(&self, c: ClauseRef) -> Option<ClauseRef> {
-        if self.data[c.0 as usize] == RELOCATED {
-            Some(ClauseRef(self.data[c.0 as usize + 1]))
-        } else {
-            None
+    /// GC step 1 (see module docs): walks the arena front to back and
+    /// gives every live clause the offset it will have once the deleted
+    /// ones are squeezed out. The new offset goes into the clause's LBD
+    /// word, whose value waits in `lbd_stash` until
+    /// [`ClauseArena::compact`] puts it back.
+    fn assign_offsets(&mut self) {
+        self.lbd_stash.clear();
+        let (mut off, mut to) = (0, 0);
+        while off < self.data.len() {
+            let c = ClauseRef(off as u32);
+            let words = self.words(c);
+            if !self.is_deleted(c) {
+                self.lbd_stash.push(self.data[off + 1]);
+                self.data[off + 1] = to as u32;
+                to += words;
+            }
+            off += words;
         }
+    }
+
+    /// The offset [`ClauseArena::assign_offsets`] gave `c`, or `None`
+    /// if the clause is being collected. Valid only between the two
+    /// GC steps.
+    fn forwarded(&self, c: ClauseRef) -> Option<ClauseRef> {
+        (!self.is_deleted(c)).then(|| ClauseRef(self.data[c.0 as usize + 1]))
+    }
+
+    /// GC step 3: slides every live clause down to its assigned offset,
+    /// restores its LBD word and truncates the arena to the live
+    /// prefix. Clauses only move down, and each lands below the next
+    /// one's header, so one front-to-back walk never overwrites a word
+    /// it has yet to read.
+    fn compact(&mut self) {
+        let (mut off, mut live) = (0, 0);
+        let mut end = 0;
+        while off < self.data.len() {
+            let c = ClauseRef(off as u32);
+            let words = self.words(c);
+            if !self.is_deleted(c) {
+                let to = self.data[off + 1] as usize;
+                self.data.copy_within(off..off + words, to);
+                self.data[to + 1] = self.lbd_stash[live];
+                live += 1;
+                end = to + words;
+            }
+            off += words;
+        }
+        self.data.truncate(end);
     }
 }
 
@@ -1165,8 +1199,8 @@ struct State {
     reductions: u64,
     /// Clauses attached since the last subsumption pass (learnt,
     /// strengthened, user-added) — the work list of
-    /// touched-only subsumption. Rewritten through forwarding
-    /// addresses by GC like every other ref list.
+    /// touched-only subsumption. Rewritten to the new offsets by GC
+    /// like every other ref list.
     touched: Vec<ClauseRef>,
     /// Subsumption passes run so far — schedules the periodic full
     /// sweep under `subsumption_touched_only`.
@@ -1312,8 +1346,9 @@ impl State {
 
     fn load_cnf(&mut self, cnf: &Cnf) {
         self.ensure_vars(cnf.num_vars());
-        let arena_estimate: usize = cnf.iter().map(|c| c.len() + HEADER_WORDS).sum();
-        self.arena.data.reserve(arena_estimate);
+        self.arena
+            .data
+            .reserve(cnf.num_lits() + HEADER_WORDS * cnf.num_clauses());
         self.clauses.reserve(cnf.num_clauses());
         for clause in cnf {
             self.add_clause_checked(clause);
@@ -2249,56 +2284,35 @@ impl State {
         self.collect_garbage();
     }
 
-    /// Compacts the arena, dropping marked clauses and rewriting every
-    /// clause reference (ref lists, watchers, trail reasons) through
-    /// forwarding addresses. See the GC protocol in the module docs.
+    /// Compacts the arena in place, dropping marked clauses and
+    /// rewriting every clause reference (ref lists, touched list,
+    /// watchers, trail reasons) to the clause's new offset. See the GC
+    /// protocol in the module docs.
     fn collect_garbage(&mut self) {
         let old_words = self.arena.data.len();
-        // Capacity the arena may regrow into costs address space, not
-        // resident memory: only the live prefix is ever written.
-        let mut dst = Vec::with_capacity(old_words);
-        // 1. Copy live clauses, leaving forwarding addresses behind.
-        //    Originals are never marked, but the check keeps the pass
-        //    uniform (future preprocessing may delete originals too).
-        let mut clauses = std::mem::take(&mut self.clauses);
-        clauses.retain_mut(|c| {
-            if self.arena.is_deleted(*c) {
-                return false;
-            }
-            *c = self.arena.relocate(*c, &mut dst);
-            true
-        });
-        self.clauses = clauses;
-        // Tier order (core, tier2, local) keeps the pre-activation
-        // layout identical to the legacy single list: the first two
-        // tiers are empty until the tier database activates.
-        let mut learnts = std::mem::take(&mut self.learnts);
-        for list in &mut learnts {
-            list.retain_mut(|c| {
-                if self.arena.is_deleted(*c) {
-                    return false;
-                }
-                *c = self.arena.relocate(*c, &mut dst);
-                true
-            });
-        }
-        self.learnts = learnts;
-        // The touched work list forwards like the ref lists (its
-        // entries were relocated above); collected clauses drop out.
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.retain_mut(|c| match self.arena.forwarded(*c) {
+        // 1. Number the live clauses with their post-compaction offsets.
+        self.arena.assign_offsets();
+        // 2a. Rewrite the ref lists and the touched work list; collected
+        //     clauses drop out. Originals are never marked by
+        //     `reduce_db`, but inprocessing deletes them too.
+        let arena = &self.arena;
+        let forward = |c: &mut ClauseRef| match arena.forwarded(*c) {
             Some(nc) => {
                 *c = nc;
                 true
             }
             None => false,
-        });
-        self.touched = touched;
-        // 2a. Rewrite watchers; watchers of collected clauses drop here,
+        };
+        self.clauses.retain_mut(forward);
+        for list in &mut self.learnts {
+            list.retain_mut(forward);
+        }
+        self.touched.retain_mut(forward);
+        // 2b. Rewrite watchers; watchers of collected clauses drop here,
         //     and a list left holding more than twice its length in
         //     capacity gives the excess back.
         for list in &mut self.watches {
-            list.retain_mut(|w| match self.arena.forwarded(w.cref()) {
+            list.retain_mut(|w| match arena.forwarded(w.cref()) {
                 Some(nc) => {
                     *w = Watcher::new(nc, w.blocker, w.is_binary());
                     true
@@ -2309,18 +2323,16 @@ impl State {
                 list.shrink_to(2 * list.len());
             }
         }
-        // 2b. Rewrite trail reasons (always locked, hence always live).
+        // 2c. Rewrite trail reasons (always locked, hence always live).
         for &l in &self.trail {
             let r = &mut self.reason[l.var().index()];
             if *r != ClauseRef::NONE {
-                *r = self
-                    .arena
-                    .forwarded(*r)
-                    .expect("reason clause collected by GC"); // lint:allow(no-panic)
+                // lint:allow(no-panic)
+                *r = arena.forwarded(*r).expect("reason clause collected by GC");
             }
         }
-        // 3. Install the compacted arena and free the old one.
-        self.arena.data = dst;
+        // 3. Slide the live clauses down and cut the tail.
+        self.arena.compact();
         self.stats.gc_passes += 1;
         self.stats.gc_reclaimed_words += (old_words - self.arena.data.len()) as u64;
         self.audit_checkpoint(AuditPoint::Gc);
@@ -2441,24 +2453,22 @@ impl State {
     /// (the exporter keeps them; nothing is lost but the shortcut).
     /// The filter runs whether or not proof logging is enabled, so
     /// certified and uncertified runs keep bit-identical trajectories.
+    ///
+    /// A clause over a variable this worker eliminated is skipped too.
+    /// Taking it would mean restoring the variable, and restores are
+    /// LIFO: every variable eliminated after it would come back with
+    /// it, undoing the worker's elimination for one shared lemma.
+    /// (User clauses through `add_clause_checked` still restore.)
     fn try_import_clause(&mut self, lits: &[Lit], lbd: u32) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
         // Clauses cross the exchange only between workers on the same
         // formula; reject unknown variables anyway (defensive, and
         // deterministic either way).
-        if lits.iter().any(|l| l.var().index() >= self.num_vars) {
+        if lits
+            .iter()
+            .any(|l| l.var().index() >= self.num_vars || self.eliminated[l.var().index()])
+        {
             return false;
-        }
-        // A clause mentioning an eliminated variable reintroduces it
-        // (and, LIFO, everything eliminated after it) first, exactly
-        // as `add_clause_checked` does.
-        for &l in lits {
-            if self.eliminated[l.var().index()] {
-                self.restore_var(l.var().index());
-                if self.root_unsat {
-                    return false;
-                }
-            }
         }
         // Root-level simplification, as for original clauses.
         let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
@@ -3009,23 +3019,38 @@ mod tests {
         let mut arena = ClauseArena::default();
         let a = arena.alloc(&[lit(1), lit(2), lit(3)], false, 0);
         let b = arena.alloc(&[lit(-1), lit(-2)], true, 1);
-        let mut dst = Vec::new();
-        // Collect `a`, keep `b`.
+        let c = arena.alloc(&[lit(4), lit(5), lit(-6)], false, 3);
+        // Collect `a`, keep `b` and `c`.
         arena.mark_deleted(a);
-        let nb = arena.relocate(b, &mut dst);
-        assert_eq!(arena.forwarded(b), Some(nb));
+        arena.assign_offsets();
         assert_eq!(arena.forwarded(a), None);
-        arena.data = dst;
-        assert_eq!(nb.0, 0);
+        let nb = arena.forwarded(b).unwrap();
+        let nc = arena.forwarded(c).unwrap();
+        assert_eq!((nb.0, nc.0), (0, (HEADER_WORDS + 2) as u32));
+        arena.compact();
+        assert_eq!(arena.data.len(), 2 * HEADER_WORDS + 5);
         assert_eq!(arena.len(nb), 2);
         assert!(arena.is_learnt(nb));
+        assert_eq!(arena.lbd(nb), 1);
         assert_eq!(arena.lit(nb, 0), lit(-1));
         assert_eq!(arena.lit(nb, 1), lit(-2));
+        assert!(!arena.is_learnt(nc));
+        assert_eq!(arena.lbd(nc), 3);
+        assert_eq!(
+            arena.lits(nc).collect::<Vec<_>>(),
+            [lit(4), lit(5), lit(-6)]
+        );
+        // A pass with nothing to collect moves nothing.
+        let before = arena.data.clone();
+        arena.assign_offsets();
+        arena.compact();
+        assert_eq!(arena.data, before);
     }
 
     #[test]
     fn arena_roundtrips_tier_and_used_bits() {
         let mut arena = ClauseArena::default();
+        let dead = arena.alloc(&[lit(3), lit(4)], true, 7);
         let c = arena.alloc(&[lit(1), lit(-2)], true, 5);
         assert_eq!(arena.tier(c), TIER_CORE); // alloc zeroes the tier bits
         assert_eq!(arena.used(c), 0);
@@ -3041,10 +3066,13 @@ mod tests {
         arena.set_used(c, 1);
         assert_eq!(arena.used(c), 1);
         assert_eq!(arena.tier(c), TIER_TIER2);
-        // Both survive relocation verbatim.
-        let mut dst = Vec::new();
-        let nc = arena.relocate(c, &mut dst);
-        arena.data = dst;
+        // Both survive compaction verbatim while the clause slides down
+        // into the slot of a collected one.
+        arena.mark_deleted(dead);
+        arena.assign_offsets();
+        let nc = arena.forwarded(c).unwrap();
+        arena.compact();
+        assert_eq!(nc, dead);
         assert_eq!(arena.tier(nc), TIER_TIER2);
         assert_eq!(arena.used(nc), 1);
         assert_eq!(arena.lbd(nc), 5);
@@ -3110,22 +3138,58 @@ mod tests {
         let c = cnf(&[&[1, 2, 3]]);
         let mut st = State::new(&c, CdclConfig::default());
         st.tiers_active = true;
-        let t2 = st.attach_clause_quiet(&[lit(1), lit(3)], true, 5);
-        st.attach_clause_quiet(&[lit(1), lit(2)], true, 2);
+        // The doomed clause sits in front of every survivor, so each
+        // of them slides down during compaction.
         let doomed = st.attach_clause_quiet(&[lit(2), lit(3)], true, 9);
+        let t2 = st.attach_clause_quiet(&[lit(1), lit(3)], true, 5);
+        let core = st.attach_clause_quiet(&[lit(1), lit(2)], true, 2);
+        let local = st.attach_clause_quiet(&[lit(-1), lit(2), lit(-3)], true, 8);
         st.arena.set_used(t2, 1);
+        st.arena.set_used(local, 3);
+        st.arena.set_activity(t2, 0.25);
+        st.arena.set_activity(core, 1.5);
+        st.arena.set_activity(local, 7.0);
         st.arena.mark_deleted(doomed);
         st.detach_clause(doomed);
+        let (capacity, base) = (st.arena.data.capacity(), st.arena.data.as_ptr());
         st.collect_garbage();
+        // Compaction happens in place: no second arena, no growth.
+        assert_eq!(st.arena.data.as_ptr(), base);
+        assert_eq!(st.arena.data.capacity(), capacity);
+        assert_eq!(st.stats.gc_reclaimed_words, (HEADER_WORDS + 2) as u64);
         assert_eq!(st.learnts[TIER_CORE].len(), 1);
         assert_eq!(st.learnts[TIER_TIER2].len(), 1);
-        assert!(st.learnts[TIER_LOCAL].is_empty());
-        let core = st.learnts[TIER_CORE][0];
-        let t2 = st.learnts[TIER_TIER2][0];
-        assert_eq!(st.arena.tier(core), TIER_CORE);
-        assert_eq!(st.arena.used(core), 2);
-        assert_eq!(st.arena.tier(t2), TIER_TIER2);
-        assert_eq!(st.arena.used(t2), 1);
+        assert_eq!(st.learnts[TIER_LOCAL].len(), 1);
+        let original = st.clauses[0];
+        assert!(!st.arena.is_learnt(original));
+        assert_eq!(
+            st.arena.lits(original).collect::<Vec<_>>(),
+            [lit(1), lit(2), lit(3)]
+        );
+        // (learnt, tier, used, LBD, activity, literals) of each survivor.
+        for (list, used, lbd, activity, lits) in [
+            (TIER_TIER2, 1, 5, 0.25, vec![lit(1), lit(3)]),
+            (TIER_CORE, 2, 2, 1.5, vec![lit(1), lit(2)]),
+            (TIER_LOCAL, 3, 8, 7.0, vec![lit(-1), lit(2), lit(-3)]),
+        ] {
+            let c = st.learnts[list][0];
+            assert!(st.arena.is_learnt(c));
+            assert!(!st.arena.is_deleted(c));
+            assert_eq!(st.arena.tier(c), list);
+            assert_eq!(st.arena.used(c), used);
+            assert_eq!(st.arena.lbd(c), lbd);
+            assert_eq!(st.arena.activity(c), activity);
+            assert_eq!(st.arena.lits(c).collect::<Vec<_>>(), lits);
+        }
+        // Arena order is kept: the survivors close ranks in attach order.
+        let order: Vec<u32> = [st.clauses[0], st.learnts[TIER_TIER2][0]]
+            .iter()
+            .chain(&st.learnts[TIER_CORE])
+            .chain(&st.learnts[TIER_LOCAL])
+            .map(|c| c.0)
+            .collect();
+        assert!(order.is_sorted());
+        st.check_watcher_integrity();
     }
 
     #[test]
@@ -3417,6 +3481,28 @@ mod tests {
         );
         // The arena holds exactly the live clauses and every watcher
         // references one of them (panics otherwise).
+        st.check_watcher_integrity();
+        // One more pass over a halved learnt database compacts in the
+        // same buffer: the arena neither moves nor grows.
+        let doomed: Vec<ClauseRef> = st
+            .learnts
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&c| !st.is_locked(c))
+            .step_by(2)
+            .collect();
+        assert!(!doomed.is_empty());
+        for &c in &doomed {
+            st.arena.mark_deleted(c);
+            st.detach_clause(c);
+        }
+        let (len, capacity) = (st.arena.data.len(), st.arena.data.capacity());
+        let base = st.arena.data.as_ptr();
+        st.collect_garbage();
+        assert!(st.arena.data.len() < len);
+        assert_eq!(st.arena.data.capacity(), capacity);
+        assert_eq!(st.arena.data.as_ptr(), base);
         st.check_watcher_integrity();
     }
 
@@ -4306,6 +4392,45 @@ mod tests {
         assert_eq!(st.stats.imported_clauses, 5);
         assert_eq!(st.stats.imported_kept, 2);
         st.check_watcher_integrity();
+    }
+
+    /// An import over a variable the importer eliminated is dropped:
+    /// the variable (and everything eliminated after it) stays
+    /// eliminated, and the importer's UNSAT verdict still certifies.
+    #[test]
+    fn import_over_an_eliminated_variable_is_dropped() {
+        // (1 2) (-1 3) make (2 3); (-2 4) (-3 4) then force 4, and
+        // (-4 5) (-4 -5) refute it. Only variable 1 may go.
+        let c = cnf(&[&[1, 2], &[-1, 3], &[-2, 4], &[-3, 4], &[-4, 5], &[-4, -5]]);
+        let mut st = State::empty(CdclConfig::default());
+        st.proof = Some(Box::default());
+        st.load_cnf(&c);
+        for v in 1..5 {
+            st.frozen[v] = true;
+        }
+        assert!(st.eliminate_vars(None));
+        st.collect_garbage();
+        assert!(st.eliminated[0]);
+        let hub = Arc::new(ClauseExchange::new(2, 8));
+        st.exchange = Some(ExchangeLink {
+            hub: Arc::clone(&hub),
+            worker: 0,
+            limits: ShareLimits::default(),
+        });
+        // (-1 4) is entailed, and RUP once variable 1 is back.
+        hub.publish(1, &[lit(-1), lit(4)], 2);
+        st.import_shared_clauses();
+        assert_eq!(st.stats.imported_clauses, 1);
+        assert_eq!(st.stats.imported_kept, 0);
+        assert!(
+            st.eliminated[0],
+            "the import restored an eliminated variable"
+        );
+        assert_eq!(st.elim_stack.len(), 1);
+        st.check_watcher_integrity();
+        assert!(st.solve(&[], &Budget::default()).is_unsat());
+        let proof = st.proof.as_deref().expect("proof on");
+        crate::proof::certify_unsat(proof, &[]).expect("the refutation certifies");
     }
 
     /// Export honors the admission limits: units always, longer

@@ -14,10 +14,11 @@
 //! analyze / backtrack) are throttled by [`CdclConfig::audit_interval`];
 //! the structural ones always run. Each checkpoint audits:
 //!
-//! * **Arena liveness** — clause sizes tile the arena exactly, no
-//!   forwarding address ([`RELOCATED`]) survives a GC pass, and every
+//! * **Arena liveness** — clause sizes tile the arena exactly, every
 //!   `ClauseRef` held by the ref lists, the touched work list, the
-//!   watcher lists, and the trail reasons points at a clause start.
+//!   watcher lists, and the trail reasons points at a clause start,
+//!   and every live arena clause sits in exactly one ref list (the
+//!   invariant in-place GC relies on).
 //! * **Watch lists** — every live non-unit clause is watched on exactly
 //!   its first two literals, binary tags match clause length, binary
 //!   blockers are the other watched literal, and long-clause blockers
@@ -140,9 +141,11 @@ impl State {
     /// — otherwise a later deletion would emit a `d` step the checker
     /// rejects. The converse direction is intentionally loose: the log
     /// may keep extra clauses alive (a root-simplified original leaves
-    /// its input form in the log; restored BVE resolvents stay).
+    /// its input form in the log; restored BVE resolvents stay). A
+    /// frozen log (see [`ProofLog::is_frozen`]) stopped recording on
+    /// purpose and mirrors nothing; `certify_unsat` rejects it.
     fn audit_proof(&self, point: AuditPoint) {
-        let Some(proof) = &self.proof else {
+        let Some(proof) = self.proof.as_ref().filter(|p| !p.is_frozen()) else {
             return;
         };
         let live = proof.live_multiset();
@@ -170,17 +173,12 @@ impl State {
     }
 
     /// Walks the arena front to back, returning every valid clause
-    /// start. Rejects forwarding addresses and misaligned tails.
+    /// start. Rejects misaligned tails.
     fn audit_arena(&self, point: AuditPoint) -> Vec<u32> {
         let mut starts = Vec::new();
         let mut off = 0usize;
         while off < self.arena.data.len() {
-            let header = self.arena.data[off];
-            assert_ne!(
-                header, RELOCATED,
-                "audit({point:?}): GC forwarding address survives at arena word {off}"
-            );
-            let len = (header >> LEN_SHIFT) as usize;
+            let len = (self.arena.data[off] >> LEN_SHIFT) as usize;
             assert!(
                 len >= 2,
                 "audit({point:?}): stored clause of length {len} at arena word {off} \
@@ -199,9 +197,13 @@ impl State {
 
     /// Every `ClauseRef` the solver holds must point at a clause start;
     /// ref lists must agree with the learnt bit. Tombstones are allowed
-    /// in ref lists only mid-inprocessing.
+    /// in ref lists only mid-inprocessing. Every live arena clause must
+    /// sit in exactly one ref list: GC walks the arena, not the lists,
+    /// so a live clause no list holds would never be reclaimed, and
+    /// one listed twice would be rewritten twice.
     fn audit_refs(&self, point: AuditPoint, starts: &[u32], allow_tombstones: bool) {
         let valid = |c: ClauseRef| starts.binary_search(&c.0).is_ok();
+        let mut listed = vec![0u32; starts.len()];
         for (what, refs, learnt, tier) in [
             ("original ref list", &self.clauses, false, None),
             (
@@ -224,11 +226,15 @@ impl State {
             ),
         ] {
             for &c in refs {
+                let slot = starts.binary_search(&c.0);
                 assert!(
-                    valid(c),
+                    slot.is_ok(),
                     "audit({point:?}): dangling ClauseRef {} in {what}",
                     c.0
                 );
+                if let Ok(i) = slot {
+                    listed[i] += 1;
+                }
                 if self.arena.is_deleted(c) {
                     assert!(
                         allow_tombstones,
@@ -252,6 +258,14 @@ impl State {
                     }
                 }
             }
+        }
+        for (&start, &n) in starts.iter().zip(&listed) {
+            let c = ClauseRef(start);
+            assert!(
+                n == 1 || (n == 0 && self.arena.is_deleted(c)),
+                "audit({point:?}): arena clause {start} is held by {n} ref lists \
+                 (live clauses need exactly one)"
+            );
         }
         for &c in &self.touched {
             assert!(
@@ -817,15 +831,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "forwarding address")]
-    fn corrupted_gc_forwarding_is_caught() {
+    #[should_panic(expected = "held by 0 ref lists")]
+    fn unlisted_live_clause_is_caught() {
         let mut st = audited_state();
-        // Relocate a clause out of the arena without rewriting any of
-        // the references through the forwarding address — exactly the
-        // half-finished GC state the protocol must never leak.
-        let mut scratch = Vec::new();
+        // Drop a live clause from its ref list without marking it
+        // deleted: GC walks the arena, so the clause would linger there
+        // forever, unreclaimable and invisible to every list walk.
         let c = st.clauses[3];
-        st.arena.relocate(c, &mut scratch);
+        st.detach_clause(c);
+        st.clauses.retain(|&x| x != c);
         st.audit_now(AuditPoint::Gc);
     }
 

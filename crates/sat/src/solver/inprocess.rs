@@ -29,11 +29,11 @@
 //! a consequence of the added clauses alone — exactly the invariant the
 //! incremental API needs. Deleted clauses are detached from the watch
 //! lists immediately and reclaimed by the same compacting GC that
-//! `reduce_db` uses ([`State::collect_garbage`] rewrites ref lists,
-//! watchers and trail reasons through forwarding addresses), so no
-//! tombstone ever survives into `propagate`. Clauses that currently
-//! serve as the reason of a root-level trail literal are locked and
-//! skipped. A learnt clause that subsumes an *original* clause is
+//! `reduce_db` uses ([`State::collect_garbage`] compacts the arena in
+//! place and rewrites ref lists, watchers and trail reasons to the new
+//! offsets), so no tombstone ever survives into `propagate`. Clauses
+//! that currently serve as the reason of a root-level trail literal
+//! are locked and skipped. A learnt clause that subsumes an *original* clause is
 //! promoted to original first — deleting the original in favor of a
 //! deletable learnt would let `reduce_db` silently drop a constraint.
 
@@ -236,9 +236,9 @@ impl State {
         }
         // Reclaim everything the passes marked deleted. Safe even when
         // a root conflict was derived: locked clauses are never marked,
-        // so every trail reason forwards. A pass that touched nothing
-        // skips the GC — copying a multi-megaword arena to reclaim
-        // zero words is pure overhead.
+        // so every trail reason survives. A pass that touched nothing
+        // skips the GC — walking a multi-megaword arena twice to
+        // reclaim zero words is pure overhead.
         if changed {
             self.collect_garbage();
         }
