@@ -5,9 +5,10 @@
 
 use bench_support::report::BenchRecord;
 use criterion::{criterion_group, criterion_main, Criterion};
+use lasre::LasSpec;
 use sat::{Backend, Budget, CdclSolver};
-use synth::optimize::{find_min_depth, DepthSearch};
-use synth::{SynthOptions, Synthesizer};
+use synth::optimize::{find_min_depth, find_min_depth_scratch, DepthSearch};
+use synth::{SynthError, SynthOptions, Synthesizer};
 use workloads::graphs::Graph;
 use workloads::specs::graph_state_spec;
 
@@ -91,13 +92,13 @@ fn emit_min_depth_records() {
     const HI: usize = 6;
     const START: usize = 5;
     const SAMPLES: u32 = 5;
+    /// One depth-search mode: `find_min_depth` or its from-scratch
+    /// oracle.
+    type Search =
+        fn(&LasSpec, usize, usize, usize, &SynthOptions) -> Result<DepthSearch, SynthError>;
     let spec = workloads::specs::majority_gate_spec(3);
-    let run = |incremental: bool| -> DepthSearch {
-        let options = SynthOptions {
-            incremental,
-            ..SynthOptions::default()
-        };
-        find_min_depth(&spec, LO, HI, START, &options).expect("majority depth search")
+    let run = |search: Search| -> DepthSearch {
+        search(&spec, LO, HI, START, &SynthOptions::default()).expect("majority depth search")
     };
     // Untimed certified rerun: every UNSAT probe must carry a DRAT
     // proof the in-tree checker accepts, without perturbing the timed
@@ -108,15 +109,13 @@ fn emit_min_depth_records() {
     // so the certified sweep is vacuous unless the search regresses —
     // the pigeonhole family in `crates/sat/tests/certify.rs` covers
     // non-trivial refutations.)
-    let certify = |incremental: bool| -> bool {
+    let certify = |search: Search| -> bool {
         let options = SynthOptions {
-            incremental,
             certify: true,
             ..SynthOptions::default()
         };
-        let search =
-            find_min_depth(&spec, LO, HI, START, &options).expect("certified depth search");
-        search
+        search(&spec, LO, HI, START, &options)
+            .expect("certified depth search")
             .probes
             .iter()
             .all(|p| p.certified == (p.sat == Some(false)))
@@ -125,14 +124,14 @@ fn emit_min_depth_records() {
     // verdicts come from the sampled runs themselves, so the
     // cross-mode agreement check below costs no extra solves. (The
     // same property is unit-gated by `tests/min_depth.rs`.)
-    let measure = |name: &str, incremental: bool| -> (BenchRecord, Vec<(usize, Option<bool>)>) {
+    let measure = |name: &str, mode: Search| -> (BenchRecord, Vec<(usize, Option<bool>)>) {
         let mut wall_ms = 0.0;
         let mut conflicts = 0;
         let mut propagations = 0;
         let mut verdicts = Vec::new();
         for _ in 0..SAMPLES {
             let start = std::time::Instant::now();
-            let search = run(incremental);
+            let search = run(mode);
             wall_ms += start.elapsed().as_secs_f64() * 1e3;
             conflicts = search
                 .probes
@@ -153,12 +152,14 @@ fn emit_min_depth_records() {
             wall_ms: wall_ms / f64::from(SAMPLES),
             conflicts,
             propagations,
-            proof_checked: Some(certify(incremental)),
+            proof_checked: Some(certify(mode)),
         };
         (record, verdicts)
     };
-    let (incremental, inc_verdicts) = measure("min_depth_majority_3x3x5_incremental", true);
-    let (scratch, scratch_verdicts) = measure("min_depth_majority_3x3x5_scratch", false);
+    let (incremental, inc_verdicts) =
+        measure("min_depth_majority_3x3x5_incremental", find_min_depth);
+    let (scratch, scratch_verdicts) =
+        measure("min_depth_majority_3x3x5_scratch", find_min_depth_scratch);
     assert_eq!(
         inc_verdicts, scratch_verdicts,
         "incremental and from-scratch depth searches must agree"

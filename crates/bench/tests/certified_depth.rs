@@ -5,7 +5,7 @@
 //! budget.
 
 use sat::Budget;
-use synth::optimize::find_min_depth;
+use synth::optimize::{find_min_depth, find_min_depth_scratch};
 use synth::SynthOptions;
 
 /// Per-probe conflict budget: ~100x the instance's deterministic
@@ -16,29 +16,31 @@ const CONFLICT_BUDGET: u64 = 20_000;
 #[test]
 fn certified_majority_depth_probe_stays_within_budget() {
     let spec = workloads::specs::majority_gate_spec(3);
-    for incremental in [true, false] {
-        let options = SynthOptions {
-            incremental,
-            certify: true,
-            budget: Budget::conflict_limit(CONFLICT_BUDGET),
-            ..SynthOptions::default()
-        };
-        // `find_min_depth` errors out (rather than answering) if any
-        // UNSAT probe's proof fails the checker, so an Ok result is
-        // itself the certification verdict.
-        let search =
-            find_min_depth(&spec, 4, 6, 5, &options).expect("certified majority depth search");
+    let options = SynthOptions {
+        certify: true,
+        budget: Budget::conflict_limit(CONFLICT_BUDGET),
+        ..SynthOptions::default()
+    };
+    let modes = ["incremental", "scratch"];
+    for (mode, search) in modes
+        .into_iter()
+        .zip([find_min_depth, find_min_depth_scratch])
+    {
+        // The search errors out (rather than answering) if any UNSAT
+        // probe's proof fails the checker, so an Ok result is itself
+        // the certification verdict.
+        let search = search(&spec, 4, 6, 5, &options).expect("certified majority depth search");
         assert_eq!(
             search.best_depth(),
             Some(4),
-            "majority gate min depth (incremental={incremental})"
+            "majority gate min depth ({mode})"
         );
         for p in &search.probes {
             assert_ne!(p.sat, None, "budget must not expire (probe {})", p.max_k);
             assert_eq!(
                 p.certified,
                 p.sat == Some(false),
-                "probe {} certification flag (incremental={incremental})",
+                "probe {} certification flag ({mode})",
                 p.max_k
             );
         }

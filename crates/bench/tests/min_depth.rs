@@ -2,22 +2,15 @@
 //! (paper Fig. 15): the incremental probe sequence must reproduce the
 //! from-scratch verdicts and best depth exactly.
 
-use synth::optimize::{find_min_depth, DepthSearch};
+use synth::optimize::{find_min_depth, find_min_depth_scratch, DepthSearch};
 use synth::SynthOptions;
 use workloads::specs::majority_gate_spec;
 
-fn run(incremental: bool) -> DepthSearch {
-    let options = SynthOptions {
-        incremental,
-        ..SynthOptions::default()
-    };
-    find_min_depth(&majority_gate_spec(3), 4, 6, 5, &options).expect("majority depth search")
-}
-
 #[test]
 fn majority_min_depth_modes_agree() {
-    let incremental = run(true);
-    let scratch = run(false);
+    let (spec, options) = (majority_gate_spec(3), SynthOptions::default());
+    let incremental = find_min_depth(&spec, 4, 6, 5, &options).expect("majority depth search");
+    let scratch = find_min_depth_scratch(&spec, 4, 6, 5, &options).expect("majority depth search");
     let view = |s: &DepthSearch| -> Vec<(usize, Option<bool>)> {
         s.probes.iter().map(|p| (p.max_k, p.sat)).collect()
     };

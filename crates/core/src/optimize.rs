@@ -198,14 +198,15 @@ fn drive_depth_search(
 /// The spec's `-K` ports are relocated to each probed top layer via
 /// [`LasSpec::with_depth`].
 ///
-/// With `options.incremental` (the default, CDCL backend only) the
-/// whole search runs as **one incremental solver session** over a
-/// depth-layered encoding ([`encode_layered`]): each probe is a
-/// `solve_assuming` call under that depth's activation literals, so the
-/// clauses learnt refuting or solving one depth carry over to the next
-/// — the lever the T-factory-scale instances need. Otherwise every
-/// probe re-encodes `spec.with_depth(k)` and solves from scratch. Both
-/// modes probe the same depths and return the same verdicts.
+/// With the CDCL backend and `lo >= 1` the whole search runs as **one
+/// incremental solver session** over a depth-layered encoding
+/// ([`encode_layered`]): each probe is a `solve_assuming` call under
+/// that depth's activation literals, so the clauses learnt refuting or
+/// solving one depth carry over to the next — the lever the
+/// T-factory-scale instances need. Otherwise (the varisat backend,
+/// which lacks an incremental API, or `lo == 0`) the search is
+/// [`find_min_depth_scratch`]. Both modes probe the same depths and
+/// return the same verdicts.
 ///
 /// With `options.depth_parallel` (CDCL backend, `lo >= 1`) the walk is
 /// replaced by [`find_min_depth_parallel`]: one lockstep worker per
@@ -234,15 +235,22 @@ pub fn find_min_depth(
         if options.depth_parallel && lo >= 1 {
             return find_min_depth_parallel(spec, lo, hi, start, options, config);
         }
-        if options.incremental && lo >= 1 {
+        if lo >= 1 {
             return find_min_depth_incremental(spec, lo, hi, start, options, config);
         }
     }
     find_min_depth_scratch(spec, lo, hi, start, options)
 }
 
-/// From-scratch mode: one fresh [`Synthesizer`] per probe.
-fn find_min_depth_scratch(
+/// From-scratch mode: the paper's probe walk with one fresh
+/// [`Synthesizer`] per probe, every depth re-encoded. It is the path
+/// for the varisat backend and for `lo == 0`, and the oracle the
+/// incremental search is tested against.
+///
+/// # Errors
+///
+/// Propagates [`SynthError`] from any probe.
+pub fn find_min_depth_scratch(
     spec: &LasSpec,
     lo: usize,
     hi: usize,
@@ -524,7 +532,7 @@ impl PortfolioOutcome {
 /// The spec is encoded once. Workers are always the in-tree CDCL solver
 /// with [`sat::CdclConfig::diversified`]`(seed)`, whatever
 /// `options.backend` says: each seed also selects a restart/decay/
-/// polarity ablation, so the portfolio explores genuinely different
+/// polarity variant, so the portfolio explores genuinely different
 /// trajectories rather than different tie-breaking only. Every worker
 /// gets `options.parallel_quantum` conflicts per turn, and the verdict
 /// goes to the first worker in seed order whose verdict lands in the
@@ -625,15 +633,22 @@ mod tests {
         assert_eq!(probed, vec![2, 3]);
     }
 
+    type Search =
+        fn(&LasSpec, usize, usize, usize, &SynthOptions) -> Result<DepthSearch, SynthError>;
+
+    /// Both depth-search modes: the default (incremental) walk and the
+    /// from-scratch oracle.
+    const MODES: [(&str, Search); 2] = [
+        ("incremental", find_min_depth),
+        ("scratch", find_min_depth_scratch),
+    ];
+
     /// Runs the same search in both modes and asserts identical probe
     /// order, per-probe verdicts and best depth.
     fn assert_modes_agree(spec: &LasSpec, lo: usize, hi: usize, start: usize) {
-        let incremental = find_min_depth(spec, lo, hi, start, &SynthOptions::default()).unwrap();
-        let scratch_options = SynthOptions {
-            incremental: false,
-            ..SynthOptions::default()
-        };
-        let scratch = find_min_depth(spec, lo, hi, start, &scratch_options).unwrap();
+        let options = SynthOptions::default();
+        let incremental = find_min_depth(spec, lo, hi, start, &options).unwrap();
+        let scratch = find_min_depth_scratch(spec, lo, hi, start, &options).unwrap();
         let view = |s: &DepthSearch| -> Vec<(usize, Option<bool>)> {
             s.probes.iter().map(|p| (p.max_k, p.sat)).collect()
         };
@@ -677,15 +692,11 @@ mod tests {
     /// the CNOT's invalid depth 1 fails up front rather than probing.
     #[test]
     fn probing_an_invalid_depth_errors_in_both_modes() {
-        for incremental in [true, false] {
-            let options = SynthOptions {
-                incremental,
-                ..SynthOptions::default()
-            };
-            let r = find_min_depth(&cnot_spec(), 1, 5, 1, &options);
+        for (mode, search) in MODES {
+            let r = search(&cnot_spec(), 1, 5, 1, &SynthOptions::default());
             assert!(
                 matches!(r, Err(SynthError::Spec(_))),
-                "expected a spec error probing depth 1 (incremental={incremental})"
+                "expected a spec error probing depth 1 ({mode})"
             );
         }
     }
@@ -695,22 +706,15 @@ mod tests {
     #[test]
     fn probes_carry_solver_stats() {
         let spec = cnot_spec();
-        for incremental in [true, false] {
-            let options = SynthOptions {
-                incremental,
-                ..SynthOptions::default()
-            };
-            let search = find_min_depth(&spec, 2, 5, 4, &options).unwrap();
+        for (mode, search) in MODES {
+            let search = search(&spec, 2, 5, 4, &SynthOptions::default()).unwrap();
             for p in &search.probes {
-                let stats = p.stats.unwrap_or_else(|| {
-                    panic!(
-                        "probe {} missing stats (incremental={incremental})",
-                        p.max_k
-                    )
-                });
+                let stats = p
+                    .stats
+                    .unwrap_or_else(|| panic!("probe {} missing stats ({mode})", p.max_k));
                 assert!(
                     stats.propagations > 0,
-                    "probe {} did no work (incremental={incremental})",
+                    "probe {} did no work ({mode})",
                     p.max_k
                 );
             }
@@ -723,13 +727,12 @@ mod tests {
     fn certified_search_agrees_and_marks_unsat_probes() {
         let spec = cnot_spec();
         let plain = find_min_depth(&spec, 2, 5, 4, &SynthOptions::default()).unwrap();
-        for incremental in [true, false] {
-            let options = SynthOptions {
-                incremental,
-                certify: true,
-                ..SynthOptions::default()
-            };
-            let certified = find_min_depth(&spec, 2, 5, 4, &options).unwrap();
+        let options = SynthOptions {
+            certify: true,
+            ..SynthOptions::default()
+        };
+        for (mode, search) in MODES {
+            let certified = search(&spec, 2, 5, 4, &options).unwrap();
             assert_eq!(certified.best_depth(), plain.best_depth());
             let view = |s: &DepthSearch| -> Vec<(usize, Option<bool>)> {
                 s.probes.iter().map(|p| (p.max_k, p.sat)).collect()
@@ -740,7 +743,7 @@ mod tests {
                 assert_eq!(
                     p.certified,
                     p.sat == Some(false),
-                    "probe {} certification flag (incremental={incremental})",
+                    "probe {} certification flag ({mode})",
                     p.max_k
                 );
                 unsat_probes += usize::from(p.sat == Some(false));

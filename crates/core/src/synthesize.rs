@@ -36,20 +36,12 @@ pub struct SynthOptions {
     /// Solver backend selection.
     pub backend: BackendChoice,
     /// Resource limits for the solve call (per probe in a depth
-    /// search, whether incremental or not).
+    /// search).
     pub budget: Budget,
     /// Verify the decoded design through ZX flow derivation (on by
     /// default; the formulation guarantees correctness, so this is a
     /// self-check, exactly as in the paper).
     pub skip_verify: bool,
-    /// Share one incremental CDCL session (depth-layered encoding,
-    /// retained learnt clauses) across the probes of
-    /// [`crate::optimize::find_min_depth`]. On by default; ignored by
-    /// single-shot synthesis and by the varisat backend, which lacks an
-    /// incremental API. Off — every probe re-encoded and solved from
-    /// scratch — it is the differential tests' oracle and the bench's
-    /// scratch record; the CLI always searches incrementally.
-    pub incremental: bool,
     /// Overrides the CDCL restart policy (Luby vs adaptive LBD-EMA)
     /// for every solver this run constructs — including diversified
     /// portfolio workers, which otherwise pick their own policy per
@@ -107,7 +99,6 @@ impl Default for SynthOptions {
             backend: BackendChoice::default(),
             budget: Budget::default(),
             skip_verify: false,
-            incremental: true,
             restart_policy: None,
             chrono: None,
             certify: false,

@@ -38,8 +38,9 @@
 //! ever attached or logged.
 
 use crate::types::Lit;
-use crossbeam::queue::ArrayQueue;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Admission limits for exporting a learnt clause to the exchange.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,12 +81,14 @@ pub struct SharedClause {
 /// The exchange hub: one bounded FIFO inbox per worker.
 ///
 /// Shared via `Arc` between the portfolio driver and every connected
-/// solver. All methods take `&self`; the counters are atomics and the
-/// inboxes are [`ArrayQueue`]s, so the hub is `Sync` without any
-/// locking visible to callers.
+/// solver. All methods take `&self`; the counters are atomics and each
+/// inbox is a mutex-guarded queue, so the hub is `Sync` without any
+/// locking visible to callers. The inboxes are touched only at import
+/// points and on export, far off the propagation hot path.
 #[derive(Debug)]
 pub struct ClauseExchange {
-    inboxes: Vec<ArrayQueue<SharedClause>>,
+    inboxes: Vec<Mutex<VecDeque<SharedClause>>>,
+    capacity: usize,
     published: AtomicU64,
     dropped: AtomicU64,
 }
@@ -99,11 +102,24 @@ impl ClauseExchange {
     /// Panics if `workers` or `capacity` is zero.
     pub fn new(workers: usize, capacity: usize) -> ClauseExchange {
         assert!(workers > 0, "exchange needs at least one worker");
+        assert!(capacity > 0, "exchange inboxes need a non-zero capacity");
         ClauseExchange {
-            inboxes: (0..workers).map(|_| ArrayQueue::new(capacity)).collect(),
+            inboxes: (0..workers)
+                .map(|_| Mutex::new(VecDeque::with_capacity(capacity)))
+                .collect(),
+            capacity,
             published: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
+    }
+
+    /// Locks `worker`'s inbox. Every critical section is a single
+    /// queue operation, so a lock poisoned by a panicking worker still
+    /// guards a consistent queue and is recovered as is.
+    fn inbox(&self, worker: usize) -> MutexGuard<'_, VecDeque<SharedClause>> {
+        self.inboxes[worker]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of participating workers.
@@ -116,20 +132,17 @@ impl ClauseExchange {
     /// only. Returns how many inboxes accepted it.
     pub fn publish(&self, source: usize, lits: &[Lit], lbd: u32) -> usize {
         let mut accepted = 0;
-        for (worker, inbox) in self.inboxes.iter().enumerate() {
-            if worker == source {
-                continue;
-            }
-            let clause = SharedClause {
-                source,
-                lits: lits.to_vec(),
-                lbd,
-            };
-            match inbox.push(clause) {
-                Ok(()) => accepted += 1,
-                Err(_) => {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
+        for worker in (0..self.inboxes.len()).filter(|&w| w != source) {
+            let mut inbox = self.inbox(worker);
+            if inbox.len() < self.capacity {
+                inbox.push_back(SharedClause {
+                    source,
+                    lits: lits.to_vec(),
+                    lbd,
+                });
+                accepted += 1;
+            } else {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.published.fetch_add(1, Ordering::Relaxed);
@@ -143,12 +156,7 @@ impl ClauseExchange {
     ///
     /// Panics if `worker` is out of range.
     pub fn drain(&self, worker: usize) -> Vec<SharedClause> {
-        let inbox = &self.inboxes[worker];
-        let mut batch = Vec::with_capacity(inbox.len());
-        while let Some(clause) = inbox.pop() {
-            batch.push(clause);
-        }
-        batch
+        self.inbox(worker).drain(..).collect()
     }
 
     /// Clauses published so far (each counted once, not per fan-out).
@@ -207,6 +215,39 @@ mod tests {
         assert_eq!(hub.dropped(), 1);
         let kept: Vec<Vec<Lit>> = hub.drain(1).into_iter().map(|c| c.lits).collect();
         assert_eq!(kept, vec![lits(&[1]), lits(&[2])]);
+    }
+
+    #[test]
+    fn publishes_from_many_threads_all_arrive() {
+        let hub = ClauseExchange::new(5, 64);
+        std::thread::scope(|scope| {
+            for source in 0..4 {
+                let hub = &hub;
+                scope.spawn(move || {
+                    for i in 0..16 {
+                        assert_eq!(hub.publish(source, &lits(&[i + 1]), 1), 4);
+                    }
+                });
+            }
+        });
+        assert_eq!(hub.drain(4).len(), 64);
+        assert_eq!(hub.published(), 64);
+        assert_eq!(hub.dropped(), 0);
+    }
+
+    #[test]
+    fn a_crashed_worker_does_not_poison_its_inbox() {
+        let hub = ClauseExchange::new(2, 4);
+        std::thread::scope(|scope| {
+            let crash = scope.spawn(|| {
+                let _inbox = hub.inbox(1);
+                panic!("worker crashed holding its inbox");
+            });
+            assert!(crash.join().is_err());
+        });
+        assert!(hub.inboxes[1].is_poisoned());
+        assert_eq!(hub.publish(0, &lits(&[1]), 1), 1);
+        assert_eq!(hub.drain(1).len(), 1);
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! saving with target-phase rephasing, Luby or adaptive LBD-EMA
 //! restarts (see [`restart`]), out-of-order chronological backtracking,
 //! inprocessing (see [`inprocess`]) and LBD/activity-based
-//! learnt-clause deletion. Every heuristic can be disabled through
-//! [`CdclConfig`] — the ablation benches exercise exactly those
-//! switches — and the seed randomizes initial activities and
-//! polarities, reproducing the paper's "random seed: more is
-//! different" observation.
+//! learnt-clause deletion. Restarts, phase saving, minimization and
+//! deletion are always on; the long-run techniques (rephasing, C-bt,
+//! subsumption, tiers, variable elimination) have [`CdclConfig`]
+//! switches that [`CdclConfig::diversified`] varies across portfolio
+//! workers. The seed randomizes initial activities and polarities,
+//! reproducing the paper's "random seed: more is different"
+//! observation.
 //!
 //! # The relaxed trail invariant (out-of-order C-bt)
 //!
@@ -204,8 +206,6 @@ pub struct CdclConfig {
     pub var_decay: f64,
     /// Luby restart unit, in conflicts.
     pub restart_base: u64,
-    /// Enable restarts.
-    pub use_restarts: bool,
     /// Which restart schedule drives the search: the Luby sequence or
     /// Glucose-style LBD-EMA adaptive restarts with trail blocking.
     /// See [`restart`](self) module docs; the EMA policy falls back to
@@ -225,12 +225,6 @@ pub struct CdclConfig {
     /// Conflicts between rephase passes (stretched geometrically per
     /// pass). Small instances finish before the first pass.
     pub rephase_interval: u64,
-    /// Enable phase saving (otherwise polarities default to `false`).
-    pub use_phase_saving: bool,
-    /// Enable learnt-clause database reduction.
-    pub use_clause_deletion: bool,
-    /// Enable learnt-clause minimization.
-    pub use_minimization: bool,
     /// Probability of flipping the saved polarity on a decision.
     pub random_polarity_freq: f64,
     /// Lower bound on the learnt-clause budget before the first DB
@@ -246,17 +240,12 @@ pub struct CdclConfig {
     /// everything as a fallback.
     pub subsumption_touched_only: bool,
     /// Enable chronological backtracking (Nadel–Ryvchin C-bt): when a
-    /// conflict's backjump would discard more than
-    /// [`CdclConfig::chrono_threshold`] levels, back up a single level
-    /// instead, keeping the intermediate assignments; unit learnts and
-    /// recovered missed implications are enqueued out-of-order below
-    /// the current decision level (see the module docs on the relaxed
-    /// trail invariant).
+    /// conflict's backjump would discard more than one level, back up
+    /// a single level instead, keeping the intermediate assignments;
+    /// unit learnts and recovered missed implications are enqueued
+    /// out-of-order below the current decision level (see the module
+    /// docs on the relaxed trail invariant).
     pub use_chrono: bool,
-    /// Minimum backjump distance (in decision levels) before
-    /// chronological backtracking kicks in. `0` backtracks
-    /// chronologically on every eligible conflict.
-    pub chrono_threshold: u32,
     /// Session conflicts before chronological backtracking activates.
     /// Chronological backtracking is a *long-run* optimization: on the
     /// T-factory instances it nearly triples conflict throughput, but
@@ -319,15 +308,11 @@ impl Default for CdclConfig {
             seed: 0,
             var_decay: 0.95,
             restart_base: 100,
-            use_restarts: true,
             restart_policy: RestartPolicy::Ema,
             restart_activation_conflicts: 2000,
             ema_min_interval: 50,
             use_rephasing: true,
             rephase_interval: 10_000,
-            use_phase_saving: true,
-            use_clause_deletion: true,
-            use_minimization: true,
             random_polarity_freq: 0.0,
             max_learnts_floor: 1000.0,
             // The reference inprocessing mix is A/B-tuned on the
@@ -338,7 +323,6 @@ impl Default for CdclConfig {
             use_subsumption: true,
             subsumption_touched_only: true,
             use_chrono: true,
-            chrono_threshold: 0,
             chrono_activation_conflicts: 2000,
             inprocess_interval: 3_000,
             subsumption_check_budget: 500_000,
@@ -375,7 +359,6 @@ impl CdclConfig {
                 // backtracking from the first conflict, with aggressive
                 // activity decay.
                 config.var_decay = 0.85;
-                config.chrono_threshold = 0;
                 config.chrono_activation_conflicts = 0;
                 config.restart_policy = RestartPolicy::Ema;
                 config.restart_activation_conflicts = 0;
@@ -1887,24 +1870,22 @@ impl State {
         // Minimize in place: drop literals recursively implied by the
         // rest of the clause (MiniSat-style, with the abstract-level
         // filter to cut hopeless DFS walks short).
-        if self.config.use_minimization {
-            let abstract_levels = learnt[1..].iter().fold(0u32, |acc, l| {
-                acc | (1 << (self.level[l.var().index()] & 31))
-            });
-            let before = learnt.len();
-            let mut j = 1;
-            for i in 1..learnt.len() {
-                let l = learnt[i];
-                if self.reason[l.var().index()] == ClauseRef::NONE
-                    || !self.lit_redundant(l, abstract_levels)
-                {
-                    learnt[j] = l;
-                    j += 1;
-                }
+        let abstract_levels = learnt[1..].iter().fold(0u32, |acc, l| {
+            acc | (1 << (self.level[l.var().index()] & 31))
+        });
+        let before = learnt.len();
+        let mut j = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            if self.reason[l.var().index()] == ClauseRef::NONE
+                || !self.lit_redundant(l, abstract_levels)
+            {
+                learnt[j] = l;
+                j += 1;
             }
-            learnt.truncate(j);
-            self.stats.minimized_lits += (before - learnt.len()) as u64;
         }
+        learnt.truncate(j);
+        self.stats.minimized_lits += (before - learnt.len()) as u64;
         // Compute backtrack level and move that literal to slot 1.
         let mut bt = 0;
         if learnt.len() > 1 {
@@ -2015,7 +1996,7 @@ impl State {
             let l = self.trail[i];
             let v = l.var().index();
             if self.level[v] > target {
-                if self.config.use_phase_saving && !self.phase_probing {
+                if !self.phase_probing {
                     self.polarity[v] = !l.is_neg();
                 }
                 self.lit_val[l.code()] = 0;
@@ -2337,52 +2318,7 @@ impl State {
         self.stats.gc_reclaimed_words += (old_words - self.arena.data.len()) as u64;
         self.audit_checkpoint(AuditPoint::Gc);
         #[cfg(debug_assertions)]
-        self.check_watcher_integrity();
-    }
-
-    /// Asserts the watcher invariants: every watcher references a live
-    /// clause that watches that literal in slot 0/1, and every attached
-    /// clause has exactly two watchers.
-    #[cfg(any(debug_assertions, test))]
-    fn check_watcher_integrity(&self) {
-        let live_words: usize = self
-            .clauses
-            .iter()
-            .chain(self.learnts.iter().flatten())
-            .map(|&c| HEADER_WORDS + self.arena.len(c))
-            .sum();
-        assert_eq!(
-            self.arena.data.len(),
-            live_words,
-            "arena holds exactly the live clauses"
-        );
-        let mut watcher_count = 0usize;
-        for (code, list) in self.watches.iter().enumerate() {
-            let lit = Lit::from_code(code);
-            for w in list {
-                watcher_count += 1;
-                let c = w.cref();
-                assert!(
-                    (c.0 as usize) < self.arena.data.len(),
-                    "watcher points into the arena"
-                );
-                assert!(!self.arena.is_deleted(c), "watcher on deleted clause");
-                assert_eq!(
-                    w.is_binary(),
-                    self.arena.len(c) == 2,
-                    "binary tag matches clause length"
-                );
-                assert!(
-                    self.arena.lit(c, 0) == lit || self.arena.lit(c, 1) == lit,
-                    "watched literal in slot 0/1"
-                );
-            }
-        }
-        assert_eq!(
-            watcher_count,
-            2 * (self.clauses.len() + self.num_learnts()),
-            "every attached clause has exactly two watchers"
-        );
+        self.audit_clause_db();
     }
 
     /// Exports a freshly learnt clause to the exchange when it passes
@@ -2779,8 +2715,8 @@ impl State {
                 self.audit_checkpoint(AuditPoint::Analyze);
                 sched.on_conflict(lbd, trail_at_conflict);
                 // Chronological backtracking: when the backjump would
-                // discard more than `chrono_threshold` levels, back up
-                // a single level instead and keep the intermediate
+                // discard more than one level, back up a single level
+                // instead and keep the intermediate
                 // assignments. The asserting literal asserts at the
                 // backtrack level (the chronological choice: keeping
                 // its implications local is what preserves the cheap
@@ -2790,7 +2726,7 @@ impl State {
                 // they are root facts and assert at level 0, possibly
                 // out-of-order below the kept levels.
                 let dl = self.decision_level();
-                let target = if self.oob_active && dl - bt > self.config.chrono_threshold.max(1) {
+                let target = if self.oob_active && dl - bt > 1 {
                     self.stats.chrono_backtracks += 1;
                     dl - 1
                 } else {
@@ -2820,12 +2756,7 @@ impl State {
                 }
             } else {
                 self.audit_checkpoint(AuditPoint::Propagate);
-                let decision = if self.config.use_restarts {
-                    sched.decide(&self.config, self.stats.conflicts)
-                } else {
-                    RestartDecision::Continue
-                };
-                match decision {
+                match sched.decide(&self.config, self.stats.conflicts) {
                     RestartDecision::Restart => {
                         self.stats.restarts += 1;
                         sched.on_restart(&self.config, self.stats.restarts);
@@ -2882,20 +2813,18 @@ impl State {
                 // would otherwise drag tens of thousands of stale
                 // local clauses through every propagation. Core and
                 // tier2 are bounded by their LBD admission instead.
-                if self.config.use_clause_deletion {
-                    if self.tiers_active {
-                        if self.next_reduce == 0 {
-                            self.next_reduce = self.stats.conflicts + TIER_REDUCE_BASE;
-                        } else if self.stats.conflicts >= self.next_reduce {
-                            self.reduce_db();
-                            self.reductions += 1;
-                            self.next_reduce = self.stats.conflicts
-                                + TIER_REDUCE_BASE
-                                + TIER_REDUCE_STEP * self.reductions;
-                        }
-                    } else if self.num_learnts() as f64 >= self.max_learnts {
+                if self.tiers_active {
+                    if self.next_reduce == 0 {
+                        self.next_reduce = self.stats.conflicts + TIER_REDUCE_BASE;
+                    } else if self.stats.conflicts >= self.next_reduce {
                         self.reduce_db();
+                        self.reductions += 1;
+                        self.next_reduce = self.stats.conflicts
+                            + TIER_REDUCE_BASE
+                            + TIER_REDUCE_STEP * self.reductions;
                     }
+                } else if self.num_learnts() as f64 >= self.max_learnts {
+                    self.reduce_db();
                 }
                 // Re-apply assumptions as pseudo-decisions.
                 if (self.decision_level() as usize) < assumptions.len() {
@@ -3189,7 +3118,7 @@ mod tests {
             .map(|c| c.0)
             .collect();
         assert!(order.is_sorted());
-        st.check_watcher_integrity();
+        st.audit_clause_db();
     }
 
     #[test]
@@ -3381,7 +3310,7 @@ mod tests {
     #[test]
     fn diversified_configs_differ_and_stay_correct() {
         let configs: Vec<CdclConfig> = (0..4).map(CdclConfig::diversified).collect();
-        // The ablated knobs genuinely differ across portfolio members.
+        // The diversified knobs genuinely differ across portfolio members.
         assert!(configs
             .iter()
             .any(|c| c.restart_base != configs[0].restart_base));
@@ -3407,39 +3336,6 @@ mod tests {
             );
             let mut s = CdclSolver::with_config(config);
             assert!(s.solve_with(&sat, &[], &Budget::default()).is_sat());
-        }
-    }
-
-    #[test]
-    fn ablated_configs_still_correct() {
-        let configs = [
-            CdclConfig {
-                use_restarts: false,
-                ..CdclConfig::default()
-            },
-            CdclConfig {
-                use_phase_saving: false,
-                ..CdclConfig::default()
-            },
-            CdclConfig {
-                use_clause_deletion: false,
-                ..CdclConfig::default()
-            },
-            CdclConfig {
-                use_minimization: false,
-                ..CdclConfig::default()
-            },
-        ];
-        let sat = cnf(&[&[1, 2], &[-1, 2], &[1, -2]]);
-        let unsat = cnf(&[&[1, 2], &[-1, 2], &[1, -2], &[-1, -2]]);
-        for cfg in configs {
-            let mut s = CdclSolver::with_config(cfg.clone());
-            assert!(
-                s.solve_with(&sat, &[], &Budget::default()).is_sat(),
-                "{cfg:?}"
-            );
-            let mut s = CdclSolver::with_config(cfg);
-            assert!(s.solve_with(&unsat, &[], &Budget::default()).is_unsat());
         }
     }
 
@@ -3481,7 +3377,7 @@ mod tests {
         );
         // The arena holds exactly the live clauses and every watcher
         // references one of them (panics otherwise).
-        st.check_watcher_integrity();
+        st.audit_clause_db();
         // One more pass over a halved learnt database compacts in the
         // same buffer: the arena neither moves nor grows.
         let doomed: Vec<ClauseRef> = st
@@ -3503,7 +3399,7 @@ mod tests {
         assert!(st.arena.data.len() < len);
         assert_eq!(st.arena.data.capacity(), capacity);
         assert_eq!(st.arena.data.as_ptr(), base);
-        st.check_watcher_integrity();
+        st.audit_clause_db();
     }
 
     /// Builds an incremental session holding `cnf`.
@@ -3844,14 +3740,14 @@ mod tests {
                 "round {round}"
             );
             st.cancel_until(0);
-            st.check_watcher_integrity();
+            st.audit_clause_db();
             let relaxed: Vec<Lit> = strict[1..].to_vec();
             assert!(
                 st.solve(&relaxed, &Budget::default()).is_sat(),
                 "round {round}"
             );
             st.cancel_until(0);
-            st.check_watcher_integrity();
+            st.audit_clause_db();
         }
         assert!(st.stats.gc_passes >= 1, "GC exercised across the session");
         assert!(!st.root_unsat, "assumption UNSAT must not latch root_unsat");
@@ -3859,13 +3755,11 @@ mod tests {
 
     /// A configuration that inprocesses at every restart boundary and
     /// restarts every other conflict — tiny instances still exercise
-    /// subsumption and (with `chrono_threshold` 0) chronological
-    /// backtracking.
+    /// subsumption and chronological backtracking.
     fn aggressive_inprocessing() -> CdclConfig {
         CdclConfig {
             inprocess_interval: 0,
             restart_base: 2,
-            chrono_threshold: 0,
             chrono_activation_conflicts: 0,
             max_learnts_floor: 8.0,
             ..CdclConfig::default()
@@ -3891,7 +3785,7 @@ mod tests {
             "the two supersets should be subsumed: {:?}",
             st.stats
         );
-        st.check_watcher_integrity();
+        st.audit_clause_db();
     }
 
     #[test]
@@ -3912,7 +3806,7 @@ mod tests {
             "self-subsuming resolution should fire: {:?}",
             st.stats
         );
-        st.check_watcher_integrity();
+        st.audit_clause_db();
     }
 
     /// Out-of-order enqueue below the current decision level: the
@@ -3998,7 +3892,6 @@ mod tests {
     #[test]
     fn out_of_order_solves_remain_sound_and_exercise_repairs() {
         let config = CdclConfig {
-            chrono_threshold: 0,
             chrono_activation_conflicts: 0,
             restart_policy: RestartPolicy::Ema,
             restart_activation_conflicts: 0,
@@ -4015,7 +3908,7 @@ mod tests {
             "out-of-order machinery must fire: {:?}",
             st.stats
         );
-        st.check_watcher_integrity();
+        st.audit_clause_db();
         // SAT side: models stay valid under the same aggressive config.
         let sat_cnf = cnf(&[&[1, 2, 3], &[-1, -2], &[-2, -3], &[-1, -3], &[2, 3]]);
         let mut s = CdclSolver::with_config(config);
@@ -4026,7 +3919,6 @@ mod tests {
     #[test]
     fn chronological_backtracking_stays_correct() {
         let config = CdclConfig {
-            chrono_threshold: 0,
             chrono_activation_conflicts: 0,
             ..CdclConfig::default()
         };
@@ -4074,7 +3966,7 @@ mod tests {
                 "round {round}"
             );
             st.cancel_until(0);
-            st.check_watcher_integrity();
+            st.audit_clause_db();
             let relaxed: Vec<Lit> = strict[1..].to_vec();
             match st.solve(&relaxed, &Budget::default()) {
                 SolveOutcome::Sat(m) => {
@@ -4086,7 +3978,7 @@ mod tests {
                 other => panic!("round {round}: expected SAT, got {other:?}"),
             }
             st.cancel_until(0);
-            st.check_watcher_integrity();
+            st.audit_clause_db();
         }
         assert!(
             st.stats.subsumed_clauses + st.stats.strengthened_clauses > 0,
@@ -4150,7 +4042,7 @@ mod tests {
                 }
                 SolveOutcome::Unknown(_) => panic!("unbounded solve returned unknown"),
             }
-            st.check_watcher_integrity();
+            st.audit_clause_db();
         }
     }
 
@@ -4391,7 +4283,7 @@ mod tests {
         st.import_shared_clauses();
         assert_eq!(st.stats.imported_clauses, 5);
         assert_eq!(st.stats.imported_kept, 2);
-        st.check_watcher_integrity();
+        st.audit_clause_db();
     }
 
     /// An import over a variable the importer eliminated is dropped:
@@ -4427,7 +4319,7 @@ mod tests {
             "the import restored an eliminated variable"
         );
         assert_eq!(st.elim_stack.len(), 1);
-        st.check_watcher_integrity();
+        st.audit_clause_db();
         assert!(st.solve(&[], &Budget::default()).is_unsat());
         let proof = st.proof.as_deref().expect("proof on");
         crate::proof::certify_unsat(proof, &[]).expect("the refutation certifies");

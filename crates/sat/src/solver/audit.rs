@@ -136,6 +136,17 @@ impl State {
         }
     }
 
+    /// The clause-database checks alone (arena tiling, clause refs,
+    /// watch lists), without the trail, heap, elimination and proof
+    /// checks: the invariants a GC pass must leave intact. Debug builds
+    /// run them after every GC whether or not the auditor is on.
+    #[cfg(any(debug_assertions, test))]
+    pub(super) fn audit_clause_db(&self) {
+        let starts = self.audit_arena(AuditPoint::Gc);
+        self.audit_refs(AuditPoint::Gc, &starts, false);
+        self.audit_watches(AuditPoint::Gc, false);
+    }
+
     /// Proof-log integrity: every live clause in the database must also
     /// be live in the proof log, with at least the arena's multiplicity
     /// — otherwise a later deletion would emit a `d` step the checker

@@ -37,7 +37,6 @@ fn aggressive() -> CdclConfig {
     CdclConfig {
         inprocess_interval: 0,
         restart_base: 2,
-        chrono_threshold: 0,
         chrono_activation_conflicts: 0,
         simplify_activation_conflicts: 0,
         max_learnts_floor: 8.0,

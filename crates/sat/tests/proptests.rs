@@ -20,7 +20,6 @@ fn base_config() -> CdclConfig {
     if std::env::var_os("LASSYNTH_FORCE_INPROCESS").is_some() {
         config.restart_base = 1;
         config.inprocess_interval = 0;
-        config.chrono_threshold = 0;
         config.chrono_activation_conflicts = 0;
         config.simplify_activation_conflicts = 0;
         config.max_learnts_floor = 8.0;
@@ -52,7 +51,6 @@ fn inprocessing_matrix() -> Vec<CdclConfig> {
                 configs.push(CdclConfig {
                     use_subsumption: sub,
                     use_chrono: chrono,
-                    chrono_threshold: 0,
                     chrono_activation_conflicts: 0,
                     inprocess_interval: 0,
                     restart_base: 1,
@@ -77,7 +75,6 @@ fn inprocessing_matrix() -> Vec<CdclConfig> {
                 use_elim: elim,
                 simplify_activation_conflicts: 0,
                 use_chrono: true,
-                chrono_threshold: 0,
                 chrono_activation_conflicts: 0,
                 inprocess_interval: 0,
                 restart_base: 1,
@@ -193,16 +190,11 @@ proptest! {
         }
     }
 
-    /// Every ablated configuration stays sound.
+    /// The default configuration with randomly flipped decision
+    /// polarities stays sound.
     #[test]
-    fn ablations_match_brute_force(cnf in arb_cnf(7, 18), which in 0usize..5) {
-        let config = match which {
-            0 => CdclConfig { use_restarts: false, ..CdclConfig::default() },
-            1 => CdclConfig { use_phase_saving: false, ..CdclConfig::default() },
-            2 => CdclConfig { use_clause_deletion: false, ..CdclConfig::default() },
-            3 => CdclConfig { use_minimization: false, ..CdclConfig::default() },
-            _ => CdclConfig { random_polarity_freq: 0.3, ..CdclConfig::default() },
-        };
+    fn ablations_match_brute_force(cnf in arb_cnf(7, 18)) {
+        let config = CdclConfig { random_polarity_freq: 0.3, ..CdclConfig::default() };
         let got = CdclSolver::with_config(config).solve(&cnf).is_sat();
         prop_assert_eq!(got, brute_force_sat(&cnf));
     }

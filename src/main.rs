@@ -97,9 +97,33 @@
 
 #![forbid(unsafe_code)]
 
-use lassynth::synth::{optimize, BackendChoice, SynthOptions, SynthResult, Synthesizer};
+use lassynth::synth::{
+    optimize, BackendChoice, SynthError, SynthOptions, SynthResult, Synthesizer,
+};
 use lassynth::{lasre, sat, viz};
 use std::time::Duration;
+
+/// `println!` for the CLI's output, through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A reader that closes the pipe early (`lassynth
+/// dimacs spec.json | head -1`) ends the process quietly, with the
+/// status a SIGPIPE death gives; any other write error is reported and
+/// exits 1.
+fn write_stdout(text: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// One command-line flag.
 #[derive(Clone, Copy, PartialEq)]
@@ -260,6 +284,16 @@ fn usage_error(message: impl Into<String>) -> Failure {
 
 fn failure(message: impl Into<String>) -> Failure {
     Failure(1, message.into())
+}
+
+impl From<SynthError> for Failure {
+    fn from(e: SynthError) -> Failure {
+        failure(format!("error: {e}"))
+    }
+}
+
+fn write_failure(path: &str, e: std::io::Error) -> Failure {
+    failure(format!("error: writing {path}: {e}"))
 }
 
 /// A subcommand's arguments, checked against its flag table.
@@ -448,14 +482,14 @@ fn print_counters<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) {
         .map(|(name, value)| format!("{name}={value}"))
         .collect();
     for line in tokens.chunks(5) {
-        println!("  {}", line.join(" "));
+        outln!("  {}", line.join(" "));
     }
 }
 
 fn print_stats(stats: sat::SolverStats, seed: Option<u64>) {
     match seed {
-        Some(seed) => println!("solver stats (winning seed {seed}):"),
-        None => println!("solver stats:"),
+        Some(seed) => outln!("solver stats (winning seed {seed}):"),
+        None => outln!("solver stats:"),
     }
     // `conflicts` counts every falsified clause the search hit, but
     // some of those were really missed lower-level implications that
@@ -468,7 +502,7 @@ fn print_stats(stats: sat::SolverStats, seed: Option<u64>) {
         ("repaired_missed_implications", stats.missed_implications),
     ]));
     if let Some(reason) = stats.exhaustion_reason() {
-        println!("  gave up on: {reason}");
+        outln!("  gave up on: {reason}");
     }
 }
 
@@ -488,14 +522,14 @@ fn run_synth(
     mode: SeedsMode,
     want_stats: bool,
     drat_out: Option<&str>,
-) -> Result<SynthResult, lassynth::synth::SynthError> {
+) -> Result<SynthResult, Failure> {
     let single = |synth: Synthesizer, options: SynthOptions| {
         let mut s = synth.with_options(options);
         let result = s.run();
         if want_stats {
             match s.last_solver_stats() {
                 Some(stats) => print_stats(stats, None),
-                None => println!("solver stats: unavailable for this backend"),
+                None => outln!("solver stats: unavailable for this backend"),
             }
         }
         if let Some(path) = drat_out {
@@ -503,16 +537,16 @@ fn run_synth(
                 Some(log) => {
                     // Binary DRAT for `.bdrat` files, text otherwise —
                     // both formats drat-trim understands.
-                    let binary = path.ends_with(".bdrat");
                     let mut buf = Vec::new();
-                    log.write_drat(&mut buf, binary).expect("serialize DRAT");
-                    std::fs::write(path, buf).expect("write DRAT file");
-                    println!("wrote {path} ({} proof steps)", log.len());
+                    log.write_drat(&mut buf, path.ends_with(".bdrat"))
+                        .and_then(|()| std::fs::write(path, &buf))
+                        .map_err(|e| write_failure(path, e))?;
+                    outln!("wrote {path} ({} proof steps)", log.len());
                 }
-                None => println!("no proof to write (requires --certify)"),
+                None => outln!("no proof to write (requires --certify)"),
             }
         }
-        result
+        Ok(result?)
     };
     let portfolio = |spec: lasre::LasSpec, options: SynthOptions, n: u64| {
         let seed_list: Vec<u64> = (0..n).collect();
@@ -525,19 +559,19 @@ fn run_synth(
         if want_stats {
             match outcome.stats() {
                 Some(stats) => print_stats(stats, outcome.winner_seed),
-                None => println!("solver stats: no worker reported statistics"),
+                None => outln!("solver stats: no worker reported statistics"),
             }
             // The whole fleet's bill, losers included — the winner's
             // share above is what the verdict cost, this is what the
             // machine paid.
             match outcome.total() {
                 Some(t) => {
-                    println!("portfolio total ({} workers):", outcome.worker_stats.len());
+                    outln!("portfolio total ({} workers):", outcome.worker_stats.len());
                     print_counters(
                         t.counters()
                             .filter(|(name, _)| !name.starts_with("exhausted_")),
                     );
-                    println!("portfolio exhaustion:");
+                    outln!("portfolio exhaustion:");
                     let quarantined = outcome.quarantined.len() as u64;
                     print_counters(
                         t.counters()
@@ -545,10 +579,10 @@ fn run_synth(
                             .chain([("quarantined_workers", quarantined)]),
                     );
                 }
-                None => println!("portfolio total: no worker reported statistics"),
+                None => outln!("portfolio total: no worker reported statistics"),
             }
             if let Some(reason) = outcome.exhaustion {
-                println!("gave up on: {reason}");
+                outln!("gave up on: {reason}");
             }
         }
         Ok(outcome.result)
@@ -566,7 +600,7 @@ fn run_synth(
             let synth = Synthesizer::new(spec.clone())?;
             let vars = synth.cnf().num_vars();
             if vars > AUTO_PORTFOLIO_VARS {
-                println!(
+                outln!(
                     "({vars} variables > {AUTO_PORTFOLIO_VARS}: \
                      running a {AUTO_PORTFOLIO_SEEDS}-seed diversified portfolio)"
                 );
@@ -608,31 +642,33 @@ fn cmd_synth(args: &Args) -> Result<i32, Failure> {
     if args.has(AUDIT_CNF) {
         let enc = lassynth::synth::encode::encode(&spec)
             .map_err(|e| failure(format!("invalid spec: {e}")))?;
-        println!("{}", enc.lint());
+        outln!("{}", enc.lint());
     }
     let certify = options.certify;
     let start = std::time::Instant::now();
-    let result = run_synth(spec, options, mode, args.has(STATS), drat_out)
-        .map_err(|e| failure(format!("error: {e}")))?;
+    let result = run_synth(spec, options, mode, args.has(STATS), drat_out)?;
     match result {
         SynthResult::Sat(design) => {
-            println!(
+            outln!(
                 "SAT in {:.2?} (verified: {})",
                 start.elapsed(),
                 design.verified()
             );
-            println!("{}", lasre::slices::render(&design));
-            std::fs::create_dir_all(out_dir).ok();
+            outln!("{}", lasre::slices::render(&design));
+            std::fs::create_dir_all(out_dir)
+                .map_err(|e| failure(format!("error: creating {out_dir}: {e}")))?;
             let lasre_path = format!("{out_dir}/{name}.lasre");
-            std::fs::write(&lasre_path, lasre::to_lasre(&design)).expect("write lasre");
+            std::fs::write(&lasre_path, lasre::to_lasre(&design))
+                .map_err(|e| write_failure(&lasre_path, e))?;
             let scene = viz::Scene::from_design(&design, viz::SceneOptions::default());
             let gltf_path = format!("{out_dir}/{name}.gltf");
-            std::fs::write(&gltf_path, viz::gltf::to_gltf(&scene)).expect("write gltf");
-            println!("wrote {lasre_path} and {gltf_path}");
+            std::fs::write(&gltf_path, viz::gltf::to_gltf(&scene))
+                .map_err(|e| write_failure(&gltf_path, e))?;
+            outln!("wrote {lasre_path} and {gltf_path}");
             Ok(0)
         }
         SynthResult::Unsat => {
-            println!(
+            outln!(
                 "UNSAT{} in {:.2?} — no design fits this volume",
                 if certify { " (DRAT proof checked)" } else { "" },
                 start.elapsed()
@@ -640,7 +676,7 @@ fn cmd_synth(args: &Args) -> Result<i32, Failure> {
             Ok(1)
         }
         SynthResult::Unknown => {
-            println!("UNKNOWN — budget expired after {:.2?}", start.elapsed());
+            outln!("UNKNOWN — budget expired after {:.2?}", start.elapsed());
             Ok(1)
         }
     }
@@ -654,15 +690,15 @@ fn cmd_verify(args: &Args) -> Result<i32, Failure> {
     let design = read_design(args.operands[0])?;
     let violations = lasre::check_validity(&design);
     if !violations.is_empty() {
-        println!("INVALID: {} constraint violations", violations.len());
+        outln!("INVALID: {} constraint violations", violations.len());
         for v in violations.iter().take(10) {
-            println!("  {v}");
+            outln!("  {v}");
         }
         return Ok(1);
     }
     match lassynth::synth::verify::verify(&design) {
         Ok(flows) => {
-            println!(
+            outln!(
                 "VERIFIED: all {} stabilizers realized ({} flows)",
                 design.spec().nstab(),
                 flows.rank()
@@ -670,7 +706,7 @@ fn cmd_verify(args: &Args) -> Result<i32, Failure> {
             Ok(0)
         }
         Err(e) => {
-            println!("VERIFICATION FAILED: {e}");
+            outln!("VERIFICATION FAILED: {e}");
             Ok(1)
         }
     }
@@ -678,14 +714,14 @@ fn cmd_verify(args: &Args) -> Result<i32, Failure> {
 
 fn cmd_render(args: &Args) -> Result<i32, Failure> {
     let design = read_design(args.operands[0])?;
-    println!("{}", lasre::slices::render(&design));
+    outln!("{}", lasre::slices::render(&design));
     Ok(0)
 }
 
 fn cmd_dimacs(args: &Args) -> Result<i32, Failure> {
     let synth =
         Synthesizer::new(load_spec(args.operands[0])?).map_err(|e| failure(e.to_string()))?;
-    print!("{}", sat::dimacs::to_string(synth.cnf()));
+    write_stdout(format_args!("{}", sat::dimacs::to_string(synth.cnf())));
     Ok(0)
 }
 
@@ -738,7 +774,7 @@ fn cmd_lint_cnf(args: &Args) -> Result<i32, Failure> {
         };
         report.map_err(|e| failure(format!("invalid spec: {e}")))?
     };
-    println!("{report}");
+    outln!("{report}");
     // Contradictory root units and empty clauses make the instance
     // unsolvable; every other finding is informational.
     if report.count(sat::analyze::LINT_CONTRADICTORY_UNITS) > 0
@@ -763,14 +799,15 @@ fn cmd_check_proof(args: &Args) -> Result<i32, Failure> {
         .map_err(|e| failure(format!("parsing {drat_path}: {e}")))?;
     match sat::proof::check(&log) {
         Ok(report) if report.refuted() => {
-            println!(
+            outln!(
                 "PROOF OK: {} steps, {} derivations checked, formula refuted",
-                report.steps, report.derived_checked
+                report.steps,
+                report.derived_checked
             );
             Ok(0)
         }
         Ok(report) => {
-            println!(
+            outln!(
                 "PROOF INCOMPLETE: all {} steps check, but no refutation \
                  (the empty clause is never derived)",
                 report.steps
@@ -778,7 +815,7 @@ fn cmd_check_proof(args: &Args) -> Result<i32, Failure> {
             Ok(1)
         }
         Err(e) => {
-            println!("PROOF REJECTED: {e}");
+            outln!("PROOF REJECTED: {e}");
             Ok(1)
         }
     }
@@ -805,12 +842,12 @@ fn cmd_depth(args: &Args) -> Result<i32, Failure> {
         let layered = optimize::valid_depth_window(&spec, lo, hi, start)
             .and_then(|(bottom, top)| lassynth::synth::encode::encode_layered(&spec, bottom, top))
             .map_err(|e| failure(format!("invalid spec: {e}")))?;
-        println!("{}", layered.lint());
+        outln!("{}", layered.lint());
     }
     let search = optimize::find_min_depth(&spec, lo, hi, start, &options)
         .map_err(|e| failure(format!("error: {e}")))?;
     for p in &search.probes {
-        println!(
+        outln!(
             "max_k {}: {}{} ({:.2?})",
             p.max_k,
             match (p.sat, p.exhaustion) {
@@ -825,7 +862,7 @@ fn cmd_depth(args: &Args) -> Result<i32, Failure> {
         if args.has(STATS) {
             match p.stats {
                 Some(s) => print_stats(s, None),
-                None => println!("    (no solver stats for this backend)"),
+                None => outln!("    (no solver stats for this backend)"),
             }
         }
     }
@@ -837,27 +874,27 @@ fn cmd_depth(args: &Args) -> Result<i32, Failure> {
         // Certified minimum: every shallower depth in range is refuted
         // (or `bound` is the range floor), so budget expiries or
         // crashes elsewhere change nothing.
-        println!("optimal depth: {bound}");
+        outln!("optimal depth: {bound}");
         return Ok(0);
     }
     if search.exhaustion.is_none() && search.quarantined.is_empty() {
-        println!("no satisfiable depth in [{lo}, {hi}]");
+        outln!("no satisfiable depth in [{lo}, {hi}]");
         return Ok(1);
     }
     // The governor (or a crash) stopped the search with the window still
     // open: report the anytime answer instead of pretending nothing was
     // learnt.
     match search.exhaustion {
-        Some(reason) => println!("search stopped early ({reason})"),
-        None => println!("search stopped early (undecided workers crashed)"),
+        Some(reason) => outln!("search stopped early ({reason})"),
+        None => outln!("search stopped early (undecided workers crashed)"),
     }
     match best {
         Some(d) => {
-            println!("anytime window: certified lower bound {bound}, best SAT depth {d}");
+            outln!("anytime window: certified lower bound {bound}, best SAT depth {d}");
             Ok(0)
         }
         None => {
-            println!("anytime window: certified lower bound {bound}, no SAT depth found yet");
+            outln!("anytime window: certified lower bound {bound}, no SAT depth found yet");
             Ok(1)
         }
     }

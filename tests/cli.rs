@@ -794,3 +794,59 @@ fn arguments_outside_the_flag_table_are_usage_errors() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that closes stdout early (`synth … | true`) ends the run
+/// quietly: no panic text, no panic exit status.
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    let dir = std::env::temp_dir().join(format!("lassynth-cli-pipe-{}", std::process::id()));
+    let mut child = bin()
+        .arg("synth")
+        .arg(cnot_spec_path())
+        .arg("--out")
+        .arg(&dir)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn lassynth synth");
+    // Close the read end before the solve can print anything.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for lassynth synth");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An `--out` directory or `--drat` file that cannot be written is an
+/// `error: …` exit 1, not a panic.
+#[test]
+fn unwritable_output_paths_fail_cleanly() {
+    let dir = std::env::temp_dir().join(format!("lassynth-cli-unwritable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    // A path below a regular file can be neither created nor written.
+    let blocker = dir.join("blocker");
+    std::fs::write(&blocker, "").expect("write blocker file");
+    for extra in [
+        vec!["--out".into(), blocker.join("out")],
+        vec![
+            "--certify".into(),
+            "--drat".into(),
+            blocker.join("proof.drat"),
+            "--out".into(),
+            dir.clone(),
+        ],
+    ] {
+        let out = bin()
+            .arg("synth")
+            .arg(cnot_spec_path())
+            .args(&extra)
+            .output()
+            .expect("run lassynth synth");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{extra:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
