@@ -41,17 +41,14 @@ fn emit_majority_record(spec: &lasre::LasSpec) {
     for _ in 0..SAMPLES {
         let _ = black_box(encode(black_box(spec)).unwrap());
     }
-    let record = BenchRecord {
+    BenchRecord {
         name: "encode_majority_3x3x5".into(),
         wall_ms: start.elapsed().as_secs_f64() * 1e3 / f64::from(SAMPLES),
         conflicts: 0,
         propagations: 0,
         proof_checked: None,
-    };
-    match record.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write bench record: {e}"),
     }
+    .emit();
 }
 
 criterion_group!(benches, bench_encode);

@@ -64,18 +64,15 @@ fn emit_majority_record() {
         assert!(out.is_sat(), "majority gate must stay SAT");
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(SAMPLES);
-    let record = BenchRecord {
+    BenchRecord {
         name: "solve_majority_3x3x5".into(),
         wall_ms,
         conflicts: solver.stats.conflicts,
         propagations: solver.stats.propagations,
         // SAT instance: nothing to certify.
         proof_checked: None,
-    };
-    match record.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write bench record: {e}"),
     }
+    .emit();
 }
 
 /// Measures the full min-depth probe sequence on the majority gate in
@@ -164,12 +161,8 @@ fn emit_min_depth_records() {
         inc_verdicts, scratch_verdicts,
         "incremental and from-scratch depth searches must agree"
     );
-    for record in [incremental, scratch] {
-        match record.write() {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write bench record: {e}"),
-        }
-    }
+    incremental.emit();
+    scratch.emit();
 }
 
 criterion_group!(benches, bench_solve);

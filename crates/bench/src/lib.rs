@@ -1,12 +1,10 @@
 //! Shared support for the experiment harness binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper, named after it (`fig13_*`, `table1_*`, …). This library holds the
-//! common pieces: CLI parsing, wall-clock timing, and aligned table
-//! printing so the binaries emit the same rows/series the paper reports.
+//! The `paper` binary reproduces the paper's figures and tables from the
+//! corpus in `workloads::paper`; `bench_trend` gates the `BENCH_*.json`
+//! records the benches and probe tests emit. This library holds what
+//! they share: aligned table printing and benchmark-record emission.
 
 #![forbid(unsafe_code)]
 
-pub mod cli;
 pub mod report;
-pub mod timing;

@@ -9,6 +9,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// One benchmark measurement, serialized to `BENCH_<name>.json`.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,24 +36,16 @@ impl BenchRecord {
     /// Renders the record as a single JSON object. Keys are emitted in
     /// a fixed order so committed records diff cleanly.
     pub fn to_json(&self) -> String {
-        // Names are restricted to `[a-z0-9_]+`, but escape quotes and
-        // backslashes anyway so the output is always valid JSON.
-        let escaped: String = self
-            .name
-            .chars()
-            .flat_map(|c| match c {
-                '"' | '\\' => vec!['\\', c],
-                c if c.is_control() => vec![' '],
-                c => vec![c],
-            })
-            .collect();
+        // Names are restricted to `[a-z0-9_]+`, but quote them as JSON
+        // anyway so the output is always valid JSON.
+        let name = serde_json::to_string(&self.name).unwrap_or_default();
         let proof_checked = match self.proof_checked {
             Some(b) => format!(",\n  \"proof_checked\": {b}"),
             None => String::new(),
         };
         format!(
-            "{{\n  \"name\": \"{}\",\n  \"wall_ms\": {:.3},\n  \"conflicts\": {},\n  \"propagations\": {}{}\n}}\n",
-            escaped, self.wall_ms, self.conflicts, self.propagations, proof_checked
+            "{{\n  \"name\": {},\n  \"wall_ms\": {:.3},\n  \"conflicts\": {},\n  \"propagations\": {}{}\n}}\n",
+            name, self.wall_ms, self.conflicts, self.propagations, proof_checked
         )
     }
 
@@ -105,13 +98,13 @@ impl BenchRecord {
     }
 
     /// Writes the record at the workspace root (the directory
-    /// benchmarks and CI agree on), or `$BENCH_OUT_DIR` when set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the write.
-    pub fn write(&self) -> io::Result<PathBuf> {
-        self.write_to(&bench_out_dir())
+    /// benchmarks and CI agree on), or in `$BENCH_OUT_DIR` when set,
+    /// and reports the path on stdout, or the failure on stderr.
+    pub fn emit(&self) {
+        match self.write_to(&bench_out_dir()) {
+            Ok(path) => println!("wrote {}", path.display()),
+            Err(e) => eprintln!("could not write bench record: {e}"),
+        }
     }
 }
 
@@ -126,6 +119,17 @@ pub fn bench_out_dir() -> PathBuf {
         .nth(2)
         .expect("crates/bench sits two levels below the workspace root") // lint:allow(no-panic)
         .to_path_buf()
+}
+
+/// Mean and (population) standard deviation of durations, in seconds.
+pub fn mean_sd(times: &[Duration]) -> (f64, f64) {
+    if times.is_empty() {
+        return (0.0, 0.0);
+    }
+    let secs: Vec<f64> = times.iter().map(Duration::as_secs_f64).collect();
+    let mean = secs.iter().sum::<f64>() / secs.len() as f64;
+    let var = secs.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / secs.len() as f64;
+    (mean, var.sqrt())
 }
 
 /// A simple fixed-width table printer.
@@ -264,6 +268,14 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"wall_ms\": 1.000"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mean_sd_of_constant_is_zero_sd() {
+        let times = vec![Duration::from_millis(100); 4];
+        let (mean, sd) = mean_sd(&times);
+        assert!((mean - 0.1).abs() < 1e-9);
+        assert!(sd.abs() < 1e-12);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! instance: the resource governor's acceptance demo.
 //!
 //! The full 15-to-1 T-factory min-depth search is far beyond an
-//! interactive budget (the paper's Kissat needs ~469 s for a *single*
-//! depth), so the useful contract is the *anytime* one: a search whose
-//! wall-clock budget expires must still come back with the window
-//! `[certified lower bound, best SAT depth]` plus every probe's
-//! verdict and exhaustion reason — never an error, never silently
-//! discarded work.
+//! interactive budget (the paper's Kissat needs minutes for a *single*
+//! depth, see `workloads::paper`), so the useful contract is the
+//! *anytime* one: a search whose wall-clock budget expires must still
+//! come back with the window `[certified lower bound, best SAT depth]`
+//! plus every probe's verdict and exhaustion reason — never an error,
+//! never silently discarded work.
 //!
 //! No `BENCH_*.json` record is written here: a deadline pins wall
 //! time, not conflicts, so the conflict count is machine-dependent and
@@ -19,7 +19,7 @@
 
 use std::time::Duration;
 use synth::SynthOptions;
-use workloads::specs::t_factory_spec;
+use workloads::paper::factory_162;
 
 /// Per-probe wall-clock budget. Long enough to do real work on the
 /// depth-4 probe, short enough for a CI smoke job; the search visits
@@ -29,7 +29,7 @@ const PROBE_DEADLINE: Duration = Duration::from_secs(10);
 #[test]
 #[ignore = "deadline-bounded T-factory probe (burns its deadline): run by the CI bench-smoke job"]
 fn t_factory_anytime_window_under_deadline() {
-    let spec = t_factory_spec(4);
+    let spec = factory_162().spec;
     let mut options = SynthOptions::default();
     options.budget.max_time = Some(PROBE_DEADLINE);
     let lo = 3;

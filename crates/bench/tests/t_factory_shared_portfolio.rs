@@ -35,7 +35,7 @@ use bench_support::report::BenchRecord;
 use sat::{Budget, SolverStats};
 use synth::optimize::solve_portfolio_detailed;
 use synth::{SynthOptions, SynthResult};
-use workloads::specs::t_factory_spec;
+use workloads::paper::factory_162;
 
 /// The diversified fleet (seed 0 is the reference configuration the
 /// single-solve probe runs).
@@ -68,7 +68,7 @@ fn run_fleet(share: bool) -> FleetOutcome {
         ..SynthOptions::default()
     };
     let start = std::time::Instant::now();
-    let outcome = solve_portfolio_detailed(&t_factory_spec(4), &SEEDS, &options)
+    let outcome = solve_portfolio_detailed(&factory_162().spec, &SEEDS, &options)
         .expect("the T-factory fleet runs");
     let wall_s = start.elapsed().as_secs_f64();
     if let SynthResult::Sat(design) = &outcome.result {
@@ -186,7 +186,7 @@ fn t_factory_shared_portfolio_probe() {
             isolated.wall_s,
         ),
     ] {
-        let record = BenchRecord {
+        BenchRecord {
             name: name.into(),
             wall_ms: wall_s * 1e3,
             conflicts: total.conflicts,
@@ -194,10 +194,7 @@ fn t_factory_shared_portfolio_probe() {
             // The budgeted fleets stop at Unknown/SAT — nothing to
             // certify.
             proof_checked: None,
-        };
-        match record.write() {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write bench record: {e}"),
         }
+        .emit();
     }
 }

@@ -10,11 +10,14 @@
 //!   measurements at footprint 32,
 //! * [`specs`] — LaS specifications for the paper's subjects: CNOT
 //!   (Fig. 2/8/10), graph states (Fig. 13/14), the majority gate
-//!   (Fig. 15) and the 15-to-1 T-factory (Figs. 16–18).
+//!   (Fig. 15) and the 15-to-1 T-factory (Figs. 16–18),
+//! * [`paper`] — the evaluation corpus: every figure and table row with
+//!   its specs beside the paper's volumes and Kissat times.
 
 #![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod graphs;
 pub mod mis;
+pub mod paper;
 pub mod specs;

@@ -55,19 +55,11 @@ pub fn graph_state_spec(g: &Graph, depth: usize) -> LasSpec {
 ///
 /// Panics if `depth == 0` or `lanes == 0`.
 pub fn graph_state_spec_arch(g: &Graph, depth: usize, lanes: usize) -> LasSpec {
-    assert!(depth > 0 && lanes > 0, "depth and lanes must be positive");
-    let n = g.num_vertices();
+    assert!(lanes > 0, "lanes must be positive");
     LasSpec {
-        name: format!("graph-state-{n}q-d{depth}-l{lanes}"),
-        max_i: n,
+        name: format!("graph-state-{}q-d{depth}-l{lanes}", g.num_vertices()),
         max_j: lanes,
-        max_k: depth,
-        ports: (0..n)
-            .map(|i| Port::parse(i as i32, 0, depth as i32, "-K", Axis::J))
-            .collect(),
-        stabilizers: g.stabilizers(),
-        forbidden_cubes: Vec::new(),
-        allow_y_cubes: true,
+        ..graph_state_spec(g, depth)
     }
 }
 
@@ -235,22 +227,6 @@ pub fn t_factory_spec(depth: usize) -> LasSpec {
     }
 }
 
-/// Published baseline volumes the paper compares against (Sec. V).
-pub mod baselines {
-    /// Majority gate of Ref. [20]: 3×5×5.
-    pub const MAJORITY_VOLUME: usize = 75;
-    /// 15-to-1 factory of Refs. [10], [21]: 8×4 footprint × 5.5 average depth.
-    pub const T_FACTORY_VOLUME: usize = 176;
-    /// Litinski's no-delay factory (Ref. [8]): 11 patches × 11 depth.
-    pub const T_FACTORY_NODELAY_VOLUME: usize = 121;
-    /// The paper's discovered majority gate: 3×3×5.
-    pub const PAPER_MAJORITY_VOLUME: usize = 45;
-    /// The paper's discovered factory: 9×4×4.5.
-    pub const PAPER_T_FACTORY_VOLUME: usize = 162;
-    /// The paper's discovered no-delay factory: 3×3×11.
-    pub const PAPER_T_FACTORY_NODELAY_VOLUME: usize = 99;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,21 +310,5 @@ mod tests {
         assert_eq!(s162.validate(), Ok(()));
         assert_eq!(s162.ports.len(), 16);
         assert_eq!(s162.bounds().volume(), 9 * 4 * 5);
-    }
-
-    #[test]
-    fn reported_improvements_match_paper_claims() {
-        use baselines::*;
-        // −40% majority, −8% factory, −18% no-delay factory.
-        assert_eq!(100 - 100 * PAPER_MAJORITY_VOLUME / MAJORITY_VOLUME, 40);
-        assert_eq!(
-            100 * (T_FACTORY_VOLUME - PAPER_T_FACTORY_VOLUME) / T_FACTORY_VOLUME,
-            7
-        );
-        assert_eq!(
-            100 * (T_FACTORY_NODELAY_VOLUME - PAPER_T_FACTORY_NODELAY_VOLUME)
-                / T_FACTORY_NODELAY_VOLUME,
-            18
-        );
     }
 }

@@ -6,7 +6,8 @@
 //! Run with: `cargo run --release --example majority_gate`
 
 use lassynth::synth::{SynthResult, Synthesizer};
-use lassynth::workloads::specs::{baselines, majority_flows, majority_gate_spec};
+use lassynth::workloads::paper::majority;
+use lassynth::workloads::specs::majority_flows;
 use lassynth::{lasre, viz};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,8 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {f}");
     }
 
-    let spec = majority_gate_spec(3);
-    let mut synth = Synthesizer::new(spec)?;
+    let gate = majority(3);
+    let mut synth = Synthesizer::new(gate.spec)?;
     println!(
         "\nencoding: V·nstab = {}, {} vars, {} clauses",
         synth.stats().v_nstab,
@@ -29,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "SAT in {:?}: 3×3×5 = {} spacetime volume (baseline: {}, −40%)",
                 synth.last_solve_time().unwrap_or_default(),
-                baselines::PAPER_MAJORITY_VOLUME,
-                baselines::MAJORITY_VOLUME
+                gate.paper_volume.unwrap_or_default(),
+                gate.baseline_volume.unwrap_or_default()
             );
             println!("verified through ZX flows: {}", design.verified());
             println!("\ntime slices:\n{}", lasre::slices::render(&design));

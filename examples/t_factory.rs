@@ -5,9 +5,8 @@
 //! Run with: `cargo run --release --example t_factory [--solve]`
 
 use lassynth::synth::{SynthOptions, SynthResult, Synthesizer};
-use lassynth::workloads::specs::{
-    baselines, t_factory_flows, t_factory_nodelay_spec, t_factory_spec,
-};
+use lassynth::workloads::paper::{factory_162, factory_99};
+use lassynth::workloads::specs::t_factory_flows;
 use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,29 +16,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {f}");
     }
 
-    for (label, spec, paper_volume, baseline) in [
-        (
-            "no-delay factory (Fig. 18)",
-            t_factory_nodelay_spec(11),
-            baselines::PAPER_T_FACTORY_NODELAY_VOLUME,
-            baselines::T_FACTORY_NODELAY_VOLUME,
-        ),
-        (
-            "injection-aware factory (Fig. 17)",
-            t_factory_spec(4),
-            baselines::PAPER_T_FACTORY_VOLUME,
-            baselines::T_FACTORY_VOLUME,
-        ),
+    for (label, factory) in [
+        ("no-delay factory (Fig. 18)", factory_99()),
+        ("injection-aware factory (Fig. 17)", factory_162()),
     ] {
         println!("\n== {label} ==");
-        let synth = Synthesizer::new(spec)?;
+        let synth = Synthesizer::new(factory.spec)?;
         println!(
             "encoding: V·nstab = {}, {} vars, {} clauses",
             synth.stats().v_nstab,
             synth.stats().num_vars,
             synth.stats().num_clauses
         );
-        println!("paper: volume {paper_volume} vs baseline {baseline}");
+        println!(
+            "paper: volume {} vs baseline {}",
+            factory.paper_volume.unwrap_or_default(),
+            factory.baseline_volume.unwrap_or_default()
+        );
+        if let Some(note) = factory.note {
+            println!("note: {note}");
+        }
         if solve {
             let mut synth = synth
                 .with_options(SynthOptions::default().with_time_limit(Duration::from_secs(600)));
@@ -50,7 +46,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     d.verified()
                 ),
                 SynthResult::Unsat => println!("UNSAT (port layout too tight)"),
-                SynthResult::Unknown => println!("timed out (the paper's Kissat needed minutes)"),
+                SynthResult::Unknown => println!(
+                    "timed out (the paper's Kissat needed {} s)",
+                    factory.kissat_min_s.unwrap_or_default()
+                ),
             }
         }
     }

@@ -139,14 +139,26 @@ fn portfolio_passes_a_mid_run_stop_on() {
 
 /// A seed portfolio without sharing is reproducible: its rounds run
 /// on threads, but the verdicts are settled in seed order, so two runs
-/// name the same winner and every worker spends the same conflicts.
+/// name the same winner and every worker spends the same conflicts. A
+/// 20-conflict quantum makes every worker take several threaded turns
+/// before the verdict on the small Fig. 15 width-3 gate.
 #[test]
 fn isolated_portfolio_runs_are_deterministic() {
-    let spec = lassynth::workloads::specs::majority_gate_spec(4);
+    let spec = lassynth::workloads::specs::majority_gate_spec(3);
+    let options = SynthOptions {
+        parallel_quantum: 20,
+        ..SynthOptions::default()
+    };
     let run = || {
-        let o = optimize::solve_portfolio_detailed(&spec, &[0, 1, 2, 3], &SynthOptions::default())
-            .unwrap();
+        let o = optimize::solve_portfolio_detailed(&spec, &[0, 1, 2, 3], &options).unwrap();
         assert!(o.result.is_sat());
+        for (seed, stats) in &o.worker_stats {
+            let conflicts = stats.unwrap().conflicts;
+            assert!(
+                conflicts > options.parallel_quantum,
+                "seed {seed} stopped in its first turn ({conflicts} conflicts)"
+            );
+        }
         (o.winner_seed, o.worker_stats)
     };
     assert_eq!(run(), run());
