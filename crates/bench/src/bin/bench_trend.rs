@@ -1,50 +1,33 @@
-//! CI bench-trend check: compares freshly emitted `BENCH_*.json`
-//! records against the committed baselines and fails on large
-//! regressions (the ROADMAP's "diff against the committed record"
-//! item).
+//! The CI gate over the committed `BENCH_*.json` records, and the
+//! renderer of `REPRODUCTION.md`.
 //!
-//! ```text
-//! bench_trend <baseline-dir> <fresh-dir> [--max-ratio R] [--max-conflict-ratio C]
-//! ```
+//! `bench_trend <baseline-dir> <fresh-dir>` needs a fresh counterpart
+//! of every record in `baseline-dir` (CI re-emits all of them) and
+//! holds each pair to two fixed limits:
 //!
-//! Every `BENCH_*.json` in `baseline-dir` that also exists in
-//! `fresh-dir` is compared under two gates:
+//! * **Wall gate** — a fresh record slower than [`MAX_WALL_RATIO`] ×
+//!   its baseline fails, unless its conflicts stayed flat: the same
+//!   work in more milliseconds is a slower machine, not a regression.
+//! * **Conflicts gate** — a fresh record with more than
+//!   [`MAX_CONFLICT_RATIO`] × the baseline's conflicts fails whatever
+//!   its wall time. Conflicts are deterministic per code + seed, so
+//!   this gate holds on any machine, and it is what guards records
+//!   whose conflicts a budget pins (the wall gate can only warn there)
+//!   and lucky-trajectory records a code change could silently lose.
 //!
-//! * **Wall gate** — a fresh record slower than `R ×` the baseline
-//!   (default 2.0, `--max-ratio` / `BENCH_TREND_MAX_RATIO` — generous
-//!   because CI machines differ from the machine that committed the
-//!   baseline) fails. A wall regression whose conflicts stayed flat is
-//!   downgraded to a warning: the same seed doing the same work in
-//!   more milliseconds is a machine-speed delta, not a code
-//!   regression.
-//! * **Conflicts gate** — a fresh record whose *conflict count* grew
-//!   past `C ×` the baseline (default 1.5, `--max-conflict-ratio` /
-//!   `BENCH_TREND_MAX_CONFLICT_RATIO`) fails regardless of wall time.
-//!   Conflicts are deterministic for a given code + seed, so this gate
-//!   is machine-independent — it is what keeps records with *pinned*
-//!   conflict budgets (where the wall gate can only ever warn) and
-//!   lucky-trajectory records from silently rotting: a code change
-//!   that costs a small instance its lucky trajectory shows up here as
-//!   a hard failure, not a wall warning.
-//!
-//! Baselines with no fresh counterpart are reported but do not fail:
-//! CI's smoke job only runs a subset of the benches.
-//!
-//! A second mode renders the committed records as a reproduction
-//! table instead of gating:
-//!
-//! ```text
-//! bench_trend --table [dir]
-//! ```
-//!
-//! prints a markdown table (one row per `BENCH_*.json` in `dir`,
-//! default `.`) suitable for committing as `REPRODUCTION.md` — the
-//! ROADMAP's "REPRODUCTION.md-style table produced by the existing
-//! bench bins" deliverable.
+//! `bench_trend --table [dir]` prints the whole of `REPRODUCTION.md`
+//! from the records in `dir` (default `.`); CI diffs the two.
 
 use bench_support::report::BenchRecord;
 use std::path::Path;
 use std::process::ExitCode;
+
+/// Wall-time ratio past which a fresh record with conflict growth fails.
+const MAX_WALL_RATIO: f64 = 2.0;
+/// Conflict-count ratio past which a fresh record fails outright.
+const MAX_CONFLICT_RATIO: f64 = 1.5;
+
+const USAGE: &str = "usage: bench_trend <baseline-dir> <fresh-dir> | bench_trend --table [dir]";
 
 fn load_records(dir: &Path) -> Vec<(String, BenchRecord)> {
     let mut out = Vec::new();
@@ -83,28 +66,42 @@ fn paper_anchor(name: &str) -> &'static str {
     }
 }
 
-/// Renders all records in `dir` as a markdown reproduction table.
+const TABLE_INTRO: &str = "\
+# Benchmark reproduction record
+
+Committed `BENCH_*.json` measurements, one row per tracked
+benchmark. Regenerate them with
+`cargo test --release -p lassynth-bench -- --ignored` (the probe tests
+`majority_records`, `t_factory_budgeted` and
+`t_factory_shared_portfolio` write them), then re-render this file with
+`cargo run -p lassynth-bench --bin bench_trend -- --table > REPRODUCTION.md`.
+Conflicts and propagations are deterministic per code + seed;
+wall times are from the committing machine.
+
+| benchmark | paper anchor | wall (ms) | conflicts | propagations | props/conflict | proof checked |
+|---|---|---:|---:|---:|---:|---:|";
+
+const TABLE_NOTES: &str = "
+All rows above run with the resource governor off and no fault plan
+armed; both are untaken branches on the hot path, so arming neither
+changes a single conflict count (the determinism tests pin this).
+
+The deadline-bounded **anytime** probe (`t_factory_anytime`, CI
+bench-smoke) deliberately has no row: a wall-clock deadline pins time
+rather than work, so its conflict count is machine-dependent by
+construction. Its contract is checked instead of recorded — an expired
+deadline on the Fig. 17 depth search must return the anytime window
+(certified lower bound + best SAT depth with every probe's exhaustion
+reason), never an error and never a silently discarded search.";
+
+/// Renders all records in `dir` as the whole of `REPRODUCTION.md`.
 fn print_table(dir: &Path) -> ExitCode {
     let records = load_records(dir);
     if records.is_empty() {
         eprintln!("error: no BENCH_*.json records in {}", dir.display());
         return ExitCode::from(2);
     }
-    println!("# Benchmark reproduction record");
-    println!();
-    println!(
-        "Committed `BENCH_*.json` measurements, one row per tracked\n\
-         benchmark. Regenerate with `cargo bench -p lassynth-bench` (plus\n\
-         the ignored budgeted probe test), then re-render this file with\n\
-         `cargo run -p lassynth-bench --bin bench_trend -- --table`.\n\
-         Conflicts and propagations are deterministic per code + seed;\n\
-         wall times are from the committing machine."
-    );
-    println!();
-    println!(
-        "| benchmark | paper anchor | wall (ms) | conflicts | propagations | props/conflict | proof checked |"
-    );
-    println!("|---|---|---:|---:|---:|---:|---:|");
+    println!("{TABLE_INTRO}");
     for (file, r) in &records {
         let props_per_conflict = if r.conflicts > 0 {
             format!("{:.1}", r.propagations as f64 / r.conflicts as f64)
@@ -130,64 +127,47 @@ fn print_table(dir: &Path) -> ExitCode {
             proof_checked
         );
     }
+    println!("{TABLE_NOTES}");
     ExitCode::SUCCESS
 }
 
+/// Runs `<baseline-dir> <fresh-dir>` or `--table [dir]`; any other
+/// argument is a usage error naming it.
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut positional: Vec<String> = Vec::new();
-    let mut max_ratio_arg: Option<String> = None;
-    let mut max_conflict_ratio_arg: Option<String> = None;
-    let mut table = false;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--table" {
-            table = true;
-            i += 1;
-        } else if args[i] == "--max-ratio" {
-            max_ratio_arg = args.get(i + 1).cloned();
-            i += 2;
-        } else if args[i] == "--max-conflict-ratio" {
-            max_conflict_ratio_arg = args.get(i + 1).cloned();
-            i += 2;
-        } else {
-            positional.push(args[i].clone());
-            i += 1;
+    let table = args.first().is_some_and(|a| a == "--table");
+    let operands = &args[usize::from(table)..];
+    let flag = operands.iter().find(|a| a.starts_with('-'));
+    let error = match (flag, table, operands) {
+        (Some(flag), _, _) => format!("unknown flag {flag:?}"),
+        (None, true, []) => return print_table(Path::new(".")),
+        (None, true, [dir]) => return print_table(Path::new(dir)),
+        (None, false, [baseline, fresh]) => return gate(baseline, fresh),
+        (None, true, [_, extra, ..]) | (None, false, [_, _, extra, ..]) => {
+            format!("unexpected argument {extra:?}")
         }
-    }
-    if table {
-        let dir = positional.first().map_or(".", String::as_str);
-        return print_table(Path::new(dir));
-    }
-    let [baseline_dir, fresh_dir] = &positional[..] else {
-        eprintln!(
-            "usage: bench_trend <baseline-dir> <fresh-dir> [--max-ratio R] \
-             [--max-conflict-ratio C] | bench_trend --table [dir]"
-        );
-        return ExitCode::from(2);
+        (None, false, _) => "expected <baseline-dir> <fresh-dir>".into(),
     };
-    let max_ratio: f64 = max_ratio_arg
-        .or_else(|| std::env::var("BENCH_TREND_MAX_RATIO").ok())
-        .map_or(2.0, |s| s.parse().expect("--max-ratio expects a number"));
-    let max_conflict_ratio: f64 = max_conflict_ratio_arg
-        .or_else(|| std::env::var("BENCH_TREND_MAX_CONFLICT_RATIO").ok())
-        .map_or(1.5, |s| {
-            s.parse().expect("--max-conflict-ratio expects a number")
-        });
+    eprintln!("error: {error}\n{USAGE}");
+    ExitCode::from(2)
+}
+
+/// Compares every committed record in `baseline_dir` with its fresh
+/// counterpart in `fresh_dir`.
+fn gate(baseline_dir: &str, fresh_dir: &str) -> ExitCode {
     let baselines = load_records(Path::new(baseline_dir));
     if baselines.is_empty() {
         eprintln!("error: no BENCH_*.json baselines in {baseline_dir}");
         return ExitCode::from(2);
     }
     let fresh = load_records(Path::new(fresh_dir));
-    let mut compared = 0usize;
     let mut failures = 0usize;
     for (file, base) in &baselines {
         let Some((_, new)) = fresh.iter().find(|(f, _)| f == file) else {
-            println!("SKIP {file}: not emitted by this run");
+            println!("FAIL {file}: not emitted by this run");
+            failures += 1;
             continue;
         };
-        compared += 1;
         // Guard the division: a sub-microsecond baseline is noise.
         let ratio = if base.wall_ms > 1e-3 {
             new.wall_ms / base.wall_ms
@@ -202,8 +182,8 @@ fn main() -> ExitCode {
         // are exempt: there is no search to regress).
         let conflicts_flat = new.conflicts <= base.conflicts.saturating_mul(11) / 10;
         let conflicts_regressed =
-            base.conflicts > 0 && new.conflicts as f64 > base.conflicts as f64 * max_conflict_ratio;
-        let wall_regressed = ratio > max_ratio;
+            base.conflicts > 0 && new.conflicts as f64 > base.conflicts as f64 * MAX_CONFLICT_RATIO;
+        let wall_regressed = ratio > MAX_WALL_RATIO;
         let verdict = match (conflicts_regressed, wall_regressed, conflicts_flat) {
             (true, _, _) => "FAIL",
             (false, false, _) => "ok",
@@ -211,8 +191,8 @@ fn main() -> ExitCode {
             (false, true, false) => "FAIL",
         };
         println!(
-            "{verdict:>4} {file}: {:.3} ms -> {:.3} ms ({ratio:.2}x, limit {max_ratio:.2}x), \
-             conflicts {} -> {} (limit {max_conflict_ratio:.2}x)",
+            "{verdict:>4} {file}: {:.3} ms -> {:.3} ms ({ratio:.2}x, limit {MAX_WALL_RATIO:.2}x), \
+             conflicts {} -> {} (limit {MAX_CONFLICT_RATIO:.2}x)",
             base.wall_ms, new.wall_ms, base.conflicts, new.conflicts
         );
         if verdict == "FAIL" {
@@ -226,18 +206,17 @@ fn main() -> ExitCode {
             println!(" NEW {file}: no committed baseline — commit it to start trend tracking");
         }
     }
-    if compared == 0 {
-        eprintln!("error: no fresh record matched any committed baseline");
-        return ExitCode::from(2);
-    }
     if failures > 0 {
         eprintln!(
-            "bench trend check failed: {failures} record(s) regressed \
-             (wall >{max_ratio:.2}x with conflict growth, or conflicts \
-             >{max_conflict_ratio:.2}x)"
+            "bench trend check failed: {failures} record(s) missing or regressed \
+             (wall >{MAX_WALL_RATIO:.2}x with conflict growth, or conflicts \
+             >{MAX_CONFLICT_RATIO:.2}x)"
         );
         return ExitCode::FAILURE;
     }
-    println!("bench trend check passed ({compared} record(s) compared)");
+    println!(
+        "bench trend check passed ({} record(s) compared)",
+        baselines.len()
+    );
     ExitCode::SUCCESS
 }

@@ -2,7 +2,7 @@
 //!
 //! The `paper` binary reproduces the paper's figures and tables from the
 //! corpus in `workloads::paper`; `bench_trend` gates the `BENCH_*.json`
-//! records the benches and probe tests emit. This library holds what
+//! records the ignored probe tests emit. This library holds what
 //! they share: aligned table printing and benchmark-record emission.
 
 #![forbid(unsafe_code)]

@@ -1,4 +1,4 @@
-//! The depth-search acceptance criterion on the majority-gate workload
+//! The depth-search acceptance check on the majority-gate workload
 //! (paper Fig. 15): the incremental probe sequence must reproduce the
 //! from-scratch verdicts and best depth exactly.
 

@@ -80,28 +80,9 @@ fn t_factory_budgeted_probe() {
         secs,
         stats.conflicts as f64 / secs
     );
-    println!(
-        "inprocessing: subsumed_clauses={} strengthened_clauses={} chrono_backtracks={} \
-         gc_passes={}",
-        stats.subsumed_clauses,
-        stats.strengthened_clauses,
-        stats.chrono_backtracks,
-        stats.gc_passes
-    );
-    println!(
-        "simplification: eliminated_vars={} elim_resolvents={}",
-        stats.eliminated_vars, stats.elim_resolvents
-    );
-    println!(
-        "search: decisions={} restarts={} restarts_blocked={} rephases={} oob_enqueues={} \
-         missed_implications={}",
-        stats.decisions,
-        stats.restarts,
-        stats.restarts_blocked,
-        stats.rephases,
-        stats.oob_enqueues,
-        stats.missed_implications
-    );
+    for (name, value) in stats.counters() {
+        println!("  {name}={value}");
+    }
     assert!(
         stats.propagations <= stats.conflicts.max(1) * MAX_PROPAGATIONS_PER_CONFLICT,
         "propagations per conflict blew past the deterministic ceiling: {} conflicts, {} \

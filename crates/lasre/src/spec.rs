@@ -292,40 +292,18 @@ impl LasSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::cnot_spec;
     use crate::geom::Dir;
-
-    /// The paper's CNOT example: 2×2 footprint, two time steps, ports at
-    /// the bottom padding layer and the top face (Figs. 2, 8, 10).
-    pub fn cnot() -> LasSpec {
-        LasSpec {
-            name: "cnot".into(),
-            max_i: 2,
-            max_j: 2,
-            max_k: 3,
-            ports: vec![
-                Port::parse(0, 1, 0, "+K", Axis::J),
-                Port::parse(1, 0, 0, "+K", Axis::J),
-                Port::parse(0, 1, 3, "-K", Axis::J),
-                Port::parse(1, 0, 3, "-K", Axis::J),
-            ],
-            stabilizers: ["Z.Z.", ".ZZZ", "X.XX", ".X.X"]
-                .iter()
-                .map(|s| s.parse().unwrap())
-                .collect(),
-            forbidden_cubes: vec![Coord::new(0, 0, 0), Coord::new(1, 1, 0)],
-            allow_y_cubes: true,
-        }
-    }
 
     #[test]
     fn cnot_spec_is_valid() {
-        assert_eq!(cnot().validate(), Ok(()));
-        assert_eq!(cnot().v_nstab(), 12 * 4);
+        assert_eq!(cnot_spec().validate(), Ok(()));
+        assert_eq!(cnot_spec().v_nstab(), 12 * 4);
     }
 
     #[test]
     fn rejects_empty_ports() {
-        let mut s = cnot();
+        let mut s = cnot_spec();
         s.ports.clear();
         s.stabilizers.clear();
         assert_eq!(s.validate(), Err(SpecError::NoPorts));
@@ -333,35 +311,35 @@ mod tests {
 
     #[test]
     fn rejects_bad_stabilizer_length() {
-        let mut s = cnot();
+        let mut s = cnot_spec();
         s.stabilizers[1] = "ZZ".parse().unwrap();
         assert_eq!(s.validate(), Err(SpecError::StabilizerLength(1)));
     }
 
     #[test]
     fn rejects_anticommuting_flows() {
-        let mut s = cnot();
+        let mut s = cnot_spec();
         s.stabilizers = vec!["X...".parse().unwrap(), "Z...".parse().unwrap()];
         assert_eq!(s.validate(), Err(SpecError::StabilizersAnticommute(0, 1)));
     }
 
     #[test]
     fn rejects_parallel_z_dir() {
-        let mut s = cnot();
+        let mut s = cnot_spec();
         s.ports[0].z_basis_direction = Axis::K;
         assert_eq!(s.validate(), Err(SpecError::PortZParallel(0)));
     }
 
     #[test]
     fn rejects_overlapping_ports() {
-        let mut s = cnot();
+        let mut s = cnot_spec();
         s.ports[1] = s.ports[0];
         assert!(matches!(s.validate(), Err(SpecError::PortOverlap(0, 1))));
     }
 
     #[test]
     fn rejects_out_of_range_location() {
-        let mut s = cnot();
+        let mut s = cnot_spec();
         s.ports[2] = Port::new(Coord::new(0, 1, 4), Dir::parse("-K").unwrap(), Axis::J);
         assert!(matches!(
             s.validate(),
@@ -371,7 +349,7 @@ mod tests {
 
     #[test]
     fn with_depth_moves_top_ports() {
-        let deeper = cnot().with_depth(4);
+        let deeper = cnot_spec().with_depth(4);
         assert_eq!(deeper.max_k, 4);
         assert_eq!(deeper.ports[2].location.k, 4);
         assert_eq!(deeper.ports[0].location.k, 0);
@@ -380,7 +358,7 @@ mod tests {
 
     #[test]
     fn with_port_order_permutes_stabilizer_columns() {
-        let s = cnot();
+        let s = cnot_spec();
         let p = s.with_port_order(&[1, 0, 2, 3]);
         assert_eq!(p.stabilizers[0].to_string(), ".ZZ.");
         assert!(p.validate().is_ok());
@@ -389,12 +367,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a permutation")]
     fn with_port_order_rejects_non_permutation() {
-        cnot().with_port_order(&[0, 0, 2, 3]);
+        cnot_spec().with_port_order(&[0, 0, 2, 3]);
     }
 
     #[test]
     fn json_roundtrip() {
-        let s = cnot();
+        let s = cnot_spec();
         let json = serde_json::to_string_pretty(&s).unwrap();
         let back: LasSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
