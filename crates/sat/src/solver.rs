@@ -4412,26 +4412,7 @@ mod tests {
     /// them unchanged.
     #[test]
     fn golden_trajectory_with_forced_inprocessing() {
-        // splitmix64: a self-contained stream, independent of `rand`.
-        let mut state = 0x005E_ED0F_1A55_u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let n = 250u64;
-        let mut c = Cnf::new(n as usize);
-        for _ in 0..1_050 {
-            let cl: Vec<Lit> = (0..3)
-                .map(|_| {
-                    let r = next();
-                    Lit::new(Var((r % n) as u32), (r >> 32) & 1 == 1)
-                })
-                .collect();
-            c.add_clause(cl);
-        }
+        let c = golden_3sat();
         let config = CdclConfig {
             restart_policy: RestartPolicy::Luby,
             restart_base: 20,
@@ -4468,5 +4449,125 @@ mod tests {
             ..SolverStats::default()
         };
         assert_eq!(s.stats, expected);
+    }
+
+    /// The fixed random 3-SAT instance of the golden-trajectory tests:
+    /// 250 variables, 1,050 clauses, drawn from a splitmix64 stream so
+    /// it is independent of `rand`.
+    fn golden_3sat() -> Cnf {
+        let mut state = 0x005E_ED0F_1A55_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let n = 250u64;
+        let mut c = Cnf::new(n as usize);
+        for _ in 0..1_050 {
+            let cl: Vec<Lit> = (0..3)
+                .map(|_| {
+                    let r = next();
+                    Lit::new(Var((r % n) as u32), (r >> 32) & 1 == 1)
+                })
+                .collect();
+            c.add_clause(cl);
+        }
+        c
+    }
+
+    /// Golden trajectories of the four portfolio arms: each
+    /// [`CdclConfig::diversified`] configuration runs the golden 3-SAT
+    /// instance for 12,000 conflicts, long enough that every gated
+    /// technique (chronological backtracking, EMA restarts, the tier
+    /// database, variable elimination, rephasing) acts in some arm.
+    /// The expected counters pin each arm's search exactly.
+    #[test]
+    fn diversified_arms_golden_trajectories() {
+        let c = golden_3sat();
+        let expected = [
+            SolverStats {
+                decisions: 12_777,
+                conflicts: 12_000,
+                propagations: 460_452,
+                restarts: 29,
+                learned: 11_729,
+                deleted: 5598,
+                minimized_lits: 42_116,
+                gc_passes: 7,
+                gc_reclaimed_words: 130_674,
+                subsumed_clauses: 1238,
+                strengthened_clauses: 733,
+                chrono_backtracks: 1238,
+                missed_implications: 271,
+                restarts_blocked: 1,
+                rephases: 1,
+                eliminated_vars: 33,
+                elim_resolvents: 478,
+                exhausted_conflicts: 1,
+                ..SolverStats::default()
+            },
+            SolverStats {
+                decisions: 12_076,
+                conflicts: 12_000,
+                propagations: 431_022,
+                restarts: 4,
+                learned: 11_706,
+                deleted: 5804,
+                minimized_lits: 38_905,
+                gc_passes: 7,
+                gc_reclaimed_words: 153_637,
+                subsumed_clauses: 335,
+                strengthened_clauses: 841,
+                chrono_backtracks: 1454,
+                missed_implications: 294,
+                rephases: 1,
+                eliminated_vars: 33,
+                elim_resolvents: 478,
+                exhausted_conflicts: 1,
+                ..SolverStats::default()
+            },
+            SolverStats {
+                decisions: 14_284,
+                conflicts: 12_000,
+                propagations: 542_819,
+                restarts: 14,
+                learned: 12_000,
+                deleted: 9885,
+                minimized_lits: 42_947,
+                gc_passes: 12,
+                gc_reclaimed_words: 166_894,
+                exhausted_conflicts: 1,
+                ..SolverStats::default()
+            },
+            SolverStats {
+                decisions: 14_391,
+                conflicts: 12_000,
+                propagations: 474_732,
+                restarts: 23,
+                learned: 12_000,
+                deleted: 3943,
+                minimized_lits: 47_317,
+                gc_passes: 8,
+                gc_reclaimed_words: 150_870,
+                subsumed_clauses: 3291,
+                strengthened_clauses: 1907,
+                rephases: 2,
+                eliminated_vars: 45,
+                elim_resolvents: 677,
+                exhausted_conflicts: 1,
+                ..SolverStats::default()
+            },
+        ];
+        for (seed, expected) in (0..4u64).zip(expected) {
+            let mut s = CdclSolver::with_config(CdclConfig::diversified(seed));
+            let out = s.solve_with(&c, &[], &Budget::conflict_limit(12_000));
+            assert!(matches!(
+                out,
+                SolveOutcome::Unknown(ExhaustionReason::Conflicts)
+            ));
+            assert_eq!(s.stats, expected, "arm {seed}");
+        }
     }
 }
