@@ -42,15 +42,6 @@ pub struct SynthOptions {
     /// default; the formulation guarantees correctness, so this is a
     /// self-check, exactly as in the paper).
     pub skip_verify: bool,
-    /// Overrides the CDCL restart policy (Luby vs adaptive LBD-EMA)
-    /// for every solver this run constructs — including diversified
-    /// portfolio workers, which otherwise pick their own policy per
-    /// seed. `None` keeps each configuration's own choice. The CLI's
-    /// `--restart-policy` flag lands here.
-    pub restart_policy: Option<sat::RestartPolicy>,
-    /// Overrides chronological backtracking the same way (`--chrono
-    /// on|off`). `None` keeps each configuration's own choice.
-    pub chrono: Option<bool>,
     /// Emit a DRAT proof for every solve and run the in-tree backward
     /// DRAT checker on each UNSAT verdict before reporting it
     /// (`--certify`); it verifies the lemmas the refutation depends on.
@@ -99,8 +90,6 @@ impl Default for SynthOptions {
             backend: BackendChoice::default(),
             budget: Budget::default(),
             skip_verify: false,
-            restart_policy: None,
-            chrono: None,
             certify: false,
             share_clauses: false,
             depth_parallel: false,
@@ -123,19 +112,13 @@ impl SynthOptions {
         self
     }
 
-    /// Applies the per-run solver overrides (restart policy,
-    /// chronological backtracking) on top of a concrete CDCL
-    /// configuration. Every code path that instantiates a CDCL solver
-    /// — one-shot, portfolio worker, incremental depth session — runs
-    /// its configuration through this.
+    /// Arms [`SynthOptions::fault_plan`] on a concrete CDCL
+    /// configuration that has none of its own. Every code path that
+    /// instantiates a CDCL solver — one-shot, portfolio worker,
+    /// incremental depth session — runs its configuration through
+    /// this.
     pub fn solver_config(&self, base: CdclConfig) -> CdclConfig {
         let mut config = base;
-        if let Some(policy) = self.restart_policy {
-            config.restart_policy = policy;
-        }
-        if let Some(chrono) = self.chrono {
-            config.use_chrono = chrono;
-        }
         if config.fault_plan.is_none() {
             config.fault_plan = self.fault_plan;
         }
@@ -524,34 +507,6 @@ mod tests {
         let mut s2 = Synthesizer::new(cnot_spec()).unwrap();
         s2.pin_struct(StructVar::Exist(Axis::K, Coord::new(0, 1, 1)), true);
         assert!(s2.run().unwrap().is_sat());
-    }
-
-    /// The per-run solver overrides land in every configuration they
-    /// are applied to — including diversified portfolio members whose
-    /// own choices they must beat — and `None` leaves the base
-    /// configuration alone.
-    #[test]
-    fn solver_config_applies_overrides() {
-        // Diversified seed 1 picks EMA restarts and chrono on; the
-        // overrides must flip both.
-        let base = CdclConfig::diversified(1);
-        assert_eq!(base.restart_policy, sat::RestartPolicy::Ema);
-        assert!(base.use_chrono);
-        let options = SynthOptions {
-            restart_policy: Some(sat::RestartPolicy::Luby),
-            chrono: Some(false),
-            ..SynthOptions::default()
-        };
-        let overridden = options.solver_config(base.clone());
-        assert_eq!(overridden.restart_policy, sat::RestartPolicy::Luby);
-        assert!(!overridden.use_chrono);
-        // Unrelated knobs pass through untouched.
-        assert_eq!(overridden.seed, base.seed);
-        assert_eq!(overridden.var_decay, base.var_decay);
-        // No overrides: the configuration is returned unchanged.
-        let untouched = SynthOptions::default().solver_config(base.clone());
-        assert_eq!(untouched.restart_policy, base.restart_policy);
-        assert_eq!(untouched.use_chrono, base.use_chrono);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! lints with counts — cheap (one pass over the formula plus a
 //! union-find) and solver-independent.
 //!
-//! Driven by `lassynth lint-cnf` and the `--audit-cnf` flag of the
-//! `synth`/`depth` subcommands; `Encoding::lint` / `LayeredEncoding::lint`
-//! in `synth::encode` are the library entry points.
+//! Driven by `lassynth lint-cnf`; `Encoding::lint` /
+//! `LayeredEncoding::lint` in `synth::encode` are the library entry
+//! points.
 
 use crate::{Cnf, Lit, Var};
 use std::collections::HashMap;

@@ -52,7 +52,7 @@ pub use builder::CnfBuilder;
 pub use cnf::Cnf;
 pub use exchange::{ClauseExchange, ShareLimits, SharedClause};
 pub use proof::{certify_unsat, CheckReport, ProofLog};
-pub use solver::{CdclConfig, CdclSolver, FaultKind, FaultPlan, RestartPolicy, SolverStats};
+pub use solver::{CdclConfig, CdclSolver, FaultKind, FaultPlan, SolverStats};
 pub use types::{Backend, Budget, ExhaustionReason, Lit, Model, SolveOutcome, Var};
 #[cfg(feature = "varisat")]
 pub use varisat_backend::VarisatBackend;

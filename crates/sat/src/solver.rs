@@ -8,12 +8,14 @@
 //! restarts (see [`restart`]), out-of-order chronological backtracking,
 //! inprocessing (see [`inprocess`]) and LBD/activity-based
 //! learnt-clause deletion. Restarts, phase saving, minimization and
-//! deletion are always on; the long-run techniques (rephasing, C-bt,
-//! subsumption, tiers, variable elimination) have [`CdclConfig`]
-//! switches that [`CdclConfig::diversified`] varies across portfolio
-//! workers. The seed randomizes initial activities and polarities,
-//! reproducing the paper's "random seed: more is different"
-//! observation.
+//! deletion are always on. Each long-run technique has one
+//! [`CdclConfig`] value: `None` keeps it off and `Some(n)` turns it on
+//! from the n-th session conflict (C-bt, EMA restarts, tiers, variable
+//! elimination), or every n conflicts for rephasing; subsumption is a
+//! plain switch. [`CdclConfig::diversified`] varies them across
+//! portfolio workers. The seed randomizes initial activities and
+//! polarities, reproducing the paper's "random seed: more is
+//! different" observation.
 //!
 //! # The relaxed trail invariant (out-of-order C-bt)
 //!
@@ -65,7 +67,7 @@
 //!
 //! # Three-tier learnt-clause database
 //!
-//! Past [`CdclConfig::simplify_activation_conflicts`] the learnt
+//! Past [`CdclConfig::tiers_from`] session conflicts the learnt
 //! clauses split into the three retention tiers of
 //! COMiniSatPS/MapleSAT (Oh's scheme): **core** (LBD ≤ 3, kept
 //! forever), **tier2** (LBD ≤ 6, demoted to local when unused for two
@@ -79,7 +81,7 @@
 //! live in the local tier and `reduce_db` applies the classic
 //! single-list policy, so small lucky-trajectory instances keep their
 //! exact conflict trajectories (same rationale as
-//! [`CdclConfig::chrono_activation_conflicts`]).
+//! [`CdclConfig::chrono_from`]).
 //!
 //! # Garbage collection protocol
 //!
@@ -194,37 +196,41 @@ use audit::AuditPoint;
 use elim::ElimFrame;
 pub use fault::{FaultKind, FaultPlan};
 
-pub use restart::RestartPolicy;
 use restart::{RephaseKind, RephaseSched, RestartDecision, RestartSched};
 
-/// Tuning knobs and feature switches for [`CdclSolver`].
+/// Whether a technique gated at `from` is live after `conflicts`
+/// session conflicts: `None` keeps it off, `Some(n)` turns it on from
+/// the n-th conflict (`Some(0)` from the first).
+fn gate_open(from: Option<u64>, conflicts: u64) -> bool {
+    from.is_some_and(|n| conflicts >= n)
+}
+
+/// Tuning knobs for [`CdclSolver`]. Each long-run technique has one
+/// activation value: `None` keeps it off, `Some(n)` turns it on from
+/// the n-th session conflict.
 #[derive(Clone, Debug)]
 pub struct CdclConfig {
     /// Seed for initial activities and random polarities.
     pub seed: u64,
     /// Multiplicative VSIDS decay applied after each conflict.
     pub var_decay: f64,
-    /// Luby restart unit, in conflicts.
+    /// Luby restart unit, in conflicts. The Luby schedule drives
+    /// restarts whenever adaptive restarts are inactive.
     pub restart_base: u64,
-    /// Which restart schedule drives the search: the Luby sequence or
-    /// Glucose-style LBD-EMA adaptive restarts with trail blocking.
-    /// See [`restart`](self) module docs; the EMA policy falls back to
-    /// Luby until [`CdclConfig::restart_activation_conflicts`].
-    pub restart_policy: RestartPolicy,
-    /// Session conflicts before the EMA restart policy takes over from
-    /// the Luby schedule. Adaptive restarts are long-run steering:
-    /// gating them keeps small lucky-trajectory instances on their
-    /// exact Luby trajectories (same rationale as
-    /// [`CdclConfig::chrono_activation_conflicts`]).
-    pub restart_activation_conflicts: u64,
+    /// Session conflicts from which Glucose-style LBD-EMA adaptive
+    /// restarts with trail blocking take over from the Luby schedule
+    /// (see the [`restart`](self) module docs); `None` keeps Luby
+    /// throughout. Adaptive restarts are long-run steering: gating
+    /// them keeps small lucky-trajectory instances on their exact Luby
+    /// trajectories (same rationale as [`CdclConfig::chrono_from`]).
+    pub ema_restarts_from: Option<u64>,
     /// Minimum conflicts between EMA-triggered restarts (and the
     /// postponement applied when a restart is blocked).
     pub ema_min_interval: u64,
-    /// Enable target-phase rephasing at restart boundaries.
-    pub use_rephasing: bool,
-    /// Conflicts between rephase passes (stretched geometrically per
-    /// pass). Small instances finish before the first pass.
-    pub rephase_interval: u64,
+    /// Conflicts between target-phase rephase passes (stretched
+    /// geometrically per pass); `None` disables rephasing. Small
+    /// instances finish before the first pass.
+    pub rephase_interval: Option<u64>,
     /// Probability of flipping the saved polarity on a decision.
     pub random_polarity_freq: f64,
     /// Lower bound on the learnt-clause budget before the first DB
@@ -239,22 +245,20 @@ pub struct CdclConfig {
     /// sweeping the whole database; every fifth pass still sweeps
     /// everything as a fallback.
     pub subsumption_touched_only: bool,
-    /// Enable chronological backtracking (Nadel–Ryvchin C-bt): when a
-    /// conflict's backjump would discard more than one level, back up
-    /// a single level instead, keeping the intermediate assignments;
-    /// unit learnts and recovered missed implications are enqueued
-    /// out-of-order below the current decision level (see the module
-    /// docs on the relaxed trail invariant).
-    pub use_chrono: bool,
-    /// Session conflicts before chronological backtracking activates.
-    /// Chronological backtracking is a *long-run* optimization: on the
-    /// T-factory instances it nearly triples conflict throughput, but
-    /// on small lucky-trajectory instances (the majority gate solves in
-    /// ~164 conflicts) a single chronological backtrack can forfeit the
-    /// lucky path and cost 10× the conflicts. Gating activation on the
-    /// conflict count gives big instances the win without perturbing
-    /// small ones. `0` activates immediately.
-    pub chrono_activation_conflicts: u64,
+    /// Session conflicts from which chronological backtracking
+    /// (Nadel–Ryvchin C-bt) is live; `None` keeps it off. When a
+    /// conflict's backjump would discard more than one level, C-bt
+    /// backs up a single level instead, keeping the intermediate
+    /// assignments; unit learnts and recovered missed implications are
+    /// enqueued out-of-order below the current decision level (see the
+    /// module docs on the relaxed trail invariant). C-bt is a
+    /// *long-run* optimization: on the T-factory instances it nearly
+    /// triples conflict throughput, but on small lucky-trajectory
+    /// instances (the majority gate solves in ~164 conflicts) a single
+    /// chronological backtrack can forfeit the lucky path and cost 10×
+    /// the conflicts. Gating activation on the conflict count gives big
+    /// instances the win without perturbing small ones.
+    pub chrono_from: Option<u64>,
     /// Conflicts between inprocessing passes (subsumption and variable
     /// elimination run at the first restart boundary past the
     /// threshold). The interval stretches geometrically with each pass
@@ -262,20 +266,18 @@ pub struct CdclConfig {
     pub inprocess_interval: u64,
     /// Literal-comparison budget of one subsumption pass.
     pub subsumption_check_budget: u64,
-    /// Enable the three-tier learnt-clause database (core / tier2 /
-    /// local) past [`CdclConfig::simplify_activation_conflicts`]. See
-    /// the [module docs](self).
-    pub use_tiers: bool,
-    /// Enable inprocessing-time bounded variable elimination (the
-    /// resolution half of SatELite; see [`elim`]).
-    pub use_elim: bool,
-    /// Session conflicts before the tier database and variable
-    /// elimination activate. Like
-    /// [`CdclConfig::chrono_activation_conflicts`], these are long-run
-    /// optimizations: gating them keeps small lucky-trajectory
-    /// instances on their exact legacy trajectories. `0` activates
-    /// immediately.
-    pub simplify_activation_conflicts: u64,
+    /// Session conflicts from which the three-tier learnt-clause
+    /// database (core / tier2 / local) is live; `None` keeps the
+    /// single-list policy. See the [module docs](self). Like
+    /// [`CdclConfig::chrono_from`], a long-run optimization: gating it
+    /// keeps small lucky-trajectory instances on their exact legacy
+    /// trajectories.
+    pub tiers_from: Option<u64>,
+    /// Session conflicts from which inprocessing passes also run
+    /// bounded variable elimination (the resolution half of SatELite;
+    /// see [`elim`]); `None` keeps it off. Gated for the same reason as
+    /// [`CdclConfig::tiers_from`].
+    pub elim_from: Option<u64>,
     /// Literal-comparison budget of one variable-elimination pass.
     pub elim_check_budget: u64,
     /// Enable the deep solver-state auditor (see [`solver::audit`](self)):
@@ -287,12 +289,6 @@ pub struct CdclConfig {
     /// `LASSYNTH_AUDIT=1` in the environment turns the auditor on for
     /// every solver regardless of this flag.
     pub audit: bool,
-    /// Throttle for the hot audit checkpoints (propagate / analyze /
-    /// backtrack): only every n-th such checkpoint runs the full check,
-    /// so the differential torture matrix can keep the auditor on
-    /// without quadratic slowdown. Structural checkpoints (GC,
-    /// inprocessing, SAT answers) always run. `0` is treated as `1`.
-    pub audit_interval: u64,
     /// Deterministic one-shot fault to inject (see [`fault`](self)):
     /// a forced panic, a corrupted exported clause, a frozen proof
     /// log, or a simulated arena-growth failure, each at a fixed
@@ -308,11 +304,9 @@ impl Default for CdclConfig {
             seed: 0,
             var_decay: 0.95,
             restart_base: 100,
-            restart_policy: RestartPolicy::Ema,
-            restart_activation_conflicts: 2000,
+            ema_restarts_from: Some(2000),
             ema_min_interval: 50,
-            use_rephasing: true,
-            rephase_interval: 10_000,
+            rephase_interval: Some(10_000),
             random_polarity_freq: 0.0,
             max_learnts_floor: 1000.0,
             // The reference inprocessing mix is A/B-tuned on the
@@ -322,16 +316,13 @@ impl Default for CdclConfig {
             // protects that trajectory.
             use_subsumption: true,
             subsumption_touched_only: true,
-            use_chrono: true,
-            chrono_activation_conflicts: 2000,
+            chrono_from: Some(2000),
             inprocess_interval: 3_000,
             subsumption_check_budget: 500_000,
-            use_tiers: true,
-            use_elim: true,
-            simplify_activation_conflicts: 2000,
+            tiers_from: Some(2000),
+            elim_from: Some(2000),
             elim_check_budget: 16_000_000,
             audit: false,
-            audit_interval: 1,
             fault_plan: None,
         }
     }
@@ -345,11 +336,12 @@ impl CdclConfig {
     }
 
     /// A diversified portfolio member: besides the activity seed, the
-    /// restart cadence *and policy*, VSIDS decay, polarity
-    /// randomization, rephasing and the inprocessing switches
-    /// (subsumption, variable elimination, chronological backtracking)
-    /// vary per seed, so portfolio workers explore genuinely different
-    /// search trajectories (not just different tie-breaking).
+    /// restart cadence and schedule, VSIDS decay, polarity
+    /// randomization, rephasing and the activation of every long-run
+    /// technique (subsumption, variable elimination, the tier
+    /// database, chronological backtracking) vary per seed, so
+    /// portfolio workers explore genuinely different search
+    /// trajectories (not just different tie-breaking).
     pub fn diversified(seed: u64) -> Self {
         let mut config = CdclConfig::default().with_seed(seed);
         match seed % 4 {
@@ -359,9 +351,8 @@ impl CdclConfig {
                 // backtracking from the first conflict, with aggressive
                 // activity decay.
                 config.var_decay = 0.85;
-                config.chrono_activation_conflicts = 0;
-                config.restart_policy = RestartPolicy::Ema;
-                config.restart_activation_conflicts = 0;
+                config.chrono_from = Some(0);
+                config.ema_restarts_from = Some(0);
             }
             2 => {
                 // Long Luby runs between restarts, occasionally flipped
@@ -369,13 +360,13 @@ impl CdclConfig {
                 // (the pre-inprocessing solver, as a hedge against
                 // pathological passes).
                 config.restart_base = 400;
-                config.restart_policy = RestartPolicy::Luby;
+                config.ema_restarts_from = None;
                 config.random_polarity_freq = 0.02;
                 config.use_subsumption = false;
-                config.use_chrono = false;
-                config.use_rephasing = false;
-                config.use_tiers = false;
-                config.use_elim = false;
+                config.chrono_from = None;
+                config.rephase_interval = None;
+                config.tiers_from = None;
+                config.elim_from = None;
             }
             _ => {
                 // Slow decay, eager rephasing and eager, bigger-budget
@@ -385,10 +376,11 @@ impl CdclConfig {
                 config.inprocess_interval = 500;
                 config.subsumption_check_budget = 4_000_000;
                 config.elim_check_budget = 4_000_000;
-                config.simplify_activation_conflicts = 0;
+                config.tiers_from = Some(0);
+                config.elim_from = Some(0);
                 config.subsumption_touched_only = false;
-                config.use_chrono = false;
-                config.rephase_interval = 2_000;
+                config.chrono_from = None;
+                config.rephase_interval = Some(2_000);
             }
         }
         config
@@ -1151,13 +1143,13 @@ struct State {
     /// Scratch for the literals a partial backtrack keeps (out-of-order
     /// assignments at or below the target level), reused.
     trail_keep: Vec<Lit>,
-    /// Whether out-of-order machinery is live: chronological
-    /// backtracking enabled *and* past its activation-conflict gate.
+    /// Whether out-of-order machinery is live: the session is past
+    /// `CdclConfig::chrono_from`.
     /// Until this flips, the trail is level-sorted and `propagate`
     /// skips all assertion-level bookkeeping.
     oob_active: bool,
-    /// Whether the three-tier learnt database is live: `use_tiers`
-    /// enabled *and* past `simplify_activation_conflicts`. Until this
+    /// Whether the three-tier learnt database is live: the session is
+    /// past `CdclConfig::tiers_from`. Until this
     /// flips, attach/analyze/reduce keep the exact legacy single-list
     /// behavior.
     tiers_active: bool,
@@ -1239,9 +1231,6 @@ struct State {
     /// Whether the deep state auditor is active (`CdclConfig::audit` or
     /// `LASSYNTH_AUDIT=1`); sampled once at construction.
     audit_on: bool,
-    /// Count of throttled audit checkpoints reached, compared against
-    /// `CdclConfig::audit_interval`.
-    audit_tick: u64,
     /// Armed fault-injection plan (`CdclConfig::fault_plan` or
     /// `LASSYNTH_FAULT`, filtered by seed); sampled once at
     /// construction, exactly like the auditor switch.
@@ -1315,7 +1304,6 @@ impl State {
             proof: None,
             exchange: None,
             audit_on,
-            audit_tick: 0,
             fault,
             fault_fired: false,
         }
@@ -2081,9 +2069,6 @@ impl State {
     /// overwritten with the best-trail snapshot, their inversion, or
     /// random values, per the [`RephaseSched`] rotation.
     fn maybe_rephase(&mut self) {
-        if !self.config.use_rephasing {
-            return;
-        }
         let Some(kind) = self.rephase.fire(&self.config, self.stats.conflicts) else {
             return;
         };
@@ -2629,10 +2614,8 @@ impl State {
         // so a pass boundary can honor it like the stop flag.
         let deadline = budget.max_time.map(|t| start + t);
         let mut sched = RestartSched::new(&self.config, self.stats.restarts);
-        self.oob_active = self.config.use_chrono
-            && self.stats.conflicts >= self.config.chrono_activation_conflicts;
-        self.tiers_active = self.config.use_tiers
-            && self.stats.conflicts >= self.config.simplify_activation_conflicts;
+        self.oob_active = gate_open(self.config.chrono_from, self.stats.conflicts);
+        self.tiers_active = gate_open(self.config.tiers_from, self.stats.conflicts);
         loop {
             if let Some(confl) = self.propagate() {
                 self.audit_checkpoint(AuditPoint::Propagate);
@@ -2640,14 +2623,13 @@ impl State {
                 if let Some(reason) = self.fault_tick() {
                     return self.record_exhaustion(reason);
                 }
-                self.oob_active = self.config.use_chrono
-                    && self.stats.conflicts >= self.config.chrono_activation_conflicts;
-                self.tiers_active = self.config.use_tiers
-                    && self.stats.conflicts >= self.config.simplify_activation_conflicts;
+                self.oob_active = gate_open(self.config.chrono_from, self.stats.conflicts);
+                self.tiers_active = gate_open(self.config.tiers_from, self.stats.conflicts);
                 // Target-phase snapshot: remember the polarities of the
                 // deepest trail seen (growth-gated so the copies stay
                 // logarithmic per rephase epoch).
-                if self.config.use_rephasing && self.rephase.improves(self.trail.len()) {
+                if self.config.rephase_interval.is_some() && self.rephase.improves(self.trail.len())
+                {
                     self.rephase.record(self.trail.len());
                     for &l in &self.trail {
                         self.target_phase[l.var().index()] = !l.is_neg();
@@ -3760,7 +3742,7 @@ mod tests {
         CdclConfig {
             inprocess_interval: 0,
             restart_base: 2,
-            chrono_activation_conflicts: 0,
+            chrono_from: Some(0),
             max_learnts_floor: 8.0,
             ..CdclConfig::default()
         }
@@ -3775,7 +3757,7 @@ mod tests {
         c.add_clause([lit(21), lit(22), lit(23)]);
         c.add_clause([lit(21), lit(22), lit(24)]);
         let config = CdclConfig {
-            use_chrono: false,
+            chrono_from: None,
             ..aggressive_inprocessing()
         };
         let mut st = State::new(&c, config);
@@ -3796,7 +3778,7 @@ mod tests {
         c.add_clause([lit(21), lit(22)]);
         c.add_clause([lit(-22), lit(23)]);
         let config = CdclConfig {
-            use_chrono: false,
+            chrono_from: None,
             ..aggressive_inprocessing()
         };
         let mut st = State::new(&c, config);
@@ -3892,9 +3874,8 @@ mod tests {
     #[test]
     fn out_of_order_solves_remain_sound_and_exercise_repairs() {
         let config = CdclConfig {
-            chrono_activation_conflicts: 0,
-            restart_policy: RestartPolicy::Ema,
-            restart_activation_conflicts: 0,
+            chrono_from: Some(0),
+            ema_restarts_from: Some(0),
             ema_min_interval: 2,
             restart_base: 2,
             max_learnts_floor: 8.0,
@@ -3919,7 +3900,7 @@ mod tests {
     #[test]
     fn chronological_backtracking_stays_correct() {
         let config = CdclConfig {
-            chrono_activation_conflicts: 0,
+            chrono_from: Some(0),
             ..CdclConfig::default()
         };
         let mut st = State::new(&pigeonhole(6), config.clone());
@@ -4358,7 +4339,8 @@ mod tests {
             let mut st = State::new(
                 &cnf(&[&[1, 2], &[1, 2, 3], &[-1, 4], &[-2, -3], &[3, 4, 5]]),
                 CdclConfig {
-                    simplify_activation_conflicts: 0,
+                    tiers_from: Some(0),
+                    elim_from: Some(0),
                     ..CdclConfig::default()
                 },
             );
@@ -4385,9 +4367,8 @@ mod tests {
     fn stop_flag_exits_at_restart_boundary() {
         use std::sync::atomic::AtomicBool;
         let config = CdclConfig {
-            restart_policy: RestartPolicy::Luby,
+            ema_restarts_from: None,
             restart_base: 10,
-            restart_activation_conflicts: 0,
             ..CdclConfig::default()
         };
         let mut solver = CdclSolver::with_config(config);
@@ -4414,11 +4395,11 @@ mod tests {
     fn golden_trajectory_with_forced_inprocessing() {
         let c = golden_3sat();
         let config = CdclConfig {
-            restart_policy: RestartPolicy::Luby,
+            ema_restarts_from: None,
             restart_base: 20,
-            restart_activation_conflicts: 0,
-            chrono_activation_conflicts: 0,
-            simplify_activation_conflicts: 0,
+            chrono_from: Some(0),
+            tiers_from: Some(0),
+            elim_from: Some(0),
             inprocess_interval: 100,
             max_learnts_floor: 300.0,
             ..CdclConfig::default()

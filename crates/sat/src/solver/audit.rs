@@ -10,9 +10,7 @@
 //!
 //! Checkpoints fire after propagation, conflict analysis, every
 //! backtrack in the search loop, garbage collection, each inprocessing
-//! pass, and on every SAT answer. The hot checkpoints (propagate /
-//! analyze / backtrack) are throttled by [`CdclConfig::audit_interval`];
-//! the structural ones always run. Each checkpoint audits:
+//! pass, and on every SAT answer. Each checkpoint audits:
 //!
 //! * **Arena liveness** — clause sizes tile the arena exactly, every
 //!   `ClauseRef` held by the ref lists, the touched work list, the
@@ -59,8 +57,8 @@
 use super::inprocess::{signature, OccIndex};
 use super::*;
 
-/// Which search event triggered a checkpoint. Controls throttling and
-/// the tombstone tolerance of the `Inprocess` point.
+/// Which search event triggered a checkpoint. Controls the tombstone
+/// tolerance of the `Inprocess` point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum AuditPoint {
     /// Propagation reached a fixpoint or returned a conflict.
@@ -79,17 +77,6 @@ pub(super) enum AuditPoint {
     Sat,
 }
 
-impl AuditPoint {
-    /// Hot-loop points honour `audit_interval`; structural points
-    /// always run.
-    fn throttled(self) -> bool {
-        matches!(
-            self,
-            AuditPoint::Propagate | AuditPoint::Analyze | AuditPoint::Backtrack
-        )
-    }
-}
-
 /// Whether `LASSYNTH_AUDIT` requests auditing (any value but `0`).
 pub(super) fn env_enabled() -> bool {
     std::env::var_os("LASSYNTH_AUDIT").is_some_and(|v| v != "0")
@@ -99,28 +86,15 @@ impl State {
     /// The checkpoint hook: a single predictable branch when auditing
     /// is off.
     #[inline]
-    pub(super) fn audit_checkpoint(&mut self, point: AuditPoint) {
+    pub(super) fn audit_checkpoint(&self, point: AuditPoint) {
         if self.audit_on {
-            self.audit_checkpoint_slow(point);
+            self.audit_now(point);
         }
-    }
-
-    #[cold]
-    fn audit_checkpoint_slow(&mut self, point: AuditPoint) {
-        if point.throttled() {
-            self.audit_tick += 1;
-            if !self
-                .audit_tick
-                .is_multiple_of(self.config.audit_interval.max(1))
-            {
-                return;
-            }
-        }
-        self.audit_now(point);
     }
 
     /// Runs every audit check unconditionally (the mutation tests call
-    /// this directly, bypassing the enable flag and the throttle).
+    /// this directly, bypassing the enable flag).
+    #[cold]
     fn audit_now(&self, point: AuditPoint) {
         let allow_tombstones = point == AuditPoint::Inprocess;
         let starts = self.audit_arena(point);
@@ -947,7 +921,6 @@ mod tests {
         let quiet = CdclConfig::default();
         let loud = CdclConfig {
             audit: true,
-            audit_interval: 2,
             ..CdclConfig::default()
         };
         let mut a = CdclSolver::with_config(quiet);
@@ -980,11 +953,10 @@ mod tests {
         let config = CdclConfig {
             audit: true,
             restart_base: 2,
-            restart_policy: RestartPolicy::Luby,
-            restart_activation_conflicts: 0,
+            ema_restarts_from: None,
             max_learnts_floor: 4.0,
             inprocess_interval: 8,
-            chrono_activation_conflicts: 0,
+            chrono_from: Some(0),
             ..CdclConfig::default()
         };
         let mut s = CdclSolver::with_config(config);

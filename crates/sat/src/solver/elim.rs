@@ -30,9 +30,9 @@
 //!
 //! The pass runs only at decision level 0 with no assumptions applied,
 //! so everything it derives is a consequence of the added clauses
-//! alone. `maybe_inprocess` schedules it right after subsumption and
-//! gates it on [`CdclConfig::simplify_activation_conflicts`], mirroring
-//! `chrono_activation_conflicts`: below the gate the clause database
+//! alone. `maybe_inprocess` schedules it right after subsumption from
+//! [`CdclConfig::elim_from`] session conflicts on, mirroring
+//! [`CdclConfig::chrono_from`]: below the gate the clause database
 //! evolves exactly as it did before this module existed, keeping the
 //! small benchmark records conflict-identical.
 
@@ -611,7 +611,7 @@ mod tests {
         // audit — including the reconstruction check — switched on.
         let c = php_sat(5);
         let config = CdclConfig {
-            simplify_activation_conflicts: 0,
+            elim_from: Some(0),
             inprocess_interval: 0,
             restart_base: 1,
             audit: true,
@@ -682,7 +682,7 @@ mod tests {
     #[test]
     fn freeze_melt_api_controls_eliminability() {
         let config = CdclConfig {
-            simplify_activation_conflicts: 0,
+            elim_from: Some(0),
             inprocess_interval: 0,
             restart_base: 1,
             ..CdclConfig::default()

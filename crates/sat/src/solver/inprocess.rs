@@ -20,9 +20,8 @@
 //!   queue — they are stronger subsumers than their originals.
 //!
 //! * **Bounded variable elimination** lives in the sibling `elim`
-//!   module ([`State::eliminate_vars`]) and runs on the same schedule,
-//!   gated additionally on
-//!   [`CdclConfig::simplify_activation_conflicts`].
+//!   module ([`State::eliminate_vars`]) and runs on the same schedule
+//!   from [`CdclConfig::elim_from`] session conflicts on.
 //!
 //! Both passes run at restart boundaries (decision level 0, no
 //! assumptions applied), so every derived fact and rewritten clause is
@@ -192,8 +191,7 @@ impl State {
     /// Runs one inprocessing pass (subsumption, then bounded variable
     /// elimination, then a compacting GC) if the conflict count has
     /// crossed the schedule. Called at restart boundaries only — the
-    /// solver must sit at decision level 0. With restarts disabled
-    /// inprocessing never triggers.
+    /// solver must sit at decision level 0.
     ///
     /// `stop` is the cooperative cancellation flag of the caller's
     /// [`Budget`] and `deadline` its wall-clock cutoff: both are
@@ -204,7 +202,7 @@ impl State {
     /// only ever *skip* work on the way out of a run whose result is
     /// already discarded (no governor set, no behavior change).
     pub(super) fn maybe_inprocess(&mut self, stop: Option<&AtomicBool>, deadline: Option<Instant>) {
-        if !self.config.use_subsumption && !self.config.use_elim {
+        if !self.config.use_subsumption && self.config.elim_from.is_none() {
             return;
         }
         if self.stats.conflicts < self.next_inprocess {
@@ -221,11 +219,10 @@ impl State {
             }
         }
         // Elimination runs right after subsumption, on the freshly
-        // shrunk database. It shares the tier database's activation
-        // gate: below it the clause database (and hence any
-        // conflict-identical record) stays untouched by elimination.
-        if self.config.use_elim
-            && self.stats.conflicts >= self.config.simplify_activation_conflicts
+        // shrunk database. Below its activation gate the clause
+        // database (and hence any conflict-identical record) stays
+        // untouched by elimination.
+        if gate_open(self.config.elim_from, self.stats.conflicts)
             && !self.root_unsat
             && !governor_halt(stop, deadline)
         {

@@ -1,13 +1,14 @@
 //! Restart scheduling and phase management: the search-control half of
 //! the solver's "when to give up on this trajectory" machinery.
 //!
-//! Two schedules are selectable through [`CdclConfig::restart_policy`]:
+//! Two schedules drive restarts, one at a time:
 //!
-//! * [`RestartPolicy::Luby`] — the classic reluctant-doubling schedule:
-//!   the i-th run lasts `restart_base × luby(i)` conflicts. Blind to
-//!   search quality, but its long tail of short runs is a robust
-//!   default on small instances.
-//! * [`RestartPolicy::Ema`] — Glucose-style adaptive restarts. Two
+//! * the **Luby** schedule — classic reluctant doubling: the i-th run
+//!   lasts `restart_base × luby(i)` conflicts. Blind to search quality,
+//!   but its long tail of short runs is a robust default on small
+//!   instances. It runs whenever adaptive restarts are inactive.
+//! * **adaptive EMA restarts**, Glucose-style, from
+//!   [`CdclConfig::ema_restarts_from`] session conflicts on. Two
 //!   exponential moving averages of learnt-clause LBD are maintained:
 //!   a *fast* one (α = 1/32, tracking the last few dozen conflicts)
 //!   and a *slow* one (α = 1/4096, the long-run baseline). When the
@@ -20,17 +21,14 @@
 //!   unusually deep trail suggests the search is closing in on a model
 //!   that a restart would throw away (Glucose's trail-blocking rule).
 //!
-//! The EMA policy only takes over after
-//! [`CdclConfig::restart_activation_conflicts`] conflicts; before that
-//! the Luby schedule runs even under [`RestartPolicy::Ema`]. Like
-//! chronological backtracking, adaptive restarts are a *long-run*
-//! steering mechanism — small lucky-trajectory instances (the majority
-//! gate solves in ~164 conflicts) finish before activation and keep
-//! their exact pre-EMA trajectories. The simplification machinery
-//! (learnt-clause tiering, bounded variable elimination) follows the
-//! same pattern behind its own
-//! [`CdclConfig::simplify_activation_conflicts`] gate, so the short
-//! runs also keep their exact pre-simplification trajectories.
+//! Like chronological backtracking ([`CdclConfig::chrono_from`]),
+//! adaptive restarts are a *long-run* steering mechanism — small
+//! lucky-trajectory instances (the majority gate solves in ~164
+//! conflicts) finish before the default 2000-conflict gate and keep
+//! their exact Luby trajectories. The simplification machinery follows
+//! the same pattern behind [`CdclConfig::tiers_from`] and
+//! [`CdclConfig::elim_from`], so the short runs also keep their exact
+//! pre-simplification trajectories.
 //!
 //! [`RephaseSched`] drives target-phase rephasing: the solver snapshots
 //! the polarities of the deepest trail seen (the *target phases*,
@@ -41,24 +39,13 @@
 //! rotation. Long runs on the T-factory instances otherwise wedge into
 //! one polarity basin for hundreds of thousands of conflicts.
 //!
-//! [`CdclConfig::restart_policy`]: super::CdclConfig::restart_policy
-//! [`CdclConfig::restart_activation_conflicts`]: super::CdclConfig::restart_activation_conflicts
-//! [`CdclConfig::simplify_activation_conflicts`]: super::CdclConfig::simplify_activation_conflicts
+//! [`CdclConfig::ema_restarts_from`]: super::CdclConfig::ema_restarts_from
+//! [`CdclConfig::chrono_from`]: super::CdclConfig::chrono_from
+//! [`CdclConfig::tiers_from`]: super::CdclConfig::tiers_from
+//! [`CdclConfig::elim_from`]: super::CdclConfig::elim_from
 //! [`CdclConfig::rephase_interval`]: super::CdclConfig::rephase_interval
 
-use super::CdclConfig;
-
-/// Which restart schedule drives the search. See the [module
-/// docs](self) for the trade-offs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RestartPolicy {
-    /// Luby-sequence restarts (`restart_base × luby(i)` conflicts).
-    Luby,
-    /// Glucose-style adaptive restarts: LBD fast/slow EMAs trigger,
-    /// trail-size EMA blocks. Falls back to Luby until
-    /// `restart_activation_conflicts`.
-    Ema,
-}
+use super::{gate_open, CdclConfig};
 
 /// The i-th element (0-based) of the Luby sequence (1, 1, 2, 1, 1, 2, 4, …).
 pub(super) fn luby(mut x: u64) -> u64 {
@@ -172,12 +159,10 @@ impl RestartSched {
     }
 
     /// The scheduling decision at a quiescence point. `total_conflicts`
-    /// selects Luby-vs-EMA under the activation gate; `restarts` is
-    /// only read through the cached Luby budget.
+    /// selects Luby-vs-EMA under [`CdclConfig::ema_restarts_from`];
+    /// `restarts` is only read through the cached Luby budget.
     pub(super) fn decide(&self, config: &CdclConfig, total_conflicts: u64) -> RestartDecision {
-        let ema_active = config.restart_policy == RestartPolicy::Ema
-            && total_conflicts >= config.restart_activation_conflicts;
-        if !ema_active {
+        if !gate_open(config.ema_restarts_from, total_conflicts) {
             return if self.conflicts_since >= self.luby_budget {
                 RestartDecision::Restart
             } else {
@@ -223,9 +208,10 @@ pub(super) enum RephaseKind {
 }
 
 /// Rephasing schedule: fires every `rephase_interval × (passes + 1)`
-/// conflicts, rotating Best → Invert → Best → Random (the best
-/// snapshot is revisited twice per cycle — it is the strongest signal,
-/// the other kinds exist to escape it when it is wrong).
+/// conflicts (never when the interval is `None`), rotating Best →
+/// Invert → Best → Random (the best snapshot is revisited twice per
+/// cycle — it is the strongest signal, the other kinds exist to escape
+/// it when it is wrong).
 #[derive(Clone, Debug)]
 pub(super) struct RephaseSched {
     /// Conflict count that triggers the next rephase.
@@ -240,7 +226,7 @@ pub(super) struct RephaseSched {
 impl RephaseSched {
     pub(super) fn new(config: &CdclConfig) -> RephaseSched {
         RephaseSched {
-            next: config.rephase_interval.max(1),
+            next: config.rephase_interval.map_or(u64::MAX, |i| i.max(1)),
             passes: 0,
             best_trail: 0,
         }
@@ -261,6 +247,7 @@ impl RephaseSched {
     /// advances the schedule (geometrically stretched, best-trail
     /// tracking re-armed).
     pub(super) fn fire(&mut self, config: &CdclConfig, conflicts: u64) -> Option<RephaseKind> {
+        let interval = config.rephase_interval?.max(1);
         if conflicts < self.next {
             return None;
         }
@@ -271,11 +258,7 @@ impl RephaseSched {
             _ => RephaseKind::Random,
         };
         self.passes += 1;
-        self.next = conflicts
-            + config
-                .rephase_interval
-                .max(1)
-                .saturating_mul(self.passes + 1);
+        self.next = conflicts + interval.saturating_mul(self.passes + 1);
         self.best_trail = 0;
         Some(kind)
     }
@@ -309,8 +292,7 @@ mod tests {
 
     fn ema_config() -> CdclConfig {
         CdclConfig {
-            restart_policy: RestartPolicy::Ema,
-            restart_activation_conflicts: 0,
+            ema_restarts_from: Some(0),
             ema_min_interval: 4,
             ..CdclConfig::default()
         }
@@ -382,7 +364,7 @@ mod tests {
     #[test]
     fn activation_gate_falls_back_to_luby() {
         let mut config = ema_config();
-        config.restart_activation_conflicts = 1000;
+        config.ema_restarts_from = Some(1000);
         config.restart_base = 8;
         let mut sched = RestartSched::new(&config, 0);
         // A stable low-LBD prefix, then sharp degradation: the EMA
@@ -405,7 +387,7 @@ mod tests {
     #[test]
     fn rephase_schedule_rotates_and_stretches() {
         let config = CdclConfig {
-            rephase_interval: 100,
+            rephase_interval: Some(100),
             ..CdclConfig::default()
         };
         let mut sched = RephaseSched::new(&config);
@@ -417,6 +399,13 @@ mod tests {
         assert_eq!(sched.fire(&config, 600), Some(RephaseKind::Best));
         assert_eq!(sched.fire(&config, 1000), Some(RephaseKind::Random));
         assert_eq!(sched.fire(&config, 1500), Some(RephaseKind::Best));
+        // `None` switches rephasing off.
+        let off = CdclConfig {
+            rephase_interval: None,
+            ..config
+        };
+        let mut sched = RephaseSched::new(&off);
+        assert_eq!(sched.fire(&off, u64::MAX), None);
     }
 
     #[test]

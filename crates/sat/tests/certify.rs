@@ -6,7 +6,7 @@
 //! and corrupted proofs must be rejected.
 
 use sat::proof::{self, StepKind};
-use sat::{certify_unsat, Budget, CdclConfig, CdclSolver, Cnf, Lit, ProofLog, RestartPolicy};
+use sat::{certify_unsat, Budget, CdclConfig, CdclSolver, Cnf, Lit, ProofLog};
 
 fn lit(i: i64) -> Lit {
     Lit::from_dimacs(i)
@@ -37,11 +37,11 @@ fn aggressive() -> CdclConfig {
     CdclConfig {
         inprocess_interval: 0,
         restart_base: 2,
-        chrono_activation_conflicts: 0,
-        simplify_activation_conflicts: 0,
+        chrono_from: Some(0),
+        tiers_from: Some(0),
+        elim_from: Some(0),
         max_learnts_floor: 8.0,
-        restart_policy: RestartPolicy::Ema,
-        restart_activation_conflicts: 0,
+        ema_restarts_from: Some(0),
         ema_min_interval: 2,
         ..CdclConfig::default()
     }

@@ -3,7 +3,7 @@
 //! inprocessing config-matrix torture harness.
 
 use proptest::prelude::*;
-use sat::{Backend, Budget, CdclConfig, CdclSolver, Cnf, CnfBuilder, Lit, RestartPolicy, Var};
+use sat::{Backend, Budget, CdclConfig, CdclSolver, Cnf, CnfBuilder, Lit, Var};
 
 /// The baseline solver configuration for the differential tests. With
 /// `LASSYNTH_FORCE_INPROCESS` set in the environment (CI runs the
@@ -20,29 +20,29 @@ fn base_config() -> CdclConfig {
     if std::env::var_os("LASSYNTH_FORCE_INPROCESS").is_some() {
         config.restart_base = 1;
         config.inprocess_interval = 0;
-        config.chrono_activation_conflicts = 0;
-        config.simplify_activation_conflicts = 0;
+        config.chrono_from = Some(0);
+        config.tiers_from = Some(0);
+        config.elim_from = Some(0);
         config.max_learnts_floor = 8.0;
-        config.restart_policy = RestartPolicy::Ema;
-        config.restart_activation_conflicts = 0;
+        config.ema_restarts_from = Some(0);
         config.ema_min_interval = 2;
-        config.rephase_interval = 8;
+        config.rephase_interval = Some(8);
     }
     config
 }
 
 /// The full search/inprocessing matrix: 8 sessions of subsumption ×
-/// out-of-order chronological backtracking × restart policy (Luby /
-/// adaptive EMA), each on/off, under schedules aggressive enough that
-/// the tiny torture instances actually reach the code (inprocess at
-/// every restart, restart every other conflict, chrono on every
+/// out-of-order chronological backtracking × adaptive EMA restarts
+/// (Luby otherwise), each on/off, under schedules aggressive enough
+/// that the tiny torture instances actually reach the code (inprocess
+/// at every restart, restart every other conflict, chrono on every
 /// eligible conflict, EMA restarts and rephasing active from the first
 /// conflict, GC-heavy learnt budget), plus 4 sessions of tier database
-/// × bounded variable elimination, each on/off with the simplify
-/// activation gate dropped to zero so those passes fire from the
-/// first conflict. (In the first 8 sessions those features sit behind
-/// the default 2000-conflict gate, which the tiny instances never
-/// reach — they double as the legacy-behaviour control.)
+/// × bounded variable elimination, each off or on from the first
+/// conflict (`tiers_from`/`elim_from` = `None`/`Some(0)`). (In the
+/// first 8 sessions those features sit behind the default
+/// 2000-conflict gate, which the tiny instances never reach — they
+/// double as the legacy-behaviour control.)
 fn inprocessing_matrix() -> Vec<CdclConfig> {
     let mut configs = Vec::with_capacity(12);
     for sub in [false, true] {
@@ -50,19 +50,13 @@ fn inprocessing_matrix() -> Vec<CdclConfig> {
             for ema in [false, true] {
                 configs.push(CdclConfig {
                     use_subsumption: sub,
-                    use_chrono: chrono,
-                    chrono_activation_conflicts: 0,
+                    chrono_from: chrono.then_some(0),
                     inprocess_interval: 0,
                     restart_base: 1,
                     max_learnts_floor: 8.0,
-                    restart_policy: if ema {
-                        RestartPolicy::Ema
-                    } else {
-                        RestartPolicy::Luby
-                    },
-                    restart_activation_conflicts: 0,
+                    ema_restarts_from: ema.then_some(0),
                     ema_min_interval: 2,
-                    rephase_interval: if ema { 8 } else { 10_000 },
+                    rephase_interval: Some(if ema { 8 } else { 10_000 }),
                     ..CdclConfig::default()
                 });
             }
@@ -71,18 +65,15 @@ fn inprocessing_matrix() -> Vec<CdclConfig> {
     for tiers in [false, true] {
         for elim in [false, true] {
             configs.push(CdclConfig {
-                use_tiers: tiers,
-                use_elim: elim,
-                simplify_activation_conflicts: 0,
-                use_chrono: true,
-                chrono_activation_conflicts: 0,
+                tiers_from: tiers.then_some(0),
+                elim_from: elim.then_some(0),
+                chrono_from: Some(0),
                 inprocess_interval: 0,
                 restart_base: 1,
                 max_learnts_floor: 8.0,
-                restart_policy: RestartPolicy::Ema,
-                restart_activation_conflicts: 0,
+                ema_restarts_from: Some(0),
                 ema_min_interval: 2,
-                rephase_interval: 8,
+                rephase_interval: Some(8),
                 ..CdclConfig::default()
             });
         }
@@ -452,9 +443,9 @@ proptest! {
                 prop_assert_eq!(
                     ours.is_sat(),
                     fresh.is_sat(),
-                    "incremental vs fresh diverge under sub={} chrono={}",
+                    "incremental vs fresh diverge under sub={} chrono={:?}",
                     config.use_subsumption,
-                    config.use_chrono
+                    config.chrono_from
                 );
                 match ours {
                     sat::SolveOutcome::Sat(model) => {
@@ -484,11 +475,11 @@ proptest! {
                         prop_assert!(
                             certified.is_ok(),
                             "DRAT check rejects the session proof under sub={} \
-                             chrono={} tiers={} elim={}: {:?}",
+                             chrono={:?} tiers={:?} elim={:?}: {:?}",
                             config.use_subsumption,
-                            config.use_chrono,
-                            config.use_tiers,
-                            config.use_elim,
+                            config.chrono_from,
+                            config.tiers_from,
+                            config.elim_from,
                             certified.err()
                         );
                     }
@@ -576,12 +567,12 @@ proptest! {
                         ours.is_sat(),
                         fresh.is_sat(),
                         "import-fed worker {} diverges from fresh under sub={} \
-                         chrono={} tiers={} elim={}",
+                         chrono={:?} tiers={:?} elim={:?}",
                         w,
                         config.use_subsumption,
-                        config.use_chrono,
-                        config.use_tiers,
-                        config.use_elim
+                        config.chrono_from,
+                        config.tiers_from,
+                        config.elim_from
                     );
                     match ours {
                         sat::SolveOutcome::Sat(model) => {
@@ -611,12 +602,12 @@ proptest! {
                             prop_assert!(
                                 certified.is_ok(),
                                 "DRAT check rejects an import-fed proof (worker {}) under \
-                                 sub={} chrono={} tiers={} elim={}: {:?}",
+                                 sub={} chrono={:?} tiers={:?} elim={:?}: {:?}",
                                 w,
                                 config.use_subsumption,
-                                config.use_chrono,
-                                config.use_tiers,
-                                config.use_elim,
+                                config.chrono_from,
+                                config.tiers_from,
+                                config.elim_from,
                                 certified.err()
                             );
                         }
@@ -699,11 +690,11 @@ proptest! {
                     ours.is_sat(),
                     fresh.is_sat(),
                     "re-solve after cancellation diverges from fresh under sub={} \
-                     chrono={} tiers={} elim={}",
+                     chrono={:?} tiers={:?} elim={:?}",
                     config.use_subsumption,
-                    config.use_chrono,
-                    config.use_tiers,
-                    config.use_elim
+                    config.chrono_from,
+                    config.tiers_from,
+                    config.elim_from
                 );
                 match ours {
                     sat::SolveOutcome::Sat(model) => {

@@ -3,15 +3,13 @@
 //!
 //! ```text
 //! lassynth synth  <spec.json>  [--out DIR] [--timeout SECS] [--max-memory MB] [--seeds N|auto]
-//!                              [--stats] [--varisat] [--restart-policy luby|ema] [--chrono on|off]
-//!                              [--audit-cnf] [--certify] [--drat FILE] [--share-clauses]
+//!                              [--stats] [--varisat] [--certify] [--drat FILE] [--share-clauses]
 //!                              [--quantum N]
 //! lassynth verify <design.lasre>
 //! lassynth render <design.lasre>
 //! lassynth dimacs <spec.json>
 //! lassynth depth  <spec.json>  [--lo L] [--hi H] [--start S] [--timeout SECS] [--max-memory MB]
-//!                              [--stats] [--varisat] [--restart-policy luby|ema] [--chrono on|off]
-//!                              [--audit-cnf] [--certify] [--depth-parallel] [--share-clauses]
+//!                              [--stats] [--varisat] [--certify] [--depth-parallel] [--share-clauses]
 //!                              [--quantum N]
 //! lassynth lint-cnf <spec.json|file.cnf> [--lo L] [--hi H]
 //! lassynth check-proof <file.cnf> <file.drat>
@@ -52,11 +50,6 @@
 //! plus a `portfolio total` block covering every worker, losers
 //! included.
 //!
-//! `--restart-policy luby|ema` and `--chrono on|off` override the CDCL
-//! restart schedule and chronological backtracking for every solver of
-//! the run (including portfolio workers), so per-instance tuning needs
-//! no rebuild.
-//!
 //! `--timeout SECS` and `--max-memory MB` arm the resource governor: a
 //! wall-clock budget and an arena memory ceiling every solver of the
 //! run honours cooperatively (the sequential depth walk budgets each
@@ -71,14 +64,14 @@
 //! `--varisat` switches to the second backend, a shim with no
 //! cooperative interrupt, no proof log and no configuration; every flag
 //! that needs the in-tree CDCL solver (the governor, the portfolio and
-//! fleet flags, the solver overrides, `--certify` and `--drat`) is a
+//! fleet flags, `--certify` and `--drat`) is a
 //! usage error next to it.
 //!
 //! `lint-cnf` runs the CNF structural analyzer (`sat::analyze`) over a
-//! spec's encoding — layered when `--lo`/`--hi` are given — or over a
+//! spec's encoding — the CNF `synth` solves, or with `--lo`/`--hi` the
+//! layered CNF a `depth` search over that range solves — or over a
 //! raw DIMACS file (`.cnf`/`.dimacs`), and exits non-zero on fatal
-//! findings (contradictory root units, empty clauses). `--audit-cnf` on
-//! `synth`/`depth` prints the same report before solving.
+//! findings (contradictory root units, empty clauses).
 //!
 //! `--certify` on `synth`/`depth` logs a DRAT proof in the solver and
 //! runs the in-tree backward DRAT checker on every UNSAT answer (each
@@ -164,9 +157,6 @@ const MAX_MEMORY: Flag = Flag::value("--max-memory", "MB").cdcl();
 const SEEDS: Flag = Flag::value("--seeds", "N|auto").cdcl();
 const STATS: Flag = Flag::switch("--stats");
 const VARISAT: Flag = Flag::switch("--varisat");
-const RESTART_POLICY: Flag = Flag::value("--restart-policy", "luby|ema").cdcl();
-const CHRONO: Flag = Flag::value("--chrono", "on|off").cdcl();
-const AUDIT_CNF: Flag = Flag::switch("--audit-cnf");
 const CERTIFY: Flag = Flag::switch("--certify").cdcl();
 const DRAT: Flag = Flag::value("--drat", "FILE").cdcl();
 const SHARE_CLAUSES: Flag = Flag::switch("--share-clauses").cdcl();
@@ -197,9 +187,6 @@ const COMMANDS: [Command; 7] = [
             SEEDS,
             STATS,
             VARISAT,
-            RESTART_POLICY,
-            CHRONO,
-            AUDIT_CNF,
             CERTIFY,
             DRAT,
             SHARE_CLAUSES,
@@ -236,9 +223,6 @@ const COMMANDS: [Command; 7] = [
             MAX_MEMORY,
             STATS,
             VARISAT,
-            RESTART_POLICY,
-            CHRONO,
-            AUDIT_CNF,
             CERTIFY,
             DEPTH_PARALLEL,
             SHARE_CLAUSES,
@@ -436,16 +420,6 @@ fn options_from(args: &Args) -> Result<SynthOptions, Failure> {
     options.budget.max_memory_words = args.get(MAX_MEMORY, "a positive size in MiB", |v| {
         positive(v)?.checked_mul(1 << 18)
     })?;
-    options.restart_policy = args.get(RESTART_POLICY, "\"luby\" or \"ema\"", |v| match v {
-        "luby" => Some(sat::RestartPolicy::Luby),
-        "ema" => Some(sat::RestartPolicy::Ema),
-        _ => None,
-    })?;
-    options.chrono = args.get(CHRONO, "\"on\" or \"off\"", |v| match v {
-        "on" => Some(true),
-        "off" => Some(false),
-        _ => None,
-    })?;
     if let Some(q) = args.get(QUANTUM, "a positive conflict count", positive)? {
         options.parallel_quantum = q;
     }
@@ -639,11 +613,6 @@ fn cmd_synth(args: &Args) -> Result<i32, Failure> {
     let spec = load_spec(args.operands[0])?;
     let out_dir = args.value(OUT).unwrap_or(".");
     let name = spec.name.clone();
-    if args.has(AUDIT_CNF) {
-        let enc = lassynth::synth::encode::encode(&spec)
-            .map_err(|e| failure(format!("invalid spec: {e}")))?;
-        outln!("{}", enc.lint());
-    }
     let certify = options.certify;
     let start = std::time::Instant::now();
     let result = run_synth(spec, options, mode, args.has(STATS), drat_out)?;
@@ -767,10 +736,15 @@ fn cmd_lint_cnf(args: &Args) -> Result<i32, Failure> {
         let report = if range == (None, None) {
             lassynth::synth::encode::encode(&spec).map(|e| e.lint())
         } else {
-            // Same defaults as `depth`, so the linted CNF is the one a
+            // Same defaults as `depth`, and the same valid-depth window
+            // around its default start, so the linted CNF is the one a
             // depth search would solve.
             let (lo, hi) = resolve_range(&spec, range)?;
-            lassynth::synth::encode::encode_layered(&spec, lo, hi).map(|l| l.lint())
+            optimize::valid_depth_window(&spec, lo, hi, spec.max_k.clamp(lo, hi))
+                .and_then(|(bottom, top)| {
+                    lassynth::synth::encode::encode_layered(&spec, bottom, top)
+                })
+                .map(|l| l.lint())
         };
         report.map_err(|e| failure(format!("invalid spec: {e}")))?
     };
@@ -835,14 +809,6 @@ fn cmd_depth(args: &Args) -> Result<i32, Failure> {
         if r != start {
             eprintln!("note: --start {r} is outside [{lo}, {hi}]; starting at {start}");
         }
-    }
-    if args.has(AUDIT_CNF) {
-        // Lint the layered CNF over the depths the search can reach:
-        // the valid-depth window around `start`.
-        let layered = optimize::valid_depth_window(&spec, lo, hi, start)
-            .and_then(|(bottom, top)| lassynth::synth::encode::encode_layered(&spec, bottom, top))
-            .map_err(|e| failure(format!("invalid spec: {e}")))?;
-        outln!("{}", layered.lint());
     }
     let search = optimize::find_min_depth(&spec, lo, hi, start, &options)
         .map_err(|e| failure(format!("error: {e}")))?;
