@@ -92,11 +92,6 @@ impl DepthSearch {
     pub fn window(&self) -> (usize, Option<usize>) {
         (self.certified_lower_bound(), self.best_depth())
     }
-
-    /// Total solver time across probes.
-    pub fn total_time(&self) -> Duration {
-        self.probes.iter().map(|p| p.time).sum()
-    }
 }
 
 /// The paper's probe order (start somewhere, descend while SAT, ascend
@@ -620,7 +615,6 @@ mod tests {
         let probed: Vec<usize> = search.probes.iter().map(|p| p.max_k).collect();
         assert_eq!(probed, vec![4, 3, 2]);
         assert_eq!(search.probes[2].sat, Some(false));
-        assert!(search.total_time() > Duration::ZERO);
         assert!(search.best.as_ref().unwrap().verified());
     }
 

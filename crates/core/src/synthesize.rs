@@ -5,9 +5,7 @@ use crate::encode::{encode, EncodeStats, Encoding};
 use crate::session::{settle, Session};
 use crate::verify::VerifyError;
 use lasre::{LasDesign, LasSpec, SpecError};
-#[cfg(feature = "varisat")]
-use sat::{Backend, VarisatBackend};
-use sat::{Budget, CdclConfig, SolverStats};
+use sat::{Backend, Budget, CdclConfig, SolverStats, VarisatBackend};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -137,8 +135,6 @@ pub enum SynthError {
     /// The solver produced a design whose ZX flows miss spec
     /// stabilizers — likewise an encoder bug if it ever fires.
     Verify(VerifyError),
-    /// The requested SAT backend was not compiled into this build.
-    BackendUnavailable(&'static str),
     /// `--certify` was requested and an UNSAT verdict's DRAT proof
     /// failed the in-tree checker (or the backend cannot emit proofs).
     Certify(String),
@@ -162,11 +158,6 @@ impl fmt::Display for SynthError {
                 )
             }
             SynthError::Verify(e) => write!(f, "verification failed: {e}"),
-            SynthError::BackendUnavailable(name) => write!(
-                f,
-                "backend `{name}` is not compiled into this build; \
-                 rebuild with the `{name}` cargo feature (on by default)"
-            ),
             SynthError::Certify(reason) => write!(f, "UNSAT certification failed: {reason}"),
             SynthError::WorkerPanic(msg) => {
                 write!(f, "every solver worker crashed; first crash: {msg}")
@@ -235,7 +226,6 @@ pub struct Synthesizer {
     spec: LasSpec,
     options: SynthOptions,
     encoding: Encoding,
-    assumptions: Vec<sat::Lit>,
     last_solve_time: Option<Duration>,
     last_solver_stats: Option<SolverStats>,
     last_proof: Option<sat::ProofLog>,
@@ -253,7 +243,6 @@ impl Synthesizer {
             spec,
             options: SynthOptions::default(),
             encoding,
-            assumptions: Vec::new(),
             last_solve_time: None,
             last_solver_stats: None,
             last_proof: None,
@@ -303,55 +292,6 @@ impl Synthesizer {
         self.last_proof.as_ref()
     }
 
-    /// Pins a structural variable to a value for subsequent solves (the
-    /// paper's "interface to set the values of an arbitrary variable in
-    /// the SMT model", Sec. IV). Pins are solver *assumptions*: they
-    /// restrict the search without re-encoding, and UNSAT then means
-    /// "unsatisfiable under the pins".
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is out of range for the spec.
-    pub fn pin_struct(&mut self, var: lasre::StructVar, value: bool) -> &mut Self {
-        let lit = self.encoding.var_map[self.encoding.table.structural(var)];
-        self.assumptions.push(if value { lit } else { !lit });
-        self
-    }
-
-    /// Pins a correlation-surface variable (see [`Synthesizer::pin_struct`]).
-    pub fn pin_corr(
-        &mut self,
-        s: usize,
-        kind: lasre::CorrKind,
-        c: lasre::Coord,
-        value: bool,
-    ) -> &mut Self {
-        let lit = self.encoding.var_map[self.encoding.table.corr(s, kind, c)];
-        self.assumptions.push(if value { lit } else { !lit });
-        self
-    }
-
-    /// Forbids a cube by pinning all its incident pipes and Y flag off
-    /// (the paper's "forbid cubes" optimization interface, Fig. 12b).
-    pub fn forbid_cube(&mut self, c: lasre::Coord) -> &mut Self {
-        use lasre::{Axis, StructVar};
-        self.pin_struct(StructVar::YCube(c), false);
-        for axis in Axis::ALL {
-            self.pin_struct(StructVar::Exist(axis, c), false);
-            let prev = c.prev(axis);
-            if self.spec.bounds().contains(prev) {
-                self.pin_struct(StructVar::Exist(axis, prev), false);
-            }
-        }
-        self
-    }
-
-    /// Clears all pins.
-    pub fn clear_pins(&mut self) -> &mut Self {
-        self.assumptions.clear();
-        self
-    }
-
     /// Runs the solver once and decodes/verifies the outcome.
     ///
     /// # Errors
@@ -368,30 +308,20 @@ impl Synthesizer {
                 // solver's memory is released before decode and verify.
                 let mut session =
                     Session::open(&self.options, config.clone(), &self.encoding.cnf, &[], None);
-                let outcome = session.solve(&self.assumptions, &self.options.budget);
+                let outcome = session.solve(&[], &self.options.budget);
                 self.last_solver_stats = Some(session.stats());
                 session.certify(&outcome)?;
                 self.last_proof = session.proof().cloned();
                 outcome
             }
             BackendChoice::Varisat => {
-                #[cfg(not(feature = "varisat"))]
-                return Err(SynthError::BackendUnavailable("varisat"));
-                #[cfg(feature = "varisat")]
-                {
-                    if self.options.certify {
-                        return Err(SynthError::Certify(
-                            "the varisat backend cannot emit DRAT proofs; use the CDCL backend"
-                                .into(),
-                        ));
-                    }
-                    self.last_solver_stats = None; // varisat reports none
-                    VarisatBackend.solve_with(
-                        &self.encoding.cnf,
-                        &self.assumptions,
-                        &self.options.budget,
-                    )
+                if self.options.certify {
+                    return Err(SynthError::Certify(
+                        "the varisat backend cannot emit DRAT proofs; use the CDCL backend".into(),
+                    ));
                 }
+                self.last_solver_stats = None; // varisat reports none
+                VarisatBackend.solve_with(&self.encoding.cnf, &[], &self.options.budget)
             }
         };
         self.last_solve_time = Some(start.elapsed());
@@ -413,7 +343,6 @@ mod tests {
         assert!(design.verified());
     }
 
-    #[cfg(feature = "varisat")]
     #[test]
     fn varisat_backend_agrees() {
         let mut s = Synthesizer::new(cnot_spec())
@@ -464,15 +393,12 @@ mod tests {
             });
         assert!(s.run().unwrap().is_unsat());
 
-        #[cfg(feature = "varisat")]
-        {
-            let mut s = Synthesizer::new(spec).unwrap().with_options(SynthOptions {
-                certify: true,
-                backend: BackendChoice::Varisat,
-                ..Default::default()
-            });
-            assert!(matches!(s.run(), Err(SynthError::Certify(_))));
-        }
+        let mut s = Synthesizer::new(spec).unwrap().with_options(SynthOptions {
+            certify: true,
+            backend: BackendChoice::Varisat,
+            ..Default::default()
+        });
+        assert!(matches!(s.run(), Err(SynthError::Certify(_))));
     }
 
     #[test]
@@ -487,26 +413,6 @@ mod tests {
         // instances; accept either Sat or Unknown but never a panic.
         let r = s.run().unwrap();
         assert!(!r.is_unsat());
-    }
-
-    #[test]
-    fn pins_restrict_the_search() {
-        use lasre::{Axis, Coord, StructVar};
-        // Forbid both free columns: the control and target can then
-        // never interact, so the CNOT flows are unrealizable.
-        let mut s = Synthesizer::new(cnot_spec()).unwrap();
-        for k in 1..3 {
-            s.forbid_cube(Coord::new(1, 1, k));
-            s.forbid_cube(Coord::new(0, 0, k));
-        }
-        assert!(s.run().unwrap().is_unsat());
-        // Clearing pins restores satisfiability.
-        s.clear_pins();
-        assert!(s.run().unwrap().is_sat());
-        // Pinning a variable the solver would choose anyway is harmless.
-        let mut s2 = Synthesizer::new(cnot_spec()).unwrap();
-        s2.pin_struct(StructVar::Exist(Axis::K, Coord::new(0, 1, 1)), true);
-        assert!(s2.run().unwrap().is_sat());
     }
 
     #[test]

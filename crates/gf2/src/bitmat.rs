@@ -5,8 +5,8 @@ use std::fmt;
 
 /// A dense matrix over GF(2), stored as one [`BitVec`] per row.
 ///
-/// Used throughout the workspace: stabilizer tableaus, flow-group
-/// reduction, and solving small linear systems arising in verification.
+/// Used for flow-group membership in the ZX verifier and for counting
+/// independent Pauli strings.
 ///
 /// # Examples
 ///
@@ -96,11 +96,6 @@ impl BitMat {
         &self.data[r]
     }
 
-    /// Mutably borrows row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut BitVec {
-        &mut self.data[r]
-    }
-
     /// Iterates over rows.
     pub fn iter(&self) -> std::slice::Iter<'_, BitVec> {
         self.data.iter()
@@ -185,70 +180,6 @@ impl BitMat {
         m.row_reduce().len()
     }
 
-    /// Solves `self * x = b` (treating rows as equations), returning one
-    /// solution if consistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != nrows`.
-    pub fn solve(&self, b: &BitVec) -> Option<BitVec> {
-        assert_eq!(b.len(), self.rows, "rhs length mismatch");
-        // Augment with b as an extra column and reduce.
-        let mut aug = BitMat::zeros(self.rows, self.cols + 1);
-        for r in 0..self.rows {
-            for c in self.data[r].iter_ones() {
-                aug.set(r, c, true);
-            }
-            if b.get(r) {
-                aug.set(r, self.cols, true);
-            }
-        }
-        let pivots = aug.row_reduce();
-        // Inconsistent iff some pivot is in the augmented column.
-        if pivots.contains(&self.cols) {
-            return None;
-        }
-        let mut x = BitVec::zeros(self.cols);
-        for (row, &pc) in pivots.iter().enumerate() {
-            if aug.get(row, self.cols) {
-                x.set(pc, true);
-            }
-        }
-        Some(x)
-    }
-
-    /// Basis of the null space of the matrix (vectors `x` with `self * x = 0`).
-    pub fn nullspace(&self) -> Vec<BitVec> {
-        let mut m = self.clone();
-        let pivots = m.row_reduce();
-        let pivot_set: std::collections::HashSet<usize> = pivots.iter().copied().collect();
-        let mut basis = Vec::new();
-        for free in 0..self.cols {
-            if pivot_set.contains(&free) {
-                continue;
-            }
-            let mut v = BitVec::zeros(self.cols);
-            v.set(free, true);
-            for (row, &pc) in pivots.iter().enumerate() {
-                if m.get(row, free) {
-                    v.set(pc, true);
-                }
-            }
-            basis.push(v);
-        }
-        basis
-    }
-
-    /// Matrix-vector product over GF(2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != ncols`.
-    pub fn mul_vec(&self, x: &BitVec) -> BitVec {
-        assert_eq!(x.len(), self.cols, "vector length mismatch");
-        BitVec::from_bools(self.data.iter().map(|row| row.dot(x)))
-    }
-
     /// Tests whether `v` lies in the row space (does not modify `self`).
     pub fn row_space_contains(&self, v: &BitVec) -> bool {
         assert_eq!(v.len(), self.cols, "vector length mismatch");
@@ -312,32 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_consistent() {
-        let m = mat(&["110", "011"]);
-        let b = BitVec::from_bools([true, false]);
-        let x = m.solve(&b).expect("consistent");
-        assert_eq!(m.mul_vec(&x), b);
-    }
-
-    #[test]
-    fn solve_inconsistent() {
-        let m = mat(&["110", "110"]);
-        let b = BitVec::from_bools([true, false]);
-        assert!(m.solve(&b).is_none());
-    }
-
-    #[test]
-    fn nullspace_kernel_property() {
-        let m = mat(&["110", "011", "101"]);
-        let ns = m.nullspace();
-        assert_eq!(ns.len(), 1);
-        for v in &ns {
-            assert!(m.mul_vec(v).is_zero());
-        }
-        assert_eq!(ns[0].to_string(), "111");
-    }
-
-    #[test]
     fn row_space_membership() {
         let m = mat(&["110", "011"]);
         assert!(m.row_space_contains(&BitVec::from_bools([true, false, true])));
@@ -356,12 +261,5 @@ mod tests {
         let mut m = mat(&["110", "011"]);
         m.xor_row(0, 1);
         assert_eq!(m.row(0).to_string(), "101");
-    }
-
-    #[test]
-    fn mul_vec_matches_manual() {
-        let m = mat(&["101", "111"]);
-        let x = BitVec::from_bools([true, true, true]);
-        assert_eq!(m.mul_vec(&x).to_string(), "01");
     }
 }

@@ -151,11 +151,6 @@ impl BitVec {
         acc.count_ones() % 2 == 1
     }
 
-    /// Sets all bits to zero, keeping the length.
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
     /// Iterates over the indices of set bits in increasing order.
     ///
     /// ```
@@ -169,21 +164,6 @@ impl BitVec {
             word_idx: 0,
             current: self.words.first().copied().unwrap_or(0),
         }
-    }
-
-    /// Index of the lowest set bit, if any.
-    pub fn first_one(&self) -> Option<usize> {
-        for (i, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                return Some(i * WORD_BITS + w.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Raw word slice (low bit of word 0 is bit 0).
-    pub fn as_words(&self) -> &[u64] {
-        &self.words
     }
 
     /// Grows the vector to `new_len` bits, padding with zeros.
@@ -352,7 +332,6 @@ mod tests {
             v.set(i, true);
         }
         assert_eq!(v.iter_ones().collect::<Vec<_>>(), idxs);
-        assert_eq!(v.first_one(), Some(2));
     }
 
     #[test]

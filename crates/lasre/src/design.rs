@@ -205,18 +205,6 @@ impl LasDesign {
             .collect()
     }
 
-    /// The color orientation of any pipe, using stored colors for I/J
-    /// and the inferred end color for K (end chosen by `at_upper_end`).
-    fn pipe_orientation(&self, pipe: PipeRef, at_upper_end: bool) -> Option<bool> {
-        match pipe.axis {
-            Axis::K => self
-                .k_colors
-                .get(&pipe.base)
-                .map(|&(lo, hi)| if at_upper_end { hi } else { lo }),
-            axis => Some(self.color(axis, pipe.base)),
-        }
-    }
-
     /// Classifies the cube at `c` (see [`CubeKind`]).
     pub fn classify(&self, c: Coord) -> CubeKind {
         if let Some(idx) = self
@@ -452,15 +440,6 @@ impl LasDesign {
                 self.domain_walls.insert(base);
             }
         }
-    }
-
-    /// The red-face normal axis of a pipe at the given end (`upper` only
-    /// matters for K pipes, which may flip across a domain wall).
-    ///
-    /// Returns `None` for K pipes before [`LasDesign::infer_k_colors`].
-    pub fn red_normal(&self, pipe: PipeRef, upper: bool) -> Option<Axis> {
-        self.pipe_orientation(pipe, upper)
-            .map(|o| red_normal_axis(pipe.axis, o))
     }
 
     /// The cubes carrying any structure.

@@ -112,14 +112,6 @@ impl Sign {
             Sign::Minus => -1,
         }
     }
-
-    /// The opposite sign.
-    pub fn flip(self) -> Sign {
-        match self {
-            Sign::Plus => Sign::Minus,
-            Sign::Minus => Sign::Plus,
-        }
-    }
 }
 
 /// A signed axis direction, e.g. the `-K` of a port that enters its
@@ -152,14 +144,6 @@ impl Dir {
             axis: Axis::parse(rest)?,
             sign,
         })
-    }
-
-    /// The opposite direction.
-    pub fn flip(self) -> Dir {
-        Dir {
-            axis: self.axis,
-            sign: self.sign.flip(),
-        }
     }
 }
 

@@ -352,7 +352,7 @@ mod tests {
         values[e3] = true;
         // Color of new I pipe: red normal K (false). J pipe at (1,0,1) is
         // red normal I (true): shared normal K: I pipe red-K=true(red on K),
-        // J pipe red_normal(J,true)=I ⇒ red-K=false: mismatch at (1,0,1).
+        // J pipe red_normal_axis(J, true) = I ⇒ red-K=false: mismatch at (1,0,1).
         let errors = check_validity(&LasDesign::new(d.spec().clone(), values));
         assert!(
             errors

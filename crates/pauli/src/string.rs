@@ -64,16 +64,6 @@ impl PauliString {
         s
     }
 
-    /// Builds a string from raw X/Z support vectors and a phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors have different lengths.
-    pub fn from_parts(xs: BitVec, zs: BitVec, phase: Phase) -> Self {
-        assert_eq!(xs.len(), zs.len(), "x/z support length mismatch");
-        PauliString { xs, zs, phase }
-    }
-
     /// Number of qubits.
     #[inline]
     pub fn len(&self) -> usize {
@@ -120,11 +110,6 @@ impl PauliString {
         self
     }
 
-    /// Overwrites the global phase in place.
-    pub fn set_phase(&mut self, phase: Phase) {
-        self.phase = phase;
-    }
-
     /// Multiplies the string by `-1` in place.
     ///
     /// ```
@@ -161,13 +146,6 @@ impl PauliString {
         self.xs.is_zero() && self.zs.is_zero()
     }
 
-    /// Indices of non-identity positions, in increasing order.
-    pub fn support(&self) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&q| self.get(q) != Pauli::I)
-            .collect()
-    }
-
     /// Whether this string commutes with `other`.
     ///
     /// # Panics
@@ -196,19 +174,6 @@ impl PauliString {
         PauliString { xs, zs, phase }
     }
 
-    /// Tensor product `self ⊗ other`.
-    pub fn tensor(&self, other: &PauliString) -> PauliString {
-        let n = self.len() + other.len();
-        let mut out = PauliString::identity(n).with_phase(self.phase + other.phase);
-        for q in 0..self.len() {
-            out.set(q, self.get(q));
-        }
-        for q in 0..other.len() {
-            out.set(self.len() + q, other.get(q));
-        }
-        out
-    }
-
     /// Restriction of the string to the given positions (phase kept).
     ///
     /// # Panics
@@ -218,21 +183,6 @@ impl PauliString {
         let mut out = PauliString::identity(positions.len()).with_phase(self.phase);
         for (new_q, &old_q) in positions.iter().enumerate() {
             out.set(new_q, self.get(old_q));
-        }
-        out
-    }
-
-    /// Embeds this string into `n` qubits, sending position `q` to
-    /// `mapping[q]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mapping.len() != len` or a target index is out of range.
-    pub fn embed(&self, n: usize, mapping: &[usize]) -> PauliString {
-        assert_eq!(mapping.len(), self.len(), "mapping length mismatch");
-        let mut out = PauliString::identity(n).with_phase(self.phase);
-        for (q, &target) in mapping.iter().enumerate() {
-            out.set(target, self.get(q));
         }
         out
     }
@@ -348,11 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn support_positions() {
-        assert_eq!(ps(".X.Z").support(), vec![1, 3]);
-    }
-
-    #[test]
     fn mul_xx_zz_gives_minus_yy() {
         let r = ps("XX").mul(&ps("ZZ"));
         assert_eq!(r.to_string(), "-YY");
@@ -382,16 +327,9 @@ mod tests {
     }
 
     #[test]
-    fn tensor_concatenates() {
-        let t = ps("-X").tensor(&ps("Z."));
-        assert_eq!(t.to_string(), "-XZ.");
-    }
-
-    #[test]
-    fn restrict_and_embed() {
+    fn restrict_picks_positions() {
         let p = ps("XYZ");
         assert_eq!(p.restrict(&[2, 0]).to_string(), "ZX");
-        assert_eq!(p.embed(5, &[4, 2, 0]).to_string(), "Z.Y.X");
     }
 
     #[test]

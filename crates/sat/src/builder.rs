@@ -161,12 +161,6 @@ impl CnfBuilder {
         self.implies_clause(guards, &[a, !b]);
     }
 
-    /// Emits `guards ⇒ (a ≠ b)`.
-    pub fn not_equal_under(&mut self, guards: &[Lit], a: Lit, b: Lit) {
-        self.implies_clause(guards, &[a, b]);
-        self.implies_clause(guards, &[!a, !b]);
-    }
-
     /// Returns a literal equivalent to `a ∧ b`, creating (or reusing) a
     /// Tseitin definition. Constants fold away without new variables.
     pub fn and(&mut self, a: Lit, b: Lit) -> Lit {
@@ -202,13 +196,6 @@ impl CnfBuilder {
             acc = self.and(acc, l);
         }
         acc
-    }
-
-    /// Returns a literal equivalent to the disjunction of `lits`
-    /// (via De Morgan on [`CnfBuilder::and_many`]).
-    pub fn or_many(&mut self, lits: &[Lit]) -> Lit {
-        let negs: Vec<Lit> = lits.iter().map(|&l| !l).collect();
-        !self.and_many(&negs)
     }
 
     /// Emits `guards ⇒ (t₁ ⊕ t₂ ⊕ … = parity)` by direct expansion.
@@ -395,19 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn or_many_semantics() {
-        let mut b = CnfBuilder::new();
-        let xs = b.new_lits(3);
-        let o = b.or_many(&xs);
-        b.fix(o, true);
-        for &x in &xs[..2] {
-            b.fix(x, false);
-        }
-        let model = solve(&b).expect_sat();
-        assert!(model.lit_true(xs[2]));
-    }
-
-    #[test]
     fn xor_constraint_even() {
         let mut b = CnfBuilder::new();
         let xs = b.new_lits(3);
@@ -458,7 +432,8 @@ mod tests {
         let y = b.new_lit();
         let z = b.new_lit();
         b.equal_under(&[], x, y);
-        b.not_equal_under(&[], y, z);
+        // y ≠ z, as y = ¬z.
+        b.equal_under(&[], y, !z);
         b.fix(x, true);
         let model = solve(&b).expect_sat();
         assert!(model.lit_true(y));

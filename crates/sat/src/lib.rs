@@ -15,8 +15,9 @@
 //!   clause-database reduction, seeded randomization and time/conflict
 //!   budgets (see the [`solver`-module docs](CdclSolver) for the arena
 //!   layout and GC protocol),
-//! * [`VarisatBackend`] — an adapter to the `varisat` crate used for
-//!   cross-checking and portfolio runs.
+//! * [`VarisatBackend`] — an adapter to the `varisat` crate, the
+//!   independent oracle the differential tests cross-check verdicts
+//!   against.
 //!
 //! # Examples
 //!
@@ -44,7 +45,6 @@ pub mod exchange;
 pub mod proof;
 mod solver;
 mod types;
-#[cfg(feature = "varisat")]
 mod varisat_backend;
 
 pub use analyze::{CnfLint, CnfReport};
@@ -54,5 +54,4 @@ pub use exchange::{ClauseExchange, ShareLimits, SharedClause};
 pub use proof::{certify_unsat, CheckReport, ProofLog};
 pub use solver::{CdclConfig, CdclSolver, FaultKind, FaultPlan, SolverStats};
 pub use types::{Backend, Budget, ExhaustionReason, Lit, Model, SolveOutcome, Var};
-#[cfg(feature = "varisat")]
 pub use varisat_backend::VarisatBackend;

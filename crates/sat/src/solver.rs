@@ -735,10 +735,6 @@ impl CdclSolver {
 }
 
 impl Backend for CdclSolver {
-    fn name(&self) -> &str {
-        "cdcl"
-    }
-
     fn solve_with(&mut self, cnf: &Cnf, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
         let mut state = State::new(cnf, self.config.clone());
         let outcome = state.solve(assumptions, budget);
@@ -4463,11 +4459,10 @@ mod tests {
     /// instance for 12,000 conflicts, long enough that every gated
     /// technique (chronological backtracking, EMA restarts, the tier
     /// database, variable elimination, rephasing) acts in some arm.
-    /// The expected counters pin each arm's search exactly.
-    #[test]
-    fn diversified_arms_golden_trajectories() {
-        let c = golden_3sat();
-        let expected = [
+    /// The expected counters pin each arm's search exactly, one test
+    /// per arm so the test harness runs the arms concurrently.
+    fn diversified_arm_golden() -> [SolverStats; 4] {
+        [
             SolverStats {
                 decisions: 12_777,
                 conflicts: 12_000,
@@ -4540,15 +4535,42 @@ mod tests {
                 exhausted_conflicts: 1,
                 ..SolverStats::default()
             },
-        ];
-        for (seed, expected) in (0..4u64).zip(expected) {
-            let mut s = CdclSolver::with_config(CdclConfig::diversified(seed));
-            let out = s.solve_with(&c, &[], &Budget::conflict_limit(12_000));
-            assert!(matches!(
-                out,
-                SolveOutcome::Unknown(ExhaustionReason::Conflicts)
-            ));
-            assert_eq!(s.stats, expected, "arm {seed}");
-        }
+        ]
+    }
+
+    /// Runs arm `seed` of [`diversified_arm_golden`] and checks its
+    /// counters.
+    fn assert_diversified_arm_golden(seed: u64) {
+        let mut s = CdclSolver::with_config(CdclConfig::diversified(seed));
+        let out = s.solve_with(&golden_3sat(), &[], &Budget::conflict_limit(12_000));
+        assert!(matches!(
+            out,
+            SolveOutcome::Unknown(ExhaustionReason::Conflicts)
+        ));
+        assert_eq!(
+            s.stats,
+            diversified_arm_golden()[seed as usize],
+            "arm {seed}"
+        );
+    }
+
+    #[test]
+    fn diversified_arm0_golden_trajectory() {
+        assert_diversified_arm_golden(0);
+    }
+
+    #[test]
+    fn diversified_arm1_golden_trajectory() {
+        assert_diversified_arm_golden(1);
+    }
+
+    #[test]
+    fn diversified_arm2_golden_trajectory() {
+        assert_diversified_arm_golden(2);
+    }
+
+    #[test]
+    fn diversified_arm3_golden_trajectory() {
+        assert_diversified_arm_golden(3);
     }
 }

@@ -320,9 +320,6 @@ impl Budget {
 /// porting seam. Implemented by [`crate::CdclSolver`] (ours) and
 /// [`crate::VarisatBackend`].
 pub trait Backend {
-    /// A short human-readable name for reports.
-    fn name(&self) -> &str;
-
     /// Solves `cnf` under `assumptions` within `budget`.
     fn solve_with(&mut self, cnf: &Cnf, assumptions: &[Lit], budget: &Budget) -> SolveOutcome;
 

@@ -2,9 +2,10 @@
 //!
 //! The paper's pipeline treats the SAT solver as a swappable component
 //! behind DIMACS; this adapter is our second solver for cross-checking
-//! verdicts of the in-tree [`crate::CdclSolver`] and for portfolio runs.
+//! verdicts of the in-tree [`crate::CdclSolver`] (the differential
+//! tests' oracle, and the source of the benchmark's reference depths).
 //! `varisat` has no cooperative interrupt API, so [`Budget`] limits are
-//! ignored here (portfolio callers run it on its own thread).
+//! ignored here.
 
 use crate::{Backend, Budget, Cnf, Lit, Model, SolveOutcome};
 use varisat::ExtendFormula;
@@ -14,10 +15,6 @@ use varisat::ExtendFormula;
 pub struct VarisatBackend;
 
 impl Backend for VarisatBackend {
-    fn name(&self) -> &str {
-        "varisat"
-    }
-
     fn solve_with(&mut self, cnf: &Cnf, assumptions: &[Lit], _budget: &Budget) -> SolveOutcome {
         let mut solver = varisat::Solver::new();
         let mut formula = varisat::CnfFormula::new();

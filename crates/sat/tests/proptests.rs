@@ -101,7 +101,6 @@ fn pigeonhole_cnf(pigeons: i64, holes: i64) -> Cnf {
 /// Differential check against the vendored `varisat` backend on
 /// pigeonhole instances, both the UNSAT (n+1 into n) and the SAT
 /// (n into n) family, including a GC-heavy configuration.
-#[cfg(feature = "varisat")]
 #[test]
 fn cdcl_matches_varisat_on_pigeonhole() {
     for holes in 2i64..=6 {
@@ -291,7 +290,6 @@ proptest! {
     /// Differential check against the vendored `varisat` backend on
     /// random 3-SAT near the phase transition: identical SAT/UNSAT
     /// verdicts, and our SAT models actually satisfy the formula.
-    #[cfg(feature = "varisat")]
     #[test]
     fn cdcl_matches_varisat_on_random_3sat(seed in any::<u64>(), n in 8usize..24) {
         use rand::rngs::SmallRng;
@@ -319,7 +317,6 @@ proptest! {
 
     /// Same differential check under a tiny learnt-clause budget, so
     /// every solve runs through multiple clause-DB GC passes.
-    #[cfg(feature = "varisat")]
     #[test]
     fn gc_heavy_cdcl_matches_varisat(seed in any::<u64>()) {
         use rand::rngs::SmallRng;
@@ -428,16 +425,8 @@ proptest! {
             }
             let fresh = CdclSolver::default()
                 .solve_with(&accumulated, &lits, &Budget::default());
-            #[cfg(feature = "varisat")]
-            {
-                let shim = sat::VarisatBackend
-                    .solve_with(&accumulated, &lits, &Budget::default());
-                prop_assert_eq!(
-                    fresh.is_sat(),
-                    shim.is_sat(),
-                    "fresh vs varisat diverge"
-                );
-            }
+            let shim = sat::VarisatBackend.solve_with(&accumulated, &lits, &Budget::default());
+            prop_assert_eq!(fresh.is_sat(), shim.is_sat(), "fresh vs varisat diverge");
             for (config, session) in &mut sessions {
                 let ours = session.solve_assuming(&lits, &Budget::default());
                 prop_assert_eq!(

@@ -1,7 +1,6 @@
 //! The tableau simulator.
 
 use pauli::{Pauli, PauliString, Phase};
-use rand::{Rng, RngExt};
 
 /// Result of measuring a Pauli observable on a stabilizer state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,11 +48,6 @@ impl Tableau {
         Tableau { n, rows }
     }
 
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.n
-    }
-
     /// The current stabilizer generators (rows `n..2n`).
     pub fn stabilizers(&self) -> &[PauliString] {
         &self.rows[self.n..]
@@ -86,12 +80,6 @@ impl Tableau {
         }
     }
 
-    /// Applies S† on qubit `q`.
-    pub fn sdg(&mut self, q: usize) {
-        self.z(q);
-        self.s(q);
-    }
-
     /// Applies a Pauli X gate on qubit `q`.
     pub fn x(&mut self, q: usize) {
         for row in &mut self.rows {
@@ -108,12 +96,6 @@ impl Tableau {
                 row.negate();
             }
         }
-    }
-
-    /// Applies a Pauli Y gate on qubit `q`.
-    pub fn y(&mut self, q: usize) {
-        self.z(q);
-        self.x(q);
     }
 
     /// Applies a CNOT with control `c` and target `t`.
@@ -169,8 +151,7 @@ impl Tableau {
     /// If the outcome is random, `forced` selects it (post-selection);
     /// when `forced` is `None` the `+1` outcome is chosen, which is the
     /// appropriate convention for flow derivation where any consistent
-    /// choice works. Use [`Tableau::measure_pauli_rng`] for genuinely
-    /// random outcomes.
+    /// choice works.
     ///
     /// If the outcome is deterministic, `forced` is ignored and the
     /// actual value is returned; callers that post-select must compare.
@@ -180,26 +161,6 @@ impl Tableau {
     /// Panics if `p` has an imaginary phase (not Hermitian) or a length
     /// other than the qubit count.
     pub fn measure_pauli(&mut self, p: &PauliString, forced: Option<bool>) -> MeasurementOutcome {
-        self.measure_impl(p, forced, None::<&mut rand::rngs::ThreadRng>)
-    }
-
-    /// Like [`Tableau::measure_pauli`], but random outcomes are drawn
-    /// from `rng` when not forced.
-    pub fn measure_pauli_rng<R: Rng>(
-        &mut self,
-        p: &PauliString,
-        forced: Option<bool>,
-        rng: &mut R,
-    ) -> MeasurementOutcome {
-        self.measure_impl(p, forced, Some(rng))
-    }
-
-    fn measure_impl<R: Rng>(
-        &mut self,
-        p: &PauliString,
-        forced: Option<bool>,
-        rng: Option<&mut R>,
-    ) -> MeasurementOutcome {
         assert_eq!(p.len(), self.n, "observable length mismatch");
         assert!(p.phase().is_real(), "observable must be Hermitian");
         let pivot = (self.n..2 * self.n).find(|&i| !self.rows[i].commutes_with(p));
@@ -217,7 +178,7 @@ impl Tableau {
                         debug_assert!(row.phase().is_real());
                     }
                 }
-                let value = forced.unwrap_or_else(|| rng.is_some_and(|r| r.random_bool(0.5)));
+                let value = forced.unwrap_or(false);
                 self.rows[pivot - self.n] = pivot_row;
                 let sign = if value { Phase::MINUS_ONE } else { Phase::ONE };
                 self.rows[pivot] = p.clone().with_phase(p.phase() + sign);
@@ -284,46 +245,6 @@ impl Tableau {
             .map(|(row, _)| row.restrict(keep))
             .collect()
     }
-
-    /// Canonical (row-reduced, sign-tracked) form of the stabilizer
-    /// generators. Two tableaus represent the same state iff their
-    /// canonical stabilizers are equal.
-    pub fn canonical_stabilizers(&self) -> Vec<PauliString> {
-        canonicalize(self.stabilizers().to_vec(), self.n)
-    }
-}
-
-/// Canonicalizes a set of independent commuting Pauli strings by
-/// Gaussian elimination (X support first, then Z), tracking signs.
-pub fn canonicalize(mut rows: Vec<PauliString>, n: usize) -> Vec<PauliString> {
-    let mut next = 0;
-    // X pass.
-    for q in 0..n {
-        if let Some(pivot) = (next..rows.len()).find(|&r| rows[r].get(q).xz().0) {
-            rows.swap(next, pivot);
-            let pr = rows[next].clone();
-            for (r, row) in rows.iter_mut().enumerate() {
-                if r != next && row.get(q).xz().0 {
-                    *row = row.mul(&pr);
-                }
-            }
-            next += 1;
-        }
-    }
-    // Z pass on the remaining rows (which have no X support left).
-    for q in 0..n {
-        if let Some(pivot) = (next..rows.len()).find(|&r| rows[r].get(q).xz().1) {
-            rows.swap(next, pivot);
-            let pr = rows[next].clone();
-            for (r, row) in rows.iter_mut().enumerate() {
-                if r != next && row.get(q) == Pauli::Z {
-                    *row = row.mul(&pr);
-                }
-            }
-            next += 1;
-        }
-    }
-    rows
 }
 
 #[cfg(test)]
@@ -357,8 +278,6 @@ mod tests {
         t.h(0); // |+>, stab X
         t.s(0); // |i>, stab Y
         assert_eq!(t.stabilizers()[0], ps("Y"));
-        t.sdg(0);
-        assert_eq!(t.stabilizers()[0], ps("X"));
     }
 
     #[test]
@@ -468,27 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_forms_agree_for_equal_states() {
-        let mut a = Tableau::new(2);
-        a.h(0);
-        a.cx(0, 1);
-        let mut b = Tableau::new(2);
-        b.h(1);
-        b.cx(1, 0);
-        assert_eq!(a.canonical_stabilizers(), b.canonical_stabilizers());
-    }
-
-    #[test]
-    fn canonical_forms_distinguish_signs() {
-        let mut a = Tableau::new(1);
-        let mut b = Tableau::new(1);
-        b.x(0);
-        assert_ne!(a.canonical_stabilizers(), b.canonical_stabilizers());
-        a.x(0);
-        assert_eq!(a.canonical_stabilizers(), b.canonical_stabilizers());
-    }
-
-    #[test]
     fn measure_pauli_with_y() {
         let mut t = Tableau::new(1);
         t.h(0);
@@ -505,17 +403,5 @@ mod tests {
         t.cx(0, 1);
         let m = t.measure_pauli(&ps("XX"), None);
         assert!(m.deterministic && !m.value);
-    }
-
-    #[test]
-    fn rng_measurement_is_consistent_after_projection() {
-        let mut rng = rand::rng();
-        let mut t = Tableau::new(1);
-        t.h(0);
-        let m = t.measure_pauli_rng(&ps("Z"), None, &mut rng);
-        assert!(!m.deterministic);
-        let m2 = t.measure_z(0, None);
-        assert!(m2.deterministic);
-        assert_eq!(m2.value, m.value);
     }
 }

@@ -107,20 +107,6 @@ impl Graph {
         count == self.n
     }
 
-    /// Local complementation at `v`: complements the subgraph induced
-    /// by `v`'s neighborhood. Orbits of this operation are the
-    /// local-Clifford equivalence classes of graph states.
-    pub fn local_complement(&mut self, v: usize) {
-        let nb = self.neighbors(v);
-        for (i, &a) in nb.iter().enumerate() {
-            for &b in &nb[i + 1..] {
-                let had = self.has_edge(a, b);
-                self.adj[a].set(b, !had);
-                self.adj[b].set(a, !had);
-            }
-        }
-    }
-
     /// The graph-state stabilizers `X_v ∏_{u ∈ N(v)} Z_u` (paper Fig. 14a).
     pub fn stabilizers(&self) -> Vec<PauliString> {
         (0..self.n)
@@ -332,16 +318,6 @@ mod tests {
         assert_eq!(stabs[0].to_string(), "X......Z");
         assert_eq!(stabs[6].to_string(), ".....ZXZ");
         assert_eq!(stabs[5].to_string(), ".....XZ.");
-    }
-
-    #[test]
-    fn local_complement_is_involution() {
-        let mut g = Graph::wheel(6);
-        let orig = g.clone();
-        g.local_complement(0);
-        assert_ne!(g, orig);
-        g.local_complement(0);
-        assert_eq!(g, orig);
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub(crate) struct Node {
     pub kind: SpiderKind,
     /// Phase in units of π/2 (0..4); only Clifford phases are supported.
     pub quarters: u8,
-    pub deleted: bool,
 }
 
 #[derive(Clone, Debug)]
@@ -36,7 +35,6 @@ pub(crate) struct Edge {
     /// Whether the wire carries a Hadamard box (a domain wall in the
     /// lattice-surgery picture).
     pub hadamard: bool,
-    pub deleted: bool,
 }
 
 /// An undirected ZX diagram with Clifford phases (multiples of π/2) and
@@ -92,11 +90,7 @@ impl Diagram {
 
     fn add_node(&mut self, kind: SpiderKind, quarters: u8) -> NodeId {
         let id = NodeId(self.nodes.len());
-        self.nodes.push(Node {
-            kind,
-            quarters,
-            deleted: false,
-        });
+        self.nodes.push(Node { kind, quarters });
         id
     }
 
@@ -116,12 +110,7 @@ impl Diagram {
             "edge endpoints must exist"
         );
         let id = EdgeId(self.edges.len());
-        self.edges.push(Edge {
-            a,
-            b,
-            hadamard,
-            deleted: false,
-        });
+        self.edges.push(Edge { a, b, hadamard });
         id
     }
 
@@ -135,21 +124,18 @@ impl Diagram {
         self.nodes[n.0].quarters
     }
 
-    /// Live boundary nodes in insertion order.
+    /// Boundary nodes in insertion order.
     pub fn boundaries(&self) -> Vec<NodeId> {
         (0..self.nodes.len())
             .map(NodeId)
-            .filter(|&n| !self.nodes[n.0].deleted && self.nodes[n.0].kind == SpiderKind::Boundary)
+            .filter(|&n| self.nodes[n.0].kind == SpiderKind::Boundary)
             .collect()
     }
 
-    /// Live edges incident to `n` (self-loops appear twice).
+    /// Edges incident to `n` (self-loops appear twice).
     pub fn incident_edges(&self, n: NodeId) -> Vec<EdgeId> {
         let mut out = Vec::new();
         for (i, e) in self.edges.iter().enumerate() {
-            if e.deleted {
-                continue;
-            }
             if e.a == n {
                 out.push(EdgeId(i));
             }
@@ -171,26 +157,22 @@ impl Diagram {
         (edge.a, edge.b, edge.hadamard)
     }
 
-    /// Number of live nodes.
+    /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| !n.deleted).count()
+        self.nodes.len()
     }
 
-    /// Number of live edges.
+    /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.iter().filter(|e| !e.deleted).count()
+        self.edges.len()
     }
 
-    /// Live non-boundary spiders.
+    /// Non-boundary spiders.
     pub fn spiders(&self) -> Vec<NodeId> {
         (0..self.nodes.len())
             .map(NodeId)
-            .filter(|&n| !self.nodes[n.0].deleted && self.nodes[n.0].kind != SpiderKind::Boundary)
+            .filter(|&n| self.nodes[n.0].kind != SpiderKind::Boundary)
             .collect()
-    }
-
-    pub(crate) fn is_deleted(&self, n: NodeId) -> bool {
-        self.nodes[n.0].deleted
     }
 }
 
@@ -203,9 +185,6 @@ impl fmt::Display for Diagram {
             self.num_edges()
         )?;
         for (i, n) in self.nodes.iter().enumerate() {
-            if n.deleted {
-                continue;
-            }
             let kind = match n.kind {
                 SpiderKind::Z => "Z",
                 SpiderKind::X => "X",
@@ -214,9 +193,6 @@ impl fmt::Display for Diagram {
             writeln!(f, "  n{i}: {kind}({}π/2)", n.quarters)?;
         }
         for e in &self.edges {
-            if e.deleted {
-                continue;
-            }
             let h = if e.hadamard { " [H]" } else { "" };
             writeln!(f, "  n{} — n{}{h}", e.a.0, e.b.0)?;
         }

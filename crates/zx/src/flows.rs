@@ -47,16 +47,6 @@ pub struct FlowGroup {
 }
 
 impl FlowGroup {
-    /// Number of boundary legs.
-    pub fn num_qubits(&self) -> usize {
-        self.n
-    }
-
-    /// The generators, with the signs the contraction produced.
-    pub fn generators(&self) -> &[PauliString] {
-        &self.gens
-    }
-
     /// Number of independent generators.
     pub fn rank(&self) -> usize {
         self.gens.len()
@@ -140,9 +130,6 @@ impl Diagram {
         let mut extra_bells: Vec<(usize, usize)> = Vec::new();
         let mut boundary_qubit: HashMap<usize, usize> = HashMap::new();
         for (ei, e) in self.edges.iter().enumerate() {
-            if e.deleted {
-                continue;
-            }
             let a_b = self.nodes[e.a.0].kind == SpiderKind::Boundary;
             let b_b = self.nodes[e.b.0].kind == SpiderKind::Boundary;
             if a_b && b_b {
@@ -184,9 +171,6 @@ impl Diagram {
         let mut sign_obstructions = 0usize;
         let mut h_pending: Vec<usize> = Vec::new();
         for (ei, e) in self.edges.iter().enumerate() {
-            if e.deleted {
-                continue;
-            }
             let a_b = self.nodes[e.a.0].kind == SpiderKind::Boundary;
             let b_b = self.nodes[e.b.0].kind == SpiderKind::Boundary;
             if a_b || b_b {

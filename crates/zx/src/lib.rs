@@ -8,9 +8,6 @@
 //! stabilizers against the derived flow group (up to sign — the paper
 //! tracks signs off-chip via Pauli frame corrections).
 //!
-//! It also ships a few textbook rewrite rules (spider fusion, identity
-//! removal) used in tests to confirm that rewriting preserves flows.
-//!
 //! # Examples
 //!
 //! ```
@@ -40,7 +37,6 @@
 
 mod diagram;
 mod flows;
-mod rewrite;
 
 pub use diagram::{Diagram, EdgeId, NodeId, SpiderKind};
 pub use flows::{FlowGroup, ZxError};

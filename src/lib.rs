@@ -10,7 +10,7 @@
 //! * [`sat`] — the CDCL SAT solver substrate and CNF tooling.
 //! * [`zx`] / [`tableau`] / [`pauli`] / [`gf2`] — verification substrates.
 //! * [`workloads`] — graph states, majority gate, T-factory specs, baselines.
-//! * [`viz`] — glTF/OBJ export of 3D pipe diagrams.
+//! * [`viz`] — glTF export of 3D pipe diagrams.
 //!
 //! # Quickstart
 //!

@@ -3,13 +3,12 @@
 //!
 //! ```text
 //! lassynth synth  <spec.json>  [--out DIR] [--timeout SECS] [--max-memory MB] [--seeds N|auto]
-//!                              [--stats] [--varisat] [--certify] [--drat FILE] [--share-clauses]
-//!                              [--quantum N]
+//!                              [--stats] [--certify] [--drat FILE] [--share-clauses] [--quantum N]
 //! lassynth verify <design.lasre>
 //! lassynth render <design.lasre>
 //! lassynth dimacs <spec.json>
 //! lassynth depth  <spec.json>  [--lo L] [--hi H] [--start S] [--timeout SECS] [--max-memory MB]
-//!                              [--stats] [--varisat] [--certify] [--depth-parallel] [--share-clauses]
+//!                              [--stats] [--certify] [--depth-parallel] [--share-clauses]
 //!                              [--quantum N]
 //! lassynth lint-cnf <spec.json|file.cnf> [--lo L] [--hi H]
 //! lassynth check-proof <file.cnf> <file.drat>
@@ -61,12 +60,6 @@
 //! that crash mid-run are quarantined and reported on stderr while the
 //! survivors finish the job.
 //!
-//! `--varisat` switches to the second backend, a shim with no
-//! cooperative interrupt, no proof log and no configuration; every flag
-//! that needs the in-tree CDCL solver (the governor, the portfolio and
-//! fleet flags, `--certify` and `--drat`) is a
-//! usage error next to it.
-//!
 //! `lint-cnf` runs the CNF structural analyzer (`sat::analyze`) over a
 //! spec's encoding — the CNF `synth` solves, or with `--lo`/`--hi` the
 //! layered CNF a `depth` search over that range solves — or over a
@@ -90,9 +83,7 @@
 
 #![forbid(unsafe_code)]
 
-use lassynth::synth::{
-    optimize, BackendChoice, SynthError, SynthOptions, SynthResult, Synthesizer,
-};
+use lassynth::synth::{optimize, SynthError, SynthOptions, SynthResult, Synthesizer};
 use lassynth::{lasre, sat, viz};
 use std::time::Duration;
 
@@ -125,43 +116,31 @@ struct Flag {
     name: &'static str,
     /// The value's placeholder in usage lines; `None` for a switch.
     value: Option<&'static str>,
-    /// Whether the flag needs the in-tree CDCL backend (and so
-    /// conflicts with `--varisat`).
-    cdcl: bool,
 }
 
 impl Flag {
     const fn switch(name: &'static str) -> Flag {
-        Flag {
-            name,
-            value: None,
-            cdcl: false,
-        }
+        Flag { name, value: None }
     }
 
     const fn value(name: &'static str, placeholder: &'static str) -> Flag {
         Flag {
+            name,
             value: Some(placeholder),
-            ..Flag::switch(name)
         }
-    }
-
-    const fn cdcl(self) -> Flag {
-        Flag { cdcl: true, ..self }
     }
 }
 
 const OUT: Flag = Flag::value("--out", "DIR");
-const TIMEOUT: Flag = Flag::value("--timeout", "SECS").cdcl();
-const MAX_MEMORY: Flag = Flag::value("--max-memory", "MB").cdcl();
-const SEEDS: Flag = Flag::value("--seeds", "N|auto").cdcl();
+const TIMEOUT: Flag = Flag::value("--timeout", "SECS");
+const MAX_MEMORY: Flag = Flag::value("--max-memory", "MB");
+const SEEDS: Flag = Flag::value("--seeds", "N|auto");
 const STATS: Flag = Flag::switch("--stats");
-const VARISAT: Flag = Flag::switch("--varisat");
-const CERTIFY: Flag = Flag::switch("--certify").cdcl();
-const DRAT: Flag = Flag::value("--drat", "FILE").cdcl();
-const SHARE_CLAUSES: Flag = Flag::switch("--share-clauses").cdcl();
-const DEPTH_PARALLEL: Flag = Flag::switch("--depth-parallel").cdcl();
-const QUANTUM: Flag = Flag::value("--quantum", "N").cdcl();
+const CERTIFY: Flag = Flag::switch("--certify");
+const DRAT: Flag = Flag::value("--drat", "FILE");
+const SHARE_CLAUSES: Flag = Flag::switch("--share-clauses");
+const DEPTH_PARALLEL: Flag = Flag::switch("--depth-parallel");
+const QUANTUM: Flag = Flag::value("--quantum", "N");
 const LO: Flag = Flag::value("--lo", "L");
 const HI: Flag = Flag::value("--hi", "H");
 const START: Flag = Flag::value("--start", "S");
@@ -186,7 +165,6 @@ const COMMANDS: [Command; 7] = [
             MAX_MEMORY,
             SEEDS,
             STATS,
-            VARISAT,
             CERTIFY,
             DRAT,
             SHARE_CLAUSES,
@@ -222,7 +200,6 @@ const COMMANDS: [Command; 7] = [
             TIMEOUT,
             MAX_MEMORY,
             STATS,
-            VARISAT,
             CERTIFY,
             DEPTH_PARALLEL,
             SHARE_CLAUSES,
@@ -289,8 +266,7 @@ struct Args<'a> {
 impl<'a> Args<'a> {
     /// Splits `args` into operands and flags, rejecting anything the
     /// table does not list, a repeated flag, a value flag without its
-    /// value, a missing or extra operand, and a CDCL-only flag next to
-    /// `--varisat`.
+    /// value, and a missing or extra operand.
     fn parse(command: &Command, args: &'a [String]) -> Result<Args<'a>, String> {
         let mut parsed = Args {
             operands: Vec::new(),
@@ -319,21 +295,6 @@ impl<'a> Args<'a> {
         }
         if let Some(missing) = command.operands.get(parsed.operands.len()) {
             return Err(format!("lassynth {}: missing {missing}", command.name));
-        }
-        if parsed.has(VARISAT) {
-            if !cfg!(feature = "varisat") {
-                return Err(
-                    "--varisat requested, but this binary was built without the \
-                            `varisat` feature (on by default); rebuild with it enabled"
-                        .into(),
-                );
-            }
-            if let Some((flag, _)) = parsed.flags.iter().find(|(f, _)| f.cdcl) {
-                return Err(format!(
-                    "{} needs the in-tree CDCL backend (drop --varisat)",
-                    flag.name
-                ));
-            }
         }
         Ok(parsed)
     }
@@ -426,9 +387,6 @@ fn options_from(args: &Args) -> Result<SynthOptions, Failure> {
     options.certify = args.has(CERTIFY);
     options.share_clauses = args.has(SHARE_CLAUSES);
     options.depth_parallel = args.has(DEPTH_PARALLEL);
-    if args.has(VARISAT) {
-        options.backend = BackendChoice::Varisat;
-    }
     Ok(options)
 }
 
@@ -501,9 +459,8 @@ fn run_synth(
         let mut s = synth.with_options(options);
         let result = s.run();
         if want_stats {
-            match s.last_solver_stats() {
-                Some(stats) => print_stats(stats, None),
-                None => outln!("solver stats: unavailable for this backend"),
+            if let Some(stats) = s.last_solver_stats() {
+                print_stats(stats, None);
             }
         }
         if let Some(path) = drat_out {
@@ -826,9 +783,8 @@ fn cmd_depth(args: &Args) -> Result<i32, Failure> {
             p.time
         );
         if args.has(STATS) {
-            match p.stats {
-                Some(s) => print_stats(s, None),
-                None => outln!("    (no solver stats for this backend)"),
+            if let Some(s) = p.stats {
+                print_stats(s, None);
             }
         }
     }

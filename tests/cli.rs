@@ -491,9 +491,9 @@ fn certify_and_check_proof_round_trip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The resource-governor flags: malformed values and `--varisat`
-/// combinations are usage errors before any solving; valid values are
-/// accepted and `--stats` reports the per-axis exhaustion counters.
+/// The resource-governor flags: malformed values are usage errors
+/// before any solving; valid values are accepted and `--stats` reports
+/// the per-axis exhaustion counters.
 #[test]
 fn governor_flags_validate_and_report() {
     for bad in [
@@ -521,23 +521,6 @@ fn governor_flags_validate_and_report() {
             .output()
             .expect("run lassynth depth with a bad timeout");
         assert_eq!(out.status.code(), Some(2), "depth {bad:?} must exit 2");
-    }
-
-    // The varisat shim cannot honour the governor: combining them is a
-    // usage error (and so is `--varisat` itself in a build without the
-    // feature — exit 2 either way).
-    for conflicting in [
-        vec!["synth", "--timeout", "5", "--varisat"],
-        vec!["synth", "--max-memory", "64", "--varisat"],
-        vec!["depth", "--timeout", "5", "--varisat"],
-    ] {
-        let out = bin()
-            .arg(conflicting[0])
-            .arg(cnot_spec_path())
-            .args(&conflicting[1..])
-            .output()
-            .expect("run lassynth with governor + varisat");
-        assert_eq!(out.status.code(), Some(2), "{conflicting:?} must exit 2");
     }
 
     // Generous limits leave the verdict alone and surface the counters.
@@ -603,24 +586,16 @@ fn depth_reports_anytime_window_when_exhausted() {
     );
 }
 
-/// Portfolio workers are always diversified CDCL solvers, so a
-/// portfolio under `--varisat` is a usage error rather than a silent
-/// switch of backend; sharing clauses needs a portfolio.
+/// Sharing clauses needs a portfolio to share between.
 #[test]
 fn portfolio_flag_conflicts_are_usage_errors() {
-    for conflicting in [
-        &["--varisat", "--seeds", "2"][..],
-        &["--varisat", "--seeds", "auto"],
-        &["--share-clauses"],
-    ] {
-        let out = bin()
-            .arg("synth")
-            .arg(cnot_spec_path())
-            .args(conflicting)
-            .output()
-            .expect("run lassynth synth with conflicting portfolio flags");
-        assert_eq!(out.status.code(), Some(2), "{conflicting:?} must exit 2");
-    }
+    let out = bin()
+        .arg("synth")
+        .arg(cnot_spec_path())
+        .arg("--share-clauses")
+        .output()
+        .expect("run lassynth synth --share-clauses without a portfolio");
+    assert_eq!(out.status.code(), Some(2), "--share-clauses must exit 2");
 }
 
 #[test]
@@ -702,6 +677,16 @@ fn arguments_outside_the_flag_table_are_usage_errors() {
         ),
         (&["depth", spec, "--deadline", "5"], "--deadline"),
         (&["depth", spec, "--no-incremental"], "--no-incremental"),
+        // The CLI solves with the in-tree CDCL solver only; other
+        // solvers take the `dimacs` output.
+        (
+            &["synth", spec, "--varisat"],
+            "unexpected argument --varisat",
+        ),
+        (
+            &["depth", spec, "--varisat"],
+            "unexpected argument --varisat",
+        ),
         (&["verify", design, "b.lasre"], "b.lasre"),
         // `--lo`/`--hi` layer a spec's encoding; a DIMACS file has none.
         (&["lint-cnf", "clean.cnf", "--lo", "2"], "--lo"),
