@@ -35,9 +35,8 @@ pub struct DepthProbe {
     /// search with [`SynthError::Certify`] instead).
     pub certified: bool,
     /// Which budget axis expired when `sat` is `None` (conflicts,
-    /// propagations, deadline, memory ceiling, or a cancellation).
-    /// `None` for resolved probes and for backends that report no
-    /// statistics.
+    /// deadline or memory ceiling). `None` for resolved probes and for
+    /// backends that report no statistics.
     pub exhaustion: Option<ExhaustionReason>,
 }
 
@@ -54,13 +53,14 @@ pub struct DepthSearch {
     pub probes: Vec<DepthProbe>,
     /// The best verified design found, if any.
     pub best: Option<LasDesign>,
-    /// The searched depth range, as requested (inclusive).
+    /// The searched depth range (inclusive): the requested range cut
+    /// to its [`valid_depth_window`] around the start depth.
     pub lo: usize,
     /// See [`DepthSearch::lo`].
     pub hi: usize,
     /// Why the search stopped without resolving the minimum, if it
-    /// did: the budget axis that expired (or the cancellation) on the
-    /// probe/driver that gave up first. `None` when the window closed.
+    /// did: the budget axis that expired on the probe/driver that gave
+    /// up first. `None` when the window closed.
     pub exhaustion: Option<ExhaustionReason>,
     /// Depth-parallel workers that crashed mid-search, as `(max_k,
     /// panic message)` — the fleet continued on the survivors.
@@ -76,7 +76,8 @@ impl DepthSearch {
     /// The largest depth proven unreachable plus one: every depth below
     /// this is refuted (UNSAT), so the true minimum — if any design
     /// exists in range — is at least this deep. Falls back to the
-    /// range floor `lo` when no probe returned UNSAT.
+    /// range floor `lo` when no probe returned UNSAT: the depths below
+    /// the valid window are malformed and hold no design.
     pub fn certified_lower_bound(&self) -> usize {
         self.probes
             .iter()
@@ -105,7 +106,6 @@ fn drive_depth_search(
     certify: bool,
     mut probe: impl FnMut(usize) -> Result<(SynthResult, Duration, Option<SolverStats>), SynthError>,
 ) -> Result<DepthSearch, SynthError> {
-    assert!(lo <= start && start <= hi, "start depth outside [lo, hi]");
     let mut probes = Vec::new();
     let mut best: Option<LasDesign> = None;
     let mut step = |k: usize,
@@ -193,32 +193,36 @@ fn drive_depth_search(
 /// The spec's `-K` ports are relocated to each probed top layer via
 /// [`LasSpec::with_depth`].
 ///
-/// With the CDCL backend and `lo >= 1` the whole search runs as **one
-/// incremental solver session** over a depth-layered encoding
-/// ([`encode_layered`]): each probe is a `solve_assuming` call under
-/// that depth's activation literals, so the clauses learnt refuting or
-/// solving one depth carry over to the next — the lever the
-/// T-factory-scale instances need. Otherwise (the varisat backend,
-/// which lacks an incremental API, or `lo == 0`) the search is
-/// [`find_min_depth_scratch`]. Both modes probe the same depths and
+/// Every mode searches only the [`valid_depth_window`] around `start`
+/// within `[lo, hi]`, and reports it as [`DepthSearch::lo`] and
+/// [`DepthSearch::hi`]. A malformed depth holds no design, so the walk
+/// reads the window's edges as it reads an UNSAT probe.
+///
+/// With the CDCL backend the whole search runs as **one incremental
+/// solver session** over a depth-layered encoding ([`encode_layered`]):
+/// each probe is a `solve_assuming` call under that depth's activation
+/// literals, so the clauses learnt refuting or solving one depth carry
+/// over to the next — the lever the T-factory-scale instances need.
+/// With the varisat backend, which lacks an incremental API, the search
+/// is [`find_min_depth_scratch`]. Both modes probe the same depths and
 /// return the same verdicts.
 ///
-/// With `options.depth_parallel` (CDCL backend, `lo >= 1`) the walk is
-/// replaced by [`find_min_depth_parallel`]: one lockstep worker per
-/// candidate depth over a shared depth-layered encoding, with the
-/// monotone depth axis pruning every depth a verdict dominates. The
-/// answer (`best_depth`, error behavior on malformed depths) matches
-/// the sequential modes; the *probe list* differs — it holds one entry
-/// per worker that ran, in ascending depth order, and `sat: None`
-/// marks a worker pruned or out of budget before its own verdict.
+/// With `options.depth_parallel` (CDCL backend) the walk is replaced by
+/// [`find_min_depth_parallel`]: one lockstep worker per candidate depth
+/// over a shared depth-layered encoding, with the monotone depth axis
+/// pruning every depth a verdict dominates. The answer (`best_depth`)
+/// matches the sequential modes; the *probe list* differs — it holds
+/// one entry per worker that ran, in ascending depth order, and `sat:
+/// None` marks a worker pruned or out of budget before its own verdict.
+///
+/// # Panics
+///
+/// Panics if `start` is outside `[lo, hi]`.
 ///
 /// # Errors
 ///
-/// Propagates [`SynthError`] from any probe. All modes error on the
-/// probe that reaches a depth whose spec is malformed; depths the
-/// search never probes are never validated (layered encodings cover
-/// only [`valid_depth_window`]s, and the depth-parallel mode reproduces
-/// the sequential walk-off-the-edge errors explicitly).
+/// The spec error at `start` itself, and any [`SynthError`] from a
+/// probe.
 pub fn find_min_depth(
     spec: &LasSpec,
     lo: usize,
@@ -226,25 +230,30 @@ pub fn find_min_depth(
     start: usize,
     options: &SynthOptions,
 ) -> Result<DepthSearch, SynthError> {
-    if let BackendChoice::Cdcl(config) = &options.backend {
-        if options.depth_parallel && lo >= 1 {
-            return find_min_depth_parallel(spec, lo, hi, start, options, config);
-        }
-        if lo >= 1 {
-            return find_min_depth_incremental(spec, lo, hi, start, options, config);
-        }
+    let BackendChoice::Cdcl(config) = &options.backend else {
+        return find_min_depth_scratch(spec, lo, hi, start, options);
+    };
+    let (lo, hi) = valid_depth_window(spec, lo, hi, start)?;
+    if options.depth_parallel {
+        find_min_depth_parallel(spec, lo, hi, options, config)
+    } else {
+        find_min_depth_incremental(spec, lo, hi, start, options, config)
     }
-    find_min_depth_scratch(spec, lo, hi, start, options)
 }
 
 /// From-scratch mode: the paper's probe walk with one fresh
-/// [`Synthesizer`] per probe, every depth re-encoded. It is the path
-/// for the varisat backend and for `lo == 0`, and the oracle the
-/// incremental search is tested against.
+/// [`Synthesizer`] per probe, every depth re-encoded, over the same
+/// valid window as [`find_min_depth`]. It is the path for the varisat
+/// backend, and the oracle the incremental search is tested against.
+///
+/// # Panics
+///
+/// Panics if `start` is outside `[lo, hi]`.
 ///
 /// # Errors
 ///
-/// Propagates [`SynthError`] from any probe.
+/// The spec error at `start` itself, and any [`SynthError`] from a
+/// probe.
 pub fn find_min_depth_scratch(
     spec: &LasSpec,
     lo: usize,
@@ -252,6 +261,7 @@ pub fn find_min_depth_scratch(
     start: usize,
     options: &SynthOptions,
 ) -> Result<DepthSearch, SynthError> {
+    let (lo, hi) = valid_depth_window(spec, lo, hi, start)?;
     drive_depth_search(lo, hi, start, options.certify, |k| {
         let mut synth = Synthesizer::new(spec.with_depth(k))?.with_options(options.clone());
         let result = synth.run()?;
@@ -264,11 +274,13 @@ pub fn find_min_depth_scratch(
 }
 
 /// The contiguous window of depths around `start`, within `[lo, hi]`,
-/// whose specs all validate: the depths a layered encoding for a search
-/// starting at `start` covers. A layered CNF must be well-formed at
-/// every depth it covers, but a search must not fail on a depth it
-/// never probes (from-scratch mode only errors on the probe that
-/// reaches an invalid depth, and the modes must agree).
+/// whose specs all validate: the depths a search starting at `start`
+/// probes, and so the depths its layered encoding covers (a layered
+/// CNF must be well-formed at every depth it covers).
+///
+/// # Panics
+///
+/// Panics if `start` is outside `[lo, hi]`.
 ///
 /// # Errors
 ///
@@ -279,6 +291,7 @@ pub fn valid_depth_window(
     hi: usize,
     start: usize,
 ) -> Result<(usize, usize), SpecError> {
+    assert!(lo <= start && start <= hi, "start depth outside [lo, hi]");
     spec.with_depth(start).validate()?;
     let valid = |k: usize| spec.with_depth(k).validate().is_ok();
     let mut bottom = start;
@@ -295,18 +308,15 @@ pub fn valid_depth_window(
 /// Incremental mode: a depth-layered CNF and a retained solver session;
 /// each probe is one `solve_assuming` call.
 ///
-/// The session is sized to the probes it can actually see: the layered
-/// CNF pays for its *largest* layer at every probe, so starting with
-/// the full `[lo, hi]` range would tax a descending search (by far the
-/// common case — start at the spec's depth, shrink to the minimum)
-/// with headroom it never probes. Instead the session opens at
-/// `[lo, start]`; only when the first probe is UNSAT does the search
-/// ascend, into a second session sized `[k, hi]` (one rebuild at most,
-/// and the sole probe whose learnt clauses are dropped is the UNSAT
-/// one that forced the turn). Both ranges are cut to their
-/// [`valid_depth_window`], so a depth that is invalid but never probed
-/// cannot fail the search; probing an invalid depth errors, exactly as
-/// from-scratch mode does.
+/// `[lo, hi]` is already the valid window. The session is sized to the
+/// probes it can actually see: the layered CNF pays for its *largest*
+/// layer at every probe, so starting with the full `[lo, hi]` range
+/// would tax a descending search (by far the common case — start at
+/// the spec's depth, shrink to the minimum) with headroom it never
+/// probes. Instead the session opens at `[lo, start]`; only when the
+/// first probe is UNSAT does the search ascend, into a second session
+/// sized `[k, hi]` (one rebuild at most, and the sole probe whose
+/// learnt clauses are dropped is the UNSAT one that forced the turn).
 fn find_min_depth_incremental(
     spec: &LasSpec,
     lo: usize,
@@ -315,8 +325,7 @@ fn find_min_depth_incremental(
     options: &SynthOptions,
     config: &CdclConfig,
 ) -> Result<DepthSearch, SynthError> {
-    let open = |lo: usize, hi: usize, start: usize| -> Result<_, SynthError> {
-        let (bottom, top) = valid_depth_window(spec, lo, hi, start)?;
+    let open = |bottom: usize, top: usize| -> Result<_, SynthError> {
         let layered = encode_layered(spec, bottom, top)?;
         let session = Session::open(
             options,
@@ -327,14 +336,11 @@ fn find_min_depth_incremental(
         );
         Ok((layered, session))
     };
-    let (mut layered, mut session) = open(lo, start, start)?;
+    let (mut layered, mut session) = open(lo, start)?;
     drive_depth_search(lo, hi, start, options.certify, |k| {
-        // The walk stepped past the session's range: reopen it in the
-        // step's direction.
+        // The walk ascended past the session's range: reopen it above.
         if k > layered.hi {
-            (layered, session) = open(k, hi, k)?;
-        } else if k < layered.lo {
-            (layered, session) = open(lo, k, k)?;
+            (layered, session) = open(k, hi)?;
         }
         let before = session.stats();
         let started = Instant::now();
@@ -358,7 +364,7 @@ const EXCHANGE_CAPACITY: usize = 1024;
 /// Depth-parallel mode: one lockstep worker per candidate depth.
 ///
 /// All workers share one depth-layered encoding ([`encode_layered`])
-/// over the [`valid_depth_window`] around `start`; the worker owning
+/// over `[lo, hi]`, already the valid window; the worker owning
 /// depth `k` probes it as `solve_assuming` under that depth's
 /// activation literals. The lockstep fleet runs every worker still
 /// inside the *undecided window*: SAT at depth `k` implies SAT at
@@ -378,25 +384,22 @@ fn find_min_depth_parallel(
     spec: &LasSpec,
     lo: usize,
     hi: usize,
-    start: usize,
     options: &SynthOptions,
     config: &CdclConfig,
 ) -> Result<DepthSearch, SynthError> {
-    assert!(lo <= start && start <= hi, "start depth outside [lo, hi]");
-    let (bottom, top) = valid_depth_window(spec, lo, hi, start)?;
-    let layered = encode_layered(spec, bottom, top)?;
+    let layered = encode_layered(spec, lo, hi)?;
     let hub = options
         .share_clauses
-        .then(|| Arc::new(ClauseExchange::new(top - bottom + 1, EXCHANGE_CAPACITY)));
-    let sessions = (bottom..=top).map(|k| {
-        let exchange = hub.as_ref().map(|hub| (hub, k - bottom));
+        .then(|| Arc::new(ClauseExchange::new(hi - lo + 1, EXCHANGE_CAPACITY)));
+    let sessions = (lo..=hi).map(|k| {
+        let exchange = hub.as_ref().map(|hub| (hub, k - lo));
         let cnf = &layered.encoding.cnf;
         let session = Session::open(options, config.clone(), cnf, &layered.activation, exchange);
         (k, session)
     });
     let mut fleet = Fleet::new("depth", sessions, &options.budget);
     // The undecided window, as an inclusive depth range.
-    let window = Cell::new((bottom, top));
+    let window = Cell::new((lo, hi));
     let mut best: Option<LasDesign> = None;
     let exhaustion = fleet.run(
         options,
@@ -411,8 +414,8 @@ fn find_min_depth_parallel(
                 decode_layered(&layered, spec, k, model)
             })?;
             // Dominated workers stay idle, so every SAT here is a new
-            // minimum and every UNSAT raises the floor (`k >= 1`, so
-            // `k - 1` cannot underflow).
+            // minimum and every UNSAT raises the floor (depth 0 never
+            // validates, so `k >= 1` and `k - 1` cannot underflow).
             let (floor, ceiling) = window.get();
             let (floor, ceiling) = match result {
                 SynthResult::Sat(design) => {
@@ -425,18 +428,6 @@ fn find_min_depth_parallel(
             Ok(floor > ceiling)
         },
     )?;
-    // Sequential mode walks off the valid window's edges: descending
-    // from a SAT verdict at the window floor it probes `bottom - 1`,
-    // and ascending past an all-UNSAT window it probes `top + 1` —
-    // erring exactly when that depth's spec is malformed (which, when
-    // the window was cut, is by construction). Reproduce those errors.
-    let best_depth = best.as_ref().map(|d| d.spec().max_k);
-    if best_depth == Some(bottom) && bottom > lo {
-        spec.with_depth(bottom - 1).validate()?;
-    }
-    if best_depth.is_none() && window.get().0 == top + 1 && top < hi {
-        spec.with_depth(top + 1).validate()?;
-    }
     let probes = fleet
         .workers
         .iter()
@@ -490,9 +481,9 @@ pub struct PortfolioOutcome {
     /// only when *every* worker fails does the run error out instead.
     pub quarantined: Vec<(u64, String)>,
     /// Why the portfolio stopped without a verdict: the lockstep
-    /// driver's reason (deadline or cancellation), else the reason the
-    /// first worker in seed order gave up. `None` when a worker reached
-    /// a verdict, or when nothing but crashes ended the run.
+    /// driver's deadline, else the reason the first worker in seed
+    /// order gave up. `None` when a worker reached a verdict, or when
+    /// nothing but crashes ended the run.
     pub exhaustion: Option<ExhaustionReason>,
 }
 
@@ -601,8 +592,8 @@ pub fn solve_portfolio_detailed(
 mod tests {
     use super::*;
     use lasre::fixtures::cnot_spec;
+    use lasre::{Axis, Port};
     use sat::Budget;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn depth_search_descends_to_minimum() {
@@ -680,6 +671,63 @@ mod tests {
     #[test]
     fn unprobed_invalid_depths_do_not_fail_the_search() {
         assert_modes_agree(&cnot_spec(), 1, 5, 4);
+    }
+
+    /// The spec of `examples/specs/wire.json`: one patch carried from
+    /// the bottom to the top of a 1×1 footprint. Depth 1 is malformed
+    /// (the `+K` port's boundary cube falls out of the arrays) and
+    /// depth 2 is the minimum.
+    fn wire_spec() -> LasSpec {
+        LasSpec {
+            name: "wire".into(),
+            max_i: 1,
+            max_j: 1,
+            max_k: 3,
+            ports: vec![
+                Port::parse(0, 0, 0, "+K", Axis::J),
+                Port::parse(0, 0, 3, "-K", Axis::J),
+            ],
+            stabilizers: ["ZZ", "XX"].iter().map(|s| s.parse().unwrap()).collect(),
+            forbidden_cubes: Vec::new(),
+            allow_y_cubes: true,
+        }
+    }
+
+    /// A descent that reaches the valid window's floor stops there
+    /// instead of probing the malformed depth below it: every mode
+    /// certifies the wire's minimum 2 from a range that includes its
+    /// malformed depth 1.
+    #[test]
+    fn every_mode_searches_only_the_valid_window() {
+        let spec = wire_spec();
+        let varisat = SynthOptions {
+            backend: BackendChoice::Varisat,
+            ..SynthOptions::default()
+        };
+        let runs = [
+            (
+                "walk",
+                find_min_depth(&spec, 1, 5, 3, &SynthOptions::default()),
+            ),
+            (
+                "parallel",
+                find_min_depth(&spec, 1, 5, 3, &depth_parallel_options(false)),
+            ),
+            (
+                "parallel shared",
+                find_min_depth(&spec, 1, 5, 3, &depth_parallel_options(true)),
+            ),
+            ("varisat", find_min_depth(&spec, 1, 5, 3, &varisat)),
+            (
+                "scratch",
+                find_min_depth_scratch(&spec, 1, 5, 3, &SynthOptions::default()),
+            ),
+        ];
+        for (mode, search) in runs {
+            let search = search.unwrap_or_else(|e| panic!("{mode}: {e}"));
+            assert_eq!(search.window(), (2, Some(2)), "{mode}");
+            assert_eq!((search.lo, search.hi), (2, 5), "{mode}");
+        }
     }
 
     /// Probing an invalid depth errors in both modes: starting *at*
@@ -980,32 +1028,29 @@ mod tests {
         );
     }
 
-    /// Options whose driver gives up before the first turn: a raised
-    /// stop flag (`Cancelled`) or an already-passed deadline
-    /// (`Deadline`).
-    fn stopped_up_front(base: SynthOptions) -> [(SynthOptions, ExhaustionReason); 2] {
-        let mut cancelled = base.clone();
-        cancelled.budget.stop = Some(Arc::new(AtomicBool::new(true)));
+    /// Options whose driver gives up before the first turn: an
+    /// already-passed deadline.
+    fn stopped_up_front(base: SynthOptions) -> SynthOptions {
         let mut late = base;
         late.budget.max_time = Some(Duration::ZERO);
-        [
-            (cancelled, ExhaustionReason::Cancelled),
-            (late, ExhaustionReason::Deadline),
-        ]
+        late
     }
 
-    /// A depth-parallel driver checks the stop flag and the deadline
-    /// before every turn, so a fleet stopped up front takes no turn,
-    /// reports no probe, and names the driver's reason.
+    /// A depth-parallel driver checks the deadline before every turn,
+    /// so a fleet stopped up front takes no turn, reports no probe, and
+    /// names the driver's reason.
     #[test]
     fn depth_parallel_driver_reports_why_it_stopped() {
         for share in [false, true] {
-            for (options, reason) in stopped_up_front(depth_parallel_options(share)) {
-                let search = find_min_depth(&cnot_spec(), 2, 5, 4, &options).unwrap();
-                assert!(search.probes.is_empty(), "share={share} {reason}");
-                assert_eq!(search.window(), (2, None), "share={share} {reason}");
-                assert_eq!(search.exhaustion, Some(reason), "share={share}");
-            }
+            let options = stopped_up_front(depth_parallel_options(share));
+            let search = find_min_depth(&cnot_spec(), 2, 5, 4, &options).unwrap();
+            assert!(search.probes.is_empty(), "share={share}");
+            assert_eq!(search.window(), (2, None), "share={share}");
+            assert_eq!(
+                search.exhaustion,
+                Some(ExhaustionReason::Deadline),
+                "share={share}"
+            );
         }
     }
 
@@ -1018,21 +1063,22 @@ mod tests {
                 share_clauses: share,
                 ..shared_options()
             };
-            for (options, reason) in stopped_up_front(base.clone()) {
-                let o = solve_portfolio_detailed(&cnot_spec(), &[0, 1], &options).unwrap();
-                assert!(matches!(o.result, SynthResult::Unknown), "{reason}");
-                assert_eq!(o.winner_seed, None);
-                assert_eq!(
-                    o.total().expect("lockstep workers report stats").conflicts,
-                    0
-                );
-                assert_eq!(o.exhaustion, Some(reason), "share={share}");
-            }
-            // A flag that stays down lets the portfolio answer, and a
-            // verdict leaves nothing to explain.
-            let mut options = base;
-            options.budget.stop = Some(Arc::new(AtomicBool::new(false)));
+            let options = stopped_up_front(base.clone());
             let o = solve_portfolio_detailed(&cnot_spec(), &[0, 1], &options).unwrap();
+            assert!(matches!(o.result, SynthResult::Unknown), "share={share}");
+            assert_eq!(o.winner_seed, None);
+            assert_eq!(
+                o.total().expect("lockstep workers report stats").conflicts,
+                0
+            );
+            assert_eq!(
+                o.exhaustion,
+                Some(ExhaustionReason::Deadline),
+                "share={share}"
+            );
+            // Without the deadline the portfolio answers, and a verdict
+            // leaves nothing to explain.
+            let o = solve_portfolio_detailed(&cnot_spec(), &[0, 1], &base).unwrap();
             assert!(o.result.is_sat(), "share={share}");
             assert_eq!(o.exhaustion, None);
         }

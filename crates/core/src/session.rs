@@ -7,8 +7,8 @@
 //! conflict quanta (deterministic lockstep search: Hamadi, Jabbour,
 //! Piette & Sais, JSAT 2011). Isolated workers take a round's turns on
 //! scoped threads; clause-sharing workers take them one at a time. The
-//! deadline is checked between turns, the stop flag also inside them,
-//! and each quantum is a crash-isolation boundary.
+//! deadline is checked between turns, and each quantum is a
+//! crash-isolation boundary.
 
 use crate::synthesize::{SynthError, SynthOptions, SynthResult};
 use crate::verify::verify;
@@ -19,7 +19,6 @@ use sat::{
 };
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -169,9 +168,9 @@ pub(crate) struct Worker<W> {
 
 impl<W> Worker<W> {
     /// Takes one turn of at most `quantum` conflicts under `limits`'
-    /// memory ceiling and stop flag, and books it: the time, the
-    /// conflicts spent, and a crash or retirement as the new state.
-    /// Returns the outcome when it is a verdict.
+    /// memory ceiling, and books it: the time, the conflicts spent, and
+    /// a crash or retirement as the new state. Returns the outcome when
+    /// it is a verdict.
     fn take_turn(
         &mut self,
         assumptions: &[Lit],
@@ -181,7 +180,6 @@ impl<W> Worker<W> {
         let turn = Budget {
             max_conflicts: Some(self.remaining.map_or(quantum, |r| r.min(quantum))),
             max_memory_words: limits.max_memory_words,
-            stop: limits.stop.clone(),
             ..Budget::default()
         };
         let before = self.session.stats().conflicts;
@@ -208,8 +206,6 @@ impl<W> Worker<W> {
             SolveOutcome::Unknown(ExhaustionReason::Memory) => {
                 self.state = WorkerState::Retired(ExhaustionReason::Memory);
             }
-            // The driver sees the raised flag before the next turn.
-            SolveOutcome::Unknown(ExhaustionReason::Cancelled) => {}
             // Otherwise the quantum ran dry; retire once the worker's own
             // budget is spent (`spent == 0` guards against a worker that
             // makes no progress).
@@ -265,9 +261,9 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
     /// ineligible is dropped unchecked, and the worker stays undecided.
     ///
     /// Returns why the fleet stopped without being told to: the driver's
-    /// reason (the caller's stop flag, or `options.budget.max_time` as
-    /// one whole-run deadline), else the first retired worker's. `None`
-    /// when `verdict` stopped it or only crashes ended it.
+    /// deadline (`options.budget.max_time`, one whole-run wall clock),
+    /// else the first retired worker's. `None` when `verdict` stopped it
+    /// or only crashes ended it.
     ///
     /// # Errors
     ///
@@ -306,13 +302,6 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
                     .collect();
                 if members.is_empty() {
                     continue;
-                }
-                if limits
-                    .stop
-                    .as_ref()
-                    .is_some_and(|s| s.load(Ordering::Relaxed))
-                {
-                    return Ok(Some(ExhaustionReason::Cancelled));
                 }
                 if deadline.is_some_and(|d| Instant::now() >= d) {
                     return Ok(Some(ExhaustionReason::Deadline));

@@ -52,17 +52,6 @@ impl BitVec {
         v
     }
 
-    /// Creates a vector with exactly one bit set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= len`.
-    pub fn unit(len: usize, idx: usize) -> Self {
-        let mut v = BitVec::zeros(len);
-        v.set(idx, true);
-        v
-    }
-
     /// Number of bits in the vector.
     #[inline]
     pub fn len(&self) -> usize {
@@ -110,21 +99,6 @@ impl BitVec {
         }
     }
 
-    /// Flips the bit at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= len`.
-    #[inline]
-    pub fn flip(&mut self, idx: usize) {
-        assert!(
-            idx < self.len,
-            "bit index {idx} out of range (len {})",
-            self.len
-        );
-        self.words[idx / WORD_BITS] ^= 1u64 << (idx % WORD_BITS);
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -164,17 +138,6 @@ impl BitVec {
             word_idx: 0,
             current: self.words.first().copied().unwrap_or(0),
         }
-    }
-
-    /// Grows the vector to `new_len` bits, padding with zeros.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_len < len`.
-    pub fn grow(&mut self, new_len: usize) {
-        assert!(new_len >= self.len, "grow may not shrink");
-        self.len = new_len;
-        self.words.resize(words_for(new_len), 0);
     }
 
     /// Masks off any bits beyond `len` in the last word.
@@ -290,15 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn flip_toggles() {
-        let mut v = BitVec::zeros(10);
-        v.flip(5);
-        assert!(v.get(5));
-        v.flip(5);
-        assert!(!v.get(5));
-    }
-
-    #[test]
     fn xor_adds() {
         let a = BitVec::from_bools([true, true, false, false]);
         let b = BitVec::from_bools([true, false, true, false]);
@@ -332,21 +286,6 @@ mod tests {
             v.set(i, true);
         }
         assert_eq!(v.iter_ones().collect::<Vec<_>>(), idxs);
-    }
-
-    #[test]
-    fn unit_vector() {
-        let v = BitVec::unit(70, 69);
-        assert_eq!(v.count_ones(), 1);
-        assert!(v.get(69));
-    }
-
-    #[test]
-    fn grow_preserves() {
-        let mut v = BitVec::from_bools([true, false, true]);
-        v.grow(100);
-        assert_eq!(v.len(), 100);
-        assert!(v.get(0) && v.get(2) && !v.get(50));
     }
 
     #[test]

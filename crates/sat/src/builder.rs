@@ -189,15 +189,6 @@ impl CnfBuilder {
         t
     }
 
-    /// Returns a literal equivalent to the conjunction of `lits`.
-    pub fn and_many(&mut self, lits: &[Lit]) -> Lit {
-        let mut acc = self.true_lit();
-        for &l in lits {
-            acc = self.and(acc, l);
-        }
-        acc
-    }
-
     /// Emits `guards ⇒ (t₁ ⊕ t₂ ⊕ … = parity)` by direct expansion.
     ///
     /// Constant terms are folded into `parity`. Intended for the small

@@ -182,7 +182,6 @@ use crate::proof::ProofLog;
 use crate::{Backend, Budget, Cnf, ExhaustionReason, Lit, Model, SolveOutcome, Var};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -499,16 +498,11 @@ solver_stats! {
     imported_kept,
     /// Solves that gave up because the conflict budget expired.
     exhausted_conflicts,
-    /// Solves that gave up because the propagation budget expired.
-    exhausted_propagations,
     /// Solves that gave up because the wall-clock deadline passed.
     exhausted_deadline,
     /// Solves that gave up at the memory ceiling (or on a simulated
     /// arena-growth failure).
     exhausted_memory,
-    /// Solves that gave up because the cooperative stop flag was
-    /// raised.
-    exhausted_cancelled,
 }
 
 impl SolverStats {
@@ -521,10 +515,8 @@ impl SolverStats {
         use crate::ExhaustionReason as R;
         [
             (self.exhausted_conflicts, R::Conflicts),
-            (self.exhausted_propagations, R::Propagations),
             (self.exhausted_deadline, R::Deadline),
             (self.exhausted_memory, R::Memory),
-            (self.exhausted_cancelled, R::Cancelled),
         ]
         .into_iter()
         .filter(|&(n, _)| n > 0)
@@ -1070,20 +1062,13 @@ impl VarOrder {
     }
 }
 
-/// Whether a cooperative cancellation flag is raised. Shared by the
-/// search loop's budget poll, the restart-boundary prompt exit, and
-/// the inprocessing pass-boundary checks.
-fn stop_requested(stop: Option<&AtomicBool>) -> bool {
-    stop.is_some_and(|s| s.load(Ordering::Relaxed))
-}
-
-/// The governor's pass-boundary halt test: the stop flag or the wall
-/// deadline, whichever trips first. Used between inprocessing passes
-/// and every 1024 elimination candidates, so a solve that has run out
-/// of time stops starting new simplification work. With neither limit
-/// set this is two `Option` tests — zero-cost off.
-fn governor_halt(stop: Option<&AtomicBool>, deadline: Option<Instant>) -> bool {
-    stop_requested(stop) || deadline.is_some_and(|d| Instant::now() >= d)
+/// The governor's pass-boundary halt test: whether the wall deadline
+/// has passed. Used between inprocessing passes and every 1024
+/// elimination candidates, so a solve that has run out of time stops
+/// starting new simplification work. Without a deadline this is one
+/// `Option` test — zero-cost off.
+fn governor_halt(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// A session's connection to a [`ClauseExchange`] hub
@@ -2456,26 +2441,20 @@ impl State {
         true
     }
 
-    /// Which budget axis (if any) has run out: conflicts, propagations
-    /// and the arena memory ceiling checked on every conflict (each is
-    /// one `u64` compare behind an `Option` test), wall clock and stop
-    /// flag amortized to every 256th conflict. Used identically by the
-    /// analysis and repair paths.
+    /// Which budget axis (if any) has run out: conflicts and the arena
+    /// memory ceiling checked on every conflict (each is one `u64`
+    /// compare behind an `Option` test), wall clock amortized to every
+    /// 256th conflict. Used identically by the analysis and repair
+    /// paths.
     fn budget_exhausted(
         &self,
         budget: &Budget,
         start: &Instant,
         conflicts_at_start: u64,
-        propagations_at_start: u64,
     ) -> Option<ExhaustionReason> {
         if let Some(max) = budget.max_conflicts {
             if self.stats.conflicts - conflicts_at_start >= max {
                 return Some(ExhaustionReason::Conflicts);
-            }
-        }
-        if let Some(max) = budget.max_propagations {
-            if self.stats.propagations - propagations_at_start >= max {
-                return Some(ExhaustionReason::Propagations);
             }
         }
         if let Some(max) = budget.max_memory_words {
@@ -2489,11 +2468,6 @@ impl State {
                     return Some(ExhaustionReason::Deadline);
                 }
             }
-            if let Some(stop) = &budget.stop {
-                if stop.load(Ordering::Relaxed) {
-                    return Some(ExhaustionReason::Cancelled);
-                }
-            }
         }
         None
     }
@@ -2503,10 +2477,8 @@ impl State {
     fn record_exhaustion(&mut self, reason: ExhaustionReason) -> SolveOutcome {
         match reason {
             ExhaustionReason::Conflicts => self.stats.exhausted_conflicts += 1,
-            ExhaustionReason::Propagations => self.stats.exhausted_propagations += 1,
             ExhaustionReason::Deadline => self.stats.exhausted_deadline += 1,
             ExhaustionReason::Memory => self.stats.exhausted_memory += 1,
-            ExhaustionReason::Cancelled => self.stats.exhausted_cancelled += 1,
         }
         SolveOutcome::Unknown(reason)
     }
@@ -2605,9 +2577,8 @@ impl State {
         }
         let start = Instant::now();
         let conflicts_at_start = self.stats.conflicts;
-        let propagations_at_start = self.stats.propagations;
         // Governor view of the wall deadline, passed into inprocessing
-        // so a pass boundary can honor it like the stop flag.
+        // so a pass boundary can honor it.
         let deadline = budget.max_time.map(|t| start + t);
         let mut sched = RestartSched::new(&self.config, self.stats.restarts);
         self.oob_active = gate_open(self.config.chrono_from, self.stats.conflicts);
@@ -2678,12 +2649,9 @@ impl State {
                         self.cancel_until(conflict_level - 1);
                         self.enqueue(lone, confl);
                         self.audit_checkpoint(AuditPoint::Backtrack);
-                        if let Some(reason) = self.budget_exhausted(
-                            budget,
-                            &start,
-                            conflicts_at_start,
-                            propagations_at_start,
-                        ) {
+                        if let Some(reason) =
+                            self.budget_exhausted(budget, &start, conflicts_at_start)
+                        {
                             return self.record_exhaustion(reason);
                         }
                         continue;
@@ -2727,9 +2695,7 @@ impl State {
                 /// Learnt-clause activity decay.
                 const CLAUSE_DECAY: f64 = 0.999;
                 self.cla_inc /= CLAUSE_DECAY;
-                if let Some(reason) =
-                    self.budget_exhausted(budget, &start, conflicts_at_start, propagations_at_start)
-                {
+                if let Some(reason) = self.budget_exhausted(budget, &start, conflicts_at_start) {
                     return self.record_exhaustion(reason);
                 }
             } else {
@@ -2745,7 +2711,7 @@ impl State {
                         // applied, so everything it derives is a
                         // consequence of the clauses alone and stays
                         // sound across the incremental session.
-                        self.maybe_inprocess(budget.stop.as_deref(), deadline);
+                        self.maybe_inprocess(deadline);
                         if self.root_unsat {
                             return SolveOutcome::Unsat;
                         }
@@ -2757,14 +2723,10 @@ impl State {
                         if self.root_unsat {
                             return SolveOutcome::Unsat;
                         }
-                        // A cancelled or out-of-time worker leaves
-                        // promptly at the boundary instead of waiting
-                        // for the 256-conflict amortized poll (it just
-                        // paid for inprocessing pass-boundary checks
-                        // too).
-                        if stop_requested(budget.stop.as_deref()) {
-                            return self.record_exhaustion(ExhaustionReason::Cancelled);
-                        }
+                        // An out-of-time solve leaves promptly at the
+                        // boundary instead of waiting for the
+                        // 256-conflict amortized poll (it just paid for
+                        // inprocessing pass-boundary checks too).
                         if deadline.is_some_and(|d| Instant::now() >= d) {
                             return self.record_exhaustion(ExhaustionReason::Deadline);
                         }
@@ -3222,14 +3184,6 @@ mod tests {
             s.stats.exhaustion_reason(),
             Some(ExhaustionReason::Conflicts)
         );
-
-        let mut s = CdclSolver::default();
-        let out = s.solve_with(&c, &[], &Budget::propagation_limit(20));
-        assert!(matches!(
-            out,
-            SolveOutcome::Unknown(ExhaustionReason::Propagations)
-        ));
-        assert_eq!(s.stats.exhausted_propagations, 1);
 
         // A one-word ceiling is below any non-empty arena: the solve
         // halts on its first conflict with a memory verdict.
@@ -4325,12 +4279,11 @@ mod tests {
         assert_eq!(hub.drain(1).len(), 2);
     }
 
-    /// Satellite regression: a raised stop flag is honored at
-    /// inprocessing pass boundaries — a cancelled worker must not burn
-    /// a full subsumption/elimination pass after the winner finished.
+    /// A passed deadline is honored at inprocessing pass boundaries —
+    /// an out-of-time solve must not burn a full subsumption or
+    /// elimination pass after its result stopped mattering.
     #[test]
     fn stop_flag_skips_inprocessing_passes() {
-        use std::sync::atomic::AtomicBool;
         let build = || {
             let mut st = State::new(
                 &cnf(&[&[1, 2], &[1, 2, 3], &[-1, 4], &[-2, -3], &[3, 4, 5]]),
@@ -4344,24 +4297,29 @@ mod tests {
             st.stats.conflicts = st.next_inprocess;
             st
         };
-        let stopped = AtomicBool::new(true);
+        let passed = Instant::now();
         let mut st = build();
-        st.maybe_inprocess(Some(&stopped), None);
-        assert_eq!(st.stats.subsumed_clauses, 0, "subsumption ran despite stop");
-        assert_eq!(st.stats.eliminated_vars, 0, "elimination ran despite stop");
+        st.maybe_inprocess(Some(passed));
+        assert_eq!(
+            st.stats.subsumed_clauses, 0,
+            "subsumption ran past the deadline"
+        );
+        assert_eq!(
+            st.stats.eliminated_vars, 0,
+            "elimination ran past the deadline"
+        );
         let mut st = build();
-        st.maybe_inprocess(None, None);
+        st.maybe_inprocess(None);
         assert!(
             st.stats.subsumed_clauses > 0 || st.stats.eliminated_vars > 0,
             "control run was expected to simplify something"
         );
     }
 
-    /// Satellite regression: a raised stop flag exits at the *restart
-    /// boundary*, well before the 256-conflict amortized budget poll.
+    /// A passed deadline exits at the *restart boundary*, well before
+    /// the 256-conflict amortized budget poll.
     #[test]
     fn stop_flag_exits_at_restart_boundary() {
-        use std::sync::atomic::AtomicBool;
         let config = CdclConfig {
             ema_restarts_from: None,
             restart_base: 10,
@@ -4369,12 +4327,14 @@ mod tests {
         };
         let mut solver = CdclSolver::with_config(config);
         solver.add_cnf(&pigeonhole(7));
-        let stop = Arc::new(AtomicBool::new(true));
-        let outcome = solver.solve_assuming(&[], &Budget::default().with_stop(Arc::clone(&stop)));
-        assert!(matches!(outcome, SolveOutcome::Unknown(_)));
+        let outcome = solver.solve_assuming(&[], &Budget::time_limit(std::time::Duration::ZERO));
+        assert!(matches!(
+            outcome,
+            SolveOutcome::Unknown(ExhaustionReason::Deadline)
+        ));
         assert!(
             solver.session_stats().conflicts < 256,
-            "stop was only honored by the amortized poll, got {} conflicts",
+            "the deadline was only honored by the amortized poll, got {} conflicts",
             solver.session_stats().conflicts
         );
     }

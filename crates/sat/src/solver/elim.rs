@@ -238,7 +238,7 @@ impl State {
             if budget <= 0 || self.root_unsat {
                 break;
             }
-            if v.is_multiple_of(1024) && governor_halt(None, deadline) {
+            if v.is_multiple_of(1024) && governor_halt(deadline) {
                 break;
             }
             if !candidate[v] || index_stale[v] || self.eliminated[v] || !self.is_unassigned(v) {

@@ -193,15 +193,13 @@ impl State {
     /// crossed the schedule. Called at restart boundaries only — the
     /// solver must sit at decision level 0.
     ///
-    /// `stop` is the cooperative cancellation flag of the caller's
-    /// [`Budget`] and `deadline` its wall-clock cutoff: both are
-    /// re-checked at every pass boundary, so a cancelled or
-    /// out-of-time worker abandons the remaining passes instead of
-    /// burning a full subsume/eliminate cycle after its result stopped
-    /// mattering. Search-level determinism is unaffected — the checks
+    /// `deadline` is the wall-clock cutoff of the caller's [`Budget`]:
+    /// it is re-checked at every pass boundary, so an out-of-time solve
+    /// abandons the remaining passes instead of burning a full
+    /// subsume/eliminate cycle after its result stopped mattering. Search-level determinism is unaffected — the checks
     /// only ever *skip* work on the way out of a run whose result is
     /// already discarded (no governor set, no behavior change).
-    pub(super) fn maybe_inprocess(&mut self, stop: Option<&AtomicBool>, deadline: Option<Instant>) {
+    pub(super) fn maybe_inprocess(&mut self, deadline: Option<Instant>) {
         if !self.config.use_subsumption && self.config.elim_from.is_none() {
             return;
         }
@@ -210,7 +208,7 @@ impl State {
         }
         debug_assert_eq!(self.decision_level(), 0);
         let mut changed = false;
-        if self.config.use_subsumption && !self.root_unsat && !governor_halt(stop, deadline) {
+        if self.config.use_subsumption && !self.root_unsat && !governor_halt(deadline) {
             changed |= self.subsume();
             // Tombstones are legal here (the closing GC reclaims them);
             // the checkpoint still rejects them in watches and reasons.
@@ -224,7 +222,7 @@ impl State {
         // untouched by elimination.
         if gate_open(self.config.elim_from, self.stats.conflicts)
             && !self.root_unsat
-            && !governor_halt(stop, deadline)
+            && !governor_halt(deadline)
         {
             changed |= self.eliminate_vars(deadline);
             if !self.root_unsat {

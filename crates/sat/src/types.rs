@@ -2,8 +2,6 @@
 
 use crate::Cnf;
 use std::fmt;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A propositional variable, numbered from 0.
@@ -173,27 +171,20 @@ impl Model {
 pub enum ExhaustionReason {
     /// The conflict budget ([`Budget::max_conflicts`]) expired.
     Conflicts,
-    /// The propagation budget ([`Budget::max_propagations`]) expired.
-    Propagations,
     /// The wall-clock deadline ([`Budget::max_time`]) passed.
     Deadline,
     /// The memory ceiling ([`Budget::max_memory_words`]) was reached
     /// (clause-arena words, covering original and learnt clauses), or
     /// arena growth failed.
     Memory,
-    /// The cooperative [`Budget::stop`] flag was raised, or the
-    /// backend was interrupted without a resource verdict.
-    Cancelled,
 }
 
 impl fmt::Display for ExhaustionReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ExhaustionReason::Conflicts => "conflict budget",
-            ExhaustionReason::Propagations => "propagation budget",
             ExhaustionReason::Deadline => "deadline",
             ExhaustionReason::Memory => "memory ceiling",
-            ExhaustionReason::Cancelled => "cancelled",
         })
     }
 }
@@ -235,15 +226,12 @@ impl SolveOutcome {
 
 /// Resource limits for a solve call.
 ///
-/// The default budget is unlimited. The `stop` flag supports the
-/// parallel portfolio in `synth::optimize`: the first worker to finish
-/// raises it and the others abandon their search.
+/// Three axes, each unlimited by default: conflicts, wall-clock time
+/// and clause-arena memory.
 #[derive(Clone, Debug, Default)]
 pub struct Budget {
     /// Give up after this many conflicts.
     pub max_conflicts: Option<u64>,
-    /// Give up after this many literal propagations.
-    pub max_propagations: Option<u64>,
     /// Give up after this much wall-clock time.
     pub max_time: Option<Duration>,
     /// Give up when the clause arena (original + learnt clauses,
@@ -257,16 +245,9 @@ pub struct Budget {
     /// before the dense subsumption index, flat elimination frames and
     /// spare-free GC).
     pub max_memory_words: Option<u64>,
-    /// Cooperative cancellation flag, checked periodically.
-    pub stop: Option<Arc<AtomicBool>>,
 }
 
 impl Budget {
-    /// An unlimited budget.
-    pub fn unlimited() -> Budget {
-        Budget::default()
-    }
-
     /// A wall-clock budget.
     pub fn time_limit(limit: Duration) -> Budget {
         Budget {
@@ -283,14 +264,6 @@ impl Budget {
         }
     }
 
-    /// A propagation-count budget.
-    pub fn propagation_limit(limit: u64) -> Budget {
-        Budget {
-            max_propagations: Some(limit),
-            ..Budget::default()
-        }
-    }
-
     /// A clause-arena memory ceiling in `u32` words (see
     /// [`Budget::max_memory_words`]).
     pub fn memory_limit_words(limit: u64) -> Budget {
@@ -298,18 +271,6 @@ impl Budget {
             max_memory_words: Some(limit),
             ..Budget::default()
         }
-    }
-
-    /// Attaches a cancellation flag.
-    pub fn with_stop(mut self, stop: Arc<AtomicBool>) -> Budget {
-        self.stop = Some(stop);
-        self
-    }
-
-    /// Attaches a memory ceiling in `u32` arena words.
-    pub fn with_memory_words(mut self, limit: u64) -> Budget {
-        self.max_memory_words = Some(limit);
-        self
     }
 }
 
@@ -375,34 +336,25 @@ mod tests {
     fn exhaustion_reasons_render() {
         let rendered: Vec<String> = [
             ExhaustionReason::Conflicts,
-            ExhaustionReason::Propagations,
             ExhaustionReason::Deadline,
             ExhaustionReason::Memory,
-            ExhaustionReason::Cancelled,
         ]
         .iter()
         .map(|r| r.to_string())
         .collect();
-        assert_eq!(
-            rendered,
-            [
-                "conflict budget",
-                "propagation budget",
-                "deadline",
-                "memory ceiling",
-                "cancelled"
-            ]
-        );
+        assert_eq!(rendered, ["conflict budget", "deadline", "memory ceiling"]);
     }
 
     #[test]
     fn budget_constructors_set_one_axis() {
-        let b = Budget::propagation_limit(10);
-        assert_eq!(b.max_propagations, Some(10));
-        assert!(b.max_conflicts.is_none() && b.max_memory_words.is_none());
+        let b = Budget::conflict_limit(5);
+        assert_eq!(b.max_conflicts, Some(5));
+        assert!(b.max_time.is_none() && b.max_memory_words.is_none());
         let b = Budget::memory_limit_words(1 << 20);
         assert_eq!(b.max_memory_words, Some(1 << 20));
-        let b = Budget::conflict_limit(5).with_memory_words(64);
-        assert_eq!((b.max_conflicts, b.max_memory_words), (Some(5), Some(64)));
+        assert!(b.max_conflicts.is_none() && b.max_time.is_none());
+        let b = Budget::time_limit(Duration::from_secs(1));
+        assert_eq!(b.max_time, Some(Duration::from_secs(1)));
+        assert!(b.max_conflicts.is_none() && b.max_memory_words.is_none());
     }
 }

@@ -31,24 +31,19 @@ impl Backend for VarisatBackend {
             .map(|l| varisat::Lit::from_dimacs(l.to_dimacs() as isize))
             .collect();
         solver.assume(&assume);
-        match solver.solve() {
-            Ok(true) => {
-                let model = solver.model().unwrap_or_default();
-                let mut values = vec![false; cnf.num_vars()];
-                for lit in model {
-                    let d = lit.to_dimacs();
-                    let idx = d.unsigned_abs() - 1;
-                    if idx < values.len() {
-                        values[idx] = d > 0;
-                    }
+        if solver.solve() {
+            let model = solver.model().unwrap_or_default();
+            let mut values = vec![false; cnf.num_vars()];
+            for lit in model {
+                let d = lit.to_dimacs();
+                let idx = d.unsigned_abs() - 1;
+                if idx < values.len() {
+                    values[idx] = d > 0;
                 }
-                SolveOutcome::Sat(Model::new(values))
             }
-            Ok(false) => SolveOutcome::Unsat,
-            // The shim has no budget semantics: an internal solver
-            // error surfaces as an interruption, not a resource
-            // verdict.
-            Err(_) => SolveOutcome::Unknown(crate::ExhaustionReason::Cancelled),
+            SolveOutcome::Sat(Model::new(values))
+        } else {
+            SolveOutcome::Unsat
         }
     }
 }

@@ -26,12 +26,13 @@
 //! automatically when the encoding is large.
 //! `--stats` prints the winning solver's search counters after the
 //! verdict; a portfolio without a verdict adds a `gave up on: <reason>`
-//! line (the deadline, a cancellation, or its first worker's budget).
+//! line (the deadline, or its first worker's budget).
 //!
 //! `depth` runs the min-depth search as one incremental solver session
 //! (learnt clauses shared across probes), and `--stats` prints each
 //! probe's search counters. `--lo` defaults to 1 and `--hi` to the
-//! spec's depth plus two.
+//! spec's depth plus two; the search covers only the depths around the
+//! start whose specs validate.
 //!
 //! Every portfolio runs on one lockstep fleet driver: rounds of
 //! `--quantum N` conflicts per worker, an isolated round's turns in
@@ -793,9 +794,9 @@ fn cmd_depth(args: &Args) -> Result<i32, Failure> {
     }
     let (bound, best) = search.window();
     if best == Some(bound) {
-        // Certified minimum: every shallower depth in range is refuted
-        // (or `bound` is the range floor), so budget expiries or
-        // crashes elsewhere change nothing.
+        // Certified minimum: every shallower depth in range is refuted,
+        // or malformed when `bound` is the valid window's floor, so
+        // budget expiries or crashes elsewhere change nothing.
         outln!("optimal depth: {bound}");
         return Ok(0);
     }

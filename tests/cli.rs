@@ -12,6 +12,10 @@ fn cnot_spec_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs/cnot.json")
 }
 
+fn wire_spec_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs/wire.json")
+}
+
 #[test]
 fn dimacs_emits_well_formed_cnf() {
     let out = bin()
@@ -212,6 +216,28 @@ fn depth_stats_prints_each_probes_counters() {
     }
 }
 
+/// The wire's depth 1 is malformed: the default range `--lo 1` covers
+/// it, but the descent stops at the valid floor 2 and certifies it, as
+/// a walk, from `--start 2`, and on the depth-parallel fleet.
+#[test]
+fn depth_searches_only_the_valid_window() {
+    for extra in [&[][..], &["--start", "2"], &["--depth-parallel"]] {
+        let out = bin()
+            .arg("depth")
+            .arg(wire_spec_path())
+            .args(extra)
+            .output()
+            .expect("run lassynth depth");
+        let text = String::from_utf8_lossy(&out.stdout).to_string();
+        assert!(
+            out.status.success(),
+            "{extra:?} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(text.contains("optimal depth: 2"), "{extra:?}: {text}");
+    }
+}
+
 /// A portfolio's `--stats` adds the whole fleet's bill: every counter
 /// but the exhaustion ones under `portfolio total`, those (prefix
 /// dropped) and the quarantine count under `portfolio exhaustion`.
@@ -251,7 +277,7 @@ fn portfolio_stats_print_the_fleet_total() {
     for counter in [
         " conflicts=0",
         " deadline=0",
-        " cancelled=0",
+        " memory=0",
         "quarantined_workers=0",
     ] {
         assert!(

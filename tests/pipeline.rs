@@ -107,36 +107,6 @@ fn unknown_surfaced_not_panicked() {
     }
 }
 
-/// A stop the caller raises while the portfolio runs reaches every
-/// worker inside its turn: with an unbounded quantum each worker's
-/// first turn would run to its verdict. The flag goes up 1 s in, after
-/// the spec is encoded and the sessions are open, but long before the
-/// Fig. 15 width-5 majority gate solves on either seed, so each worker
-/// gives up with a cancellation.
-#[test]
-fn portfolio_passes_a_mid_run_stop_on() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut options = SynthOptions {
-        parallel_quantum: u64::MAX,
-        ..SynthOptions::default()
-    };
-    options.budget.stop = Some(stop.clone());
-    let raiser = std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_secs(1));
-        stop.store(true, Ordering::Relaxed);
-    });
-    let spec = lassynth::workloads::specs::majority_gate_spec(5);
-    let o = optimize::solve_portfolio_detailed(&spec, &[0, 1], &options).unwrap();
-    raiser.join().unwrap();
-    assert!(matches!(o.result, SynthResult::Unknown));
-    assert_eq!(o.exhaustion, Some(sat::ExhaustionReason::Cancelled));
-    for (seed, stats) in &o.worker_stats {
-        assert_eq!(stats.unwrap().exhausted_cancelled, 1, "seed {seed}");
-    }
-}
-
 /// A seed portfolio without sharing is reproducible: its rounds run
 /// on threads, but the verdicts are settled in seed order, so two runs
 /// name the same winner and every worker spends the same conflicts. A
