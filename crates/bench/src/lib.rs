@@ -6,5 +6,6 @@
 //! they share: aligned table printing and benchmark-record emission.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod report;

@@ -110,6 +110,7 @@ impl BenchRecord {
 
 /// The directory benchmark records are written to: `$BENCH_OUT_DIR` if
 /// set, else the workspace root (two levels above this crate).
+#[expect(clippy::expect_used, reason = "crates/bench is two levels deep")]
 pub fn bench_out_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("BENCH_OUT_DIR") {
         return PathBuf::from(dir);
@@ -117,7 +118,7 @@ pub fn bench_out_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
-        .expect("crates/bench sits two levels below the workspace root") // lint:allow(no-panic)
+        .expect("crates/bench sits two levels below the workspace root")
         .to_path_buf()
 }
 

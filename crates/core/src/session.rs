@@ -32,8 +32,8 @@ pub(crate) struct Session {
 }
 
 impl Session {
-    /// Opens a solver on `cnf` with `base` under the run's overrides
-    /// ([`SynthOptions::solver_config`]). Proof logging starts before
+    /// Opens a solver on `cnf` with `base`, armed with the run's fault
+    /// plan ([`SynthOptions::solver_config`]). Proof logging starts before
     /// the first clause when `options.certify`, so the log is
     /// self-contained. `frozen` literals come back as assumptions on
     /// later solves, so variable elimination must never resolve them

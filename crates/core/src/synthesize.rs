@@ -33,8 +33,10 @@ impl Default for BackendChoice {
 pub struct SynthOptions {
     /// Solver backend selection.
     pub backend: BackendChoice,
-    /// Resource limits for the solve call (per probe in a depth
-    /// search).
+    /// Resource limits: per call of a one-shot solve, per probe of a
+    /// sequential depth search. A lockstep fleet gives each worker its
+    /// own `max_conflicts` and treats `max_time` as one deadline for
+    /// the whole run, checked between turns.
     pub budget: Budget,
     /// Verify the decoded design through ZX flow derivation (on by
     /// default; the formulation guarantees correctness, so this is a
@@ -204,7 +206,8 @@ impl SynthResult {
     pub fn expect_sat(self) -> LasDesign {
         match self {
             SynthResult::Sat(d) => *d,
-            other => panic!("expected SAT synthesis result, got {other:?}"), // lint:allow(no-panic)
+            #[expect(clippy::panic, reason = "documented panic on a non-SAT result")]
+            other => panic!("expected SAT synthesis result, got {other:?}"),
         }
     }
 }

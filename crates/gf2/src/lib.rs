@@ -20,6 +20,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod bitmat;
 mod bitvec;

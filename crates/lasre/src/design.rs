@@ -340,10 +340,11 @@ impl LasDesign {
                     let n = Axis::K.third(p.axis);
                     let h_red_n = red_normal_axis(p.axis, self.color(p.axis, p.base)) == n;
                     // Find the K orientation with matching n-face color.
+                    #[expect(clippy::expect_used, reason = "one of the two K orientations matches")]
                     let o = [false, true]
                         .into_iter()
                         .find(|&o| (red_normal_axis(Axis::K, o) == n) == h_red_n)
-                        .expect("one orientation matches"); // lint:allow(no-panic)
+                        .expect("one orientation matches");
                     if let Some(&prev) = fixed.get(&endref) {
                         assert_eq!(
                             prev, o,

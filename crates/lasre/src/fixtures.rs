@@ -16,6 +16,7 @@ use crate::vars::{CorrKind, StructVar, VarTable};
 /// The CNOT specification of paper Figs. 2/8/10: 2×2 footprint, two
 /// time layers (arrays 2×2×3 with a bottom padding layer for the input
 /// ports), stabilizer flows `ZI→ZI`, `IZ→ZZ`, `XI→XX`, `IX→IX`.
+#[expect(clippy::expect_used, reason = "the fixture's Pauli strings are valid")]
 pub fn cnot_spec() -> LasSpec {
     LasSpec {
         name: "cnot".into(),
@@ -30,7 +31,7 @@ pub fn cnot_spec() -> LasSpec {
         ],
         stabilizers: ["Z.Z.", ".ZZZ", "X.XX", ".X.X"]
             .iter()
-            .map(|s| s.parse().expect("valid pauli")) // lint:allow(no-panic)
+            .map(|s| s.parse().expect("valid pauli"))
             .collect(),
         forbidden_cubes: vec![Coord::new(0, 0, 0), Coord::new(1, 1, 0)],
         allow_y_cubes: true,

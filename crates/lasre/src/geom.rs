@@ -52,12 +52,13 @@ impl Axis {
     /// # Panics
     ///
     /// Panics if `self == other`.
+    #[expect(clippy::expect_used, reason = "distinct axes leave exactly one third")]
     pub fn third(self, other: Axis) -> Axis {
         assert_ne!(self, other, "no third axis for equal axes");
         *Axis::ALL
             .iter()
             .find(|&&a| a != self && a != other)
-            .expect("three axes") // lint:allow(no-panic)
+            .expect("three axes")
     }
 
     /// Parses `"I"`, `"J"` or `"K"` (case-insensitive).

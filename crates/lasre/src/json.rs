@@ -13,13 +13,15 @@ use crate::spec::LasSpec;
 use crate::vars::VarTable;
 use serde::{Deserialize, Serialize};
 
+/// A K pipe's inferred colors: `[i, j, k, lower, upper]`.
+type KColor = (i32, i32, i32, bool, bool);
+
 #[derive(Serialize, Deserialize)]
 struct LasreDoc {
     spec: LasSpec,
     /// One character per variable, `'0'`/`'1'`, in [`VarTable`] order.
     values: String,
-    /// `[i, j, k, lower, upper]` per K pipe with inferred colors.
-    k_colors: Vec<(i32, i32, i32, bool, bool)>,
+    k_colors: Vec<KColor>,
     domain_walls: Vec<Coord>,
     verified: bool,
 }
@@ -35,6 +37,8 @@ pub enum LasreError {
     BadBit(char),
     /// The embedded spec fails validation.
     Spec(crate::spec::SpecError),
+    /// The stored K colors or domain walls differ from the re-inferred ones.
+    KColorMismatch,
 }
 
 impl std::fmt::Display for LasreError {
@@ -46,6 +50,7 @@ impl std::fmt::Display for LasreError {
             }
             LasreError::BadBit(c) => write!(f, "lasre value string contains {c:?}"),
             LasreError::Spec(e) => write!(f, "lasre spec invalid: {e}"),
+            LasreError::KColorMismatch => write!(f, "lasre K colors contradict its values"),
         }
     }
 }
@@ -58,14 +63,9 @@ impl From<serde_json::Error> for LasreError {
     }
 }
 
-/// Serializes a design to the `.lasre` JSON format.
-pub fn to_lasre(design: &LasDesign) -> String {
-    let values: String = design
-        .values()
-        .iter()
-        .map(|&b| if b { '1' } else { '0' })
-        .collect();
-    let mut k_colors: Vec<(i32, i32, i32, bool, bool)> = design
+/// A design's inferred K colors and its domain walls, both sorted.
+fn k_colors_and_walls(design: &LasDesign) -> (Vec<KColor>, Vec<Coord>) {
+    let mut k_colors: Vec<_> = design
         .pipes()
         .into_iter()
         .filter(|p| p.axis == Axis::K)
@@ -78,6 +78,18 @@ pub fn to_lasre(design: &LasDesign) -> String {
     k_colors.sort();
     let mut domain_walls: Vec<Coord> = design.domain_walls().iter().copied().collect();
     domain_walls.sort();
+    (k_colors, domain_walls)
+}
+
+/// Serializes a design to the `.lasre` JSON format.
+#[expect(clippy::expect_used, reason = "a `LasreDoc` always serializes")]
+pub fn to_lasre(design: &LasDesign) -> String {
+    let values: String = design
+        .values()
+        .iter()
+        .map(|&b| if b { '1' } else { '0' })
+        .collect();
+    let (k_colors, domain_walls) = k_colors_and_walls(design);
     let doc = LasreDoc {
         spec: design.spec().clone(),
         values,
@@ -85,7 +97,7 @@ pub fn to_lasre(design: &LasDesign) -> String {
         domain_walls,
         verified: design.verified(),
     };
-    serde_json::to_string_pretty(&doc).expect("lasre serializes") // lint:allow(no-panic)
+    serde_json::to_string_pretty(&doc).expect("lasre serializes")
 }
 
 /// Loads a design from the `.lasre` JSON format, re-running the K-color
@@ -114,6 +126,9 @@ pub fn from_lasre(text: &str) -> Result<LasDesign, LasreError> {
     }
     let mut design = LasDesign::new(doc.spec, values);
     design.infer_k_colors();
+    if k_colors_and_walls(&design) != (doc.k_colors, doc.domain_walls) {
+        return Err(LasreError::KColorMismatch);
+    }
     design.set_verified(doc.verified);
     Ok(design)
 }
@@ -157,6 +172,17 @@ mod tests {
         let idx = text.find("\"values\": \"").unwrap() + "\"values\": \"".len();
         text.replace_range(idx..idx + 1, "x");
         assert!(matches!(from_lasre(&text), Err(LasreError::BadBit('x'))));
+    }
+
+    #[test]
+    fn rejects_tampered_k_colors() {
+        let mut d = cnot_design();
+        d.infer_k_colors();
+        let mut doc = to_lasre(&d);
+        let start = doc.find("\"k_colors\"").unwrap();
+        let end = doc.find("\"domain_walls\"").unwrap();
+        doc.replace_range(start..end, "\"k_colors\": [[9, 9, 9, true, true]],\n  ");
+        assert!(matches!(from_lasre(&doc), Err(LasreError::KColorMismatch)));
     }
 
     #[test]

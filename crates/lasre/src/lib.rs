@@ -16,6 +16,7 @@
 //! the `lassynth-core` crate; this crate is pure representation.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod design;
 pub mod fixtures;

@@ -39,10 +39,11 @@ impl Port {
     /// # Panics
     ///
     /// Panics if `dir` does not parse.
+    #[expect(clippy::expect_used, reason = "documented panic on a bad direction")]
     pub fn parse(i: i32, j: i32, k: i32, dir: &str, z: Axis) -> Port {
         Port::new(
             Coord::new(i, j, k),
-            Dir::parse(dir).expect("valid direction"), // lint:allow(no-panic)
+            Dir::parse(dir).expect("valid direction"),
             z,
         )
     }

@@ -51,10 +51,11 @@ pub fn write<W: Write>(cnf: &Cnf, out: &mut W) -> io::Result<()> {
 }
 
 /// Renders `cnf` as a DIMACS string.
+#[expect(clippy::expect_used, reason = "Vec writes never fail; DIMACS is ASCII")]
 pub fn to_string(cnf: &Cnf) -> String {
     let mut buf = Vec::new();
-    write(cnf, &mut buf).expect("writing to Vec cannot fail"); // lint:allow(no-panic)
-    String::from_utf8(buf).expect("dimacs output is ascii") // lint:allow(no-panic)
+    write(cnf, &mut buf).expect("writing to Vec cannot fail");
+    String::from_utf8(buf).expect("dimacs output is ascii")
 }
 
 /// Parses a DIMACS CNF.

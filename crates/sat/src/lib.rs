@@ -36,6 +36,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Denied only on the hot-path scopes and in `solver.rs` / `proof.rs`.
+#![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
+#![allow(clippy::disallowed_types)]
 
 pub mod analyze;
 mod builder;

@@ -36,6 +36,8 @@
 //! binary DRAT ([`ProofLog::write_drat`]) to be checked against a
 //! DIMACS file holding the inputs.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::{Cnf, Lit};
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -147,9 +149,9 @@ impl ProofLog {
     /// sorted literal list, with a (possibly zero or negative, if the
     /// log is inconsistent) occurrence count. Used by the audit layer
     /// to cross-check the solver's live arena against the log.
-    // lint:allow(no-std-hashmap) — a cold audit helper.
+    #[expect(clippy::disallowed_types, reason = "a cold audit helper")]
     pub fn live_multiset(&self) -> std::collections::HashMap<Vec<Lit>, i64> {
-        let mut live = std::collections::HashMap::new(); // lint:allow(no-std-hashmap)
+        let mut live = std::collections::HashMap::new();
         for (kind, lits) in self.iter() {
             let mut key = lits.to_vec();
             key.sort_unstable();
@@ -797,9 +799,9 @@ impl Checker {
         self.qhead = len;
     }
 
-    // lint:hot-path
     /// Unit-propagates from `qhead`. Returns the falsified clause on a
     /// conflict.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let falsified = !self.trail[self.qhead];
@@ -849,7 +851,6 @@ impl Checker {
         }
         None
     }
-    // lint:hot-path-end
 
     /// Puts `c` in the cone; a derived clause becomes a pending check.
     fn mark(&mut self, c: u32) {
@@ -896,7 +897,7 @@ impl Checker {
             }
             Conflict::True(l) => self.reach(l.var().index(), root_len),
         }
-        // lint:hot-path
+        #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
         while let Some(v) = self.stack.pop() {
             let r = self.reason[v as usize];
             if r == NONE {
@@ -908,7 +909,6 @@ impl Checker {
                 self.reach(self.lits[k].var().index(), root_len);
             }
         }
-        // lint:hot-path-end
         for &v in &self.touched {
             self.seen[v as usize] = false;
         }

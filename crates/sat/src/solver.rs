@@ -177,6 +177,8 @@
 //! eliminated variable reintroduces it from the elimination stack
 //! before solving.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::exchange::{ClauseExchange, ShareLimits};
 use crate::proof::ProofLog;
 use crate::{Backend, Budget, Cnf, ExhaustionReason, Lit, Model, SolveOutcome, Var};
@@ -563,11 +565,12 @@ impl CdclSolver {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "the session was created just above")]
     fn session_mut(&mut self) -> &mut State {
         if self.session.is_none() {
             self.session = Some(State::empty(self.config.clone()));
         }
-        self.session.as_mut().expect("session just created") // lint:allow(no-panic)
+        self.session.as_mut().expect("session just created")
     }
 
     /// Number of variables in the incremental session (0 before the
@@ -1004,7 +1007,8 @@ impl VarOrder {
 
     fn pop_max(&mut self) -> Option<u32> {
         let top = *self.heap.first()?;
-        let last = self.heap.pop().expect("non-empty"); // lint:allow(no-panic)
+        #[expect(clippy::expect_used, reason = "`first()` found the heap non-empty")]
+        let last = self.heap.pop().expect("non-empty");
         self.pos[top as usize] = -1;
         if !self.heap.is_empty() {
             self.heap[0] = last;
@@ -1536,10 +1540,11 @@ impl State {
         for k in 0..2 {
             let l = self.arena.lit(cref, k);
             let list = &mut self.watches[l.code()];
+            #[expect(clippy::expect_used, reason = "attached clauses are watched")]
             let pos = list
                 .iter()
                 .position(|w| w.cref() == cref)
-                .expect("attached clause has a watcher on each watched literal"); // lint:allow(no-panic)
+                .expect("attached clause has a watcher on each watched literal");
             list.swap_remove(pos);
         }
     }
@@ -1572,12 +1577,14 @@ impl State {
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
     }
+}
 
-    // lint:hot-path — propagate/analyze/backtrack are the inner loop of
-    // the search; every scratch buffer is preallocated and reused
-    // (`std::mem::take` round-trips), so an allocation call appearing
-    // below is a performance bug. `cargo run -p xtask -- lint` enforces
-    // this until the matching `lint:hot-path-end` marker.
+/// `hot-path-alloc`: propagate/analyze/backtrack are the inner loop of
+/// the search; every scratch buffer is preallocated and reused
+/// (`std::mem::take` round-trips), so an allocation call in this block
+/// is a performance bug.
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+impl State {
     fn propagate(&mut self) -> Option<ClauseRef> {
         let dl = self.decision_level();
         while self.qhead < self.trail.len() {
@@ -1923,7 +1930,8 @@ impl State {
                 } else {
                     // Dead end: undo the marks of this check only.
                     while self.to_clear.len() > top {
-                        let v = self.to_clear.pop().expect("non-empty") as usize; // lint:allow(no-panic)
+                        #[expect(clippy::expect_used, reason = "`to_clear` is longer than `top`")]
+                        let v = self.to_clear.pop().expect("non-empty") as usize;
                         self.seen[v] = false;
                     }
                     self.analyze_stack.clear();
@@ -1985,8 +1993,9 @@ impl State {
         self.qhead = bound + kept_propagated;
         self.trail_keep = kept;
     }
-    // lint:hot-path-end
+}
 
+impl State {
     /// MiniSat's `analyzeFinal`: the assumption `p` came back false
     /// while being applied, so the current trail (all pseudo-decision
     /// levels, no real decisions yet) implies `¬p`. Walk the
@@ -2082,11 +2091,12 @@ impl State {
     /// Highest decision level among a clause's literals — the level a
     /// falsified clause actually conflicts at, which can lie below the
     /// current decision level once out-of-order assignments exist.
+    #[expect(clippy::expect_used, reason = "clauses are non-empty")]
     fn max_level_in(&self, cref: ClauseRef) -> u32 {
         (0..self.arena.len(cref))
             .map(|k| self.level[self.arena.lit(cref, k).var().index()])
             .max()
-            .expect("clauses are non-empty") // lint:allow(no-panic)
+            .expect("clauses are non-empty")
     }
 
     /// If exactly one literal of the falsified clause sits at `level`,
@@ -2124,14 +2134,16 @@ impl State {
         }
         let old = self.arena.lit(cref, 0);
         let list = &mut self.watches[old.code()];
+        #[expect(clippy::expect_used, reason = "attached clauses are watched")]
         let pos = list
             .iter()
             .position(|w| w.cref() == cref)
-            .expect("attached clause has a watcher on each watched literal"); // lint:allow(no-panic)
+            .expect("attached clause has a watcher on each watched literal");
         list.swap_remove(pos);
+        #[expect(clippy::expect_used, reason = "`l` is a literal of the clause")]
         let k = (2..self.arena.len(cref))
             .find(|&k| self.arena.lit(cref, k) == l)
-            .expect("literal is in the clause"); // lint:allow(no-panic)
+            .expect("literal is in the clause");
         self.arena.swap_lits(cref, 0, k);
         let blocker = self.arena.lit(cref, 1);
         self.watches[l.code()].push(Watcher::new(cref, blocker, false));
@@ -2273,8 +2285,8 @@ impl State {
         // 2c. Rewrite trail reasons (always locked, hence always live).
         for &l in &self.trail {
             let r = &mut self.reason[l.var().index()];
+            #[expect(clippy::expect_used, reason = "locked reasons survive GC")]
             if *r != ClauseRef::NONE {
-                // lint:allow(no-panic)
                 *r = arena.forwarded(*r).expect("reason clause collected by GC");
             }
         }
@@ -2330,7 +2342,8 @@ impl State {
         }
         debug_assert_eq!(self.decision_level(), 0);
         let (hub, worker) = {
-            let link = self.exchange.as_ref().expect("checked above"); // lint:allow(no-panic)
+            #[expect(clippy::expect_used, reason = "the early return checked the link")]
+            let link = self.exchange.as_ref().expect("checked above");
             (Arc::clone(&link.hub), link.worker)
         };
         for shared in hub.drain(worker) {
@@ -2495,10 +2508,10 @@ impl State {
             return None;
         }
         match plan.kind {
+            #[expect(clippy::panic, reason = "the panic is the injected fault")]
             FaultKind::Panic => {
                 if self.stats.conflicts >= plan.at {
                     self.fault_fired = true;
-                    // lint:allow(no-panic): the panic *is* the injected fault
                     panic!(
                         "injected fault: forced panic at conflict {}",
                         self.stats.conflicts

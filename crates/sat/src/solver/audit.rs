@@ -134,9 +134,9 @@ impl State {
             return;
         };
         let live = proof.live_multiset();
-        // Mirrors the proof log's own key map. lint:allow(no-std-hashmap)
+        #[expect(clippy::disallowed_types, reason = "a cold audit helper")]
         let mut arena_counts: std::collections::HashMap<Vec<Lit>, i64> =
-            std::collections::HashMap::new(); // lint:allow(no-std-hashmap)
+            std::collections::HashMap::new();
         for &c in self.clauses.iter().chain(self.learnts.iter().flatten()) {
             if self.arena.is_deleted(c) {
                 continue;

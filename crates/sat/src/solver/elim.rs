@@ -128,10 +128,11 @@ impl State {
     /// clauses, so the formula only tightens. A root contradiction
     /// while replaying latches `root_unsat`.
     fn restore_last_eliminated(&mut self) {
+        #[expect(clippy::expect_used, reason = "callers check the stack is non-empty")]
         let frame = self
             .elim_stack
             .pop()
-            .expect("restore_last_eliminated with an empty elimination stack"); // lint:allow(no-panic)
+            .expect("restore_last_eliminated with an empty elimination stack");
         let v = frame.var.index();
         debug_assert!(self.eliminated[v]);
         self.eliminated[v] = false;
@@ -283,9 +284,10 @@ impl State {
             let limit = pos.len() + neg.len() + ELIM_GROW;
             let mut count = 0usize;
             let mut grew = false;
-            // lint:hot-path — the resolve-and-check loop is quadratic
+            // `hot-path-alloc`: the resolve-and-check loop is quadratic
             // in the occurrence lists and runs over the whole variable
             // range; it touches only the preallocated stamp marks.
+            #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
             'count: for &p in &pos {
                 stamp += 1;
                 let p_len = self.arena.len(p);
@@ -312,7 +314,6 @@ impl State {
                     }
                 }
             }
-            // lint:hot-path-end
             if grew {
                 self.elim_dirty[v] = false;
                 continue;
@@ -440,10 +441,11 @@ impl State {
                     .iter()
                     .any(|&l| l.var().index() != v && (values[l.var().index()] ^ l.is_neg()));
                 if !satisfied_without_v {
+                    #[expect(clippy::expect_used, reason = "frames hold clauses of their variable")]
                     let own = lits
                         .iter()
                         .find(|l| l.var().index() == v)
-                        .expect("elimination frames store clauses containing their variable"); // lint:allow(no-panic)
+                        .expect("elimination frames store clauses containing their variable");
                     values[v] = !own.is_neg();
                     break;
                 }

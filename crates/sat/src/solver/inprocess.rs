@@ -309,13 +309,14 @@ impl State {
             }
             let c_len = self.arena.len(c);
             let c_sig = idx.sigs[ci as usize];
+            #[expect(clippy::expect_used, reason = "clauses have at least two literals")]
             let min_lit = (0..c_len)
                 .map(|i| self.arena.lit(c, i))
                 .min_by_key(|l| idx.occ_len(l.code()))
-                .expect("clauses have at least two literals"); // lint:allow(no-panic)
-                                                               // Clauses containing `min_lit` are subsumption (and
-                                                               // strengthening-elsewhere) candidates; clauses containing
-                                                               // `¬min_lit` can only be strengthened *at* `min_lit`.
+                .expect("clauses have at least two literals");
+            // Clauses containing `min_lit` are subsumption (and
+            // strengthening-elsewhere) candidates; clauses containing
+            // `¬min_lit` can only be strengthened *at* `min_lit`.
             for probe in [min_lit, !min_lit] {
                 // Snapshot the length: strengthened replacements append
                 // to the tail lists mid-loop and get their own queue
@@ -436,10 +437,11 @@ impl State {
     /// needed.
     fn promote_to_original(&mut self, c: ClauseRef) {
         let tier = self.arena.tier(c);
+        #[expect(clippy::expect_used, reason = "a promoted clause is in its tier list")]
         let pos = self.learnts[tier]
             .iter()
             .position(|&x| x == c)
-            .expect("promoted clause is in its tier's learnt list"); // lint:allow(no-panic)
+            .expect("promoted clause is in its tier's learnt list");
         self.learnts[tier].swap_remove(pos);
         self.clauses.push(c);
         self.arena.data[c.0 as usize] &= !LEARNT_BIT;

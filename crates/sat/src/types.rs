@@ -219,7 +219,8 @@ impl SolveOutcome {
     pub fn expect_sat(self) -> Model {
         match self {
             SolveOutcome::Sat(m) => m,
-            other => panic!("expected SAT, got {other:?}"), // lint:allow(no-panic)
+            #[expect(clippy::panic, reason = "documented panic on a non-SAT outcome")]
+            other => panic!("expected SAT, got {other:?}"),
         }
     }
 }

@@ -5,6 +5,9 @@
 //! round-trip through the parser against the original DIMACS inputs,
 //! and corrupted proofs must be rejected.
 
+#![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
+#![allow(clippy::disallowed_types)]
+
 use sat::proof::{self, StepKind};
 use sat::{certify_unsat, Budget, CdclConfig, CdclSolver, Cnf, Lit, ProofLog};
 

@@ -2,6 +2,9 @@
 //! brute force, builder gadget semantics, DIMACS round trips, and the
 //! inprocessing config-matrix torture harness.
 
+#![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
+#![allow(clippy::disallowed_types)]
+
 use proptest::prelude::*;
 use sat::{Backend, Budget, CdclConfig, CdclSolver, Cnf, CnfBuilder, Lit, Var};
 

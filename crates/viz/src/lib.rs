@@ -12,6 +12,7 @@
 //!   (paper Fig. 10).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod gltf;
 pub mod scene;

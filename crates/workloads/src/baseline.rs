@@ -57,8 +57,10 @@ pub fn compile_graph_state(g: &Graph) -> BaselineResult {
         .map(|&v| {
             let mut cols: Vec<usize> = g.neighbors(v);
             cols.push(v);
-            let lo = *cols.iter().min().expect("non-empty"); // lint:allow(no-panic)
-            let hi = *cols.iter().max().expect("non-empty"); // lint:allow(no-panic)
+            #[expect(clippy::expect_used, reason = "`cols` holds at least `v`")]
+            let lo = *cols.iter().min().expect("non-empty");
+            #[expect(clippy::expect_used, reason = "`cols` holds at least `v`")]
+            let hi = *cols.iter().max().expect("non-empty");
             (lo, hi, v)
         })
         .collect();

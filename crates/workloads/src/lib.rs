@@ -15,6 +15,7 @@
 //!   its specs beside the paper's volumes and Kissat times.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod baseline;
 pub mod graphs;

@@ -36,11 +36,12 @@ fn solve(masks: &[u64], candidates: u64, chosen: u64, best: &mut u64) {
         return;
     }
     // Branch on a candidate of maximum degree within the candidate set.
+    #[expect(clippy::expect_used, reason = "the empty set returned above")]
     let v = (0..64)
         .filter(|&v| candidates >> v & 1 == 1)
         .max_by_key(|&v| (masks[v as usize] & candidates).count_ones())
-        .expect("candidates non-empty"); // lint:allow(no-panic)
-                                         // Include v.
+        .expect("candidates non-empty");
+    // Include v.
     solve(
         masks,
         candidates & !(1 << v) & !masks[v as usize],

@@ -137,6 +137,7 @@ pub fn majority_gate_spec(interior_i: usize) -> LasSpec {
 /// The sixteen stabilizer flows of the 15-to-1 T-factory over its 15
 /// injection ports (columns 0–E) and the output port (column F),
 /// transcribed from paper Fig. 16c ([[15,1,3]] code).
+#[expect(clippy::expect_used, reason = "the table's Pauli strings are valid")]
 pub fn t_factory_flows() -> Vec<PauliString> {
     const TABLE: [&str; 16] = [
         "X...XXX.X..X.XX.",
@@ -158,7 +159,7 @@ pub fn t_factory_flows() -> Vec<PauliString> {
     ];
     TABLE
         .iter()
-        .map(|s| s.parse().expect("valid table row")) // lint:allow(no-panic)
+        .map(|s| s.parse().expect("valid table row"))
         .collect()
 }
 

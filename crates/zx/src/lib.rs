@@ -34,6 +34,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod diagram;
 mod flows;

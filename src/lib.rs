@@ -32,6 +32,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use gf2;
 pub use lasre;

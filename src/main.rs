@@ -656,12 +656,16 @@ fn read_cnf(path: &str) -> Result<sat::Cnf, Failure> {
     sat::dimacs::parse_str(&read_text(path)?).map_err(|e| failure(format!("parsing {path}: {e}")))
 }
 
-/// `--lo`/`--hi` as given, usage errors for values that are not numbers.
+/// A depth for `--lo`, `--hi` or `--start`: depth 0 never validates.
+fn positive_depth(v: &str) -> Option<usize> {
+    positive(v).and_then(|n| usize::try_from(n).ok())
+}
+
+/// `--lo`/`--hi` as given, usage errors for values that are not positive.
 fn depth_range(args: &Args) -> Result<(Option<usize>, Option<usize>), Failure> {
-    let number = |v: &str| v.parse().ok();
     Ok((
-        args.get(LO, "a number", number)?,
-        args.get(HI, "a number", number)?,
+        args.get(LO, "a positive number", positive_depth)?,
+        args.get(HI, "a positive number", positive_depth)?,
     ))
 }
 
@@ -671,7 +675,7 @@ fn resolve_range(
     spec: &lasre::LasSpec,
     (lo, hi): (Option<usize>, Option<usize>),
 ) -> Result<(usize, usize), Failure> {
-    let lo = lo.unwrap_or(1).max(1);
+    let lo = lo.unwrap_or(1);
     let hi = hi.unwrap_or(spec.max_k + 2);
     if lo > hi {
         return Err(usage_error(format!("--lo {lo} must not exceed --hi {hi}")));
@@ -755,7 +759,7 @@ fn cmd_check_proof(args: &Args) -> Result<i32, Failure> {
 
 fn cmd_depth(args: &Args) -> Result<i32, Failure> {
     let range = depth_range(args)?;
-    let requested = args.get(START, "a number", |v| v.parse::<usize>().ok())?;
+    let requested = args.get(START, "a positive number", positive_depth)?;
     let options = options_from(args)?;
     fleet_flags_need(args, options.depth_parallel, "--depth-parallel")?;
     let spec = load_spec(args.operands[0])?;

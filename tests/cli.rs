@@ -656,6 +656,10 @@ fn usage_errors_exit_nonzero() {
         ),
         (&["depth", "--lo", "2", "--hi"], "--hi"),
         (&["lint-cnf", "--lo", "2", "--hi", "q"], "--hi"),
+        // Depth 0 never validates: a zero bound is refused as given.
+        (&["depth", "--lo", "0"], "--lo"),
+        (&["depth", "--hi", "0"], "--hi"),
+        (&["lint-cnf", "--lo", "0"], "--lo"),
         // Fleet flags without a fleet to act on.
         (&["synth", "--quantum", "5"], "--quantum"),
         (&["depth", "--quantum", "5"], "--quantum"),

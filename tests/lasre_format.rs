@@ -34,8 +34,9 @@ fn lasre_of_graph_state_design_reverifies() {
 #[test]
 fn tampered_lasre_fails_verification() {
     // Flip a structural bit in the serialized design: the document
-    // still parses, but validity/verification catches the damage —
-    // exactly how the paper caught the buggy published majority gate.
+    // still parses, but the load-time K-color cross-check or
+    // validity/verification catches the damage — exactly how the paper
+    // caught the buggy published majority gate.
     let design = Synthesizer::new(lasre::fixtures::cnot_spec())
         .unwrap()
         .run()
@@ -48,11 +49,14 @@ fn tampered_lasre_fails_verification() {
     let one = text[start..].find('1').unwrap() + start;
     let mut tampered = text.clone();
     tampered.replace_range(one..one + 1, "0");
-    let reloaded = lasre::from_lasre(&tampered).unwrap();
-    let invalid =
-        !lasre::check_validity(&reloaded).is_empty() || verify::verify(&reloaded).is_err();
+    let invalid = match lasre::from_lasre(&tampered) {
+        Err(e) => matches!(e, lasre::LasreError::KColorMismatch),
+        Ok(reloaded) => {
+            !lasre::check_validity(&reloaded).is_empty() || verify::verify(&reloaded).is_err()
+        }
+    };
     assert!(
         invalid,
-        "tampering must be caught by validity or flow checks"
+        "tampering must be caught at load or by validity or flow checks"
     );
 }
