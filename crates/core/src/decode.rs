@@ -5,8 +5,8 @@ use lasre::{Axis, CorrKind, LasDesign, LasSpec, StructVar, VarTable};
 use sat::Model;
 
 /// Turns a satisfying model into a [`LasDesign`]: reads the LaSre
-/// variables off the model, prunes port-disconnected structure (the
-/// paper's "pipe donuts"), and infers K-pipe colors / domain walls.
+/// variables off the model and prunes port-disconnected structure (the
+/// paper's "pipe donuts"; K colors follow, see [`LasDesign::k_colors`]).
 pub fn decode(spec: &LasSpec, encoding: &Encoding, model: &Model) -> LasDesign {
     let values: Vec<bool> = encoding
         .var_map
@@ -15,7 +15,6 @@ pub fn decode(spec: &LasSpec, encoding: &Encoding, model: &Model) -> LasDesign {
         .collect();
     let mut design = LasDesign::new(spec.clone(), values);
     design.prune();
-    design.infer_k_colors();
     design
 }
 
@@ -23,7 +22,7 @@ pub fn decode(spec: &LasSpec, encoding: &Encoding, model: &Model) -> LasDesign {
 /// into a design for `spec.with_depth(depth)`: the layers below `depth`
 /// are copied variable-for-variable out of the full-depth tables (the
 /// tube columns above the active top belong to the outside world and
-/// are simply not part of the shallower spec's arrays).
+/// are simply not part of the shallower spec's arrays), then pruned.
 ///
 /// # Panics
 ///
@@ -73,7 +72,6 @@ pub fn decode_layered(
     }
     let mut design = LasDesign::new(spec_d, values);
     design.prune();
-    design.infer_k_colors();
     design
 }
 

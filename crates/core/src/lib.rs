@@ -3,12 +3,12 @@
 //! This is the paper's primary contribution (Secs. III–IV): given a
 //! [`lasre::LasSpec`] (volume, ports, stabilizer flows), encode the
 //! validity and functionality constraints to CNF, query a SAT backend,
-//! decode the model into a [`lasre::LasDesign`], post-process (prune
-//! disconnected "donuts", infer K-pipe colors, place domain walls) and
-//! verify the result through ZX flow derivation.
+//! decode the model into a [`lasre::LasDesign`], prune disconnected
+//! "donuts" and verify the result through ZX flow derivation (domain
+//! walls from [`lasre::LasDesign::k_colors`] become Hadamard edges).
 //!
 //! * [`encode`] — constraint emission (paper Fig. 9 and Fig. 11),
-//! * [`decode`] — model → design + post-processing,
+//! * [`decode`] — model → pruned design,
 //! * [`verify`] — pipe diagram → ZX diagram → stabilizer flows,
 //! * [`Synthesizer`] — one-shot synthesis with options,
 //! * [`optimize`] — the descending/ascending depth searches of paper

@@ -15,8 +15,8 @@ use zx::{Diagram, FlowGroup, NodeId, SpiderKind, ZxError};
 pub enum VerifyError {
     /// The design contains a cube that cannot be interpreted.
     BadCube(Coord),
-    /// K-pipe colors were not inferred before verification.
-    MissingKColors,
+    /// A K pipe end at this cube gets two colors.
+    KColorConflict(Coord),
     /// Flow derivation failed structurally.
     Zx(ZxError),
     /// Some specification stabilizers are not realized.
@@ -27,7 +27,7 @@ impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VerifyError::BadCube(c) => write!(f, "cube {c} cannot be interpreted"),
-            VerifyError::MissingKColors => write!(f, "run infer_k_colors before verifying"),
+            VerifyError::KColorConflict(c) => write!(f, "conflicting K colors at {c}"),
             VerifyError::Zx(e) => write!(f, "zx derivation failed: {e}"),
             VerifyError::MissingFlows(idx) => {
                 write!(f, "design does not realize stabilizers {idx:?}")
@@ -52,9 +52,10 @@ impl From<ZxError> for VerifyError {
 /// # Errors
 ///
 /// Returns [`VerifyError`] if the design has uninterpretable cubes or
-/// missing K colors.
+/// conflicting K colors.
 pub fn extract_zx(design: &LasDesign) -> Result<Diagram, VerifyError> {
     let spec = design.spec();
+    let k_colors = design.k_colors().map_err(VerifyError::KColorConflict)?;
     let mut diagram = Diagram::new();
     let boundary_nodes: Vec<NodeId> = spec.ports.iter().map(|_| diagram.add_boundary()).collect();
 
@@ -80,10 +81,8 @@ pub fn extract_zx(design: &LasDesign) -> Result<Diagram, VerifyError> {
     // Edges: one per pipe. Port pipes attach to boundary nodes.
     let port_pipes = spec.port_pipes();
     for pipe in design.pipes() {
-        let hadamard = pipe.axis == Axis::K && design.domain_walls().contains(&pipe.base);
-        if pipe.axis == Axis::K && design.k_color(pipe.base).is_none() {
-            return Err(VerifyError::MissingKColors);
-        }
+        let hadamard =
+            pipe.axis == Axis::K && k_colors.get(&pipe.base).is_some_and(|(lo, hi)| lo != hi);
         let (lo, hi) = pipe.endpoints();
         let node_for = |c: Coord| -> Option<NodeId> { cube_nodes.get(&c).copied() };
         let endpoint = |c: Coord, side: Sign| -> Result<NodeId, VerifyError> {
@@ -133,8 +132,7 @@ mod tests {
 
     #[test]
     fn cnot_fixture_extracts_and_verifies() {
-        let mut d = cnot_design();
-        d.infer_k_colors();
+        let d = cnot_design();
         let diagram = extract_zx(&d).unwrap();
         // 4 boundaries + spiders for every structural cube.
         assert_eq!(diagram.boundaries().len(), 4);
@@ -144,23 +142,15 @@ mod tests {
 
     #[test]
     fn wrong_spec_fails_verification() {
-        let mut d = cnot_design();
-        d.infer_k_colors();
+        let d = cnot_design();
         // Claim the design is a SWAP instead: must fail.
         let mut spec = d.spec().clone();
         spec.stabilizers = vec!["Z..Z".parse().unwrap(), ".ZZ.".parse().unwrap()];
         let values = d.values().to_vec();
-        let mut d2 = lasre::LasDesign::new(spec, values[..6 * 12 + 2 * 6 * 12].to_vec());
-        d2.infer_k_colors();
+        let d2 = lasre::LasDesign::new(spec, values[..6 * 12 + 2 * 6 * 12].to_vec());
         match verify(&d2) {
             Err(VerifyError::MissingFlows(idx)) => assert!(!idx.is_empty()),
             other => panic!("expected missing flows, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn unverified_without_k_colors() {
-        let d = cnot_design();
-        assert!(matches!(verify(&d), Err(VerifyError::MissingKColors)));
     }
 }

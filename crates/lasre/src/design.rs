@@ -3,7 +3,7 @@
 use crate::geom::{red_normal_axis, Axis, Bounds, Coord, Sign};
 use crate::spec::LasSpec;
 use crate::vars::{CorrKind, StructVar, VarTable};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// A reference to a pipe: the lower endpoint cube along the pipe's axis,
 /// plus the axis. `Exist{axis}[base]` is the corresponding variable.
@@ -61,20 +61,16 @@ pub enum CubeKind {
 }
 
 /// A solved lattice-surgery subroutine: the spec plus a full variable
-/// assignment and the inferred K-pipe colors / domain walls.
+/// assignment.
 ///
 /// Constructed by the synthesizer's decoder (or by hand, to check
-/// existing human designs). Post-processing entry points:
-/// [`LasDesign::prune`] and [`LasDesign::infer_k_colors`].
+/// existing human designs). Post-processing: [`LasDesign::prune`], and
+/// [`LasDesign::k_colors`] for the K-pipe colors and domain walls.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LasDesign {
     spec: LasSpec,
     table: VarTable,
     values: Vec<bool>,
-    /// Lower/upper color orientation of each existing K pipe.
-    k_colors: HashMap<Coord, (bool, bool)>,
-    /// K pipes containing a domain wall.
-    domain_walls: HashSet<Coord>,
     /// Whether ZX verification succeeded (set by the synthesizer).
     verified: bool,
 }
@@ -96,8 +92,6 @@ impl LasDesign {
             spec,
             table,
             values,
-            k_colors: HashMap::new(),
-            domain_walls: HashSet::new(),
             verified: false,
         }
     }
@@ -141,21 +135,10 @@ impl LasDesign {
     ///
     /// # Panics
     ///
-    /// Panics for K pipes (use [`LasDesign::k_color`]) or out-of-bounds
+    /// Panics for K pipes (use [`LasDesign::k_colors`]) or out-of-bounds
     /// coordinates.
     pub fn color(&self, axis: Axis, c: Coord) -> bool {
         self.values[self.table.structural(StructVar::Color(axis, c))]
-    }
-
-    /// The inferred (lower, upper) color orientations of a K pipe, if
-    /// [`LasDesign::infer_k_colors`] has run.
-    pub fn k_color(&self, base: Coord) -> Option<(bool, bool)> {
-        self.k_colors.get(&base).copied()
-    }
-
-    /// K pipes containing a domain wall (paper's yellow rings).
-    pub fn domain_walls(&self) -> &HashSet<Coord> {
-        &self.domain_walls
     }
 
     /// The correlation-surface bit for stabilizer `s` in the pipe at `c`.
@@ -294,153 +277,86 @@ impl LasDesign {
         removed
     }
 
-    /// Infers the color orientation of each K pipe's two ends from its
-    /// surroundings and places domain walls where the ends disagree
-    /// (paper Sec. IV, post-processing).
+    /// The `(lower, upper)` color orientation of each K pipe's two ends,
+    /// keyed by the pipe's base cube (paper Sec. IV, post-processing). A
+    /// pipe whose ends differ carries a domain wall.
     ///
-    /// # Panics
+    /// A port pipe's outer end takes the port's color; any other end
+    /// takes the color the horizontal pipes at its cube force. The two
+    /// ends meeting at a cube with only K pipes through it share one. An
+    /// end still free copies the other end of its pipe (pipes in
+    /// [`Bounds::iter`] order, until nothing changes), and what stays
+    /// free defaults to `false`.
     ///
-    /// Panics if surrounding constraints are themselves inconsistent,
-    /// which a design satisfying the validity constraints cannot be.
-    pub fn infer_k_colors(&mut self) {
-        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-        struct EndRef {
-            base: Coord,
-            upper: bool,
-        }
-        let bounds = self.bounds();
-        let k_pipes: Vec<Coord> = bounds
+    /// # Errors
+    ///
+    /// Returns the cube where two of those constraints disagree, which
+    /// no design passing [`check_validity`](crate::check_validity)'s
+    /// other rules has.
+    pub fn k_colors(&self) -> Result<BTreeMap<Coord, (bool, bool)>, Coord> {
+        // An end is keyed by its cube and whether it is the upper end of
+        // its pipe; the two ends at a K-only pass-through cube share a key.
+        let key = |cube: Coord, upper: bool| {
+            let through = !self.is_y(cube)
+                && self.has_pipe(Axis::K, cube)
+                && self.has_pipe(Axis::K, cube.prev(Axis::K))
+                && self.occupied_axes(cube) == [Axis::K];
+            (cube, upper && !through)
+        };
+        let pipes: Vec<_> = self
+            .bounds()
             .iter()
             .filter(|&c| self.has_pipe(Axis::K, c))
+            .map(|base| (base, key(base, false), key(base.next(Axis::K), true)))
             .collect();
-        // 1. Fixed constraints at each end.
-        let mut fixed: HashMap<EndRef, bool> = HashMap::new();
+        let mut value: HashMap<(Coord, bool), bool> = HashMap::new();
         let port_pipes = self.spec.port_pipes();
-        for &base in &k_pipes {
-            for upper in [false, true] {
-                let end_cube = if upper { base.next(Axis::K) } else { base };
-                let endref = EndRef { base, upper };
-                // Port pipes: the outer end color comes from the port.
-                if let Some(&pidx) = port_pipes.get(&(base, Axis::K)) {
-                    let port = self.spec.ports[pidx];
-                    let outer_is_upper = port.direction.sign == Sign::Minus;
-                    if upper == outer_is_upper {
-                        fixed.insert(endref, port.color_orientation());
+        for &(base, lo, hi) in &pipes {
+            for (end, upper) in [(lo, false), (hi, true)] {
+                let mut fix = |o: bool| match value.insert(end, o) {
+                    Some(prev) if prev != o => Err(end.0),
+                    _ => Ok(()),
+                };
+                if let Some(&p) = port_pipes.get(&(base, Axis::K)) {
+                    let port = self.spec.ports[p];
+                    if upper == (port.direction.sign == Sign::Minus) {
+                        fix(port.color_orientation())?;
                         continue;
                     }
                 }
-                if !bounds.contains(end_cube) {
-                    continue;
-                }
-                // Horizontal pipes at the end cube constrain the color.
-                for (p, _) in self.incident_pipes(end_cube) {
-                    if p.axis == Axis::K {
-                        continue;
-                    }
-                    let n = Axis::K.third(p.axis);
-                    let h_red_n = red_normal_axis(p.axis, self.color(p.axis, p.base)) == n;
-                    // Find the K orientation with matching n-face color.
-                    #[expect(clippy::expect_used, reason = "one of the two K orientations matches")]
-                    let o = [false, true]
-                        .into_iter()
-                        .find(|&o| (red_normal_axis(Axis::K, o) == n) == h_red_n)
-                        .expect("one orientation matches");
-                    if let Some(&prev) = fixed.get(&endref) {
-                        assert_eq!(
-                            prev, o,
-                            "conflicting K colors at {end_cube} (invalid design)"
-                        );
-                    }
-                    fixed.insert(endref, o);
-                }
-            }
-        }
-        // 2. Continuity: at a cube with only K pipes through it, the
-        //    upper end of the pipe below equals the lower end of the
-        //    pipe above.
-        let mut adj: HashMap<EndRef, Vec<EndRef>> = HashMap::new();
-        for &base in &k_pipes {
-            let top_cube = base.next(Axis::K);
-            let above = top_cube;
-            if self.has_pipe(Axis::K, above) && !self.is_y(top_cube) {
-                let only_k = self.occupied_axes(top_cube) == vec![Axis::K];
-                if only_k {
-                    let a = EndRef { base, upper: true };
-                    let b = EndRef {
-                        base: above,
-                        upper: false,
-                    };
-                    adj.entry(a).or_default().push(b);
-                    adj.entry(b).or_default().push(a);
-                }
-            }
-        }
-        // 3. Propagate fixed values across continuity edges, then within
-        //    pipes (preferring no wall), then default.
-        let mut value: HashMap<EndRef, bool> = fixed.clone();
-        let mut queue: VecDeque<EndRef> = value.keys().copied().collect();
-        while let Some(e) = queue.pop_front() {
-            let v = value[&e];
-            for nb in adj.get(&e).cloned().unwrap_or_default() {
-                match value.get(&nb) {
-                    Some(&existing) => {
-                        assert_eq!(existing, v, "conflicting K colors across {nb:?}")
-                    }
-                    None => {
-                        value.insert(nb, v);
-                        queue.push_back(nb);
+                for (p, _) in self.incident_pipes(end.0) {
+                    if p.axis != Axis::K {
+                        // The K orientation whose faces normal to `n`
+                        // match the horizontal pipe's.
+                        let n = Axis::K.third(p.axis);
+                        let red = red_normal_axis(p.axis, self.color(p.axis, p.base)) == n;
+                        fix((red_normal_axis(Axis::K, true) == n) == red)?;
                     }
                 }
             }
         }
-        // Within-pipe relaxation: copy a decided end to an undecided one.
         let mut changed = true;
         while changed {
             changed = false;
-            for &base in &k_pipes {
-                let lo = EndRef { base, upper: false };
-                let hi = EndRef { base, upper: true };
-                let (lv, hv) = (value.get(&lo).copied(), value.get(&hi).copied());
-                let copy = match (lv, hv) {
-                    (Some(v), None) => Some((hi, v)),
-                    (None, Some(v)) => Some((lo, v)),
+            for &(_, lo, hi) in &pipes {
+                let copy = match (value.get(&lo), value.get(&hi)) {
+                    (Some(&v), None) => Some((hi, v)),
+                    (None, Some(&v)) => Some((lo, v)),
                     _ => None,
                 };
-                if let Some((e, v)) = copy {
-                    value.insert(e, v);
+                if let Some((end, v)) = copy {
+                    value.insert(end, v);
                     changed = true;
-                    // Propagate across continuity edges again.
-                    let mut q = VecDeque::from([e]);
-                    while let Some(x) = q.pop_front() {
-                        let xv = value[&x];
-                        for nb in adj.get(&x).cloned().unwrap_or_default() {
-                            if let Some(&ex) = value.get(&nb) {
-                                assert_eq!(ex, xv, "conflicting K colors");
-                            } else {
-                                value.insert(nb, xv);
-                                q.push_back(nb);
-                            }
-                        }
-                    }
                 }
             }
         }
-        self.k_colors.clear();
-        self.domain_walls.clear();
-        for &base in &k_pipes {
-            let lo = value
-                .get(&EndRef { base, upper: false })
-                .copied()
-                .unwrap_or(false);
-            let hi = value
-                .get(&EndRef { base, upper: true })
-                .copied()
-                .unwrap_or(lo);
-            self.k_colors.insert(base, (lo, hi));
-            if lo != hi {
-                self.domain_walls.insert(base);
-            }
-        }
+        Ok(pipes
+            .into_iter()
+            .map(|(base, lo, hi)| {
+                let lo = value.get(&lo).copied().unwrap_or(false);
+                (base, (lo, value.get(&hi).copied().unwrap_or(lo)))
+            })
+            .collect())
     }
 
     /// The cubes carrying any structure.
@@ -513,15 +429,14 @@ mod tests {
 
     #[test]
     fn k_color_inference_no_walls_needed_for_cnot() {
-        let mut d = cnot_design();
-        d.infer_k_colors();
+        let d = cnot_design();
+        let colors = d.k_colors().unwrap();
         // All ports share z_basis_direction = J, and the single I/J pipes
         // are color-consistent, so no domain wall should appear.
-        assert!(d.domain_walls().is_empty(), "walls: {:?}", d.domain_walls());
+        assert!(colors.values().all(|(lo, hi)| lo == hi), "{colors:?}");
         // Every K pipe has a color.
-        for p in d.pipes().into_iter().filter(|p| p.axis == Axis::K) {
-            assert!(d.k_color(p.base).is_some());
-        }
+        let k_pipes = d.pipes().into_iter().filter(|p| p.axis == Axis::K);
+        assert!(k_pipes.map(|p| p.base).eq(colors.keys().copied()));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! re-validated and re-verified without re-solving.
 
 use crate::design::LasDesign;
-use crate::geom::{Axis, Coord};
+use crate::geom::Coord;
 use crate::spec::LasSpec;
 use crate::vars::VarTable;
 use serde::{Deserialize, Serialize};
@@ -39,6 +39,8 @@ pub enum LasreError {
     Spec(crate::spec::SpecError),
     /// The stored K colors or domain walls differ from the re-inferred ones.
     KColorMismatch,
+    /// The values give a K pipe end two colors at this cube.
+    KColorConflict(Coord),
 }
 
 impl std::fmt::Display for LasreError {
@@ -51,6 +53,9 @@ impl std::fmt::Display for LasreError {
             LasreError::BadBit(c) => write!(f, "lasre value string contains {c:?}"),
             LasreError::Spec(e) => write!(f, "lasre spec invalid: {e}"),
             LasreError::KColorMismatch => write!(f, "lasre K colors contradict its values"),
+            LasreError::KColorConflict(c) => {
+                write!(f, "lasre values give conflicting K colors at {c}")
+            }
         }
     }
 }
@@ -63,25 +68,21 @@ impl From<serde_json::Error> for LasreError {
     }
 }
 
-/// A design's inferred K colors and its domain walls, both sorted.
-fn k_colors_and_walls(design: &LasDesign) -> (Vec<KColor>, Vec<Coord>) {
-    let mut k_colors: Vec<_> = design
-        .pipes()
-        .into_iter()
-        .filter(|p| p.axis == Axis::K)
-        .filter_map(|p| {
-            design
-                .k_color(p.base)
-                .map(|(lo, hi)| (p.base.i, p.base.j, p.base.k, lo, hi))
-        })
-        .collect();
-    k_colors.sort();
-    let mut domain_walls: Vec<Coord> = design.domain_walls().iter().copied().collect();
-    domain_walls.sort();
-    (k_colors, domain_walls)
+/// A design's K colors and its domain walls, both sorted.
+fn k_colors_and_walls(design: &LasDesign) -> Result<(Vec<KColor>, Vec<Coord>), Coord> {
+    let colors = design.k_colors()?;
+    let walls = colors.iter().filter(|(_, (lo, hi))| lo != hi);
+    Ok((
+        colors
+            .iter()
+            .map(|(c, &(lo, hi))| (c.i, c.j, c.k, lo, hi))
+            .collect(),
+        walls.map(|(&c, _)| c).collect(),
+    ))
 }
 
-/// Serializes a design to the `.lasre` JSON format.
+/// Serializes a design to the `.lasre` JSON format. A design whose K
+/// colors conflict (see [`LasDesign::k_colors`]) is stored without any.
 #[expect(clippy::expect_used, reason = "a `LasreDoc` always serializes")]
 pub fn to_lasre(design: &LasDesign) -> String {
     let values: String = design
@@ -89,7 +90,7 @@ pub fn to_lasre(design: &LasDesign) -> String {
         .iter()
         .map(|&b| if b { '1' } else { '0' })
         .collect();
-    let (k_colors, domain_walls) = k_colors_and_walls(design);
+    let (k_colors, domain_walls) = k_colors_and_walls(design).unwrap_or_default();
     let doc = LasreDoc {
         spec: design.spec().clone(),
         values,
@@ -100,12 +101,13 @@ pub fn to_lasre(design: &LasDesign) -> String {
     serde_json::to_string_pretty(&doc).expect("lasre serializes")
 }
 
-/// Loads a design from the `.lasre` JSON format, re-running the K-color
-/// inference (and cross-checking it against the stored one).
+/// Loads a design from the `.lasre` JSON format, re-deriving its K
+/// colors and cross-checking them against the stored ones.
 ///
 /// # Errors
 ///
-/// Returns [`LasreError`] on malformed documents.
+/// Returns [`LasreError`] on malformed documents, including values that
+/// give a K pipe conflicting colors.
 pub fn from_lasre(text: &str) -> Result<LasDesign, LasreError> {
     let doc: LasreDoc = serde_json::from_str(text)?;
     doc.spec.validate().map_err(LasreError::Spec)?;
@@ -125,8 +127,8 @@ pub fn from_lasre(text: &str) -> Result<LasDesign, LasreError> {
         }
     }
     let mut design = LasDesign::new(doc.spec, values);
-    design.infer_k_colors();
-    if k_colors_and_walls(&design) != (doc.k_colors, doc.domain_walls) {
+    let derived = k_colors_and_walls(&design).map_err(LasreError::KColorConflict)?;
+    if derived != (doc.k_colors, doc.domain_walls) {
         return Err(LasreError::KColorMismatch);
     }
     design.set_verified(doc.verified);
@@ -141,20 +143,17 @@ mod tests {
     #[test]
     fn lasre_roundtrip() {
         let mut d = cnot_design();
-        d.infer_k_colors();
         d.set_verified(true);
         let text = to_lasre(&d);
         let back = from_lasre(&text).unwrap();
         assert_eq!(back.values(), d.values());
         assert_eq!(back.spec(), d.spec());
-        assert_eq!(back.domain_walls(), d.domain_walls());
         assert!(back.verified());
     }
 
     #[test]
     fn rejects_wrong_length() {
-        let mut d = cnot_design();
-        d.infer_k_colors();
+        let d = cnot_design();
         let text = to_lasre(&d);
         let broken = text.replace(&"0".repeat(40), &"0".repeat(39));
         assert!(matches!(
@@ -165,8 +164,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_bits() {
-        let mut d = cnot_design();
-        d.infer_k_colors();
+        let d = cnot_design();
         let mut text = to_lasre(&d);
         // Corrupt the first bit of the values string.
         let idx = text.find("\"values\": \"").unwrap() + "\"values\": \"".len();
@@ -176,8 +174,7 @@ mod tests {
 
     #[test]
     fn rejects_tampered_k_colors() {
-        let mut d = cnot_design();
-        d.infer_k_colors();
+        let d = cnot_design();
         let mut doc = to_lasre(&d);
         let start = doc.find("\"k_colors\"").unwrap();
         let end = doc.find("\"domain_walls\"").unwrap();
@@ -187,8 +184,7 @@ mod tests {
 
     #[test]
     fn document_is_stable_json() {
-        let mut d = cnot_design();
-        d.infer_k_colors();
+        let d = cnot_design();
         let a = to_lasre(&d);
         let b = to_lasre(&from_lasre(&a).unwrap());
         assert_eq!(a, b, "serialization must be deterministic");

@@ -60,6 +60,8 @@ fn default_true() -> bool {
 /// Error describing why a specification is malformed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpecError {
+    /// An array extent (`max_i`, `max_j` or `max_k`) is zero.
+    EmptyVolume,
     /// There must be at least one port.
     NoPorts,
     /// A port's boundary cube lies outside the arrays.
@@ -84,6 +86,7 @@ pub enum SpecError {
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SpecError::EmptyVolume => write!(f, "array extents must be positive"),
             SpecError::NoPorts => write!(f, "specification has no ports"),
             SpecError::PortCubeOutOfBounds(p) => {
                 write!(f, "port {p}'s boundary cube is outside the arrays")
@@ -152,6 +155,9 @@ impl LasSpec {
     ///
     /// Returns the first problem found; see [`SpecError`].
     pub fn validate(&self) -> Result<(), SpecError> {
+        if self.max_i == 0 || self.max_j == 0 || self.max_k == 0 {
+            return Err(SpecError::EmptyVolume);
+        }
         let bounds = self.bounds();
         if self.ports.is_empty() {
             return Err(SpecError::NoPorts);
@@ -307,6 +313,17 @@ mod tests {
         s.ports.clear();
         s.stabilizers.clear();
         assert_eq!(s.validate(), Err(SpecError::NoPorts));
+    }
+
+    /// A zero extent is reported before anything builds the bounds,
+    /// which would panic on it.
+    #[test]
+    fn rejects_zero_extents() {
+        for extent in 0..3 {
+            let mut s = cnot_spec();
+            *[&mut s.max_i, &mut s.max_j, &mut s.max_k][extent] = 0;
+            assert_eq!(s.validate(), Err(SpecError::EmptyVolume));
+        }
     }
 
     #[test]

@@ -35,6 +35,9 @@ pub enum ValidityError {
     DegreeOne(Coord),
     /// Two pipes meeting at a cube have mismatched colors (Fig. 9f–g).
     ColorMismatch(Coord),
+    /// A K pipe end at this cube gets two colors, so no domain-wall
+    /// placement legalizes it (see [`LasDesign::k_colors`]).
+    KColorConflict(Coord),
     /// A forbidden cube is occupied.
     ForbiddenOccupied(Coord),
     /// A Y cube appears although the spec disallows them.
@@ -67,10 +70,10 @@ impl std::error::Error for ValidityError {}
 
 /// Checks every validity and functionality constraint on a design.
 ///
-/// Returns all violations (empty = valid). K-pipe color consistency is
-/// checked structurally (horizontal pipes only); K pipes are always
-/// legalizable via domain walls and are checked by
-/// [`LasDesign::infer_k_colors`]'s internal assertions.
+/// Returns all violations (empty = valid). Color matching is checked
+/// between horizontal pipes; a K pipe whose two ends differ is legalized
+/// by a domain wall, so K pipes violate only when one end gets two
+/// colors ([`ValidityError::KColorConflict`]).
 pub fn check_validity(design: &LasDesign) -> Vec<ValidityError> {
     let mut errors = Vec::new();
     let spec = design.spec();
@@ -166,6 +169,10 @@ pub fn check_validity(design: &LasDesign) -> Vec<ValidityError> {
         {
             errors.push(ValidityError::PortFanout(idx));
         }
+    }
+
+    if let Err(c) = design.k_colors() {
+        errors.push(ValidityError::KColorConflict(c));
     }
 
     // Forbidden cubes must stay empty.

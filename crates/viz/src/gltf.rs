@@ -159,8 +159,7 @@ mod tests {
 
     #[test]
     fn gltf_is_valid_json_with_required_keys() {
-        let mut d = lasre::fixtures::cnot_design();
-        d.infer_k_colors();
+        let d = lasre::fixtures::cnot_design();
         let scene = Scene::from_design(&d, SceneOptions::default());
         let text = to_gltf(&scene);
         let doc: serde_json::Value = serde_json::from_str(&text).unwrap();

@@ -7,9 +7,9 @@
 //! * [`gltf`] — a minimal but valid glTF 2.0 writer (JSON with an
 //!   embedded base64 buffer, per-vertex colors), matching the paper's
 //!   choice of output format,
-//! * [`scene`] — turns cubes/pipes/Y-cubes/domain walls into colored
-//!   boxes, optionally overlaying one stabilizer's correlation surface
-//!   (paper Fig. 10).
+//! * [`scene`] — turns cubes/pipes/Y-cubes into colored boxes, with a
+//!   ring on each domain wall ([`lasre::LasDesign::k_colors`]), optionally
+//!   overlaying one stabilizer's correlation surface (paper Fig. 10).
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

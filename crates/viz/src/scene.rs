@@ -50,9 +50,7 @@ mod palette {
 ///
 /// ```
 /// use viz::{Scene, SceneOptions};
-/// let mut design = lasre::fixtures::cnot_design();
-/// design.infer_k_colors();
-/// let scene = Scene::from_design(&design, SceneOptions::default());
+/// let scene = Scene::from_design(&lasre::fixtures::cnot_design(), SceneOptions::default());
 /// assert!(scene.boxes().len() > 10);
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -61,9 +59,10 @@ pub struct Scene {
 }
 
 impl Scene {
-    /// Builds the scene for a (post-processed) design.
+    /// Builds the scene for a design (without domain walls if its K colors conflict).
     pub fn from_design(design: &LasDesign, options: SceneOptions) -> Scene {
         let mut scene = Scene::default();
+        let k_colors = design.k_colors().unwrap_or_default();
         let half = options.cube_size / 2.0;
         for c in design.used_cubes() {
             let color = match design.classify(c) {
@@ -84,7 +83,7 @@ impl Scene {
         }
         for pipe in design.pipes() {
             scene.push_pipe(pipe, options, palette::PIPE);
-            if pipe.axis == Axis::K && design.domain_walls().contains(&pipe.base) {
+            if pipe.axis == Axis::K && k_colors.get(&pipe.base).is_some_and(|(lo, hi)| lo != hi) {
                 // Yellow ring at the pipe's middle.
                 let mut size = [options.pipe_width / 2.0 + 0.06; 3];
                 size[pipe.axis.index()] = 0.08;
@@ -150,9 +149,7 @@ mod tests {
     use lasre::fixtures::cnot_design;
 
     fn scene() -> Scene {
-        let mut d = cnot_design();
-        d.infer_k_colors();
-        Scene::from_design(&d, SceneOptions::default())
+        Scene::from_design(&cnot_design(), SceneOptions::default())
     }
 
     #[test]
@@ -181,8 +178,7 @@ mod tests {
 
     #[test]
     fn correlation_overlay_adds_boxes() {
-        let mut d = cnot_design();
-        d.infer_k_colors();
+        let d = cnot_design();
         let plain = Scene::from_design(&d, SceneOptions::default());
         let overlay = Scene::from_design(
             &d,

@@ -547,10 +547,10 @@ fn run_synth(
 fn cmd_synth(args: &Args) -> Result<i32, Failure> {
     let options = options_from(args)?;
     let mode = args
-        .get(SEEDS, "a number or \"auto\"", |v| match v {
+        .get(SEEDS, "a positive number or \"auto\"", |v| match v {
             "auto" => Some(SeedsMode::Auto),
-            n => match n.parse::<u64>().ok()? {
-                0 | 1 => Some(SeedsMode::Single),
+            n => match positive(n)? {
+                1 => Some(SeedsMode::Single),
                 n => Some(SeedsMode::Portfolio(n)),
             },
         })?
