@@ -4,8 +4,7 @@
 //! of the tile grid and `K` is time. One unit of `K` is one layer of
 //! operations plus `d` rounds of error correction.
 
-use serde::de::Error as _;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use serde_json::{Error, FromJson, ToJson, Value};
 use std::fmt;
 
 /// One of the three spacetime axes.
@@ -82,16 +81,16 @@ impl fmt::Display for Axis {
     }
 }
 
-impl Serialize for Axis {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(&self.to_string())
+impl ToJson for Axis {
+    fn to_json(&self) -> Value {
+        Value::String(self.to_string())
     }
 }
 
-impl<'de> Deserialize<'de> for Axis {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(d)?;
-        Axis::parse(&s).ok_or_else(|| D::Error::custom(format!("invalid axis {s:?}")))
+impl FromJson for Axis {
+    fn from_json(v: Value) -> Result<Self, Error> {
+        let s = String::from_json(v)?;
+        Axis::parse(&s).ok_or_else(|| Error::custom(format!("invalid axis {s:?}")))
     }
 }
 
@@ -158,16 +157,16 @@ impl fmt::Display for Dir {
     }
 }
 
-impl Serialize for Dir {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(&self.to_string())
+impl ToJson for Dir {
+    fn to_json(&self) -> Value {
+        Value::String(self.to_string())
     }
 }
 
-impl<'de> Deserialize<'de> for Dir {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(d)?;
-        Dir::parse(&s).ok_or_else(|| D::Error::custom(format!("invalid direction {s:?}")))
+impl FromJson for Dir {
+    fn from_json(v: Value) -> Result<Self, Error> {
+        let s = String::from_json(v)?;
+        Dir::parse(&s).ok_or_else(|| Error::custom(format!("invalid direction {s:?}")))
     }
 }
 
@@ -232,22 +231,23 @@ impl fmt::Display for Coord {
     }
 }
 
-impl Serialize for Coord {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        [self.i, self.j, self.k].serialize(s)
+/// The JSON form is `[i, j, k]`.
+impl ToJson for Coord {
+    fn to_json(&self) -> Value {
+        [self.i, self.j, self.k].to_json()
     }
 }
 
-impl<'de> Deserialize<'de> for Coord {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let [i, j, k] = <[i32; 3]>::deserialize(d)?;
+impl FromJson for Coord {
+    fn from_json(v: Value) -> Result<Self, Error> {
+        let [i, j, k] = <[i32; 3]>::from_json(v)?;
         Ok(Coord { i, j, k })
     }
 }
 
 /// The allowed variable-array dimensions `(max_i, max_j, max_k)` of a
 /// LaS specification.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Bounds {
     /// Extent along I.
     pub max_i: usize,

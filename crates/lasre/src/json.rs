@@ -11,20 +11,7 @@ use crate::design::LasDesign;
 use crate::geom::Coord;
 use crate::spec::LasSpec;
 use crate::vars::VarTable;
-use serde::{Deserialize, Serialize};
-
-/// A K pipe's inferred colors: `[i, j, k, lower, upper]`.
-type KColor = (i32, i32, i32, bool, bool);
-
-#[derive(Serialize, Deserialize)]
-struct LasreDoc {
-    spec: LasSpec,
-    /// One character per variable, `'0'`/`'1'`, in [`VarTable`] order.
-    values: String,
-    k_colors: Vec<KColor>,
-    domain_walls: Vec<Coord>,
-    verified: bool,
-}
+use serde_json::{json, Fields, ToJson, Value};
 
 /// Error when loading a `.lasre` document.
 #[derive(Debug)]
@@ -68,36 +55,39 @@ impl From<serde_json::Error> for LasreError {
     }
 }
 
-/// A design's K colors and its domain walls, both sorted.
-fn k_colors_and_walls(design: &LasDesign) -> Result<(Vec<KColor>, Vec<Coord>), Coord> {
+/// A design's K colors as sorted `[i, j, k, lower, upper]` rows, and
+/// its sorted domain walls, in their JSON form.
+fn k_colors_and_walls(design: &LasDesign) -> Result<(Value, Value), Coord> {
     let colors = design.k_colors()?;
+    let rows = colors
+        .iter()
+        .map(|(c, &(lo, hi))| json!([c.i, c.j, c.k, lo, hi]));
     let walls = colors.iter().filter(|(_, (lo, hi))| lo != hi);
     Ok((
-        colors
-            .iter()
-            .map(|(c, &(lo, hi))| (c.i, c.j, c.k, lo, hi))
-            .collect(),
-        walls.map(|(&c, _)| c).collect(),
+        Value::Array(rows.collect()),
+        Value::Array(walls.map(|(c, _)| c.to_json()).collect()),
     ))
 }
 
 /// Serializes a design to the `.lasre` JSON format. A design whose K
 /// colors conflict (see [`LasDesign::k_colors`]) is stored without any.
-#[expect(clippy::expect_used, reason = "a `LasreDoc` always serializes")]
+#[expect(clippy::expect_used, reason = "printing JSON never fails")]
 pub fn to_lasre(design: &LasDesign) -> String {
+    // One character per variable, `'0'`/`'1'`, in `VarTable` order.
     let values: String = design
         .values()
         .iter()
         .map(|&b| if b { '1' } else { '0' })
         .collect();
-    let (k_colors, domain_walls) = k_colors_and_walls(design).unwrap_or_default();
-    let doc = LasreDoc {
-        spec: design.spec().clone(),
-        values,
-        k_colors,
-        domain_walls,
-        verified: design.verified(),
-    };
+    let (k_colors, domain_walls) =
+        k_colors_and_walls(design).unwrap_or_else(|_| (json!([]), json!([])));
+    let doc = json!({
+        "spec": design.spec().to_json(),
+        "values": values,
+        "k_colors": k_colors,
+        "domain_walls": domain_walls,
+        "verified": design.verified(),
+    });
     serde_json::to_string_pretty(&doc).expect("lasre serializes")
 }
 
@@ -109,29 +99,33 @@ pub fn to_lasre(design: &LasDesign) -> String {
 /// Returns [`LasreError`] on malformed documents, including values that
 /// give a K pipe conflicting colors.
 pub fn from_lasre(text: &str) -> Result<LasDesign, LasreError> {
-    let doc: LasreDoc = serde_json::from_str(text)?;
-    doc.spec.validate().map_err(LasreError::Spec)?;
-    let table = VarTable::new(doc.spec.bounds(), doc.spec.nstab());
-    if doc.values.len() != table.num_total() {
+    let mut doc = Fields::of(serde_json::from_str(text)?, "LasreDoc")?;
+    let spec: LasSpec = doc.take("spec")?;
+    let bits: String = doc.take("values")?;
+    let stored: (Value, Value) = (doc.take("k_colors")?, doc.take("domain_walls")?);
+    let verified: bool = doc.take("verified")?;
+    spec.validate().map_err(LasreError::Spec)?;
+    let table = VarTable::new(spec.bounds(), spec.nstab());
+    if bits.len() != table.num_total() {
         return Err(LasreError::LengthMismatch {
             expected: table.num_total(),
-            got: doc.values.len(),
+            got: bits.len(),
         });
     }
-    let mut values = Vec::with_capacity(doc.values.len());
-    for c in doc.values.chars() {
+    let mut values = Vec::with_capacity(bits.len());
+    for c in bits.chars() {
         match c {
             '0' => values.push(false),
             '1' => values.push(true),
             other => return Err(LasreError::BadBit(other)),
         }
     }
-    let mut design = LasDesign::new(doc.spec, values);
+    let mut design = LasDesign::new(spec, values);
     let derived = k_colors_and_walls(&design).map_err(LasreError::KColorConflict)?;
-    if derived != (doc.k_colors, doc.domain_walls) {
+    if derived != stored {
         return Err(LasreError::KColorMismatch);
     }
-    design.set_verified(doc.verified);
+    design.set_verified(verified);
     Ok(design)
 }
 

@@ -1,7 +1,7 @@
 //! Ports of a lattice-surgery subroutine.
 
 use crate::geom::{orientation_for_blue_normal, Axis, Bounds, Coord, Dir, Sign};
-use serde::{Deserialize, Serialize};
+use serde_json::{json, Error, Fields, FromJson, ToJson, Value};
 
 /// A port: where a LaS connects to the outside world (paper Fig. 2b).
 ///
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// * `direction` points from `location` into the volume.
 /// * `z_basis_direction` is the axis perpendicular to which the port's
 ///   blue (Z-type) boundary lies.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Port {
     /// The outside grid point the port connects to.
     pub location: Coord,
@@ -22,6 +22,27 @@ pub struct Port {
     pub direction: Dir,
     /// Axis normal to the port's blue (Z) boundary faces.
     pub z_basis_direction: Axis,
+}
+
+impl ToJson for Port {
+    fn to_json(&self) -> Value {
+        json!({
+            "location": self.location.to_json(),
+            "direction": self.direction.to_json(),
+            "z_basis_direction": self.z_basis_direction.to_json(),
+        })
+    }
+}
+
+impl FromJson for Port {
+    fn from_json(v: Value) -> Result<Self, Error> {
+        let mut fields = Fields::of(v, "Port")?;
+        Ok(Port {
+            location: fields.take("location")?,
+            direction: fields.take("direction")?,
+            z_basis_direction: fields.take("z_basis_direction")?,
+        })
+    }
 }
 
 impl Port {

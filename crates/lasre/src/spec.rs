@@ -3,7 +3,7 @@
 use crate::geom::{Axis, Bounds, Coord, Sign};
 use crate::port::Port;
 use pauli::PauliString;
-use serde::{Deserialize, Serialize};
+use serde_json::{json, Error, Fields, FromJson, ToJson, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -13,7 +13,9 @@ use std::fmt;
 /// This is the synthesizer's *input*; what happens inside the volume is
 /// the synthesizer's job to find (paper Sec. I).
 ///
-/// The JSON form matches the paper's input file concept:
+/// The JSON form matches the paper's input file concept. When omitted,
+/// `forbidden_cubes` defaults to `[]` and `allow_y_cubes` to `true`;
+/// unknown keys are ignored:
 ///
 /// ```
 /// use lasre::LasSpec;
@@ -30,8 +32,9 @@ use std::fmt;
 ///     "forbidden_cubes": [[0,0,0],[1,1,0]]
 /// }"#).unwrap();
 /// assert!(spec.validate().is_ok());
+/// assert!(spec.allow_y_cubes);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LasSpec {
     /// Human-readable name, used in reports and output files.
     pub name: String,
@@ -46,15 +49,42 @@ pub struct LasSpec {
     /// Stabilizer flows as Pauli strings over the ports.
     pub stabilizers: Vec<PauliString>,
     /// Cubes that must stay empty (footprint shaping, padding layers).
-    #[serde(default)]
+    /// Defaults to `[]` when the JSON omits it.
     pub forbidden_cubes: Vec<Coord>,
-    /// Whether the solver may use Y cubes (paper Fig. 4g).
-    #[serde(default = "default_true")]
+    /// Whether the solver may use Y cubes (paper Fig. 4g). Defaults to
+    /// `true` when the JSON omits it.
     pub allow_y_cubes: bool,
 }
 
-fn default_true() -> bool {
-    true
+impl ToJson for LasSpec {
+    fn to_json(&self) -> Value {
+        json!({
+            "name": self.name.to_json(),
+            "max_i": self.max_i.to_json(),
+            "max_j": self.max_j.to_json(),
+            "max_k": self.max_k.to_json(),
+            "ports": self.ports.to_json(),
+            "stabilizers": self.stabilizers.to_json(),
+            "forbidden_cubes": self.forbidden_cubes.to_json(),
+            "allow_y_cubes": self.allow_y_cubes.to_json(),
+        })
+    }
+}
+
+impl FromJson for LasSpec {
+    fn from_json(v: Value) -> Result<Self, Error> {
+        let mut fields = Fields::of(v, "LasSpec")?;
+        Ok(LasSpec {
+            name: fields.take("name")?,
+            max_i: fields.take("max_i")?,
+            max_j: fields.take("max_j")?,
+            max_k: fields.take("max_k")?,
+            ports: fields.take("ports")?,
+            stabilizers: fields.take("stabilizers")?,
+            forbidden_cubes: fields.take_or("forbidden_cubes", Vec::new())?,
+            allow_y_cubes: fields.take_or("allow_y_cubes", true)?,
+        })
+    }
 }
 
 /// Error describing why a specification is malformed.
@@ -393,5 +423,52 @@ mod tests {
         let json = serde_json::to_string_pretty(&s).unwrap();
         let back: LasSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// The compact CNOT spec with `edit` applied to its text.
+    fn edited_cnot_json(edit: (&str, &str)) -> String {
+        let text = serde_json::to_string(&cnot_spec()).unwrap();
+        let edited = text.replacen(edit.0, edit.1, 1);
+        assert_ne!(edited, text, "{edit:?}");
+        edited
+    }
+
+    #[test]
+    fn malformed_json_names_the_problem() {
+        let cases = [
+            (
+                edited_cnot_json(("\"ports\"", "\"portz\"")),
+                "missing field `ports`",
+            ),
+            (
+                edited_cnot_json(("\"+K\"", "\"+Q\"")),
+                "invalid direction \"+Q\"",
+            ),
+            (
+                edited_cnot_json(("\"max_i\":2", "\"max_i\":\"2\"")),
+                "invalid type: expected an integer, found a string",
+            ),
+            (
+                edited_cnot_json(("[0,1,0]", "[0,1]")),
+                "expected an array of length 3, found 2",
+            ),
+            ("{\"name\": \"x\",".to_string(), "expected '\"' at byte 13"),
+        ];
+        for (text, message) in cases {
+            let err = serde_json::from_str::<LasSpec>(&text).unwrap_err();
+            assert_eq!(err.to_string(), message, "{text}");
+        }
+    }
+
+    #[test]
+    fn unknown_keys_are_ignored_and_omitted_fields_default() {
+        let text = edited_cnot_json((
+            ",\"forbidden_cubes\":[[0,0,0],[1,1,0]],\"allow_y_cubes\":true}",
+            ",\"comment\":\"a note\"}",
+        ));
+        let spec: LasSpec = serde_json::from_str(&text).unwrap();
+        assert_eq!(spec.forbidden_cubes, []);
+        assert!(spec.allow_y_cubes);
+        assert_eq!(spec.ports, cnot_spec().ports);
     }
 }

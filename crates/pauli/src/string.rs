@@ -2,6 +2,7 @@
 
 use crate::{Pauli, Phase};
 use gf2::BitVec;
+use serde_json::{FromJson, ToJson, Value};
 use std::fmt;
 use std::str::FromStr;
 
@@ -250,16 +251,18 @@ impl fmt::Debug for PauliString {
     }
 }
 
-impl serde::Serialize for PauliString {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_string())
+/// The JSON form is the display string, e.g. `"X.ZY"`.
+impl ToJson for PauliString {
+    fn to_json(&self) -> Value {
+        Value::String(self.to_string())
     }
 }
 
-impl<'de> serde::Deserialize<'de> for PauliString {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        s.parse().map_err(serde::de::Error::custom)
+impl FromJson for PauliString {
+    fn from_json(v: Value) -> Result<Self, serde_json::Error> {
+        String::from_json(v)?
+            .parse()
+            .map_err(serde_json::Error::custom)
     }
 }
 

@@ -18,7 +18,9 @@
 //! (`COMMANDS`), which also prints its usage line. An argument not in
 //! the table — a misspelt flag, another subcommand's flag, a flag given
 //! twice, a stray operand — is a usage error (exit 2) naming it, so no
-//! flag is ever silently ignored.
+//! flag is ever silently ignored. Any other run that cannot answer (an
+//! unreadable or malformed input, an unwritable output) exits 1 with
+//! stderr starting `error: `.
 //!
 //! `synth` writes `<name>.lasre` and `<name>.gltf` into `--out`
 //! (default `.`); with `--seeds N` it runs a portfolio of N diversified
@@ -244,18 +246,19 @@ fn usage_error(message: impl Into<String>) -> Failure {
     Failure(2, message.into())
 }
 
-fn failure(message: impl Into<String>) -> Failure {
-    Failure(1, message.into())
+/// A failed run: stderr reads `error: <message>`.
+fn failure(message: impl std::fmt::Display) -> Failure {
+    Failure(1, format!("error: {message}"))
 }
 
 impl From<SynthError> for Failure {
     fn from(e: SynthError) -> Failure {
-        failure(format!("error: {e}"))
+        failure(e)
     }
 }
 
 fn write_failure(path: &str, e: std::io::Error) -> Failure {
-    failure(format!("error: writing {path}: {e}"))
+    failure(format!("writing {path}: {e}"))
 }
 
 /// A subcommand's arguments, checked against its flag table.
@@ -583,7 +586,7 @@ fn cmd_synth(args: &Args) -> Result<i32, Failure> {
             );
             outln!("{}", lasre::slices::render(&design));
             std::fs::create_dir_all(out_dir)
-                .map_err(|e| failure(format!("error: creating {out_dir}: {e}")))?;
+                .map_err(|e| failure(format!("creating {out_dir}: {e}")))?;
             let lasre_path = format!("{out_dir}/{name}.lasre");
             std::fs::write(&lasre_path, lasre::to_lasre(&design))
                 .map_err(|e| write_failure(&lasre_path, e))?;
@@ -610,7 +613,7 @@ fn cmd_synth(args: &Args) -> Result<i32, Failure> {
 }
 
 fn read_design(path: &str) -> Result<lasre::LasDesign, Failure> {
-    lasre::from_lasre(&read_text(path)?).map_err(|e| failure(e.to_string()))
+    lasre::from_lasre(&read_text(path)?).map_err(failure)
 }
 
 fn cmd_verify(args: &Args) -> Result<i32, Failure> {
@@ -646,8 +649,7 @@ fn cmd_render(args: &Args) -> Result<i32, Failure> {
 }
 
 fn cmd_dimacs(args: &Args) -> Result<i32, Failure> {
-    let synth =
-        Synthesizer::new(load_spec(args.operands[0])?).map_err(|e| failure(e.to_string()))?;
+    let synth = Synthesizer::new(load_spec(args.operands[0])?).map_err(failure)?;
     write_stdout(format_args!("{}", sat::dimacs::to_string(synth.cnf())));
     Ok(0)
 }
@@ -772,8 +774,7 @@ fn cmd_depth(args: &Args) -> Result<i32, Failure> {
             eprintln!("note: --start {r} is outside [{lo}, {hi}]; starting at {start}");
         }
     }
-    let search = optimize::find_min_depth(&spec, lo, hi, start, &options)
-        .map_err(|e| failure(format!("error: {e}")))?;
+    let search = optimize::find_min_depth(&spec, lo, hi, start, &options).map_err(failure)?;
     for p in &search.probes {
         outln!(
             "max_k {}: {}{} ({:.2?})",

@@ -832,3 +832,55 @@ fn unwritable_output_paths_fail_cleanly() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every failed run, whatever its cause, exits 1 with stderr starting
+/// `error: `: a missing or malformed spec, an invalid one, a design whose
+/// values give a K pipe end two colors, and a malformed DIMACS file.
+#[test]
+fn failures_share_one_error_prefix() {
+    let dir = std::env::temp_dir().join(format!("lassynth-cli-prefix-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let text = std::fs::read_to_string(cnot_spec_path()).expect("read cnot spec");
+    let truncated = dir.join("truncated.json");
+    std::fs::write(&truncated, &text[..text.len() / 2]).expect("write truncated spec");
+    let zero = dir.join("zero.json");
+    std::fs::write(&zero, text.replace("\"max_k\": 3", "\"max_k\": 0")).expect("write zero spec");
+    // Values bit 13 of the synthesized CNOT gives a K pipe end two colors.
+    let synth = bin()
+        .arg("synth")
+        .arg(cnot_spec_path())
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .expect("run lassynth synth");
+    assert!(synth.status.success(), "synth: {:?}", synth);
+    let design = std::fs::read_to_string(dir.join("cnot.lasre")).expect("read cnot.lasre");
+    let bit = design.find("\"values\": \"").expect("values string") + "\"values\": \"".len() + 13;
+    let flip = if &design[bit..=bit] == "0" { "1" } else { "0" };
+    let flipped = dir.join("flipped.lasre");
+    let mut tampered = design.clone();
+    tampered.replace_range(bit..=bit, flip);
+    std::fs::write(&flipped, tampered).expect("write flipped design");
+    let cnf = dir.join("bad.cnf");
+    std::fs::write(&cnf, "p cnf 2 1\n1 x 0\n").expect("write cnf");
+    let drat = dir.join("empty.drat");
+    std::fs::write(&drat, "").expect("write drat");
+    let missing = dir.join("missing.json");
+    let runs: [&[&std::path::Path]; 7] = [
+        &["synth".as_ref(), &missing],
+        &["synth".as_ref(), &truncated],
+        &["dimacs".as_ref(), &truncated],
+        &["depth".as_ref(), &zero],
+        &["verify".as_ref(), &flipped],
+        &["render".as_ref(), &flipped],
+        &["check-proof".as_ref(), &cnf, &drat],
+    ];
+    for args in runs {
+        let out = bin().args(args).output().expect("run lassynth");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
