@@ -8,7 +8,7 @@
 
 use crate::decode::{decode, decode_layered};
 use crate::encode::{encode, encode_layered};
-use crate::session::{settle, Fleet, Session, WorkerState};
+use crate::session::{certify, open_solver, settle, Fleet, WorkerState};
 use crate::synthesize::{BackendChoice, SynthError, SynthOptions, SynthResult, Synthesizer};
 use lasre::{LasDesign, LasSpec, SpecError};
 use sat::{CdclConfig, ClauseExchange, ExhaustionReason, SolverStats};
@@ -327,27 +327,22 @@ fn find_min_depth_incremental(
 ) -> Result<DepthSearch, SynthError> {
     let open = |bottom: usize, top: usize| -> Result<_, SynthError> {
         let layered = encode_layered(spec, bottom, top)?;
-        let session = Session::open(
-            options,
-            config.clone(),
-            &layered.encoding.cnf,
-            &layered.activation,
-            None,
-        );
-        Ok((layered, session))
+        let cnf = &layered.encoding.cnf;
+        let solver = open_solver(options, config.clone(), cnf, &layered.activation, None);
+        Ok((layered, solver))
     };
-    let (mut layered, mut session) = open(lo, start)?;
+    let (mut layered, mut solver) = open(lo, start)?;
     drive_depth_search(lo, hi, start, options.certify, |k| {
         // The walk ascended past the session's range: reopen it above.
         if k > layered.hi {
-            (layered, session) = open(k, hi)?;
+            (layered, solver) = open(k, hi)?;
         }
-        let before = session.stats();
+        let before = solver.stats;
         let started = Instant::now();
-        let outcome = session.solve(&layered.assumptions_for(k), &options.budget);
+        let outcome = solver.solve_assuming(&layered.assumptions_for(k), &options.budget);
         let time = started.elapsed();
-        let stats = session.stats().since(before);
-        session.certify(&outcome)?;
+        let stats = solver.stats.since(before);
+        certify(&solver, &outcome)?;
         let result = settle(outcome, options.skip_verify, |model| {
             decode_layered(&layered, spec, k, model)
         })?;
@@ -391,13 +386,13 @@ fn find_min_depth_parallel(
     let hub = options
         .share_clauses
         .then(|| Arc::new(ClauseExchange::new(hi - lo + 1, EXCHANGE_CAPACITY)));
-    let sessions = (lo..=hi).map(|k| {
+    let solvers = (lo..=hi).map(|k| {
         let exchange = hub.as_ref().map(|hub| (hub, k - lo));
         let cnf = &layered.encoding.cnf;
-        let session = Session::open(options, config.clone(), cnf, &layered.activation, exchange);
-        (k, session)
+        let solver = open_solver(options, config.clone(), cnf, &layered.activation, exchange);
+        (k, solver)
     });
-    let mut fleet = Fleet::new("depth", sessions, &options.budget);
+    let mut fleet = Fleet::new("depth", solvers, &options.budget);
     // The undecided window, as an inclusive depth range.
     let window = Cell::new((lo, hi));
     let mut best: Option<LasDesign> = None;
@@ -408,8 +403,8 @@ fn find_min_depth_parallel(
             let (floor, ceiling) = window.get();
             (floor..=ceiling).contains(&k)
         },
-        |k, session, outcome| {
-            session.certify(&outcome)?;
+        |k, solver, outcome| {
+            certify(solver, &outcome)?;
             let result = settle(outcome, options.skip_verify, |model| {
                 decode_layered(&layered, spec, k, model)
             })?;
@@ -444,7 +439,7 @@ fn find_min_depth_parallel(
                 max_k: w.id,
                 sat,
                 time: w.time,
-                stats: Some(w.session.stats()),
+                stats: Some(w.solver.stats),
                 certified: options.certify && sat == Some(false),
                 exhaustion: match w.state {
                     WorkerState::Retired(reason) => Some(reason),
@@ -550,20 +545,20 @@ pub fn solve_portfolio_detailed(
     let hub = options
         .share_clauses
         .then(|| Arc::new(ClauseExchange::new(seeds.len().max(1), EXCHANGE_CAPACITY)));
-    let sessions = seeds.iter().enumerate().map(|(index, &seed)| {
+    let solvers = seeds.iter().enumerate().map(|(index, &seed)| {
         let config = CdclConfig::diversified(seed);
         let exchange = hub.as_ref().map(|hub| (hub, index));
-        let session = Session::open(options, config, &encoding.cnf, &[], exchange);
-        (seed, session)
+        let solver = open_solver(options, config, &encoding.cnf, &[], exchange);
+        (seed, solver)
     });
-    let mut fleet = Fleet::new("seed", sessions, &options.budget);
+    let mut fleet = Fleet::new("seed", solvers, &options.budget);
     let mut winner: Option<(u64, SynthResult)> = None;
     let exhaustion = fleet.run(
         options,
         |_| Vec::new(),
         |_| true,
-        |seed, session, outcome| {
-            session.certify(&outcome)?;
+        |seed, solver, outcome| {
+            certify(solver, &outcome)?;
             let result = settle(outcome, options.skip_verify, |model| {
                 decode(spec, &encoding, model)
             })?;
@@ -581,7 +576,7 @@ pub fn solve_portfolio_detailed(
         worker_stats: fleet
             .workers
             .iter()
-            .map(|w| (w.id, Some(w.session.stats())))
+            .map(|w| (w.id, Some(w.solver.stats)))
             .collect(),
         quarantined: fleet.quarantined(),
         exhaustion,

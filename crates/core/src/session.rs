@@ -1,106 +1,74 @@
 //! One solver query and one lockstep fleet of them.
 //!
-//! [`Session`] opens a CDCL solver on one CNF and turns what it answers
-//! into a trusted verdict: a SAT model becomes a decoded,
-//! validity-checked and ZX-verified design, and an UNSAT is proof-checked
-//! when certifying. [`Fleet`] runs several sessions in rounds of fixed
-//! conflict quanta (deterministic lockstep search: Hamadi, Jabbour,
-//! Piette & Sais, JSAT 2011). Isolated workers take a round's turns on
-//! scoped threads; clause-sharing workers take them one at a time. The
-//! deadline is checked between turns, and each quantum is a
-//! crash-isolation boundary.
+//! [`open_solver`] loads a CDCL solver with one CNF, configured for the
+//! run; the caller keeps it for as many solves as it asks. What it
+//! answers becomes a trusted verdict: a SAT model is decoded,
+//! validity-checked and ZX-verified ([`settle`]), and an UNSAT is
+//! proof-checked when certifying ([`certify`]). [`Fleet`] runs several
+//! solvers in rounds of fixed conflict quanta (deterministic lockstep
+//! search: Hamadi, Jabbour, Piette & Sais, JSAT 2011). Isolated workers
+//! take a round's turns on scoped threads; clause-sharing workers take
+//! them one at a time. The deadline is checked between turns, and each
+//! quantum is a crash-isolation boundary.
 
 use crate::synthesize::{SynthError, SynthOptions, SynthResult};
 use crate::verify::verify;
 use lasre::LasDesign;
 use sat::{
     Budget, CdclConfig, CdclSolver, ClauseExchange, Cnf, ExhaustionReason, Lit, Model, ShareLimits,
-    SolveOutcome, SolverStats,
+    SolveOutcome,
 };
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A CDCL solver loaded with one CNF, kept for as many solves as the
-/// caller asks of it.
-pub(crate) struct Session {
-    solver: CdclSolver,
-    certify: bool,
-    /// Connected to a clause-sharing hub.
-    shares: bool,
+/// Opens a solver on `cnf` with `base`, armed with the run's fault plan
+/// ([`SynthOptions::solver_config`]). Proof logging starts before the
+/// first clause when `options.certify`, so the log is self-contained.
+/// `frozen` literals come back as assumptions on later solves, so
+/// variable elimination must never resolve them away. `exchange`
+/// connects the solver to a clause-sharing hub as the given worker.
+pub(crate) fn open_solver(
+    options: &SynthOptions,
+    base: CdclConfig,
+    cnf: &Cnf,
+    frozen: &[Lit],
+    exchange: Option<(&Arc<ClauseExchange>, usize)>,
+) -> CdclSolver {
+    let mut solver = CdclSolver::with_config(options.solver_config(base));
+    if options.certify {
+        solver.enable_proof();
+    }
+    solver.add_cnf(cnf);
+    for &lit in frozen {
+        solver.freeze(lit.var());
+    }
+    if let Some((hub, worker)) = exchange {
+        solver.connect_exchange(Arc::clone(hub), worker, ShareLimits::default());
+    }
+    solver
 }
 
-impl Session {
-    /// Opens a solver on `cnf` with `base`, armed with the run's fault
-    /// plan ([`SynthOptions::solver_config`]). Proof logging starts before
-    /// the first clause when `options.certify`, so the log is
-    /// self-contained. `frozen` literals come back as assumptions on
-    /// later solves, so variable elimination must never resolve them
-    /// away. `exchange` connects the solver to a clause-sharing hub as
-    /// the given worker.
-    pub(crate) fn open(
-        options: &SynthOptions,
-        base: CdclConfig,
-        cnf: &Cnf,
-        frozen: &[Lit],
-        exchange: Option<(&Arc<ClauseExchange>, usize)>,
-    ) -> Session {
-        let mut solver = CdclSolver::with_config(options.solver_config(base));
-        if options.certify {
-            solver.enable_proof();
+/// Proof-checks `outcome` if it is an UNSAT of a solver that keeps a
+/// proof log, which [`open_solver`] enables exactly when certifying: the
+/// log covers every solve so far, and the failing assumption set picks
+/// out this one's refutation. Anything else passes unchecked.
+pub(crate) fn certify(solver: &CdclSolver, outcome: &SolveOutcome) -> Result<(), SynthError> {
+    match (solver.proof(), outcome) {
+        (Some(log), SolveOutcome::Unsat) => {
+            sat::certify_unsat(log, solver.final_assumption_conflict())
+                .map(drop)
+                .map_err(|e| SynthError::Certify(e.to_string()))
         }
-        solver.add_cnf(cnf);
-        for &lit in frozen {
-            solver.freeze(lit.var());
-        }
-        if let Some((hub, worker)) = &exchange {
-            solver.connect_exchange(Arc::clone(hub), *worker, ShareLimits::default());
-        }
-        Session {
-            solver,
-            certify: options.certify,
-            shares: exchange.is_some(),
-        }
-    }
-
-    /// Solves under `assumptions` within `budget`; learnt clauses carry
-    /// over to the next call.
-    pub(crate) fn solve(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
-        self.solver.solve_assuming(assumptions, budget)
-    }
-
-    /// Cumulative statistics of every solve so far.
-    pub(crate) fn stats(&self) -> SolverStats {
-        self.solver.session_stats()
-    }
-
-    /// The DRAT log, when the session was opened certifying.
-    pub(crate) fn proof(&self) -> Option<&sat::ProofLog> {
-        self.solver.proof()
-    }
-
-    /// Proof-checks `outcome` if it is an UNSAT of a certifying
-    /// session: the log covers every solve so far, and the failing
-    /// assumption set picks out this one's refutation. Anything else
-    /// passes unchecked.
-    pub(crate) fn certify(&self, outcome: &SolveOutcome) -> Result<(), SynthError> {
-        if !self.certify || !matches!(outcome, SolveOutcome::Unsat) {
-            return Ok(());
-        }
-        let log = self
-            .proof()
-            .ok_or_else(|| SynthError::Certify("the solver kept no proof log".into()))?;
-        sat::certify_unsat(log, self.solver.final_assumption_conflict())
-            .map(drop)
-            .map_err(|e| SynthError::Certify(e.to_string()))
+        _ => Ok(()),
     }
 }
 
 /// Turns a solve outcome into a synthesis result: a SAT model is
 /// decoded, checked against the validity rules and, unless
 /// `skip_verify`, ZX-verified. UNSAT outcomes must already have passed
-/// [`Session::certify`].
+/// [`certify`].
 pub(crate) fn settle(
     outcome: SolveOutcome,
     skip_verify: bool,
@@ -151,11 +119,11 @@ pub(crate) enum WorkerState {
     Crashed(String),
 }
 
-/// One fleet member: a session and its share of the run's budget.
+/// One fleet member: a solver and its share of the run's budget.
 pub(crate) struct Worker<W> {
     /// What the worker owns: a seed or a depth.
     pub(crate) id: W,
-    pub(crate) session: Session,
+    pub(crate) solver: CdclSolver,
     /// Conflicts this worker may still spend; each worker gets the
     /// run's whole `max_conflicts` (`None` is unlimited).
     remaining: Option<u64>,
@@ -182,12 +150,14 @@ impl<W> Worker<W> {
             max_memory_words: limits.max_memory_words,
             ..Budget::default()
         };
-        let before = self.session.stats().conflicts;
+        let before = self.solver.stats.conflicts;
         let started = Instant::now();
         // The quantum is the crash-isolation boundary: a worker that
         // panics (a solver bug, or an injected fault) is quarantined and
         // the fleet continues on the survivors.
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.session.solve(assumptions, &turn)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.solver.solve_assuming(assumptions, &turn)
+        }));
         self.time += started.elapsed();
         self.turns += 1;
         let outcome = match outcome {
@@ -197,7 +167,7 @@ impl<W> Worker<W> {
                 return None;
             }
         };
-        let spent = self.session.stats().conflicts - before;
+        let spent = self.solver.stats.conflicts - before;
         if let Some(r) = &mut self.remaining {
             *r = r.saturating_sub(spent);
         }
@@ -220,10 +190,11 @@ impl<W> Worker<W> {
     }
 }
 
-/// Sessions run in rounds, in worker order, at most
+/// Solvers run in rounds, in worker order, at most
 /// `options.parallel_quantum` conflicts per turn. A round is taken in
-/// batches: one worker when any session shares clauses, since its
-/// imports depend on every earlier turn, else the whole round at once.
+/// batches: one worker when `options.share_clauses` connects the
+/// solvers to a hub, since each import depends on every earlier turn,
+/// else the whole round at once.
 /// Fixed order, fixed quanta and verdicts settled in worker order make
 /// two runs take the same turns and reach the same counters (only the
 /// `time` fields vary).
@@ -236,14 +207,14 @@ pub(crate) struct Fleet<W> {
 impl<W: Copy + Send + fmt::Display> Fleet<W> {
     pub(crate) fn new(
         kind: &'static str,
-        sessions: impl IntoIterator<Item = (W, Session)>,
+        solvers: impl IntoIterator<Item = (W, CdclSolver)>,
         budget: &Budget,
     ) -> Fleet<W> {
-        let workers = sessions
+        let workers = solvers
             .into_iter()
-            .map(|(id, session)| Worker {
+            .map(|(id, solver)| Worker {
                 id,
-                session,
+                solver,
                 remaining: budget.max_conflicts,
                 time: Duration::ZERO,
                 turns: 0,
@@ -274,12 +245,12 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
         options: &SynthOptions,
         assumptions: impl Fn(W) -> Vec<Lit>,
         eligible: impl Fn(W) -> bool,
-        mut verdict: impl FnMut(W, &Session, SolveOutcome) -> Result<bool, SynthError>,
+        mut verdict: impl FnMut(W, &CdclSolver, SolveOutcome) -> Result<bool, SynthError>,
     ) -> Result<Option<ExhaustionReason>, SynthError> {
         let quantum = options.parallel_quantum.max(1);
         let limits = &options.budget;
         let deadline = limits.max_time.map(|t| Instant::now() + t);
-        let batch_len = if self.workers.iter().any(|w| w.session.shares) {
+        let batch_len = if options.share_clauses {
             1
         } else {
             self.workers.len().max(1)
@@ -312,7 +283,7 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
                         continue;
                     }
                     worker.state = WorkerState::Decided(outcome.is_sat());
-                    if verdict(worker.id, &worker.session, outcome)? {
+                    if verdict(worker.id, &worker.solver, outcome)? {
                         return Ok(None);
                     }
                 }

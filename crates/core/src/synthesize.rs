@@ -2,7 +2,7 @@
 
 use crate::decode::decode;
 use crate::encode::{encode, EncodeStats, Encoding};
-use crate::session::{settle, Session};
+use crate::session::{certify, open_solver, settle};
 use crate::verify::VerifyError;
 use lasre::{LasDesign, LasSpec, SpecError};
 use sat::{Backend, Budget, CdclConfig, SolverStats, VarisatBackend};
@@ -307,14 +307,14 @@ impl Synthesizer {
         self.last_proof = None;
         let outcome = match &self.options.backend {
             BackendChoice::Cdcl(config) => {
-                // The session is dropped at the end of this arm, so the
-                // solver's memory is released before decode and verify.
-                let mut session =
-                    Session::open(&self.options, config.clone(), &self.encoding.cnf, &[], None);
-                let outcome = session.solve(&[], &self.options.budget);
-                self.last_solver_stats = Some(session.stats());
-                session.certify(&outcome)?;
-                self.last_proof = session.proof().cloned();
+                // The solver is dropped at the end of this arm, so its
+                // memory is released before decode and verify.
+                let mut solver =
+                    open_solver(&self.options, config.clone(), &self.encoding.cnf, &[], None);
+                let outcome = solver.solve_assuming(&[], &self.options.budget);
+                self.last_solver_stats = Some(solver.stats);
+                certify(&solver, &outcome)?;
+                self.last_proof = solver.proof().cloned();
                 outcome
             }
             BackendChoice::Varisat => {

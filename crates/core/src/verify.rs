@@ -5,7 +5,7 @@
 //! become π/2 phases — whose stabilizer flows must include every
 //! stabilizer of the specification (up to sign).
 
-use lasre::{Axis, Coord, CubeKind, LasDesign, Sign};
+use lasre::{Axis, Coord, CubeKind, LasDesign};
 use std::collections::HashMap;
 use std::fmt;
 use zx::{Diagram, FlowGroup, NodeId, SpiderKind, ZxError};
@@ -84,21 +84,19 @@ pub fn extract_zx(design: &LasDesign) -> Result<Diagram, VerifyError> {
         let hadamard =
             pipe.axis == Axis::K && k_colors.get(&pipe.base).is_some_and(|(lo, hi)| lo != hi);
         let (lo, hi) = pipe.endpoints();
-        let node_for = |c: Coord| -> Option<NodeId> { cube_nodes.get(&c).copied() };
-        let endpoint = |c: Coord, side: Sign| -> Result<NodeId, VerifyError> {
-            if let Some(n) = node_for(c) {
+        let endpoint = |c: Coord| -> Result<NodeId, VerifyError> {
+            if let Some(&n) = cube_nodes.get(&c) {
                 return Ok(n);
             }
             // Not a structural cube: must be a port location (virtual
             // inside, or outside the arrays).
             if let Some(&p_idx) = port_pipes.get(&(pipe.base, pipe.axis)) {
-                let _ = side;
                 return Ok(boundary_nodes[p_idx]);
             }
             Err(VerifyError::BadCube(c))
         };
-        let a = endpoint(lo, Sign::Minus)?;
-        let b = endpoint(hi, Sign::Plus)?;
+        let a = endpoint(lo)?;
+        let b = endpoint(hi)?;
         if hadamard {
             diagram.add_h_edge(a, b);
         } else {

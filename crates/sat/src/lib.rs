@@ -13,8 +13,11 @@
 //!   literals, an allocation-free 1UIP analysis with recursive
 //!   minimization, VSIDS, phase saving, Luby restarts, LBD-based
 //!   clause-database reduction, seeded randomization and time/conflict
-//!   budgets (see the [`solver`-module docs](CdclSolver) for the arena
-//!   layout and GC protocol),
+//!   budgets. It is one incremental state: clauses and assumption
+//!   solves may follow each other, and a one-shot
+//!   [`Backend::solve_with`] is the first solve of a fresh state (see
+//!   the [`solver`-module docs](CdclSolver) for the arena layout, GC
+//!   protocol and incremental invariants),
 //! * [`VarisatBackend`] — an adapter to the `varisat` crate, the
 //!   independent oracle the differential tests cross-check verdicts
 //!   against.

@@ -141,16 +141,19 @@
 //!
 //! # Incremental solving
 //!
-//! [`CdclSolver`] doubles as a MiniSat-style incremental session:
-//! [`CdclSolver::new_var`] and [`CdclSolver::add_clause`] may be called
-//! before *and between* solves, and repeated
-//! [`CdclSolver::solve_assuming`] calls share one persistent solver
-//! state. Everything the search learns is retained across calls — the
-//! clause arena (original and learnt clauses), VSIDS activities, saved
-//! phases and the restart schedule — which is what makes closely
-//! related queries (the depth probes of
+//! [`CdclSolver`] is one solver state, used the way MiniSat's
+//! incremental interface is: [`CdclSolver::new_var`],
+//! [`CdclSolver::add_clause`] and [`CdclSolver::add_cnf`] may be called
+//! before *and between* solves, and every
+//! [`CdclSolver::solve_assuming`] call searches the same state.
+//! Everything the search learns is retained across calls — the clause
+//! arena (original and learnt clauses), VSIDS activities, saved phases,
+//! the restart schedule and the [`CdclSolver::stats`] counters — which
+//! is what makes closely related queries (the depth probes of
 //! `synth::optimize::find_min_depth`) far cheaper than re-solving from
-//! scratch. The invariants:
+//! scratch. A one-shot [`Backend::solve_with`] is the first call of a
+//! fresh state: it resets the solver onto its CNF, then solves. The
+//! invariants:
 //!
 //! * between calls the solver sits at decision level 0; `add_clause`
 //!   backtracks there itself, so clauses may be added right after a
@@ -161,7 +164,8 @@
 //!   alone and stays sound when the assumptions change;
 //! * facts derived at level 0 (including a root-level conflict, which
 //!   latches `root_unsat`) are permanent;
-//! * [`Budget`] limits are per *call*, not per session.
+//! * [`Budget`] limits are per *call*; the counters are cumulative, so
+//!   [`SolverStats::since`] gives one call's share.
 //!
 //! After an UNSAT answer, [`CdclSolver::final_assumption_conflict`]
 //! returns the subset of the assumptions the refutation actually used
@@ -527,217 +531,6 @@ impl SolverStats {
     }
 }
 
-/// The CDCL solver. See the [module docs](self) for the feature list.
-///
-/// ```
-/// use sat::{Backend, Budget, CdclSolver, Cnf, Lit, Var};
-/// let mut cnf = Cnf::new(1);
-/// cnf.add_clause([Lit::pos(Var(0))]);
-/// let out = CdclSolver::default().solve_with(&cnf, &[], &Budget::default());
-/// assert!(out.is_sat());
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct CdclSolver {
-    /// Configuration used for subsequent solves. For the incremental
-    /// API the configuration is captured when the session starts (the
-    /// first `new_var`/`add_clause`/`solve_assuming` call).
-    pub config: CdclConfig,
-    /// Statistics of the most recent *one-shot* solve
-    /// ([`Backend::solve_with`]) only. Incremental
-    /// ([`CdclSolver::solve_assuming`]) counters live in the session
-    /// and are read via [`CdclSolver::session_stats`] — the two never
-    /// mix, so interleaving one-shot and session solves cannot corrupt
-    /// either side's deltas.
-    pub stats: SolverStats,
-    /// The persistent incremental session, created lazily. One-shot
-    /// [`Backend::solve_with`] calls use a throwaway state and leave
-    /// the session untouched.
-    session: Option<State>,
-}
-
-impl CdclSolver {
-    /// Creates a solver with the given configuration.
-    pub fn with_config(config: CdclConfig) -> Self {
-        CdclSolver {
-            config,
-            stats: SolverStats::default(),
-            session: None,
-        }
-    }
-
-    #[expect(clippy::expect_used, reason = "the session was created just above")]
-    fn session_mut(&mut self) -> &mut State {
-        if self.session.is_none() {
-            self.session = Some(State::empty(self.config.clone()));
-        }
-        self.session.as_mut().expect("session just created")
-    }
-
-    /// Number of variables in the incremental session (0 before the
-    /// session starts).
-    pub fn num_vars(&self) -> usize {
-        self.session.as_ref().map_or(0, |s| s.num_vars)
-    }
-
-    /// Allocates a fresh variable in the incremental session. May be
-    /// called between solves; all per-variable solver state grows in
-    /// step.
-    pub fn new_var(&mut self) -> Var {
-        self.session_mut().new_var()
-    }
-
-    /// Adds a clause to the incremental session. Callable before and
-    /// between solves: the solver first backtracks to decision level 0,
-    /// then simplifies the clause against the root-level assignment.
-    /// Variables are grown on demand.
-    pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        let lits: Vec<Lit> = lits.into_iter().collect();
-        let state = self.session_mut();
-        let needed = lits.iter().map(|l| l.var().index() + 1).max().unwrap_or(0);
-        state.ensure_vars(needed);
-        state.add_clause_checked(&lits);
-    }
-
-    /// Bulk-loads a formula into the incremental session (variables
-    /// first, then every clause).
-    pub fn add_cnf(&mut self, cnf: &Cnf) {
-        self.session_mut().load_cnf(cnf);
-    }
-
-    /// Solves the incremental session under `assumptions` within
-    /// `budget` (budget limits are per call). The clause database,
-    /// learnt clauses, activities and phases persist to the next call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an assumption names a variable the session does not
-    /// have (call [`CdclSolver::new_var`]/[`CdclSolver::add_clause`]
-    /// first).
-    pub fn solve_assuming(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
-        self.session_mut().solve(assumptions, budget)
-    }
-
-    /// Cumulative statistics of the incremental session (zero before
-    /// it starts, monotone across `solve_assuming` calls). The
-    /// [`CdclSolver::stats`] field mirrors one-shot
-    /// [`Backend::solve_with`] calls only, so the two sources never
-    /// mix; this accessor is the baseline for
-    /// [`SolverStats::since`] per-call deltas.
-    pub fn session_stats(&self) -> SolverStats {
-        self.session
-            .as_ref()
-            .map_or_else(SolverStats::default, |s| s.stats)
-    }
-
-    /// After [`CdclSolver::solve_assuming`] returned
-    /// [`SolveOutcome::Unsat`]: the subset of the assumptions the
-    /// refutation used — the session's clauses are unsatisfiable under
-    /// these assumptions alone. Empty when the clauses are
-    /// contradictory without any assumption. Cleared by the next solve.
-    pub fn final_assumption_conflict(&self) -> &[Lit] {
-        self.session
-            .as_ref()
-            .map_or(&[], |s| s.assumption_conflict.as_slice())
-    }
-
-    /// Declares that `v` must survive inprocessing: bounded variable
-    /// elimination will never resolve it away. Callers that will
-    /// mention a variable in *future* `add_clause`/`solve_assuming`
-    /// calls (activation literals of a layered encoding, selector
-    /// variables) must freeze it up front; variables of the current
-    /// call's assumptions are protected automatically. Freezing an
-    /// already eliminated variable reintroduces it first. Grows the
-    /// variable space on demand.
-    pub fn freeze(&mut self, v: Var) {
-        let state = self.session_mut();
-        state.ensure_vars(v.index() + 1);
-        state.freeze_var(v);
-    }
-
-    /// Releases a [`CdclSolver::freeze`] declaration: `v` becomes
-    /// eligible for elimination again at the next inprocessing pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session does not have `v`.
-    pub fn melt(&mut self, v: Var) {
-        let state = self.session_mut();
-        assert!(v.index() < state.num_vars, "melt of unknown variable {v}");
-        state.frozen[v.index()] = false;
-    }
-
-    /// Enables DRAT proof logging on the incremental session. Must be
-    /// called *before* any clause is added — the log must capture every
-    /// clause the solver ever holds to be checkable. Logging is purely
-    /// observational: it never changes a search decision, so enabling
-    /// it leaves conflict/propagation trajectories bit-identical.
-    pub fn enable_proof(&mut self) {
-        let state = self.session_mut();
-        assert!(
-            state.num_added_clauses == 0,
-            "enable_proof must precede the session's first add_clause"
-        );
-        state.proof = Some(Box::default());
-    }
-
-    /// The session's proof log (`None` unless
-    /// [`CdclSolver::enable_proof`] was called). After an UNSAT
-    /// answer the log ends in the refutation: the empty clause for a
-    /// root-level conflict, or the negation of
-    /// [`CdclSolver::final_assumption_conflict`] for UNSAT under
-    /// assumptions — [`crate::proof::certify_unsat`] checks both.
-    pub fn proof(&self) -> Option<&ProofLog> {
-        self.session.as_ref().and_then(|s| s.proof.as_deref())
-    }
-
-    /// Connects the incremental session to a clause-exchange hub as
-    /// worker `worker` (its inbox index; it never publishes to itself).
-    ///
-    /// Exports happen as clauses are learnt — every learnt unit, and
-    /// every learnt clause within `limits` — and are counted in
-    /// [`SolverStats::exported_clauses`]. Imports happen only at
-    /// deterministic points (entry to
-    /// [`CdclSolver::solve_assuming`] and restart boundaries, both at
-    /// decision level 0): each drained clause is re-verified by
-    /// reverse unit propagation against the session's own database
-    /// before it is attached, and logged as a derived proof step, so
-    /// sharing composes with [`CdclSolver::enable_proof`] and
-    /// incremental solving. A clause that fails the re-check (already
-    /// satisfied at root, or not RUP here yet) is skipped —
-    /// [`SolverStats::imported_kept`] vs
-    /// [`SolverStats::imported_clauses`] reports the ratio.
-    ///
-    /// Exchange applies to the incremental session only; one-shot
-    /// [`Backend::solve_with`] calls use a throwaway state and never
-    /// share.
-    pub fn connect_exchange(
-        &mut self,
-        hub: Arc<ClauseExchange>,
-        worker: usize,
-        limits: ShareLimits,
-    ) {
-        assert!(
-            worker < hub.num_workers(),
-            "worker index {worker} out of range for a {}-worker exchange",
-            hub.num_workers()
-        );
-        self.session_mut().exchange = Some(ExchangeLink {
-            hub,
-            worker,
-            limits,
-        });
-    }
-}
-
-impl Backend for CdclSolver {
-    fn solve_with(&mut self, cnf: &Cnf, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
-        let mut state = State::new(cnf, self.config.clone());
-        let outcome = state.solve(assumptions, budget);
-        self.stats = state.stats;
-        outcome
-    }
-}
-
 /// Offset of a clause header in the arena. `ClauseRef::NONE` doubles as
 /// the "no reason" marker on the trail.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -763,7 +556,7 @@ const USED_MASK: u32 = 0b11 << USED_SHIFT;
 const TIER_SHIFT: u32 = 4;
 const TIER_MASK: u32 = 0b11 << TIER_SHIFT;
 const LEN_SHIFT: u32 = 6;
-/// Learnt-clause retention tiers, indexing `State::learnts`.
+/// Learnt-clause retention tiers, indexing `CdclSolver::learnts`.
 const TIER_CORE: usize = 0;
 const TIER_TIER2: usize = 1;
 const TIER_LOCAL: usize = 2;
@@ -1088,10 +881,24 @@ struct ExchangeLink {
     limits: ShareLimits,
 }
 
+/// The CDCL solver: one persistent state that every solve call reuses.
+/// See the [module docs](self) for the feature list and the
+/// incremental invariants.
+///
+/// ```
+/// use sat::{Backend, Budget, CdclSolver, Cnf, Lit, Var};
+/// let mut cnf = Cnf::new(1);
+/// cnf.add_clause([Lit::pos(Var(0))]);
+/// let out = CdclSolver::default().solve_with(&cnf, &[], &Budget::default());
+/// assert!(out.is_sat());
+/// ```
 #[derive(Clone, Debug)]
-struct State {
+pub struct CdclSolver {
     config: CdclConfig,
-    stats: SolverStats,
+    /// Cumulative statistics of every solve since the state was built
+    /// (by [`CdclSolver::with_config`], or the reset at the start of
+    /// [`Backend::solve_with`]).
+    pub stats: SolverStats,
     rng: SmallRng,
     num_vars: usize,
     arena: ClauseArena,
@@ -1226,10 +1033,28 @@ struct State {
     fault_fired: bool,
 }
 
-impl State {
-    /// An empty incremental session: no variables, no clauses. Grown by
-    /// [`State::new_var`]/[`State::add_clause_checked`].
-    fn empty(config: CdclConfig) -> State {
+impl Default for CdclSolver {
+    fn default() -> Self {
+        CdclSolver::with_config(CdclConfig::default())
+    }
+}
+
+impl Backend for CdclSolver {
+    /// Resets the solver to a fresh state on `cnf` alone (same
+    /// configuration; proof logging and exchange are off), then solves
+    /// it: the first call of a new session.
+    fn solve_with(&mut self, cnf: &Cnf, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
+        *self = CdclSolver::with_config(self.config.clone());
+        self.add_cnf(cnf);
+        self.solve_assuming(assumptions, budget)
+    }
+}
+
+impl CdclSolver {
+    /// An empty solver with the given configuration: no variables, no
+    /// clauses. Grown by [`CdclSolver::new_var`],
+    /// [`CdclSolver::add_clause`] and [`CdclSolver::add_cnf`].
+    pub fn with_config(config: CdclConfig) -> Self {
         let rng = SmallRng::seed_from_u64(config.seed);
         let max_learnts = config.max_learnts_floor;
         let next_inprocess = config.inprocess_interval;
@@ -1239,7 +1064,7 @@ impl State {
             .fault_plan
             .or_else(FaultPlan::from_env)
             .filter(|plan| plan.applies_to(config.seed));
-        State {
+        CdclSolver {
             config,
             stats: SolverStats::default(),
             rng,
@@ -1294,13 +1119,8 @@ impl State {
         }
     }
 
-    fn new(cnf: &Cnf, config: CdclConfig) -> State {
-        let mut st = State::empty(config);
-        st.load_cnf(cnf);
-        st
-    }
-
-    fn load_cnf(&mut self, cnf: &Cnf) {
+    /// Bulk-loads a formula (variables first, then every clause).
+    pub fn add_cnf(&mut self, cnf: &Cnf) {
         self.ensure_vars(cnf.num_vars());
         self.arena
             .data
@@ -1314,9 +1134,14 @@ impl State {
         }
     }
 
-    /// Allocates a fresh variable, growing every per-variable structure
-    /// (callable between solves).
-    fn new_var(&mut self) -> Var {
+    /// Number of variables.
+    pub fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+
+    /// Allocates a fresh variable. May be called between solves; all
+    /// per-variable solver state grows in step.
+    pub fn new_var(&mut self) -> Var {
         let v = self.num_vars;
         self.num_vars += 1;
         self.watches.push(Vec::new());
@@ -1384,6 +1209,116 @@ impl State {
         if !self.add_original_clause(lits) {
             self.root_unsat = true;
         }
+    }
+
+    /// Adds a clause. Callable before and between solves: the solver
+    /// first backtracks to decision level 0, then simplifies the clause
+    /// against the root-level assignment. Variables are grown on
+    /// demand.
+    pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
+        let lits: Vec<Lit> = lits.into_iter().collect();
+        let needed = lits.iter().map(|l| l.var().index() + 1).max().unwrap_or(0);
+        self.ensure_vars(needed);
+        self.add_clause_checked(&lits);
+    }
+
+    /// The same counters as [`CdclSolver::stats`], as a snapshot: the
+    /// baseline for [`SolverStats::since`] per-call deltas.
+    pub fn session_stats(&self) -> SolverStats {
+        self.stats
+    }
+
+    /// After [`CdclSolver::solve_assuming`] returned
+    /// [`SolveOutcome::Unsat`]: the subset of the assumptions the
+    /// refutation used — the clauses are unsatisfiable under these
+    /// assumptions alone. Empty when the clauses are contradictory
+    /// without any assumption. Cleared by the next solve.
+    pub fn final_assumption_conflict(&self) -> &[Lit] {
+        &self.assumption_conflict
+    }
+
+    /// Declares that `v` must survive inprocessing: bounded variable
+    /// elimination will never resolve it away. Callers that will
+    /// mention a variable in *future* `add_clause`/`solve_assuming`
+    /// calls (activation literals of a layered encoding, selector
+    /// variables) must freeze it up front; variables of the current
+    /// call's assumptions are protected automatically. Freezing an
+    /// already eliminated variable reintroduces it first. Grows the
+    /// variable space on demand.
+    pub fn freeze(&mut self, v: Var) {
+        let i = v.index();
+        self.ensure_vars(i + 1);
+        if self.eliminated[i] {
+            self.restore_var(i);
+        }
+        self.frozen[i] = true;
+    }
+
+    /// Releases a [`CdclSolver::freeze`] declaration: `v` becomes
+    /// eligible for elimination again at the next inprocessing pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the solver does not have `v`.
+    pub fn melt(&mut self, v: Var) {
+        assert!(v.index() < self.num_vars, "melt of unknown variable {v}");
+        self.frozen[v.index()] = false;
+    }
+
+    /// Enables DRAT proof logging. Must be called *before* any clause
+    /// is added — the log must capture every clause the solver ever
+    /// holds to be checkable. Logging is purely observational: it never
+    /// changes a search decision, so enabling it leaves
+    /// conflict/propagation trajectories bit-identical.
+    pub fn enable_proof(&mut self) {
+        assert!(
+            self.num_added_clauses == 0,
+            "enable_proof must precede the first add_clause"
+        );
+        self.proof = Some(Box::default());
+    }
+
+    /// The proof log (`None` unless [`CdclSolver::enable_proof`] was
+    /// called). After an UNSAT answer the log ends in the refutation:
+    /// the empty clause for a root-level conflict, or the negation of
+    /// [`CdclSolver::final_assumption_conflict`] for UNSAT under
+    /// assumptions — [`crate::proof::certify_unsat`] checks both.
+    pub fn proof(&self) -> Option<&ProofLog> {
+        self.proof.as_deref()
+    }
+
+    /// Connects the solver to a clause-exchange hub as worker `worker`
+    /// (its inbox index; it never publishes to itself).
+    ///
+    /// Exports happen as clauses are learnt — every learnt unit, and
+    /// every learnt clause within `limits` — and are counted in
+    /// [`SolverStats::exported_clauses`]. Imports happen only at
+    /// deterministic points (entry to
+    /// [`CdclSolver::solve_assuming`] and restart boundaries, both at
+    /// decision level 0): each drained clause is re-verified by
+    /// reverse unit propagation against the solver's own database
+    /// before it is attached, and logged as a derived proof step, so
+    /// sharing composes with [`CdclSolver::enable_proof`] and
+    /// incremental solving. A clause that fails the re-check (already
+    /// satisfied at root, or not RUP here yet) is skipped —
+    /// [`SolverStats::imported_kept`] vs
+    /// [`SolverStats::imported_clauses`] reports the ratio.
+    pub fn connect_exchange(
+        &mut self,
+        hub: Arc<ClauseExchange>,
+        worker: usize,
+        limits: ShareLimits,
+    ) {
+        assert!(
+            worker < hub.num_workers(),
+            "worker index {worker} out of range for a {}-worker exchange",
+            hub.num_workers()
+        );
+        self.exchange = Some(ExchangeLink {
+            hub,
+            worker,
+            limits,
+        });
     }
 
     #[inline]
@@ -1498,7 +1433,7 @@ impl State {
         self.attach_clause_quiet(lits, learnt, lbd)
     }
 
-    /// [`State::attach_clause`] without the `learned` counter bump —
+    /// [`CdclSolver::attach_clause`] without the `learned` counter bump —
     /// inprocessing uses it to attach *replacements* of existing
     /// clauses, which are rewrites, not new derivations.
     fn attach_clause_quiet(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
@@ -1584,7 +1519,7 @@ impl State {
 /// (`std::mem::take` round-trips), so an allocation call in this block
 /// is a performance bug.
 #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
-impl State {
+impl CdclSolver {
     fn propagate(&mut self) -> Option<ClauseRef> {
         let dl = self.decision_level();
         while self.qhead < self.trail.len() {
@@ -1995,7 +1930,7 @@ impl State {
     }
 }
 
-impl State {
+impl CdclSolver {
     /// MiniSat's `analyzeFinal`: the assumption `p` came back false
     /// while being applied, so the current trail (all pseudo-decision
     /// levels, no real decisions yet) implies `¬p`. Walk the
@@ -2537,7 +2472,16 @@ impl State {
         None
     }
 
-    fn solve(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
+    /// Solves the clauses added so far under `assumptions` within
+    /// `budget` (budget limits are per call). The clause database,
+    /// learnt clauses, activities and phases persist to the next call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an assumption names a variable the solver does not
+    /// have (call [`CdclSolver::new_var`]/[`CdclSolver::add_clause`]
+    /// first).
+    pub fn solve_assuming(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
         self.assumption_conflict.clear();
         if self.root_unsat {
             return SolveOutcome::Unsat;
@@ -2854,6 +2798,13 @@ mod tests {
         CdclSolver::default().solve_with(c, &[], &Budget::default())
     }
 
+    /// A solver with `config`, loaded with `cnf`.
+    pub(super) fn loaded(cnf: &Cnf, config: CdclConfig) -> CdclSolver {
+        let mut st = CdclSolver::with_config(config);
+        st.add_cnf(cnf);
+        st
+    }
+
     /// Pigeonhole principle: `pigeons` into `pigeons - 1` holes, UNSAT.
     fn pigeonhole(pigeons: i64) -> Cnf {
         let holes = pigeons - 1;
@@ -2972,14 +2923,14 @@ mod tests {
             (7, TIER_LOCAL),
             (30, TIER_LOCAL),
         ] {
-            assert_eq!(State::tier_for_lbd(lbd), tier, "lbd {lbd}");
+            assert_eq!(CdclSolver::tier_for_lbd(lbd), tier, "lbd {lbd}");
         }
     }
 
     #[test]
     fn tier_maintenance_promotes_and_demotes() {
         let c = cnf(&[&[1, 2, 3]]);
-        let mut st = State::new(&c, CdclConfig::default());
+        let mut st = loaded(&c, CdclConfig::default());
         st.tiers_active = true;
         let core = st.attach_clause_quiet(&[lit(1), lit(2)], true, 2);
         let t2 = st.attach_clause_quiet(&[lit(1), lit(3)], true, 5);
@@ -3018,7 +2969,7 @@ mod tests {
     #[test]
     fn used_bits_and_tier_lists_survive_gc() {
         let c = cnf(&[&[1, 2, 3]]);
-        let mut st = State::new(&c, CdclConfig::default());
+        let mut st = loaded(&c, CdclConfig::default());
         st.tiers_active = true;
         // The doomed clause sits in front of every survivor, so each
         // of them slides down during compaction.
@@ -3308,8 +3259,8 @@ mod tests {
             max_learnts_floor: 20.0,
             ..CdclConfig::default()
         };
-        let mut st = State::new(&c, config);
-        let out = st.solve(&[], &Budget::default());
+        let mut st = loaded(&c, config);
+        let out = st.solve_assuming(&[], &Budget::default());
         assert!(out.is_unsat());
         assert!(
             st.stats.gc_passes >= 2,
@@ -3347,13 +3298,6 @@ mod tests {
         st.audit_clause_db();
     }
 
-    /// Builds an incremental session holding `cnf`.
-    fn incremental(c: &Cnf) -> CdclSolver {
-        let mut s = CdclSolver::default();
-        s.add_cnf(c);
-        s
-    }
-
     #[test]
     fn incremental_clause_addition_between_solves() {
         let mut s = CdclSolver::default();
@@ -3389,7 +3333,7 @@ mod tests {
     #[test]
     fn incremental_assumptions_flip_per_call() {
         let c = cnf(&[&[1, 2], &[-1, 2]]);
-        let mut s = incremental(&c);
+        let mut s = loaded(&c, CdclConfig::default());
         assert!(s.solve_assuming(&[lit(-2)], &Budget::default()).is_unsat());
         // The same session answers SAT once the assumption flips.
         let m = s.solve_assuming(&[lit(2)], &Budget::default()).expect_sat();
@@ -3403,7 +3347,7 @@ mod tests {
     #[test]
     fn final_conflict_on_contradictory_assumptions() {
         let c = cnf(&[&[1, 2]]);
-        let mut s = incremental(&c);
+        let mut s = loaded(&c, CdclConfig::default());
         s.new_var(); // the free variable 3 the assumptions contradict on
         let out = s.solve_assuming(&[lit(3), lit(-3)], &Budget::default());
         assert!(out.is_unsat());
@@ -3437,7 +3381,7 @@ mod tests {
             }
         }
         let assumptions: Vec<Lit> = (1..=pigeons).map(|i| lit(-sel(i))).collect();
-        let mut s = incremental(&c);
+        let mut s = loaded(&c, CdclConfig::default());
         assert!(s
             .solve_assuming(&assumptions, &Budget::default())
             .is_unsat());
@@ -3474,7 +3418,7 @@ mod tests {
                 }
             }
         }
-        let mut s = incremental(&c);
+        let mut s = loaded(&c, CdclConfig::default());
         assert!(s
             .solve_assuming(&[lit(-sel)], &Budget::default())
             .is_unsat());
@@ -3493,38 +3437,32 @@ mod tests {
         assert!(s.solve_assuming(&[lit(sel)], &Budget::default()).is_sat());
     }
 
-    /// One-shot `Backend::solve_with` calls overwrite the `stats`
-    /// mirror but never the session's cumulative counters.
+    /// `Backend::solve_with` resets the solver onto its CNF: clauses
+    /// added earlier play no part in the answer, and the counters
+    /// afterwards are the fresh state's, read the same through `stats`
+    /// and `session_stats()`.
     #[test]
-    fn one_shot_solves_leave_session_stats_alone() {
-        let c = cnf(&[&[1, 2]]);
-        let mut s = incremental(&c);
-        assert!(s.solve_assuming(&[], &Budget::default()).is_sat());
-        let session = s.session_stats();
-        assert!(session.propagations > 0);
-        let other = cnf(&[&[1], &[-1]]);
+    fn solve_with_answers_for_its_cnf_alone() {
+        let mut s = CdclSolver::default();
+        s.add_clause([lit(1)]);
+        s.add_clause([lit(-1)]);
+        assert!(s.solve_assuming(&[], &Budget::default()).is_unsat());
+        let other = pigeonhole(4);
+        let mut fresh = CdclSolver::default();
+        let want = fresh.solve_with(&other, &[], &Budget::default());
+        assert!(want.is_unsat());
+        let sat_cnf = cnf(&[&[1, 2], &[-1, 2]]);
+        match s.solve_with(&sat_cnf, &[], &Budget::default()) {
+            SolveOutcome::Sat(model) => assert!(sat_cnf.eval(&model)),
+            other => panic!("expected SAT, got {other:?}"),
+        }
         assert!(s.solve_with(&other, &[], &Budget::default()).is_unsat());
-        assert_eq!(s.session_stats(), session, "one-shot left session alone");
-        // The session keeps solving (and counting) correctly after.
-        assert!(s.solve_assuming(&[lit(1)], &Budget::default()).is_sat());
-        assert!(s.session_stats().propagations >= session.propagations);
-    }
-
-    /// The mirror-image direction of the stats separation: session
-    /// solves must never touch the one-shot `stats` snapshot either.
-    #[test]
-    fn session_solves_leave_one_shot_stats_alone() {
-        let c = cnf(&[&[1, 2]]);
-        let other = cnf(&[&[1], &[-1]]);
-        let mut s = incremental(&c);
-        assert!(s.solve_with(&other, &[], &Budget::default()).is_unsat());
-        let one_shot = s.stats;
-        assert!(s.solve_assuming(&[], &Budget::default()).is_sat());
-        assert!(s.session_stats().propagations > 0);
-        assert_eq!(
-            s.stats, one_shot,
-            "session solve must not clobber the one-shot stats mirror"
-        );
+        assert_eq!(s.stats, fresh.stats, "a reset replays the fresh trajectory");
+        assert_eq!(s.stats, s.session_stats());
+        assert!(s.stats.conflicts > 0);
+        // The reset state keeps solving incrementally on `other` alone.
+        assert_eq!(s.num_vars(), other.num_vars());
+        assert!(s.solve_assuming(&[], &Budget::default()).is_unsat());
     }
 
     /// Clauses added after the session latched a root conflict are
@@ -3576,7 +3514,7 @@ mod tests {
                 }
             }
         }
-        let mut s = incremental(&c);
+        let mut s = loaded(&c, CdclConfig::default());
         assert!(s
             .solve_assuming(&[lit(-1), lit(-2)], &Budget::default())
             .is_unsat());
@@ -3637,7 +3575,7 @@ mod tests {
     #[test]
     fn incremental_budget_is_per_call() {
         let c = pigeonhole(7);
-        let mut s = incremental(&c);
+        let mut s = loaded(&c, CdclConfig::default());
         let budget = Budget::conflict_limit(5);
         for _ in 0..3 {
             assert!(matches!(
@@ -3678,17 +3616,17 @@ mod tests {
             ..CdclConfig::default()
         };
         let strict: Vec<Lit> = (1..=pigeons).map(|i| lit(-sel(i))).collect();
-        let mut st = State::new(&c, config);
+        let mut st = loaded(&c, config);
         for round in 0..3 {
             assert!(
-                st.solve(&strict, &Budget::default()).is_unsat(),
+                st.solve_assuming(&strict, &Budget::default()).is_unsat(),
                 "round {round}"
             );
             st.cancel_until(0);
             st.audit_clause_db();
             let relaxed: Vec<Lit> = strict[1..].to_vec();
             assert!(
-                st.solve(&relaxed, &Budget::default()).is_sat(),
+                st.solve_assuming(&relaxed, &Budget::default()).is_sat(),
                 "round {round}"
             );
             st.cancel_until(0);
@@ -3723,8 +3661,8 @@ mod tests {
             chrono_from: None,
             ..aggressive_inprocessing()
         };
-        let mut st = State::new(&c, config);
-        assert!(st.solve(&[], &Budget::default()).is_unsat());
+        let mut st = loaded(&c, config);
+        assert!(st.solve_assuming(&[], &Budget::default()).is_unsat());
         assert!(
             st.stats.subsumed_clauses >= 2,
             "the two supersets should be subsumed: {:?}",
@@ -3744,8 +3682,8 @@ mod tests {
             chrono_from: None,
             ..aggressive_inprocessing()
         };
-        let mut st = State::new(&c, config);
-        assert!(st.solve(&[], &Budget::default()).is_unsat());
+        let mut st = loaded(&c, config);
+        assert!(st.solve_assuming(&[], &Budget::default()).is_unsat());
         assert!(
             st.stats.strengthened_clauses >= 1,
             "self-subsuming resolution should fire: {:?}",
@@ -3762,7 +3700,7 @@ mod tests {
     #[test]
     fn enqueue_below_level_survives_partial_backtrack() {
         let c = cnf(&[&[1, 2, 3, 4, 5]]); // keeps vars 0..5 alive
-        let mut st = State::new(&c, CdclConfig::default());
+        let mut st = loaded(&c, CdclConfig::default());
         st.propagate();
         let (a, b, u) = (lit(1), lit(2), lit(3));
         st.trail_lim.push(st.trail.len());
@@ -3800,7 +3738,7 @@ mod tests {
         // falsifying K once u is true out-of-order at level 1.
         let (a, b, cc, u) = (lit(1), lit(2), lit(3), lit(4));
         let c = cnf(&[&[-3, 5], &[-3, -5, -4], &[1, 2, 3, 4, 5]]);
-        let mut st = State::new(&c, CdclConfig::default());
+        let mut st = loaded(&c, CdclConfig::default());
         st.propagate();
         st.trail_lim.push(st.trail.len());
         st.enqueue(a, ClauseRef::NONE); // decision @1
@@ -3844,8 +3782,8 @@ mod tests {
             max_learnts_floor: 8.0,
             ..CdclConfig::default()
         };
-        let mut st = State::new(&pigeonhole(7), config.clone());
-        assert!(st.solve(&[], &Budget::default()).is_unsat());
+        let mut st = loaded(&pigeonhole(7), config.clone());
+        assert!(st.solve_assuming(&[], &Budget::default()).is_unsat());
         assert!(st.stats.chrono_backtracks > 0, "{:?}", st.stats);
         assert!(
             st.stats.oob_enqueues + st.stats.missed_implications > 0,
@@ -3866,8 +3804,8 @@ mod tests {
             chrono_from: Some(0),
             ..CdclConfig::default()
         };
-        let mut st = State::new(&pigeonhole(6), config.clone());
-        assert!(st.solve(&[], &Budget::default()).is_unsat());
+        let mut st = loaded(&pigeonhole(6), config.clone());
+        assert!(st.solve_assuming(&[], &Budget::default()).is_unsat());
         assert!(
             st.stats.chrono_backtracks > 0,
             "php(6,5) must trigger chronological backtracks: {:?}",
@@ -3903,16 +3841,16 @@ mod tests {
             }
         }
         let strict: Vec<Lit> = (1..=pigeons).map(|i| lit(-sel(i))).collect();
-        let mut st = State::new(&c, aggressive_inprocessing());
+        let mut st = loaded(&c, aggressive_inprocessing());
         for round in 0..3 {
             assert!(
-                st.solve(&strict, &Budget::default()).is_unsat(),
+                st.solve_assuming(&strict, &Budget::default()).is_unsat(),
                 "round {round}"
             );
             st.cancel_until(0);
             st.audit_clause_db();
             let relaxed: Vec<Lit> = strict[1..].to_vec();
-            match st.solve(&relaxed, &Budget::default()) {
+            match st.solve_assuming(&relaxed, &Budget::default()) {
                 SolveOutcome::Sat(m) => {
                     assert!(c.eval(&m), "round {round} model");
                     for &a in &relaxed {
@@ -3977,8 +3915,8 @@ mod tests {
                 max_learnts_floor: 10.0,
                 ..CdclConfig::default()
             };
-            let mut st = State::new(&c, config.clone());
-            match st.solve(&[], &Budget::default()) {
+            let mut st = loaded(&c, config.clone());
+            match st.solve_assuming(&[], &Budget::default()) {
                 SolveOutcome::Sat(m) => assert!(c.eval(&m), "bogus model in round {round}"),
                 SolveOutcome::Unsat => {
                     // Cross-check against the default configuration.
@@ -4200,7 +4138,7 @@ mod tests {
     #[test]
     fn import_filter_keeps_only_rup_clauses() {
         let c = cnf(&[&[1, 2], &[-1, 2], &[3, 4]]);
-        let mut st = State::new(&c, CdclConfig::default());
+        let mut st = loaded(&c, CdclConfig::default());
         let hub = Arc::new(ClauseExchange::new(2, 8));
         st.exchange = Some(ExchangeLink {
             hub: Arc::clone(&hub),
@@ -4238,9 +4176,9 @@ mod tests {
         // (1 2) (-1 3) make (2 3); (-2 4) (-3 4) then force 4, and
         // (-4 5) (-4 -5) refute it. Only variable 1 may go.
         let c = cnf(&[&[1, 2], &[-1, 3], &[-2, 4], &[-3, 4], &[-4, 5], &[-4, -5]]);
-        let mut st = State::empty(CdclConfig::default());
-        st.proof = Some(Box::default());
-        st.load_cnf(&c);
+        let mut st = CdclSolver::default();
+        st.enable_proof();
+        st.add_cnf(&c);
         for v in 1..5 {
             st.frozen[v] = true;
         }
@@ -4264,7 +4202,7 @@ mod tests {
         );
         assert_eq!(st.elim_stack.len(), 1);
         st.audit_clause_db();
-        assert!(st.solve(&[], &Budget::default()).is_unsat());
+        assert!(st.solve_assuming(&[], &Budget::default()).is_unsat());
         let proof = st.proof.as_deref().expect("proof on");
         crate::proof::certify_unsat(proof, &[]).expect("the refutation certifies");
     }
@@ -4274,7 +4212,7 @@ mod tests {
     #[test]
     fn export_respects_share_limits() {
         let c = cnf(&[&[1, 2], &[-1, 2], &[3, 4]]);
-        let mut st = State::new(&c, CdclConfig::default());
+        let mut st = loaded(&c, CdclConfig::default());
         let hub = Arc::new(ClauseExchange::new(2, 8));
         st.exchange = Some(ExchangeLink {
             hub: Arc::clone(&hub),
@@ -4298,7 +4236,7 @@ mod tests {
     #[test]
     fn stop_flag_skips_inprocessing_passes() {
         let build = || {
-            let mut st = State::new(
+            let mut st = loaded(
                 &cnf(&[&[1, 2], &[1, 2, 3], &[-1, 4], &[-2, -3], &[3, 4, 5]]),
                 CdclConfig {
                     tiers_from: Some(0),

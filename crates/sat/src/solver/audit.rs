@@ -82,7 +82,7 @@ pub(super) fn env_enabled() -> bool {
     std::env::var_os("LASSYNTH_AUDIT").is_some_and(|v| v != "0")
 }
 
-impl State {
+impl CdclSolver {
     /// The checkpoint hook: a single predictable branch when auditing
     /// is off.
     #[inline]
@@ -759,7 +759,7 @@ mod tests {
 
     /// A small audited state with a decision and three implications:
     /// deciding 1 propagates 2 (binary reason), then 3, then 4.
-    fn audited_state() -> State {
+    fn audited_state() -> CdclSolver {
         let mut c = Cnf::new(0);
         c.add_clause([lit(-1), lit(2)]);
         c.add_clause([lit(-1), lit(-2), lit(3)]);
@@ -769,7 +769,7 @@ mod tests {
             audit: true,
             ..CdclConfig::default()
         };
-        let mut st = State::new(&c, config);
+        let mut st = crate::solver::tests::loaded(&c, config);
         st.trail_lim.push(st.trail.len());
         st.enqueue(lit(1), ClauseRef::NONE);
         assert!(st.propagate().is_none());
@@ -840,7 +840,7 @@ mod tests {
             audit: true,
             ..CdclConfig::default()
         };
-        let mut st = State::new(&c, config);
+        let mut st = crate::solver::tests::loaded(&c, config);
         assert!(st.eliminate_vars(None));
         assert!(st.eliminated[0]);
         st.collect_garbage();
@@ -870,7 +870,7 @@ mod tests {
             audit: true,
             ..CdclConfig::default()
         };
-        let mut st = State::new(&c, config);
+        let mut st = crate::solver::tests::loaded(&c, config);
         assert!(st.eliminate_vars(None));
         st.collect_garbage();
         st.audit_now(AuditPoint::Gc); // control

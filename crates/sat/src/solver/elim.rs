@@ -5,7 +5,7 @@
 //! *inprocessing*: at restart boundaries, on the live clause database,
 //! interleaved with search.
 //!
-//! A variable `v` is eliminated ([`State::eliminate_vars`]) by
+//! A variable `v` is eliminated ([`CdclSolver::eliminate_vars`]) by
 //! replacing every original clause containing `v` with the
 //! non-tautological resolvents of the positive × negative occurrence
 //! pairs (distribution). The pass is *bounded*: a variable is only
@@ -19,8 +19,8 @@
 //! deleted original clauses are pushed onto an **elimination stack**
 //! ([`ElimFrame`]) and a SAT answer walks the stack backwards to extend
 //! the assignment over the eliminated variables
-//! ([`State::reconstruct_model`]). The incremental API restores
-//! eliminated variables on demand ([`State::restore_var`]): a new
+//! ([`CdclSolver::reconstruct_model`]). The incremental API restores
+//! eliminated variables on demand ([`CdclSolver::restore_var`]): a new
 //! clause or assumption mentioning one pops stack frames LIFO — popping
 //! in reverse elimination order guarantees a popped frame's clauses
 //! never mention a variable that is still eliminated — and re-adds the
@@ -52,8 +52,8 @@ const ELIM_CLAUSE_SIZE_CAP: usize = 24;
 const ELIM_GROW: usize = 12;
 
 /// One eliminated variable: the original clauses that mentioned it,
-/// recorded in elimination order. [`State::reconstruct_model`] walks
-/// frames newest-first to complete a model; [`State::restore_var`]
+/// recorded in elimination order. [`CdclSolver::reconstruct_model`] walks
+/// frames newest-first to complete a model; [`CdclSolver::restore_var`]
 /// pops them (strictly LIFO) to reintroduce a variable the incremental
 /// API needs back.
 ///
@@ -86,7 +86,7 @@ impl ElimFrame {
     }
 }
 
-impl State {
+impl CdclSolver {
     /// Queues every variable of `c` for retry at the next BVE pass —
     /// called wherever an *original* clause is deleted, strengthened,
     /// or promoted, since that changes its variables' resolution
@@ -95,18 +95,6 @@ impl State {
         for i in 0..self.arena.len(c) {
             self.elim_dirty[self.arena.lit(c, i).var().index()] = true;
         }
-    }
-
-    /// Marks a variable as frozen (exempt from elimination). If it was
-    /// already eliminated in an earlier pass, it is restored first —
-    /// freezing promises the caller can mention the variable in future
-    /// clauses and assumptions without surprises.
-    pub(super) fn freeze_var(&mut self, v: Var) {
-        let i = v.index();
-        if self.eliminated[i] {
-            self.restore_var(i);
-        }
-        self.frozen[i] = true;
     }
 
     /// Reintroduces an eliminated variable by popping elimination-stack
@@ -481,12 +469,12 @@ mod tests {
         Lit::from_dimacs(i)
     }
 
-    fn state(clauses: &[&[i64]], config: CdclConfig) -> State {
+    fn state(clauses: &[&[i64]], config: CdclConfig) -> CdclSolver {
         let mut c = Cnf::new(0);
         for cl in clauses {
             c.add_clause(cl.iter().map(|&d| lit(d)));
         }
-        State::new(&c, config)
+        crate::solver::tests::loaded(&c, config)
     }
 
     #[test]
@@ -562,7 +550,7 @@ mod tests {
         let mut st = state(&[&[1, 2], &[-1, 3]], CdclConfig::default());
         assert!(st.eliminate_vars(None));
         assert!(st.eliminated[0]);
-        st.freeze_var(Var(0));
+        st.freeze(Var(0));
         assert!(!st.eliminated[0]);
         assert!(st.frozen[0]);
         // A frozen variable stays put through further passes.
@@ -641,14 +629,11 @@ mod tests {
         }
         s.add_clause([lit(1), lit(2)]);
         s.add_clause([lit(-1), lit(3)]);
-        {
-            let st = s.session.as_mut().unwrap();
-            assert!(st.eliminate_vars(None));
-            assert!(st.eliminated[0]);
-            st.collect_garbage();
-        }
+        assert!(s.eliminate_vars(None));
+        assert!(s.eliminated[0]);
+        s.collect_garbage();
         s.add_clause([lit(1)]);
-        assert!(!s.session.as_ref().unwrap().eliminated[0]);
+        assert!(!s.eliminated[0]);
         // With the frame replayed, (1) forces 3 through (-1 3).
         assert!(s.solve_assuming(&[lit(-3)], &Budget::default()).is_unsat());
         assert!(s.solve_assuming(&[], &Budget::default()).is_sat());
@@ -666,18 +651,15 @@ mod tests {
         }
         s.add_clause([lit(1), lit(2)]);
         s.add_clause([lit(-1), lit(3)]);
-        {
-            let st = s.session.as_mut().unwrap();
-            assert!(st.eliminate_vars(None));
-            assert!(st.eliminated[0]);
-            st.collect_garbage();
-        }
+        assert!(s.eliminate_vars(None));
+        assert!(s.eliminated[0]);
+        s.collect_garbage();
         // Assuming the eliminated variable restores it; 1 ∧ ¬3 then
         // contradicts the replayed (-1 3).
         assert!(s
             .solve_assuming(&[lit(1), lit(-3)], &Budget::default())
             .is_unsat());
-        assert!(!s.session.as_ref().unwrap().eliminated[0]);
+        assert!(!s.eliminated[0]);
         assert!(s.solve_assuming(&[lit(1)], &Budget::default()).is_sat());
     }
 
@@ -690,7 +672,7 @@ mod tests {
             ..CdclConfig::default()
         };
         let mut s = CdclSolver::with_config(config);
-        s.freeze(Var(0)); // grows the session on demand
+        s.freeze(Var(0)); // grows the variable space on demand
         for _ in 0..3 {
             s.new_var();
         }

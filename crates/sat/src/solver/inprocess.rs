@@ -6,7 +6,7 @@
 //! module schedules the two passes, subsume → eliminate, plus the
 //! machinery they share:
 //!
-//! * **Subsumption and self-subsuming resolution** ([`State::subsume`]):
+//! * **Subsumption and self-subsuming resolution** ([`CdclSolver::subsume`]):
 //!   a SatELite-style backward pass over an occurrence index
 //!   ([`OccIndex`]). Each pass gives every live clause a dense id and
 //!   a 64-bit *signature* (a Bloom filter of its variables, bit
@@ -20,7 +20,7 @@
 //!   queue — they are stronger subsumers than their originals.
 //!
 //! * **Bounded variable elimination** lives in the sibling `elim`
-//!   module ([`State::eliminate_vars`]) and runs on the same schedule
+//!   module ([`CdclSolver::eliminate_vars`]) and runs on the same schedule
 //!   from [`CdclConfig::elim_from`] session conflicts on.
 //!
 //! Both passes run at restart boundaries (decision level 0, no
@@ -28,7 +28,7 @@
 //! a consequence of the added clauses alone — exactly the invariant the
 //! incremental API needs. Deleted clauses are detached from the watch
 //! lists immediately and reclaimed by the same compacting GC that
-//! `reduce_db` uses ([`State::collect_garbage`] compacts the arena in
+//! `reduce_db` uses ([`CdclSolver::collect_garbage`] compacts the arena in
 //! place and rewrites ref lists, watchers and trail reasons to the new
 //! offsets), so no tombstone ever survives into `propagate`. Clauses
 //! that currently serve as the reason of a root-level trail literal
@@ -113,7 +113,7 @@ pub(super) struct OccIndex {
 
 impl OccIndex {
     /// Indexes every live clause.
-    pub(super) fn build(st: &State) -> OccIndex {
+    pub(super) fn build(st: &CdclSolver) -> OccIndex {
         let n_lits = 2 * st.num_vars;
         let refs: Vec<ClauseRef> = st
             .clauses
@@ -187,7 +187,7 @@ pub(super) fn signature(lits: impl IntoIterator<Item = Lit>) -> u64 {
         .fold(0, |sig, l| sig | 1u64 << (l.var().0 & 63))
 }
 
-impl State {
+impl CdclSolver {
     /// Runs one inprocessing pass (subsumption, then bounded variable
     /// elimination, then a compacting GC) if the conflict count has
     /// crossed the schedule. Called at restart boundaries only — the

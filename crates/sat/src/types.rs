@@ -282,7 +282,9 @@ impl Budget {
 /// porting seam. Implemented by [`crate::CdclSolver`] (ours) and
 /// [`crate::VarisatBackend`].
 pub trait Backend {
-    /// Solves `cnf` under `assumptions` within `budget`.
+    /// Solves `cnf` under `assumptions` within `budget`. The answer is
+    /// for `cnf` alone: nothing an earlier call loaded or learnt takes
+    /// part (the CDCL solver resets its state onto `cnf`).
     fn solve_with(&mut self, cnf: &Cnf, assumptions: &[Lit], budget: &Budget) -> SolveOutcome;
 
     /// Solves without assumptions or limits.
