@@ -3,14 +3,14 @@
 //! Companion to `t_factory_budgeted`: the same 9x4 depth-4 T-factory
 //! encoding, solved by `solve_portfolio_detailed` as a 4-seed
 //! diversified lockstep fleet, once with clause sharing off (every
-//! worker isolated, each round's turns on scoped threads) and once with
-//! sharing on (low-LBD learnt clauses fanned out through the bounded
-//! exchange and RUP-filtered on import, one turn at a time). The
+//! worker isolated) and once with sharing on (low-LBD learnt clauses
+//! fanned out through the round-gated exchange and RUP-filtered on
+//! import); either way each round's turns run on scoped threads. The
 //! tracked comparison is *total fleet conflicts until the driver stops*
 //! — a verdict from any worker, or every per-worker budget exhausted.
 //! Conflicts are deterministic for a given code + seeds + quantum (turns
-//! are fixed quanta, verdicts are settled in seed order, and the
-//! exchange order is seed-stable), so the gates below are
+//! are fixed quanta, verdicts are settled in seed order, and a turn
+//! imports only earlier rounds' clauses, in seed order), so the gates below are
 //! machine-independent; wall time is printed for the trail only.
 //!
 //! Gates:

@@ -350,10 +350,11 @@ fn find_min_depth_incremental(
     })
 }
 
-/// Capacity of each worker's inbox in a clause-sharing run. Clauses
-/// past a full inbox are dropped (deterministically — a sharing fleet
-/// takes its turns one at a time), so this only trades sharing coverage
-/// against memory; it never blocks a worker.
+/// Clauses each worker of a clause-sharing run imports per round at
+/// most: the first in (source, export order) are kept, the rest dropped
+/// (deterministically — the exchange cuts at drain, once the round is
+/// over), so this only trades sharing coverage against import work; it
+/// never blocks a worker.
 const EXCHANGE_CAPACITY: usize = 1024;
 
 /// Depth-parallel mode: one lockstep worker per candidate depth.
@@ -522,14 +523,14 @@ impl PortfolioOutcome {
 /// the same stats.
 ///
 /// With `options.share_clauses` the workers also fan their low-LBD
-/// learnt clauses out to each other through a bounded
-/// [`ClauseExchange`], and take their turns one at a time so the import
-/// sequence is reproducible too. What sharing buys is measured as
-/// *fewer total conflicts to a verdict* than the same fleet running
-/// isolated. Workers import only at their own restart boundaries (and
-/// solve-entry), and every import is RUP-checked and proof-logged, so
-/// `options.certify` composes: an UNSAT verdict from an import-fed
-/// worker still carries a checkable DRAT log.
+/// learnt clauses out to each other through a round-gated
+/// [`ClauseExchange`]: each turn starts by importing what the other
+/// workers exported in earlier rounds, so a round's turns still run in
+/// parallel and the import sequence is reproducible too. What sharing
+/// buys is measured as *fewer total conflicts to a verdict* than the
+/// same fleet running isolated. Every import is RUP-checked and
+/// proof-logged, so `options.certify` composes: an UNSAT verdict from
+/// an import-fed worker still carries a checkable DRAT log.
 ///
 /// # Errors
 ///
@@ -906,6 +907,67 @@ mod tests {
         assert_eq!(first, run());
         let exchanged: u64 = first.1.iter().map(|t| t.4).sum();
         assert!(exchanged > 0, "the fleet never exchanged a clause");
+    }
+
+    /// A sharing fleet, whose rounds run on threads, takes the same
+    /// turns as a one-turn-at-a-time replay through the public `sat`
+    /// API: the round-gated exchange makes every import independent of
+    /// turn order, so the per-worker stats and the winner agree.
+    #[test]
+    fn shared_fleet_matches_a_one_turn_at_a_time_replay() {
+        use sat::{Budget, CdclSolver, ShareLimits, SolveOutcome};
+        let spec = workloads::specs::majority_gate_spec(3);
+        let seeds = [0, 1, 2, 3];
+        let options = SynthOptions {
+            parallel_quantum: 10,
+            ..shared_options()
+        };
+        let fleet = solve_portfolio_detailed(&spec, &seeds, &options).unwrap();
+
+        let cnf = encode(&spec).unwrap().cnf;
+        let hub = Arc::new(ClauseExchange::new(seeds.len(), EXCHANGE_CAPACITY));
+        let mut workers: Vec<CdclSolver> = seeds
+            .iter()
+            .enumerate()
+            .map(|(index, &seed)| {
+                let mut solver = CdclSolver::with_config(CdclConfig::diversified(seed));
+                solver.add_cnf(&cnf);
+                solver.connect_exchange(Arc::clone(&hub), index, ShareLimits::default());
+                solver
+            })
+            .collect();
+        let mut running = vec![true; seeds.len()];
+        let mut winner = None;
+        while winner.is_none() && running.contains(&true) {
+            for (index, solver) in workers.iter_mut().enumerate() {
+                if !running[index] {
+                    continue;
+                }
+                let before = solver.stats.conflicts;
+                let turn = Budget::conflict_limit(options.parallel_quantum);
+                match solver.solve_assuming(&[], &turn) {
+                    SolveOutcome::Unknown(_) => running[index] = solver.stats.conflicts > before,
+                    _ => {
+                        running[index] = false;
+                        winner = winner.or(Some(seeds[index]));
+                    }
+                }
+            }
+        }
+
+        assert!(fleet.result.is_sat());
+        assert_eq!(fleet.winner_seed, winner);
+        let stats: Vec<_> = fleet
+            .worker_stats
+            .iter()
+            .map(|&(_, s)| s.unwrap())
+            .collect();
+        let replayed: Vec<_> = workers.iter().map(|w| w.stats).collect();
+        assert_eq!(stats, replayed);
+        assert!(
+            stats.iter().map(|s| s.imported_kept).sum::<u64>() > 0,
+            "the fleet never kept an imported clause"
+        );
     }
 
     /// An UNSAT verdict from an import-fed worker still carries a

@@ -6,10 +6,12 @@
 //! validity-checked and ZX-verified ([`settle`]), and an UNSAT is
 //! proof-checked when certifying ([`certify`]). [`Fleet`] runs several
 //! solvers in rounds of fixed conflict quanta (deterministic lockstep
-//! search: Hamadi, Jabbour, Piette & Sais, JSAT 2011). Isolated workers
-//! take a round's turns on scoped threads; clause-sharing workers take
-//! them one at a time. The deadline is checked between turns, and each
-//! quantum is a crash-isolation boundary.
+//! search: Hamadi, Jabbour, Piette & Sais, JSAT 2011). Every round's
+//! turns run in parallel on scoped threads, isolated or clause-sharing
+//! alike: a sharing worker imports only what its peers exported in
+//! earlier rounds ([`sat::exchange`]), so the order in which a round's
+//! turns run changes nothing. The deadline is checked between rounds,
+//! and each quantum is a crash-isolation boundary.
 
 use crate::synthesize::{SynthError, SynthOptions, SynthResult};
 use crate::verify::verify;
@@ -19,8 +21,9 @@ use sat::{
     SolveOutcome,
 };
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Opens a solver on `cnf` with `base`, armed with the run's fault plan
@@ -190,14 +193,12 @@ impl<W> Worker<W> {
     }
 }
 
-/// Solvers run in rounds, in worker order, at most
-/// `options.parallel_quantum` conflicts per turn. A round is taken in
-/// batches: one worker when `options.share_clauses` connects the
-/// solvers to a hub, since each import depends on every earlier turn,
-/// else the whole round at once.
-/// Fixed order, fixed quanta and verdicts settled in worker order make
-/// two runs take the same turns and reach the same counters (only the
-/// `time` fields vary).
+/// Solvers run in rounds of one turn each, at most
+/// `options.parallel_quantum` conflicts per turn, a round's turns in
+/// parallel. Fixed quanta, imports gated by round, and verdicts settled
+/// in worker order make two runs take the same turns and reach the same
+/// counters (only the `time` fields vary), with or without
+/// `options.share_clauses`.
 pub(crate) struct Fleet<W> {
     /// Names a worker's `id` in crash reports ("seed", "depth").
     kind: &'static str,
@@ -228,7 +229,7 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
     /// worker is `eligible`, or the driver gives up. Each turn solves
     /// under `assumptions(id)`; a SAT or UNSAT outcome marks the worker
     /// decided and goes to `verdict`, which returns whether to stop. A
-    /// verdict whose worker an earlier verdict of the same batch made
+    /// verdict whose worker an earlier verdict of the same round made
     /// ineligible is dropped unchecked, and the worker stays undecided.
     ///
     /// Returns why the fleet stopped without being told to: the driver's
@@ -250,42 +251,27 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
         let quantum = options.parallel_quantum.max(1);
         let limits = &options.budget;
         let deadline = limits.max_time.map(|t| Instant::now() + t);
-        let batch_len = if options.share_clauses {
-            1
-        } else {
-            self.workers.len().max(1)
-        };
-        let runs = |w: &Worker<W>| matches!(w.state, WorkerState::Running) && eligible(w.id);
         loop {
             let round: Vec<usize> = (0..self.workers.len())
-                .filter(|&index| runs(&self.workers[index]))
+                .filter(|&index| {
+                    let w = &self.workers[index];
+                    matches!(w.state, WorkerState::Running) && eligible(w.id)
+                })
                 .collect();
             if round.is_empty() {
                 break;
             }
-            for batch in round.chunks(batch_len) {
-                // Checked again per batch, so a one-worker batch sees the
-                // verdicts of the turns before it.
-                let members: Vec<usize> = batch
-                    .iter()
-                    .copied()
-                    .filter(|&index| runs(&self.workers[index]))
-                    .collect();
-                if members.is_empty() {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Ok(Some(ExhaustionReason::Deadline));
+            }
+            for (index, outcome) in self.take_turns(&round, &assumptions, quantum, limits) {
+                let worker = &mut self.workers[index];
+                if !eligible(worker.id) {
                     continue;
                 }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Ok(Some(ExhaustionReason::Deadline));
-                }
-                for (index, outcome) in self.take_turns(&members, &assumptions, quantum, limits) {
-                    let worker = &mut self.workers[index];
-                    if !eligible(worker.id) {
-                        continue;
-                    }
-                    worker.state = WorkerState::Decided(outcome.is_sat());
-                    if verdict(worker.id, &worker.solver, outcome)? {
-                        return Ok(None);
-                    }
+                worker.state = WorkerState::Decided(outcome.is_sat());
+                if verdict(worker.id, &worker.solver, outcome)? {
+                    return Ok(None);
                 }
             }
         }
@@ -305,10 +291,11 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
         }))
     }
 
-    /// Takes one turn for each of `members` (worker indices, ascending):
-    /// every turn but the last on its own scoped thread, the last on
-    /// this one, so a batch of one spawns nothing. Returns the verdicts
-    /// in worker order.
+    /// Takes one turn for each of `members` (worker indices,
+    /// ascending) on `min(available_parallelism, members)` lanes: scoped
+    /// threads plus this one, each pulling the next worker until none is
+    /// left, so a one-lane round spawns nothing. Returns the verdicts in
+    /// worker order.
     fn take_turns(
         &mut self,
         members: &[usize],
@@ -316,38 +303,42 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
         quantum: u64,
         limits: &Budget,
     ) -> Vec<(usize, SolveOutcome)> {
-        let mut turns: Vec<_> = self
+        let turns: Vec<_> = self
             .workers
             .iter_mut()
             .enumerate()
             .filter(|(index, _)| members.contains(index))
             .map(|(index, worker)| (index, assumptions(worker.id), worker))
             .collect();
-        let last = turns.pop();
-        std::thread::scope(|scope| {
-            let spawned: Vec<_> = turns
-                .into_iter()
-                .map(|(index, lits, worker)| {
-                    (
-                        index,
-                        scope.spawn(move || worker.take_turn(&lits, quantum, limits)),
-                    )
-                })
-                .collect();
-            let last = last.and_then(|(index, lits, worker)| {
-                Some((index, worker.take_turn(&lits, quantum, limits)?))
-            });
+        let lanes = std::thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .min(turns.len());
+        let queue = Mutex::new(turns.into_iter());
+        let lane = || {
+            let mut verdicts = Vec::new();
+            loop {
+                // Held only to pull the next turn, never across one.
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((index, lits, worker)) = next else {
+                    return verdicts;
+                };
+                if let Some(outcome) = worker.take_turn(&lits, quantum, limits) {
+                    verdicts.push((index, outcome));
+                }
+            }
+        };
+        let mut verdicts = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
+            let mut verdicts = lane();
             // A turn catches its own panics, so a failed join is a bug in
             // the bookkeeping around the solve: pass it on.
-            spawned
-                .into_iter()
-                .filter_map(|(index, turn)| {
-                    let outcome = turn.join().unwrap_or_else(|e| resume_unwind(e))?;
-                    Some((index, outcome))
-                })
-                .chain(last)
-                .collect()
-        })
+            for handle in spawned {
+                verdicts.extend(handle.join().unwrap_or_else(|e| resume_unwind(e)));
+            }
+            verdicts
+        });
+        verdicts.sort_unstable_by_key(|&(index, _)| index);
+        verdicts
     }
 
     /// Workers that crashed, as `(id, panic message)` in worker order.

@@ -51,11 +51,12 @@ pub struct SynthOptions {
     /// Exchange low-LBD learnt clauses between the workers of a
     /// lockstep fleet: the seeds of
     /// [`crate::optimize::solve_portfolio_detailed`], or the per-depth
-    /// workers under [`SynthOptions::depth_parallel`]. A sharing fleet
-    /// takes its turns one at a time, so the import sequence is
-    /// reproducible too; the win sought is *fewer total conflicts to a
-    /// verdict*. CDCL backend only. The CLI's `--share-clauses` flag
-    /// lands here.
+    /// workers under [`SynthOptions::depth_parallel`]. A worker imports
+    /// at the start of each turn what its peers exported in earlier
+    /// rounds, so a round's turns still run in parallel and the import
+    /// sequence is reproducible too; the win sought is *fewer total
+    /// conflicts to a verdict*. CDCL backend only. The CLI's
+    /// `--share-clauses` flag lands here.
     pub share_clauses: bool,
     /// Run [`crate::optimize::find_min_depth`] on the lockstep fleet,
     /// one worker per candidate depth (each owning one `max_k` of a

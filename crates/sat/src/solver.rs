@@ -879,6 +879,10 @@ struct ExchangeLink {
     /// Export admission bounds; import accepts everything that passes
     /// the RUP re-check.
     limits: ShareLimits,
+    /// This session's `solve_assuming` calls so far: the exchange
+    /// round of the current call, whose exports carry it and whose
+    /// import takes only earlier rounds.
+    round: u64,
 }
 
 /// The CDCL solver: one persistent state that every solve call reuses.
@@ -1290,15 +1294,16 @@ impl CdclSolver {
     /// Connects the solver to a clause-exchange hub as worker `worker`
     /// (its inbox index; it never publishes to itself).
     ///
+    /// Each [`CdclSolver::solve_assuming`] call is one exchange round.
     /// Exports happen as clauses are learnt — every learnt unit, and
-    /// every learnt clause within `limits` — and are counted in
-    /// [`SolverStats::exported_clauses`]. Imports happen only at
-    /// deterministic points (entry to
-    /// [`CdclSolver::solve_assuming`] and restart boundaries, both at
-    /// decision level 0): each drained clause is re-verified by
-    /// reverse unit propagation against the solver's own database
-    /// before it is attached, and logged as a derived proof step, so
-    /// sharing composes with [`CdclSolver::enable_proof`] and
+    /// every learnt clause within `limits` — tagged with the call's
+    /// round, and are counted in [`SolverStats::exported_clauses`].
+    /// Imports happen only at the entry to `solve_assuming`, at
+    /// decision level 0, and take what peers exported in earlier
+    /// rounds ([`ClauseExchange::drain`]): each drained clause is
+    /// re-verified by reverse unit propagation against the solver's own
+    /// database before it is attached, and logged as a derived proof
+    /// step, so sharing composes with [`CdclSolver::enable_proof`] and
     /// incremental solving. A clause that fails the re-check (already
     /// satisfied at root, or not RUP here yet) is skipped —
     /// [`SolverStats::imported_kept`] vs
@@ -1318,6 +1323,7 @@ impl CdclSolver {
             hub,
             worker,
             limits,
+            round: 0,
         });
     }
 
@@ -2242,7 +2248,7 @@ impl CdclSolver {
         if lits.len() > 1 && (lbd > link.limits.max_lbd || lits.len() > link.limits.max_len) {
             return;
         }
-        let (hub, worker) = (Arc::clone(&link.hub), link.worker);
+        let (hub, worker, round) = (Arc::clone(&link.hub), link.worker, link.round);
         // Corrupt-exchange fault: the first admitted export at or past
         // the trigger conflict is published with its first literal
         // flipped. Only the in-flight copy is corrupted — the exporter
@@ -2257,18 +2263,18 @@ impl CdclSolver {
             self.fault_fired = true;
             let mut bad = lits.to_vec();
             bad[0] = !bad[0];
-            hub.publish(worker, &bad, lbd);
+            hub.publish(worker, round, &bad, lbd);
         } else {
-            hub.publish(worker, lits, lbd);
+            hub.publish(worker, round, lits, lbd);
         }
         self.stats.exported_clauses += 1;
     }
 
-    /// Drains this worker's exchange inbox and attaches every clause
-    /// that passes a local RUP re-check. Called only at decision
-    /// level 0 — `solve` entry and restart boundaries — so unit
-    /// imports assert as root facts, inbox contents are a
-    /// deterministic function of the portfolio schedule, and the
+    /// Drains what peers exported in rounds before this one and
+    /// attaches every clause that passes a local RUP re-check. Called
+    /// only at `solve_assuming` entry, at decision level 0, so unit
+    /// imports assert as root facts, what arrives is a deterministic
+    /// function of the other workers' earlier turns, and the
     /// incremental invariants (everything retained is a consequence
     /// of the added clauses alone) are preserved.
     fn import_shared_clauses(&mut self) {
@@ -2276,12 +2282,12 @@ impl CdclSolver {
             return;
         }
         debug_assert_eq!(self.decision_level(), 0);
-        let (hub, worker) = {
+        let (hub, worker, round) = {
             #[expect(clippy::expect_used, reason = "the early return checked the link")]
             let link = self.exchange.as_ref().expect("checked above");
-            (Arc::clone(&link.hub), link.worker)
+            (Arc::clone(&link.hub), link.worker, link.round)
         };
-        for shared in hub.drain(worker) {
+        for shared in hub.drain(worker, round) {
             if self.root_unsat {
                 break;
             }
@@ -2482,6 +2488,10 @@ impl CdclSolver {
     /// have (call [`CdclSolver::new_var`]/[`CdclSolver::add_clause`]
     /// first).
     pub fn solve_assuming(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
+        // Every call is one exchange round, however it returns.
+        if let Some(link) = &mut self.exchange {
+            link.round += 1;
+        }
         self.assumption_conflict.clear();
         if self.root_unsat {
             return SolveOutcome::Unsat;
@@ -2526,8 +2536,9 @@ impl CdclSolver {
             self.proof_add_empty();
             return SolveOutcome::Unsat;
         }
-        // Deterministic import point: drain the exchange inbox before
-        // the search starts (level 0, assumptions not yet applied).
+        // The one import point: drain what peers exported in earlier
+        // rounds before the search starts (level 0, assumptions not yet
+        // applied).
         self.import_shared_clauses();
         if self.root_unsat {
             return SolveOutcome::Unsat;
@@ -2669,14 +2680,6 @@ impl CdclSolver {
                         // consequence of the clauses alone and stays
                         // sound across the incremental session.
                         self.maybe_inprocess(deadline);
-                        if self.root_unsat {
-                            return SolveOutcome::Unsat;
-                        }
-                        // The other deterministic import point: clause
-                        // exchange joins inprocessing at the restart
-                        // boundary, after the passes have settled the
-                        // database the RUP re-check runs against.
-                        self.import_shared_clauses();
                         if self.root_unsat {
                             return SolveOutcome::Unsat;
                         }
@@ -4132,19 +4135,26 @@ mod tests {
         );
     }
 
-    /// The import filter: satisfied clauses are rejected, clauses not
-    /// yet RUP locally are rejected, RUP units are asserted at the
-    /// root.
-    #[test]
-    fn import_filter_keeps_only_rup_clauses() {
-        let c = cnf(&[&[1, 2], &[-1, 2], &[3, 4]]);
-        let mut st = loaded(&c, CdclConfig::default());
+    /// Links `st` to a fresh two-worker hub as worker 0, at `round`.
+    fn linked(st: &mut CdclSolver, limits: ShareLimits, round: u64) -> Arc<ClauseExchange> {
         let hub = Arc::new(ClauseExchange::new(2, 8));
         st.exchange = Some(ExchangeLink {
             hub: Arc::clone(&hub),
             worker: 0,
-            limits: ShareLimits::default(),
+            limits,
+            round,
         });
+        hub
+    }
+
+    /// The import filter: satisfied clauses are rejected, clauses not
+    /// yet RUP locally are rejected, RUP units are asserted at the
+    /// root. Each import takes only the rounds before the importer's.
+    #[test]
+    fn import_filter_keeps_only_rup_clauses() {
+        let c = cnf(&[&[1, 2], &[-1, 2], &[3, 4]]);
+        let mut st = loaded(&c, CdclConfig::default());
+        let hub = linked(&mut st, ShareLimits::default(), 1);
         // (2) is RUP: assuming ¬2 makes both binary clauses unit on
         // 1 and ¬1. (3 4) duplicates a present clause, whose live copy
         // propagates under the probe — duplicates pass the re-check
@@ -4152,16 +4162,18 @@ mod tests {
         // propagation: assuming ¬1 ¬3 propagates 4 and conflicts
         // nowhere, so it is rejected. (8 9) is over unknown
         // variables, rejected outright.
-        hub.publish(1, &[lit(2)], 1);
-        hub.publish(1, &[lit(3), lit(4)], 2);
-        hub.publish(1, &[lit(1), lit(3)], 2);
-        hub.publish(1, &[lit(8), lit(9)], 2);
+        hub.publish(1, 0, &[lit(2)], 1);
+        hub.publish(1, 0, &[lit(3), lit(4)], 2);
+        hub.publish(1, 0, &[lit(1), lit(3)], 2);
+        hub.publish(1, 0, &[lit(8), lit(9)], 2);
+        // The peer's round-1 clause is not the importer's to take yet.
+        hub.publish(1, 1, &[lit(2), lit(4)], 2);
         st.import_shared_clauses();
         assert_eq!(st.stats.imported_clauses, 4);
         assert_eq!(st.stats.imported_kept, 2);
         assert_eq!(st.value(lit(2)), 1, "RUP unit asserted at root");
         // A clause satisfied at the root is rejected on arrival.
-        hub.publish(1, &[lit(2), lit(4)], 2);
+        st.exchange.as_mut().expect("linked").round = 2;
         st.import_shared_clauses();
         assert_eq!(st.stats.imported_clauses, 5);
         assert_eq!(st.stats.imported_kept, 2);
@@ -4185,14 +4197,9 @@ mod tests {
         assert!(st.eliminate_vars(None));
         st.collect_garbage();
         assert!(st.eliminated[0]);
-        let hub = Arc::new(ClauseExchange::new(2, 8));
-        st.exchange = Some(ExchangeLink {
-            hub: Arc::clone(&hub),
-            worker: 0,
-            limits: ShareLimits::default(),
-        });
+        let hub = linked(&mut st, ShareLimits::default(), 1);
         // (-1 4) is entailed, and RUP once variable 1 is back.
-        hub.publish(1, &[lit(-1), lit(4)], 2);
+        hub.publish(1, 0, &[lit(-1), lit(4)], 2);
         st.import_shared_clauses();
         assert_eq!(st.stats.imported_clauses, 1);
         assert_eq!(st.stats.imported_kept, 0);
@@ -4208,26 +4215,44 @@ mod tests {
     }
 
     /// Export honors the admission limits: units always, longer
-    /// clauses only within the LBD/length bounds.
+    /// clauses only within the LBD/length bounds. Exports carry the
+    /// exporter's round, so the peer takes them only in a later one.
     #[test]
     fn export_respects_share_limits() {
         let c = cnf(&[&[1, 2], &[-1, 2], &[3, 4]]);
         let mut st = loaded(&c, CdclConfig::default());
-        let hub = Arc::new(ClauseExchange::new(2, 8));
-        st.exchange = Some(ExchangeLink {
-            hub: Arc::clone(&hub),
-            worker: 0,
-            limits: ShareLimits {
-                max_lbd: 2,
-                max_len: 3,
-            },
-        });
+        let limits = ShareLimits {
+            max_lbd: 2,
+            max_len: 3,
+        };
+        let hub = linked(&mut st, limits, 3);
         st.export_learnt(&[lit(2)], 9); // unit: always exported
         st.export_learnt(&[lit(1), lit(3)], 2); // within limits
         st.export_learnt(&[lit(1), lit(3)], 3); // LBD too high
         st.export_learnt(&[lit(1), lit(2), lit(3), lit(4)], 2); // too long
         assert_eq!(st.stats.exported_clauses, 2);
-        assert_eq!(hub.drain(1).len(), 2);
+        assert!(
+            hub.drain(1, 3).is_empty(),
+            "a round-3 drain takes rounds 0..3"
+        );
+        let rounds: Vec<u64> = hub.drain(1, 4).iter().map(|c| c.round).collect();
+        assert_eq!(rounds, vec![3, 3]);
+    }
+
+    /// Every `solve_assuming` call is one round, early returns
+    /// included, and imports only what peers published before it.
+    #[test]
+    fn each_solve_is_one_exchange_round() {
+        let mut st = loaded(&cnf(&[&[1, 2], &[-1, 2], &[3, 4]]), CdclConfig::default());
+        let hub = linked(&mut st, ShareLimits::default(), 0);
+        hub.publish(1, 1, &[lit(2)], 1);
+        assert!(st.solve_assuming(&[], &Budget::default()).is_sat());
+        assert_eq!(st.stats.imported_clauses, 0, "round 1 takes round 0 only");
+        assert!(st.solve_assuming(&[], &Budget::default()).is_sat());
+        assert_eq!(st.stats.imported_clauses, 1);
+        st.root_unsat = true;
+        assert!(st.solve_assuming(&[], &Budget::default()).is_unsat());
+        assert_eq!(st.exchange.as_ref().map(|link| link.round), Some(3));
     }
 
     /// A passed deadline is honored at inprocessing pass boundaries —

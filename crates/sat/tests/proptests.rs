@@ -468,7 +468,7 @@ proptest! {
     /// drives a *pair* of incremental sessions (seeds 0 and 1) wired
     /// through a [`sat::ClauseExchange`], so each solve also consumes
     /// whatever its sibling exported on earlier solves — imports land
-    /// at solve entry and restart boundaries, after RUP-filtering, and
+    /// at solve entry, after RUP-filtering, and
     /// interleave with clause additions, assumption solves and every
     /// inprocessing pass the config enables. Each worker's verdict
     /// must match a fresh solver on the accumulated formula, SAT

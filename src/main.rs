@@ -37,11 +37,12 @@
 //! start whose specs validate.
 //!
 //! Every portfolio runs on one lockstep fleet driver: rounds of
-//! `--quantum N` conflicts per worker, an isolated round's turns in
-//! parallel on threads, verdicts settled in seed order, so the earliest
-//! verdict in seed order wins and runs are reproducible.
+//! `--quantum N` conflicts per worker, each round's turns in parallel
+//! on threads, verdicts settled in seed order, so the earliest verdict
+//! in seed order wins and runs are reproducible.
 //! `--share-clauses` makes the workers exchange low-LBD learnt clauses
-//! and take their turns one at a time; `--depth-parallel` on `depth`
+//! between rounds (each turn starts by importing what the peers
+//! exported in earlier rounds); `--depth-parallel` on `depth`
 //! gives every candidate depth its own fleet worker over one shared
 //! layered encoding, monotone pruning cancelling dominated depths (the
 //! two compose: sharing then runs between the depth workers).
