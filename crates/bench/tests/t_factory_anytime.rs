@@ -21,9 +21,11 @@ use std::time::Duration;
 use synth::SynthOptions;
 use workloads::paper::factory_162;
 
-/// Per-probe wall-clock budget. Long enough to do real work on the
-/// depth-4 probe, short enough for a CI smoke job; the search visits
-/// at most a handful of probes before the first expiry stops the walk.
+/// Wall-clock deadline of the whole search. The 162-factory is large
+/// enough to search as a depth fleet (`optimize::searches_as_fleet`),
+/// so its three depth workers (3, 4 and 5) take turns until the
+/// deadline stops them between rounds: long enough for real work at
+/// every depth, short enough for a CI smoke job.
 const PROBE_DEADLINE: Duration = Duration::from_secs(10);
 
 #[test]

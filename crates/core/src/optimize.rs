@@ -2,16 +2,17 @@
 //!
 //! The synthesizer answers one SAT/UNSAT question; optimization asks a
 //! sequence of them: shrink the allowed volume until UNSAT (descending),
-//! or grow it until SAT (ascending) — probe by probe, or with one
-//! lockstep worker per candidate depth — and run diversified seeds as
-//! one lockstep portfolio whose earliest verdict wins.
+//! or grow it until SAT (ascending) — probe by probe for a small spec,
+//! with one lockstep worker per candidate depth for a large one — and
+//! run diversified seeds as one lockstep portfolio whose earliest
+//! verdict wins.
 
 use crate::decode::{decode, decode_layered};
 use crate::encode::{encode, encode_layered};
 use crate::session::{certify, open_solver, settle, Fleet, WorkerState};
 use crate::synthesize::{BackendChoice, SynthError, SynthOptions, SynthResult, Synthesizer};
 use lasre::{LasDesign, LasSpec, SpecError};
-use sat::{CdclConfig, ClauseExchange, ExhaustionReason, SolverStats};
+use sat::{Budget, CdclConfig, ClauseExchange, ExhaustionReason, SolverStats};
 use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -97,22 +98,42 @@ impl DepthSearch {
 
 /// The paper's probe order (start somewhere, descend while SAT, ascend
 /// while UNSAT), shared by the incremental and from-scratch modes.
-/// `probe` answers one depth with its result, solve time and solver
-/// statistics.
+/// `probe` answers one depth under the budget it is handed, with its
+/// result, solve time and solver statistics.
+///
+/// `options.budget.max_time` is one deadline for the whole walk: each
+/// probe gets the time that is left, and once it has passed the walk
+/// stops before its next probe and reports
+/// [`ExhaustionReason::Deadline`]. The other axes pass to every probe
+/// unchanged.
 fn drive_depth_search(
     lo: usize,
     hi: usize,
     start: usize,
-    certify: bool,
-    mut probe: impl FnMut(usize) -> Result<(SynthResult, Duration, Option<SolverStats>), SynthError>,
+    options: &SynthOptions,
+    mut probe: impl FnMut(
+        usize,
+        &Budget,
+    ) -> Result<(SynthResult, Duration, Option<SolverStats>), SynthError>,
 ) -> Result<DepthSearch, SynthError> {
+    let deadline = options.budget.max_time.map(|t| Instant::now() + t);
+    let mut expired = false;
     let mut probes = Vec::new();
     let mut best: Option<LasDesign> = None;
     let mut step = |k: usize,
                     probes: &mut Vec<DepthProbe>,
                     best: &mut Option<LasDesign>|
      -> Result<Option<bool>, SynthError> {
-        let (result, time, stats) = probe(k)?;
+        let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        if left == Some(Duration::ZERO) {
+            expired = true;
+            return Ok(None);
+        }
+        let budget = Budget {
+            max_time: left,
+            ..options.budget.clone()
+        };
+        let (result, time, stats) = probe(k, &budget)?;
         let sat = match result {
             SynthResult::Sat(d) => {
                 if best
@@ -133,7 +154,7 @@ fn drive_depth_search(
             stats,
             // A certifying UNSAT whose proof failed to check has
             // already errored.
-            certified: certify && sat == Some(false),
+            certified: options.certify && sat == Some(false),
             // The statistics are this probe's own, so they name the
             // budget axis that expired (`None` under varisat, which
             // reports none).
@@ -168,13 +189,17 @@ fn drive_depth_search(
         }
         None => {}
     }
-    // The walk stops at the first undecided probe, so the anytime
-    // exhaustion reason is that probe's (there is at most one).
-    let exhaustion =
+    // The walk stops at the passed deadline or at the first undecided
+    // probe, so the anytime exhaustion reason is the deadline or that
+    // probe's (there is at most one).
+    let exhaustion = if expired {
+        Some(ExhaustionReason::Deadline)
+    } else {
         probes
             .iter()
             .rev()
-            .find_map(|p| if p.sat.is_none() { p.exhaustion } else { None });
+            .find_map(|p| if p.sat.is_none() { p.exhaustion } else { None })
+    };
     Ok(DepthSearch {
         probes,
         best,
@@ -198,22 +223,25 @@ fn drive_depth_search(
 /// [`DepthSearch::hi`]. A malformed depth holds no design, so the walk
 /// reads the window's edges as it reads an UNSAT probe.
 ///
-/// With the CDCL backend the whole search runs as **one incremental
-/// solver session** over a depth-layered encoding ([`encode_layered`]):
-/// each probe is a `solve_assuming` call under that depth's activation
-/// literals, so the clauses learnt refuting or solving one depth carry
-/// over to the next — the lever the T-factory-scale instances need.
-/// With the varisat backend, which lacks an incremental API, the search
-/// is [`find_min_depth_scratch`]. Both modes probe the same depths and
-/// return the same verdicts.
+/// With the CDCL backend the search picks its strategy from the
+/// instance ([`searches_as_fleet`]). A small spec runs the walk as
+/// **one incremental solver session** over a depth-layered encoding
+/// ([`encode_layered`]): each probe is a `solve_assuming` call under
+/// that depth's activation literals, so the clauses learnt refuting or
+/// solving one depth carry over to the next. A large one runs the
+/// depth fleet: one lockstep worker per candidate depth over a shared
+/// depth-layered encoding, with the monotone depth axis pruning every
+/// depth a verdict dominates. The answer (`best_depth`) is the same;
+/// the fleet's *probe list* holds one entry per worker that ran, in
+/// ascending depth order, and `sat: None` marks a worker pruned or out
+/// of budget before its own verdict. With the varisat backend, which
+/// lacks an incremental API, the search is [`find_min_depth_scratch`],
+/// which probes the same depths as the walk and returns the same
+/// verdicts.
 ///
-/// With `options.depth_parallel` (CDCL backend) the walk is replaced by
-/// [`find_min_depth_parallel`]: one lockstep worker per candidate depth
-/// over a shared depth-layered encoding, with the monotone depth axis
-/// pruning every depth a verdict dominates. The answer (`best_depth`)
-/// matches the sequential modes; the *probe list* differs — it holds
-/// one entry per worker that ran, in ascending depth order, and `sat:
-/// None` marks a worker pruned or out of budget before its own verdict.
+/// Under either strategy `options.budget.max_time` is one deadline for
+/// the whole search, and `max_conflicts` bounds each solver: every
+/// probe of a walk, every depth worker of a fleet.
 ///
 /// # Panics
 ///
@@ -234,11 +262,30 @@ pub fn find_min_depth(
         return find_min_depth_scratch(spec, lo, hi, start, options);
     };
     let (lo, hi) = valid_depth_window(spec, lo, hi, start)?;
-    if options.depth_parallel {
+    if searches_as_fleet(spec, start) {
         find_min_depth_parallel(spec, lo, hi, options, config)
     } else {
         find_min_depth_incremental(spec, lo, hi, start, options, config)
     }
+}
+
+/// The spec size, as `V · nstab` (Table I) at the start depth, from
+/// which a CDCL depth search runs as a fleet instead of a walk. Every
+/// Fig. 13 graph state in the paper corpus lies below it (the largest
+/// is the 8-qubit 3-lane sweep at 576), and so does the Fig. 15
+/// majority gate at width 3 (540); width 4 (675), width 5 (810) and the
+/// T-factories lie above. On those below, a fleet round cannot end
+/// early and every depth worker spends at least one quantum, which
+/// costs more than the whole walk; on those above, the parallel depths
+/// find the minimum sooner.
+const FLEET_V_NSTAB: usize = 600;
+
+/// Whether [`find_min_depth`] with the CDCL backend runs `spec`, started
+/// at depth `start`, as the depth fleet (`true`) or as the sequential
+/// walk (`false`): the fleet exactly when `V · nstab` at `start` reaches
+/// a fixed size.
+pub fn searches_as_fleet(spec: &LasSpec, start: usize) -> bool {
+    spec.with_depth(start).v_nstab() >= FLEET_V_NSTAB
 }
 
 /// From-scratch mode: the paper's probe walk with one fresh
@@ -262,8 +309,12 @@ pub fn find_min_depth_scratch(
     options: &SynthOptions,
 ) -> Result<DepthSearch, SynthError> {
     let (lo, hi) = valid_depth_window(spec, lo, hi, start)?;
-    drive_depth_search(lo, hi, start, options.certify, |k| {
-        let mut synth = Synthesizer::new(spec.with_depth(k))?.with_options(options.clone());
+    drive_depth_search(lo, hi, start, options, |k, budget| {
+        let options = SynthOptions {
+            budget: budget.clone(),
+            ..options.clone()
+        };
+        let mut synth = Synthesizer::new(spec.with_depth(k))?.with_options(options);
         let result = synth.run()?;
         Ok((
             result,
@@ -332,14 +383,14 @@ fn find_min_depth_incremental(
         Ok((layered, solver))
     };
     let (mut layered, mut solver) = open(lo, start)?;
-    drive_depth_search(lo, hi, start, options.certify, |k| {
+    drive_depth_search(lo, hi, start, options, |k, budget| {
         // The walk ascended past the session's range: reopen it above.
         if k > layered.hi {
             (layered, solver) = open(k, hi)?;
         }
         let before = solver.stats;
         let started = Instant::now();
-        let outcome = solver.solve_assuming(&layered.assumptions_for(k), &options.budget);
+        let outcome = solver.solve_assuming(&layered.assumptions_for(k), budget);
         let time = started.elapsed();
         let stats = solver.stats.since(before);
         certify(&solver, &outcome)?;
@@ -357,7 +408,8 @@ fn find_min_depth_incremental(
 /// never blocks a worker.
 const EXCHANGE_CAPACITY: usize = 1024;
 
-/// Depth-parallel mode: one lockstep worker per candidate depth.
+/// The depth fleet: one lockstep worker per candidate depth, the
+/// strategy [`find_min_depth`] takes when [`searches_as_fleet`].
 ///
 /// All workers share one depth-layered encoding ([`encode_layered`])
 /// over `[lo, hi]`, already the valid window; the worker owning
@@ -605,6 +657,37 @@ mod tests {
         assert!(search.best.as_ref().unwrap().verified());
     }
 
+    /// `find_min_depth` picks its strategy from `V · nstab` at the
+    /// start depth: the walk for the CNOT, the wire, the width-3
+    /// majority gate and every graph state the paper corpus searches
+    /// (the 6-qubit draw, the 8-qubit draw and both lane sweeps); the
+    /// fleet for the wider majority gates and the T-factories.
+    #[test]
+    fn the_spec_size_picks_walk_or_fleet() {
+        use workloads::paper::{corpus, factory_162, factory_99, Search};
+        use workloads::specs::majority_gate_spec;
+        let mut routes = vec![
+            ("cnot".to_string(), cnot_spec(), 4, false),
+            ("wire".into(), wire_spec(), 3, false),
+            ("majority w3".into(), majority_gate_spec(3), 5, false),
+            ("majority w4".into(), majority_gate_spec(4), 5, true),
+            ("majority w5".into(), majority_gate_spec(5), 5, true),
+            ("99-factory".into(), factory_99().spec, 11, true),
+            ("162-factory".into(), factory_162().spec, 4, true),
+        ];
+        for row in [corpus(false), corpus(true)].into_iter().flatten() {
+            if let Search::MinDepth { start, .. } = row.search {
+                for instance in row.instances {
+                    let name = format!("{} {}", row.anchor, instance.label);
+                    routes.push((name, instance.spec, start, false));
+                }
+            }
+        }
+        for (name, spec, start, fleet) in routes {
+            assert_eq!(searches_as_fleet(&spec, start), fleet, "{name}");
+        }
+    }
+
     #[test]
     fn depth_search_ascends_from_unsat() {
         let spec = cnot_spec();
@@ -707,11 +790,11 @@ mod tests {
             ),
             (
                 "parallel",
-                find_min_depth(&spec, 1, 5, 3, &depth_parallel_options(false)),
+                depth_fleet(&spec, 1, 5, 3, &depth_fleet_options(false)),
             ),
             (
                 "parallel shared",
-                find_min_depth(&spec, 1, 5, 3, &depth_parallel_options(true)),
+                depth_fleet(&spec, 1, 5, 3, &depth_fleet_options(true)),
             ),
             ("varisat", find_min_depth(&spec, 1, 5, 3, &varisat)),
             (
@@ -983,13 +1066,29 @@ mod tests {
         assert!(o.result.is_unsat());
     }
 
-    fn depth_parallel_options(share: bool) -> SynthOptions {
+    fn depth_fleet_options(share: bool) -> SynthOptions {
         SynthOptions {
-            depth_parallel: true,
             share_clauses: share,
             parallel_quantum: 20,
             ..SynthOptions::default()
         }
+    }
+
+    /// The depth fleet over the valid window, as [`find_min_depth`]
+    /// runs it on a large spec: the fleet tests build on the CNOT,
+    /// which [`find_min_depth`] itself searches as a walk.
+    fn depth_fleet(
+        spec: &LasSpec,
+        lo: usize,
+        hi: usize,
+        start: usize,
+        options: &SynthOptions,
+    ) -> Result<DepthSearch, SynthError> {
+        let (lo, hi) = valid_depth_window(spec, lo, hi, start)?;
+        let BackendChoice::Cdcl(config) = &options.backend else {
+            panic!("the depth fleet runs the CDCL backend");
+        };
+        find_min_depth_parallel(spec, lo, hi, options, config)
     }
 
     /// Depth-parallel mode (with and without sharing) agrees with the
@@ -999,7 +1098,7 @@ mod tests {
     fn depth_parallel_finds_the_same_minimum() {
         let spec = cnot_spec();
         for share in [false, true] {
-            let search = find_min_depth(&spec, 2, 5, 4, &depth_parallel_options(share)).unwrap();
+            let search = depth_fleet(&spec, 2, 5, 4, &depth_fleet_options(share)).unwrap();
             assert_eq!(search.best_depth(), Some(3), "share={share}");
             assert!(search.best.as_ref().unwrap().verified());
             let verdict = |k: usize| {
@@ -1018,7 +1117,7 @@ mod tests {
     fn depth_parallel_runs_are_deterministic() {
         let spec = cnot_spec();
         let run = |share: bool| {
-            let s = find_min_depth(&spec, 2, 5, 5, &depth_parallel_options(share)).unwrap();
+            let s = depth_fleet(&spec, 2, 5, 5, &depth_fleet_options(share)).unwrap();
             let probes: Vec<_> = s
                 .probes
                 .iter()
@@ -1047,9 +1146,9 @@ mod tests {
         let spec = cnot_spec();
         let options = SynthOptions {
             certify: true,
-            ..depth_parallel_options(true)
+            ..depth_fleet_options(true)
         };
-        let search = find_min_depth(&spec, 2, 5, 4, &options).unwrap();
+        let search = depth_fleet(&spec, 2, 5, 4, &options).unwrap();
         assert_eq!(search.best_depth(), Some(3));
         let p2 = search.probes.iter().find(|p| p.max_k == 2).unwrap();
         assert_eq!(p2.sat, Some(false));
@@ -1065,9 +1164,9 @@ mod tests {
         let options = SynthOptions {
             certify: true,
             parallel_quantum: 1_000_000,
-            ..depth_parallel_options(false)
+            ..depth_fleet_options(false)
         };
-        let search = find_min_depth(&cnot_spec(), 2, 5, 4, &options).unwrap();
+        let search = depth_fleet(&cnot_spec(), 2, 5, 4, &options).unwrap();
         assert_eq!(search.best_depth(), Some(3));
         let view: Vec<_> = search
             .probes
@@ -1099,8 +1198,8 @@ mod tests {
     #[test]
     fn depth_parallel_driver_reports_why_it_stopped() {
         for share in [false, true] {
-            let options = stopped_up_front(depth_parallel_options(share));
-            let search = find_min_depth(&cnot_spec(), 2, 5, 4, &options).unwrap();
+            let options = stopped_up_front(depth_fleet_options(share));
+            let search = depth_fleet(&cnot_spec(), 2, 5, 4, &options).unwrap();
             assert!(search.probes.is_empty(), "share={share}");
             assert_eq!(search.window(), (2, None), "share={share}");
             assert_eq!(
@@ -1146,9 +1245,9 @@ mod tests {
     /// range whose invalid depths are never needed succeeds.
     #[test]
     fn depth_parallel_edge_semantics_match_sequential() {
-        let r = find_min_depth(&cnot_spec(), 1, 5, 1, &depth_parallel_options(false));
+        let r = depth_fleet(&cnot_spec(), 1, 5, 1, &depth_fleet_options(false));
         assert!(matches!(r, Err(SynthError::Spec(_))));
-        let s = find_min_depth(&cnot_spec(), 1, 5, 4, &depth_parallel_options(false)).unwrap();
+        let s = depth_fleet(&cnot_spec(), 1, 5, 4, &depth_fleet_options(false)).unwrap();
         assert_eq!(s.best_depth(), Some(3));
     }
 
@@ -1188,6 +1287,18 @@ mod tests {
         let search = find_min_depth(&spec, 2, 5, 4, &options).unwrap();
         assert_eq!(search.exhaustion, Some(ExhaustionReason::Memory));
         assert_eq!(search.certified_lower_bound(), 2);
+    }
+
+    /// The walk's deadline covers the whole search: one already passed
+    /// stops the walk before its first probe, with the driver's reason,
+    /// as it stops a depth fleet before its first turn.
+    #[test]
+    fn walk_deadline_covers_the_whole_search() {
+        let options = stopped_up_front(SynthOptions::default());
+        let search = find_min_depth(&cnot_spec(), 2, 5, 4, &options).unwrap();
+        assert!(search.probes.is_empty());
+        assert_eq!(search.window(), (2, None));
+        assert_eq!(search.exhaustion, Some(ExhaustionReason::Deadline));
     }
 
     /// A resolved search reports no exhaustion and a closed window.
@@ -1265,9 +1376,9 @@ mod tests {
         let spec = cnot_spec();
         let options = SynthOptions {
             fault_plan: panic_fault(10, None),
-            ..depth_parallel_options(false)
+            ..depth_fleet_options(false)
         };
-        let search = find_min_depth(&spec, 2, 5, 4, &options).unwrap();
+        let search = depth_fleet(&spec, 2, 5, 4, &options).unwrap();
         let quarantined: Vec<usize> = search.quarantined.iter().map(|&(k, _)| k).collect();
         assert_eq!(quarantined, vec![3, 4, 5]);
         assert_eq!(search.certified_lower_bound(), 3);
@@ -1281,9 +1392,9 @@ mod tests {
         let spec = cnot_spec();
         let options = SynthOptions {
             fault_plan: panic_fault(1, None),
-            ..depth_parallel_options(false)
+            ..depth_fleet_options(false)
         };
-        let r = find_min_depth(&spec, 2, 5, 4, &options);
+        let r = depth_fleet(&spec, 2, 5, 4, &options);
         match r {
             Err(SynthError::WorkerPanic(msg)) => {
                 assert!(msg.contains("depth 2"), "{msg}");

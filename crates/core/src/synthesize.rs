@@ -33,10 +33,11 @@ impl Default for BackendChoice {
 pub struct SynthOptions {
     /// Solver backend selection.
     pub backend: BackendChoice,
-    /// Resource limits: per call of a one-shot solve, per probe of a
-    /// sequential depth search. A lockstep fleet gives each worker its
-    /// own `max_conflicts` and treats `max_time` as one deadline for
-    /// the whole run, checked between turns.
+    /// Resource limits. A one-shot solve spends them in one call. A
+    /// depth search ([`crate::optimize::find_min_depth`]) and a seed
+    /// portfolio treat `max_time` as one deadline for the whole run
+    /// and give each solver its own `max_conflicts`: every probe of a
+    /// depth walk, every worker of a lockstep fleet.
     pub budget: Budget,
     /// Verify the decoded design through ZX flow derivation (on by
     /// default; the formulation guarantees correctness, so this is a
@@ -51,24 +52,17 @@ pub struct SynthOptions {
     /// Exchange low-LBD learnt clauses between the workers of a
     /// lockstep fleet: the seeds of
     /// [`crate::optimize::solve_portfolio_detailed`], or the per-depth
-    /// workers under [`SynthOptions::depth_parallel`]. A worker imports
-    /// at the start of each turn what its peers exported in earlier
-    /// rounds, so a round's turns still run in parallel and the import
-    /// sequence is reproducible too; the win sought is *fewer total
-    /// conflicts to a verdict*. CDCL backend only. The CLI's
-    /// `--share-clauses` flag lands here.
+    /// workers of a depth search that runs as a fleet
+    /// ([`crate::optimize::searches_as_fleet`]); a depth walk has no
+    /// peers and ignores it. A worker imports at the start of each
+    /// turn what its peers exported in earlier rounds, so a round's
+    /// turns still run in parallel and the import sequence is
+    /// reproducible too; the win sought is *fewer total conflicts to a
+    /// verdict*. CDCL backend only. The CLI's `--share-clauses` flag
+    /// lands here.
     pub share_clauses: bool,
-    /// Run [`crate::optimize::find_min_depth`] on the lockstep fleet,
-    /// one worker per candidate depth (each owning one `max_k` of a
-    /// shared depth-layered encoding), instead of the sequential
-    /// descend/ascend probe walk; the first definitive verdict prunes
-    /// every depth it dominates through the SAT-monotonicity of the
-    /// depth axis. CDCL backend only; composes with
-    /// [`SynthOptions::share_clauses`]. The CLI's `--depth-parallel`
-    /// flag lands here.
-    pub depth_parallel: bool,
     /// Conflicts each worker of a lockstep fleet (every seed portfolio,
-    /// and [`SynthOptions::depth_parallel`]) runs per turn. Smaller
+    /// and a depth search that runs as a fleet) runs per turn. Smaller
     /// quanta exchange clauses more often (and fan work out more
     /// fairly) at the cost of more restart overhead; the value only
     /// shifts *which* deterministic trajectory a run takes, and a
@@ -93,7 +87,6 @@ impl Default for SynthOptions {
             skip_verify: false,
             certify: false,
             share_clauses: false,
-            depth_parallel: false,
             parallel_quantum: 2_000,
             fault_plan: None,
         }
@@ -141,7 +134,7 @@ pub enum SynthError {
     /// `--certify` was requested and an UNSAT verdict's DRAT proof
     /// failed the in-tree checker (or the backend cannot emit proofs).
     Certify(String),
-    /// Every worker of a portfolio or depth-parallel fleet crashed
+    /// Every worker of a portfolio or depth fleet crashed
     /// (panicked); the payload is the first crash's message in seed /
     /// depth order. A *partial* crash never surfaces here — the fleet
     /// continues on the survivors and reports the crashed workers as

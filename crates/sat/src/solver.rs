@@ -175,8 +175,8 @@
 //! Inprocessing-time bounded variable elimination (see [`elim`])
 //! removes variables from the live formula; a session that will
 //! mention a variable in *future* clauses or assumptions must declare
-//! it via [`CdclSolver::freeze`] (and may [`CdclSolver::melt`] it
-//! later). Variables of the current call's assumptions are protected
+//! it via [`CdclSolver::freeze`]; a frozen variable stays frozen.
+//! Variables of the current call's assumptions are protected
 //! automatically, and a clause or assumption arriving over an already
 //! eliminated variable reintroduces it from the elimination stack
 //! before solving.
@@ -1256,17 +1256,6 @@ impl CdclSolver {
             self.restore_var(i);
         }
         self.frozen[i] = true;
-    }
-
-    /// Releases a [`CdclSolver::freeze`] declaration: `v` becomes
-    /// eligible for elimination again at the next inprocessing pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solver does not have `v`.
-    pub fn melt(&mut self, v: Var) {
-        assert!(v.index() < self.num_vars, "melt of unknown variable {v}");
-        self.frozen[v.index()] = false;
     }
 
     /// Enables DRAT proof logging. Must be called *before* any clause

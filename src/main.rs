@@ -8,8 +8,7 @@
 //! lassynth render <design.lasre>
 //! lassynth dimacs <spec.json>
 //! lassynth depth  <spec.json>  [--lo L] [--hi H] [--start S] [--timeout SECS] [--max-memory MB]
-//!                              [--stats] [--certify] [--depth-parallel] [--share-clauses]
-//!                              [--quantum N]
+//!                              [--stats] [--certify] [--share-clauses] [--quantum N]
 //! lassynth lint-cnf <spec.json|file.cnf> [--lo L] [--hi H]
 //! lassynth check-proof <file.cnf> <file.drat>
 //! ```
@@ -30,9 +29,13 @@
 //! verdict; a portfolio without a verdict adds a `gave up on: <reason>`
 //! line (the deadline, or its first worker's budget).
 //!
-//! `depth` runs the min-depth search as one incremental solver session
-//! (learnt clauses shared across probes), and `--stats` prints each
-//! probe's search counters. `--lo` defaults to 1 and `--hi` to the
+//! `depth` runs the min-depth search and `--stats` prints each probe's
+//! search counters. The spec's size picks the strategy
+//! (`optimize::searches_as_fleet`): a small spec walks the depths as
+//! one incremental solver session (learnt clauses shared across
+//! probes), a large one gives every candidate depth its own fleet
+//! worker over one shared layered encoding, monotone pruning
+//! cancelling dominated depths. `--lo` defaults to 1 and `--hi` to the
 //! spec's depth plus two; the search covers only the depths around the
 //! start whose specs validate.
 //!
@@ -42,12 +45,10 @@
 //! in seed order wins and runs are reproducible.
 //! `--share-clauses` makes the workers exchange low-LBD learnt clauses
 //! between rounds (each turn starts by importing what the peers
-//! exported in earlier rounds); `--depth-parallel` on `depth`
-//! gives every candidate depth its own fleet worker over one shared
-//! layered encoding, monotone pruning cancelling dominated depths (the
-//! two compose: sharing then runs between the depth workers).
-//! `--quantum` and `--share-clauses` need a fleet (`--seeds` on
-//! `synth`, `--depth-parallel` on `depth`). Same spec, seeds and
+//! exported in earlier rounds; on a depth fleet, between the depth
+//! workers). `--quantum` and `--share-clauses` need a fleet: `--seeds`
+//! on `synth`, and on `depth` a spec that searches as one (on a walk
+//! they are a usage error saying so). Same spec, seeds and
 //! quantum reproduce the same verdicts, stats and import sequences, and
 //! `--stats` reports the exchange counters (exported/imported/kept)
 //! plus a `portfolio total` block covering every worker, losers
@@ -55,14 +56,13 @@
 //!
 //! `--timeout SECS` and `--max-memory MB` arm the resource governor: a
 //! wall-clock budget and an arena memory ceiling every solver of the
-//! run honours cooperatively (the sequential depth walk budgets each
-//! probe; the lockstep fleets treat the wall clock as one whole-run
-//! deadline). An expired governor does not discard work: `depth`
-//! reports the anytime window — the certified lower bound (one past the
-//! largest refuted depth) and the best SAT depth found so far — instead
-//! of erroring, and `--stats` shows which budget axis expired. Workers
-//! that crash mid-run are quarantined and reported on stderr while the
-//! survivors finish the job.
+//! run honours cooperatively; the wall clock is one deadline for the
+//! whole run, walk or fleet. An expired governor does not discard
+//! work: `depth` reports the anytime window — the certified lower
+//! bound (one past the largest refuted depth) and the best SAT depth
+//! found so far — instead of erroring, and `--stats` shows which
+//! budget axis expired. Workers that crash mid-run are quarantined and
+//! reported on stderr while the survivors finish the job.
 //!
 //! `lint-cnf` runs the CNF structural analyzer (`sat::analyze`) over a
 //! spec's encoding — the CNF `synth` solves, or with `--lo`/`--hi` the
@@ -143,7 +143,6 @@ const STATS: Flag = Flag::switch("--stats");
 const CERTIFY: Flag = Flag::switch("--certify");
 const DRAT: Flag = Flag::value("--drat", "FILE");
 const SHARE_CLAUSES: Flag = Flag::switch("--share-clauses");
-const DEPTH_PARALLEL: Flag = Flag::switch("--depth-parallel");
 const QUANTUM: Flag = Flag::value("--quantum", "N");
 const LO: Flag = Flag::value("--lo", "L");
 const HI: Flag = Flag::value("--hi", "H");
@@ -205,7 +204,6 @@ const COMMANDS: [Command; 7] = [
             MAX_MEMORY,
             STATS,
             CERTIFY,
-            DEPTH_PARALLEL,
             SHARE_CLAUSES,
             QUANTUM,
         ],
@@ -391,7 +389,6 @@ fn options_from(args: &Args) -> Result<SynthOptions, Failure> {
     }
     options.certify = args.has(CERTIFY);
     options.share_clauses = args.has(SHARE_CLAUSES);
-    options.depth_parallel = args.has(DEPTH_PARALLEL);
     Ok(options)
 }
 
@@ -764,7 +761,6 @@ fn cmd_depth(args: &Args) -> Result<i32, Failure> {
     let range = depth_range(args)?;
     let requested = args.get(START, "a positive number", positive_depth)?;
     let options = options_from(args)?;
-    fleet_flags_need(args, options.depth_parallel, "--depth-parallel")?;
     let spec = load_spec(args.operands[0])?;
     let (lo, hi) = resolve_range(&spec, range)?;
     // Default to the spec's depth; out-of-range starts are clamped
@@ -775,6 +771,15 @@ fn cmd_depth(args: &Args) -> Result<i32, Failure> {
             eprintln!("note: --start {r} is outside [{lo}, {hi}]; starting at {start}");
         }
     }
+    fleet_flags_need(
+        args,
+        optimize::searches_as_fleet(&spec, start),
+        &format!(
+            "a depth fleet, but this spec searches as a sequential walk \
+             (V·nstab {} at the start depth {start} is too small for a fleet)",
+            spec.with_depth(start).v_nstab()
+        ),
+    )?;
     let search = optimize::find_min_depth(&spec, lo, hi, start, &options).map_err(failure)?;
     for p in &search.probes {
         outln!(

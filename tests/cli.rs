@@ -16,6 +16,10 @@ fn wire_spec_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs/wire.json")
 }
 
+fn majority_w4_spec_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs/majority_w4.json")
+}
+
 #[test]
 fn dimacs_emits_well_formed_cnf() {
     let out = bin()
@@ -261,11 +265,11 @@ fn depth_stats_prints_each_probes_counters() {
 }
 
 /// The wire's depth 1 is malformed: the default range `--lo 1` covers
-/// it, but the descent stops at the valid floor 2 and certifies it, as
-/// a walk, from `--start 2`, and on the depth-parallel fleet.
+/// it, but the descent stops at the valid floor 2 and certifies it,
+/// from the spec's depth and from `--start 2`.
 #[test]
 fn depth_searches_only_the_valid_window() {
-    for extra in [&[][..], &["--start", "2"], &["--depth-parallel"]] {
+    for extra in [&[][..], &["--start", "2"]] {
         let out = bin()
             .arg("depth")
             .arg(wire_spec_path())
@@ -656,6 +660,37 @@ fn depth_reports_anytime_window_when_exhausted() {
     );
 }
 
+/// The width-4 majority gate searches as a depth fleet. A fault that
+/// panics every solver at conflict 10 crashes each depth worker before
+/// any decides, so the run fails closed: exit 1 naming the first crash.
+#[test]
+fn depth_fleet_with_no_survivors_fails_closed() {
+    let out = bin()
+        .arg("depth")
+        .arg(majority_w4_spec_path())
+        .env("LASSYNTH_FAULT", "panic@10")
+        .output()
+        .expect("run lassynth depth with every worker crashing");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(
+            "error: every solver worker crashed; first crash: depth 4 worker: injected fault"
+        ),
+        "{stderr}"
+    );
+}
+
+/// `examples/specs/majority_w4.json` is the Fig. 15 width-4 majority
+/// gate of the workloads crate, as the JSON layer pretty-prints it.
+#[test]
+fn majority_w4_example_is_the_workloads_spec() {
+    let text = std::fs::read_to_string(majority_w4_spec_path()).expect("read majority_w4.json");
+    let spec = lassynth::workloads::specs::majority_gate_spec(4);
+    let pretty = serde_json::to_string_pretty(&spec).expect("spec prints");
+    assert_eq!(text.trim_end(), pretty);
+}
+
 /// Sharing clauses needs a portfolio to share between.
 #[test]
 fn portfolio_flag_conflicts_are_usage_errors() {
@@ -705,10 +740,17 @@ fn usage_errors_exit_nonzero() {
         (&["depth", "--lo", "0"], "--lo"),
         (&["depth", "--hi", "0"], "--hi"),
         (&["lint-cnf", "--lo", "0"], "--lo"),
-        // Fleet flags without a fleet to act on.
+        // Fleet flags without a fleet to act on: the CNOT's depth
+        // search runs as a walk, and the message says so.
         (&["synth", "--quantum", "5"], "--quantum"),
-        (&["depth", "--quantum", "5"], "--quantum"),
-        (&["depth", "--share-clauses"], "--share-clauses"),
+        (
+            &["depth", "--quantum", "5"],
+            "--quantum needs a depth fleet, but this spec searches as a sequential walk",
+        ),
+        (
+            &["depth", "--share-clauses"],
+            "--share-clauses needs a depth fleet, but this spec searches as a sequential walk",
+        ),
     ] {
         let out = bin()
             .arg(args[0])
@@ -744,6 +786,8 @@ fn arguments_outside_the_flag_table_are_usage_errors() {
     for (args, offender) in [
         (&["synth", spec, "--certfy"][..], "--certfy"),
         (&["synth", spec, "--depth-parallel"], "--depth-parallel"),
+        // The spec picks walk or fleet; there is no strategy flag.
+        (&["depth", spec, "--depth-parallel"], "--depth-parallel"),
         (&["depth", spec, "--seeds", "2"], "--seeds"),
         (&["lint-cnf", spec, "--certify"], "--certify"),
         (
