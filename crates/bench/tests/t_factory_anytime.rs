@@ -21,11 +21,10 @@ use std::time::Duration;
 use synth::SynthOptions;
 use workloads::paper::factory_162;
 
-/// Wall-clock deadline of the whole search. The 162-factory is large
-/// enough to search as a depth fleet (`optimize::searches_as_fleet`),
-/// so its three depth workers (3, 4 and 5) take turns until the
-/// deadline stops them between rounds: long enough for real work at
-/// every depth, short enough for a CI smoke job.
+/// Wall-clock deadline of the whole search. The 162-factory searches
+/// as a walk (`optimize::searches_as_fleet`), so its first probe, at
+/// depth 4, runs until the deadline stops it: long enough for real
+/// work, short enough for a CI smoke job.
 const PROBE_DEADLINE: Duration = Duration::from_secs(10);
 
 #[test]

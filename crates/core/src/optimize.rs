@@ -2,8 +2,8 @@
 //!
 //! The synthesizer answers one SAT/UNSAT question; optimization asks a
 //! sequence of them: shrink the allowed volume until UNSAT (descending),
-//! or grow it until SAT (ascending) — probe by probe for a small spec,
-//! with one lockstep worker per candidate depth for a large one — and
+//! or grow it until SAT (ascending) — probe by probe for most specs, with
+//! one lockstep worker per candidate depth for a mid-size one — and
 //! run diversified seeds as one lockstep portfolio whose earliest
 //! verdict wins.
 
@@ -14,6 +14,7 @@ use crate::synthesize::{BackendChoice, SynthError, SynthOptions, SynthResult, Sy
 use lasre::{LasDesign, LasSpec, SpecError};
 use sat::{Budget, CdclConfig, ClauseExchange, ExhaustionReason, SolverStats};
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -224,11 +225,11 @@ fn drive_depth_search(
 /// reads the window's edges as it reads an UNSAT probe.
 ///
 /// With the CDCL backend the search picks its strategy from the
-/// instance ([`searches_as_fleet`]). A small spec runs the walk as
+/// instance ([`searches_as_fleet`]). Most specs run the walk as
 /// **one incremental solver session** over a depth-layered encoding
 /// ([`encode_layered`]): each probe is a `solve_assuming` call under
 /// that depth's activation literals, so the clauses learnt refuting or
-/// solving one depth carry over to the next. A large one runs the
+/// solving one depth carry over to the next. A mid-size one runs the
 /// depth fleet: one lockstep worker per candidate depth over a shared
 /// depth-layered encoding, with the monotone depth axis pruning every
 /// depth a verdict dominates. The answer (`best_depth`) is the same;
@@ -239,9 +240,11 @@ fn drive_depth_search(
 /// which probes the same depths as the walk and returns the same
 /// verdicts.
 ///
-/// Under either strategy `options.budget.max_time` is one deadline for
-/// the whole search, and `max_conflicts` bounds each solver: every
-/// probe of a walk, every depth worker of a fleet.
+/// Under either strategy `options.budget.max_time` is one deadline and
+/// `max_memory_words` one arena ceiling for the whole search (a fleet
+/// of n depth workers gives each 1/n of it), and `max_conflicts`
+/// bounds each solver: every probe of a walk, every depth worker of a
+/// fleet.
 ///
 /// # Panics
 ///
@@ -269,23 +272,26 @@ pub fn find_min_depth(
     }
 }
 
-/// The spec size, as `V · nstab` (Table I) at the start depth, from
-/// which a CDCL depth search runs as a fleet instead of a walk. Every
-/// Fig. 13 graph state in the paper corpus lies below it (the largest
-/// is the 8-qubit 3-lane sweep at 576), and so does the Fig. 15
-/// majority gate at width 3 (540); width 4 (675), width 5 (810) and the
-/// T-factories lie above. On those below, a fleet round cannot end
-/// early and every depth worker spends at least one quantum, which
-/// costs more than the whole walk; on those above, the parallel depths
-/// find the minimum sooner.
-const FLEET_V_NSTAB: usize = 600;
+/// The spec sizes, as `V · nstab` (Table I) at the start depth, at
+/// which a CDCL depth search runs as a fleet instead of a walk: the
+/// sizes where the fleet was measured to win, the Fig. 15 majority gate
+/// at width 5 (810), which finds its minimum several times sooner as a
+/// fleet. Below, a fleet round cannot end early and every depth worker
+/// spends at least one quantum: every Fig. 13 graph state of the paper
+/// corpus (at most 576) and the majority gate at widths 3 and 4 (540
+/// and 675) are no slower as walks. Above, on the T-factories
+/// (1,584 and more), neither strategy decides a depth in five minutes,
+/// the walk spends twice the conflicts on the start depth that the
+/// fleet spends on any one depth, and the fleet holds one solver per
+/// depth.
+const FLEET_V_NSTAB: Range<usize> = 750..1_500;
 
 /// Whether [`find_min_depth`] with the CDCL backend runs `spec`, started
 /// at depth `start`, as the depth fleet (`true`) or as the sequential
-/// walk (`false`): the fleet exactly when `V · nstab` at `start` reaches
-/// a fixed size.
+/// walk (`false`): the fleet exactly when `V · nstab` at `start` lies in
+/// a fixed mid-size range.
 pub fn searches_as_fleet(spec: &LasSpec, start: usize) -> bool {
-    spec.with_depth(start).v_nstab() >= FLEET_V_NSTAB
+    FLEET_V_NSTAB.contains(&spec.with_depth(start).v_nstab())
 }
 
 /// From-scratch mode: the paper's probe walk with one fresh
@@ -420,8 +426,9 @@ const EXCHANGE_CAPACITY: usize = 1024;
 /// so each verdict shrinks the window and prunes the workers it
 /// dominates mid-flight. The search ends when the window is empty
 /// (minimum found or whole range refuted) or when every worker in it
-/// ran out of budget; `options.budget.max_time` is one deadline for
-/// the whole search.
+/// ran out of budget; `options.budget.max_time` is one deadline and
+/// `max_memory_words` one arena ceiling, split evenly between the
+/// workers, for the whole search.
 ///
 /// With `options.share_clauses` the workers also exchange learnt
 /// clauses: clauses learnt under depth-`k` assumptions are
@@ -658,10 +665,11 @@ mod tests {
     }
 
     /// `find_min_depth` picks its strategy from `V · nstab` at the
-    /// start depth: the walk for the CNOT, the wire, the width-3
-    /// majority gate and every graph state the paper corpus searches
-    /// (the 6-qubit draw, the 8-qubit draw and both lane sweeps); the
-    /// fleet for the wider majority gates and the T-factories.
+    /// start depth: the walk for the CNOT, the wire, the width-3 and
+    /// width-4 majority gates and every graph state the paper corpus
+    /// searches (the 6-qubit draw, the 8-qubit draw and both lane
+    /// sweeps); the fleet for the width-5 majority gate; the walk again
+    /// for the T-factories, from either start depth of the 162-factory.
     #[test]
     fn the_spec_size_picks_walk_or_fleet() {
         use workloads::paper::{corpus, factory_162, factory_99, Search};
@@ -670,10 +678,11 @@ mod tests {
             ("cnot".to_string(), cnot_spec(), 4, false),
             ("wire".into(), wire_spec(), 3, false),
             ("majority w3".into(), majority_gate_spec(3), 5, false),
-            ("majority w4".into(), majority_gate_spec(4), 5, true),
+            ("majority w4".into(), majority_gate_spec(4), 5, false),
             ("majority w5".into(), majority_gate_spec(5), 5, true),
-            ("99-factory".into(), factory_99().spec, 11, true),
-            ("162-factory".into(), factory_162().spec, 4, true),
+            ("99-factory".into(), factory_99().spec, 11, false),
+            ("162-factory".into(), factory_162().spec, 4, false),
+            ("162-factory at 5".into(), factory_162().spec, 5, false),
         ];
         for row in [corpus(false), corpus(true)].into_iter().flatten() {
             if let Search::MinDepth { start, .. } = row.search {
@@ -1075,7 +1084,7 @@ mod tests {
     }
 
     /// The depth fleet over the valid window, as [`find_min_depth`]
-    /// runs it on a large spec: the fleet tests build on the CNOT,
+    /// runs it on a mid-size spec: the fleet tests build on the CNOT,
     /// which [`find_min_depth`] itself searches as a walk.
     fn depth_fleet(
         spec: &LasSpec,

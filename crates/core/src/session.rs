@@ -130,6 +130,10 @@ pub(crate) struct Worker<W> {
     /// Conflicts this worker may still spend; each worker gets the
     /// run's whole `max_conflicts` (`None` is unlimited).
     remaining: Option<u64>,
+    /// This worker's arena ceiling in words: an equal share of the
+    /// run's `max_memory_words`, which bounds the whole fleet (`None`
+    /// is unlimited).
+    memory: Option<u64>,
     /// Cumulative wall time of this worker's turns.
     pub(crate) time: Duration,
     /// Lockstep turns taken.
@@ -138,19 +142,14 @@ pub(crate) struct Worker<W> {
 }
 
 impl<W> Worker<W> {
-    /// Takes one turn of at most `quantum` conflicts under `limits`'
-    /// memory ceiling, and books it: the time, the conflicts spent, and
-    /// a crash or retirement as the new state. Returns the outcome when
-    /// it is a verdict.
-    fn take_turn(
-        &mut self,
-        assumptions: &[Lit],
-        quantum: u64,
-        limits: &Budget,
-    ) -> Option<SolveOutcome> {
+    /// Takes one turn of at most `quantum` conflicts under the
+    /// worker's memory share, and books it: the time, the conflicts
+    /// spent, and a crash or retirement as the new state. Returns the
+    /// outcome when it is a verdict.
+    fn take_turn(&mut self, assumptions: &[Lit], quantum: u64) -> Option<SolveOutcome> {
         let turn = Budget {
             max_conflicts: Some(self.remaining.map_or(quantum, |r| r.min(quantum))),
-            max_memory_words: limits.max_memory_words,
+            max_memory_words: self.memory,
             ..Budget::default()
         };
         let before = self.solver.stats.conflicts;
@@ -206,17 +205,25 @@ pub(crate) struct Fleet<W> {
 }
 
 impl<W: Copy + Send + fmt::Display> Fleet<W> {
+    /// A fleet of `solvers` under `budget`: every worker may spend the
+    /// whole `max_conflicts`, while `max_memory_words` bounds the run,
+    /// as the deadline does, so each of the n workers gets 1/n of it.
     pub(crate) fn new(
         kind: &'static str,
         solvers: impl IntoIterator<Item = (W, CdclSolver)>,
         budget: &Budget,
     ) -> Fleet<W> {
+        let solvers: Vec<_> = solvers.into_iter().collect();
+        let memory = budget
+            .max_memory_words
+            .map(|words| words / solvers.len().max(1) as u64);
         let workers = solvers
             .into_iter()
             .map(|(id, solver)| Worker {
                 id,
                 solver,
                 remaining: budget.max_conflicts,
+                memory,
                 time: Duration::ZERO,
                 turns: 0,
                 state: WorkerState::Running,
@@ -249,8 +256,7 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
         mut verdict: impl FnMut(W, &CdclSolver, SolveOutcome) -> Result<bool, SynthError>,
     ) -> Result<Option<ExhaustionReason>, SynthError> {
         let quantum = options.parallel_quantum.max(1);
-        let limits = &options.budget;
-        let deadline = limits.max_time.map(|t| Instant::now() + t);
+        let deadline = options.budget.max_time.map(|t| Instant::now() + t);
         loop {
             let round: Vec<usize> = (0..self.workers.len())
                 .filter(|&index| {
@@ -264,7 +270,7 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Ok(Some(ExhaustionReason::Deadline));
             }
-            for (index, outcome) in self.take_turns(&round, &assumptions, quantum, limits) {
+            for (index, outcome) in self.take_turns(&round, &assumptions, quantum) {
                 let worker = &mut self.workers[index];
                 if !eligible(worker.id) {
                     continue;
@@ -301,7 +307,6 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
         members: &[usize],
         assumptions: &impl Fn(W) -> Vec<Lit>,
         quantum: u64,
-        limits: &Budget,
     ) -> Vec<(usize, SolveOutcome)> {
         let turns: Vec<_> = self
             .workers
@@ -322,7 +327,7 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
                 let Some((index, lits, worker)) = next else {
                     return verdicts;
                 };
-                if let Some(outcome) = worker.take_turn(&lits, quantum, limits) {
+                if let Some(outcome) = worker.take_turn(&lits, quantum) {
                     verdicts.push((index, outcome));
                 }
             }
@@ -350,5 +355,28 @@ impl<W: Copy + Send + fmt::Display> Fleet<W> {
                 _ => None,
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Conflicts bound each worker, while the memory ceiling bounds the
+    /// whole fleet: three workers hold a third of it each.
+    #[test]
+    fn fleet_workers_share_the_memory_ceiling() {
+        let solvers = (0..3u64).map(|seed| (seed, CdclSolver::with_config(CdclConfig::default())));
+        let budget = Budget {
+            max_conflicts: Some(50),
+            max_memory_words: Some(3_000),
+            ..Budget::default()
+        };
+        let fleet = Fleet::new("seed", solvers, &budget);
+        assert_eq!(fleet.workers.len(), 3);
+        for worker in &fleet.workers {
+            assert_eq!(worker.remaining, Some(50));
+            assert_eq!(worker.memory, Some(1_000));
+        }
     }
 }

@@ -35,9 +35,11 @@ pub struct SynthOptions {
     pub backend: BackendChoice,
     /// Resource limits. A one-shot solve spends them in one call. A
     /// depth search ([`crate::optimize::find_min_depth`]) and a seed
-    /// portfolio treat `max_time` as one deadline for the whole run
-    /// and give each solver its own `max_conflicts`: every probe of a
-    /// depth walk, every worker of a lockstep fleet.
+    /// portfolio treat `max_time` as one deadline and
+    /// `max_memory_words` as one arena ceiling for the whole run (a
+    /// lockstep fleet of n workers gives each 1/n of it), and give each
+    /// solver its own `max_conflicts`: every probe of a depth walk,
+    /// every worker of a lockstep fleet.
     pub budget: Budget,
     /// Verify the decoded design through ZX flow derivation (on by
     /// default; the formulation guarantees correctness, so this is a

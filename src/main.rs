@@ -31,10 +31,10 @@
 //!
 //! `depth` runs the min-depth search and `--stats` prints each probe's
 //! search counters. The spec's size picks the strategy
-//! (`optimize::searches_as_fleet`): a small spec walks the depths as
-//! one incremental solver session (learnt clauses shared across
-//! probes), a large one gives every candidate depth its own fleet
-//! worker over one shared layered encoding, monotone pruning
+//! (`optimize::searches_as_fleet`): most specs walk the depths as one
+//! incremental solver session (learnt clauses shared across probes), a
+//! mid-size one gives every candidate depth its own fleet worker over
+//! one shared layered encoding, monotone pruning
 //! cancelling dominated depths. `--lo` defaults to 1 and `--hi` to the
 //! spec's depth plus two; the search covers only the depths around the
 //! start whose specs validate.
@@ -56,8 +56,9 @@
 //!
 //! `--timeout SECS` and `--max-memory MB` arm the resource governor: a
 //! wall-clock budget and an arena memory ceiling every solver of the
-//! run honours cooperatively; the wall clock is one deadline for the
-//! whole run, walk or fleet. An expired governor does not discard
+//! run honours cooperatively. Both bound the whole run, walk or fleet:
+//! the wall clock is one deadline, and a fleet of N workers gives each
+//! 1/N of the memory ceiling. An expired governor does not discard
 //! work: `depth` reports the anytime window — the certified lower
 //! bound (one past the largest refuted depth) and the best SAT depth
 //! found so far — instead of erroring, and `--stats` shows which
@@ -776,7 +777,7 @@ fn cmd_depth(args: &Args) -> Result<i32, Failure> {
         optimize::searches_as_fleet(&spec, start),
         &format!(
             "a depth fleet, but this spec searches as a sequential walk \
-             (V·nstab {} at the start depth {start} is too small for a fleet)",
+             (V·nstab {} at the start depth {start}; only mid-size specs search as fleets)",
             spec.with_depth(start).v_nstab()
         ),
     )?;

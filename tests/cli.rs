@@ -16,8 +16,8 @@ fn wire_spec_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs/wire.json")
 }
 
-fn majority_w4_spec_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs/majority_w4.json")
+fn majority_w5_spec_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs/majority_w5.json")
 }
 
 #[test]
@@ -660,14 +660,14 @@ fn depth_reports_anytime_window_when_exhausted() {
     );
 }
 
-/// The width-4 majority gate searches as a depth fleet. A fault that
+/// The width-5 majority gate searches as a depth fleet. A fault that
 /// panics every solver at conflict 10 crashes each depth worker before
 /// any decides, so the run fails closed: exit 1 naming the first crash.
 #[test]
 fn depth_fleet_with_no_survivors_fails_closed() {
     let out = bin()
         .arg("depth")
-        .arg(majority_w4_spec_path())
+        .arg(majority_w5_spec_path())
         .env("LASSYNTH_FAULT", "panic@10")
         .output()
         .expect("run lassynth depth with every worker crashing");
@@ -681,12 +681,12 @@ fn depth_fleet_with_no_survivors_fails_closed() {
     );
 }
 
-/// `examples/specs/majority_w4.json` is the Fig. 15 width-4 majority
+/// `examples/specs/majority_w5.json` is the Fig. 15 width-5 majority
 /// gate of the workloads crate, as the JSON layer pretty-prints it.
 #[test]
-fn majority_w4_example_is_the_workloads_spec() {
-    let text = std::fs::read_to_string(majority_w4_spec_path()).expect("read majority_w4.json");
-    let spec = lassynth::workloads::specs::majority_gate_spec(4);
+fn majority_w5_example_is_the_workloads_spec() {
+    let text = std::fs::read_to_string(majority_w5_spec_path()).expect("read majority_w5.json");
+    let spec = lassynth::workloads::specs::majority_gate_spec(5);
     let pretty = serde_json::to_string_pretty(&spec).expect("spec prints");
     assert_eq!(text.trim_end(), pretty);
 }
